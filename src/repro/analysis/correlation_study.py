@@ -157,22 +157,17 @@ def run_correlation_study(
     benchmarks=DEFAULT_BENCHMARKS,
     instruction_scales=(6, 18),
     runner=None,
-    engine: str | None = None,
-    verify: float | None = None,
     engine_spec=None,
 ) -> CorrelationResult:
     """Run both simulators across benchmarks and trace lengths.
 
     ``engine_spec`` (an :class:`repro.gpusim.engine_spec.EngineSpec`
-    or its string form) selects the fast simulator's core; the legacy
-    ``engine=`` / ``verify=`` kwargs still work but are deprecated.
+    or its string form) selects the fast simulator's core.
     """
     from repro.engine.runner import ExperimentRunner
     from repro.gpusim.engine_spec import EngineSpec
 
-    spec = EngineSpec.coerce(
-        engine_spec, engine=engine, verify=verify, where="run_correlation_study"
-    )
+    spec = EngineSpec.coerce(engine_spec)
     runner = runner or ExperimentRunner()
     return runner.run(
         "correlation.fig10",

@@ -148,12 +148,14 @@ def perf_benchmark_row(
         # stage-0 preload when available) and replay every
         # non-reference link in a single batched pass — bit-identical
         # to looping the relaxed simulator over the sweep.
+        # Links are sampled for ``verify`` as floats, whatever type the
+        # sweep was spelled in.
         key = tape_cache_key(benchmark, trace_config, profile_config, config)
         results = replay_links(
             trace,
             buddy_state,
             config,
-            link_sweep,
+            [float(link) for link in link_sweep],
             verify=verify,
             cache_key=key,
         )
@@ -262,8 +264,6 @@ def run_perf_study(
     link_sweep=LINK_SWEEP,
     profile_config: SnapshotConfig | None = None,
     runner=None,
-    engine: str | None = None,
-    verify: float | None = None,
     engine_spec=None,
 ) -> PerfStudyResult:
     """Run the full Fig. 11 sweep.
@@ -282,15 +282,11 @@ def run_perf_study(
             its string form, e.g. ``"relaxed:verify=0.5"``) selecting
             the simulator core; its name and verify fraction are cache
             axes, so cached results never mix engines.
-        engine, verify: Deprecated spelling of ``engine_spec``; still
-            honoured, with a :class:`DeprecationWarning`.
     """
     from repro.engine.runner import default_runner
     from repro.gpusim.engine_spec import EngineSpec
 
-    spec = EngineSpec.coerce(
-        engine_spec, engine=engine, verify=verify, where="run_perf_study"
-    )
+    spec = EngineSpec.coerce(engine_spec)
     runner = runner or default_runner()
     if trace_config is None and config is not None:
         # Preserve the historical coupling: an explicit machine implies

@@ -5,12 +5,12 @@ This module is the extraction point of the hot loops of
 event scheduler of :class:`~repro.gpusim.vector_sim.VectorizedSimulator`
 (:func:`run_exact`) and the frozen-order tape replay of
 :class:`~repro.gpusim.vector_sim.RelaxedSimulator`
-(:func:`replay_tape`).  Both operate on **flat arrays only** — the
-caller hands over a fixed tuple of C-contiguous ``int64``/``float64``
-NumPy columns plus scalar tuples, and gets back a counter tuple (and,
-when recording, the compacted tape columns).  No dicts, tuples-per-row
-or Python objects cross the boundary, which is what makes the loop
-compilable.
+(:func:`replay_tape_many`).  Both operate on **flat arrays only** —
+the caller hands over a fixed tuple of C-contiguous
+``int64``/``float64`` NumPy columns plus scalar tuples, and gets back
+a counter tuple (and, when recording, the compacted tape columns).
+No dicts, tuples-per-row or Python objects cross the boundary, which
+is what makes the loop compilable.
 
 Two interchangeable implementations sit behind the same interface:
 
@@ -21,7 +21,14 @@ Two interchangeable implementations sit behind the same interface:
   line-for-line transcription of the fallback using the same IEEE
   double operations in the same order, so counters *and* cycles are
   bit-identical between the two (``tests/test_event_core.py`` pins
-  this; the CI ``compiled-core`` job diffs full study digests).
+  this; the CI ``event-core`` job diffs full study digests).
+
+Each build has exactly one replay body, the one that is fastest where
+it runs: the fallback replays one link at a time (:func:`_replay_py`,
+looped over the requested links), while the extension's
+``replay_many`` advances all links together in one pass over the
+tape.  Every lane of ``replay_many`` issues the same double
+operations as :func:`_replay_py` at that link, so the results agree.
 
 Selection happens once at import: the extension is used when it
 imports and its ``ABI`` constant matches :data:`EXT_ABI` (a stale
@@ -164,7 +171,7 @@ def force_python():
     F_ROW_HIT_OV, F_ROW_MISS_OV,
 ) = range(11)
 
-#: Replay scalar packs (subset of the above, see :func:`replay_tape`).
+#: Replay scalar packs (subset of the above, see :func:`replay_tape_many`).
 (
     RI_WARP_COUNT, RI_SM_COUNT, RI_CHANNELS,
 ) = range(3)
@@ -219,36 +226,29 @@ def run_exact(arrays, iscalars, fscalars, record, geo_cache=None,
 
 
 def replay_tape(tape_cols, warp_mlp, iscalars, fscalars) -> float:
-    """Recompute end-to-end cycles along a recorded tape pack.
-
-    ``iscalars`` is ``(warp_count, sm_count, channels)`` and
-    ``fscalars`` is ``(interval, dram_lat, arrival_lat, link_bpc,
-    link_lat, fill_tail)`` (the ``RI_*``/``RF_*`` indices).
-    """
-    if _ext is not None and not _forced_python:
-        return _ext.replay(
-            tape_cols,
-            warp_mlp,
-            tuple(int(v) for v in iscalars),
-            tuple(float(v) for v in fscalars),
-        )
-    return _replay_py(tape_cols, warp_mlp, iscalars, fscalars)
+    """Recompute end-to-end cycles along a recorded tape pack at one
+    interconnect: :func:`replay_tape_many` with a single pack."""
+    return replay_tape_many(tape_cols, warp_mlp, iscalars, (fscalars,))[0]
 
 
 def replay_tape_many(tape_cols, warp_mlp, iscalars, fscalars_list):
-    """Replay one tape at several interconnects in a single pass.
+    """Recompute end-to-end cycles along a recorded tape pack, per link.
 
-    ``fscalars_list`` is a sequence of ``RF_*`` packs, one per
-    requested link point; the return value is a tuple of per-link
-    cycle counts, each bit-identical to a serial :func:`replay_tape`
-    call with the same pack (``tests/test_event_core.py`` pins the
-    identity for both builds, and the compiled and fallback paths
-    against each other).  The win over the serial loop is one pass
-    over the tape columns instead of one per link: replay control
-    flow — which branches fire, when a warp's MLP window pops —
-    depends only on the tape payloads and integer counts, which are
-    link-invariant, so all links advance together and only the small
-    per-link clock state differs.
+    ``iscalars`` is ``(warp_count, sm_count, channels)`` (the ``RI_*``
+    indices) and ``fscalars_list`` is a sequence of ``(interval,
+    dram_lat, arrival_lat, link_bpc, link_lat, fill_tail)`` packs (the
+    ``RF_*`` indices), one per requested link point.  Returns a tuple
+    of per-link cycle counts.
+
+    Each link's result depends only on its own pack, and is identical
+    on both builds (``tests/test_event_core.py`` pins both).  The C
+    extension advances every link together in one pass over the tape:
+    replay control flow — which branches fire, when a warp's MLP
+    window pops — depends only on the tape payloads and integer
+    counts, which are link-invariant, so only the small per-link clock
+    state differs.  The pure-Python fallback replays the links one
+    after another, which is faster in the interpreter than carrying
+    a NumPy lane per link.
     """
     packs = tuple(tuple(float(v) for v in pack) for pack in fscalars_list)
     if not packs:
@@ -260,7 +260,9 @@ def replay_tape_many(tape_cols, warp_mlp, iscalars, fscalars_list):
             tuple(int(v) for v in iscalars),
             packs,
         )
-    return _replay_many_py(tape_cols, warp_mlp, iscalars, packs)
+    columns = [column.tolist() for column in tape_cols]
+    mlp = warp_mlp.tolist()
+    return tuple(_replay_py(columns, mlp, iscalars, pack) for pack in packs)
 
 
 def _record_row(cols, k, w, sm, f0=0.0, f1=0.0, f2=0.0,
@@ -989,8 +991,9 @@ def _run_exact_py(arrays, iscalars, fscalars, record, geo_cache,
     return counters, tape_cols
 
 
-def _replay_py(tape_cols, warp_mlp_a, iscalars, fscalars) -> float:
-    """Pure-Python tape replay over the compacted columns.
+def _replay_py(columns, warp_mlp, iscalars, fscalars) -> float:
+    """Pure-Python tape replay at one link, over the tape columns as
+    lists (``column.tolist()``, converted once per tape by the caller).
 
     The tape is consumed strictly in order, so the columns are zipped
     into a transient row iterator — one tuple unpack per event, the
@@ -1011,13 +1014,12 @@ def _replay_py(tape_cols, warp_mlp_a, iscalars, fscalars) -> float:
     sm_free = [0.0] * sm_count
     link_read_free = 0.0
     link_write_free = 0.0
-    warp_mlp = warp_mlp_a.tolist()
     ready = [0.0] * warp_count
     outstanding: list[list] = [[] for _ in range(warp_count)]
     out_heads = [0] * warp_count
     finish = 0.0
 
-    rows = zip(*(column.tolist() for column in tape_cols))
+    rows = zip(*columns)
 
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -1207,173 +1209,3 @@ def _replay_py(tape_cols, warp_mlp_a, iscalars, fscalars) -> float:
         max(sm_free),
     )
 
-
-def _replay_many_py(tape_cols, warp_mlp_a, iscalars, fscalars_list):
-    """NumPy-over-links twin of :func:`_replay_py`.
-
-    One lane of float64 clock state per requested link: every scalar
-    recurrence of :func:`_replay_py` (``r if r > free else free``
-    maxes, ``+`` accumulations, the ``bytes / link_bpc`` divisions)
-    becomes the elementwise ``np.maximum`` / ``+`` / ``/`` over the
-    lane axis.  Elementwise IEEE double ops are computed per lane
-    exactly as the scalar ops are, in the same order, so each lane is
-    bit-identical to a serial replay at that link.  Branches and the
-    MLP pop decision read only tape payloads and integer counts —
-    link-invariant scalars — so the shared control flow is exact, not
-    approximate.  Lane arrays are always rebound, never mutated, so
-    completion arrays retained in ``outstanding`` stay frozen.
-    """
-    n_links = len(fscalars_list)
-    warp_count = int(iscalars[RI_WARP_COUNT])
-    sm_count = int(iscalars[RI_SM_COUNT])
-    channels = int(iscalars[RI_CHANNELS])
-    packs = np.asarray(fscalars_list, dtype=np.float64)
-    interval = packs[:, RF_INTERVAL].copy()
-    dram_lat = packs[:, RF_DRAM_LAT].copy()
-    arrival_lat = packs[:, RF_ARRIVAL_LAT].copy()
-    link_bpc = packs[:, RF_LINK_BPC].copy()
-    link_lat = packs[:, RF_LINK_LAT].copy()
-    fill_tail = packs[:, RF_FILL_TAIL].copy()
-
-    maximum = np.maximum
-    next_free = np.zeros((channels, n_links))
-    sm_free = np.zeros((sm_count, n_links))
-    link_read_free = np.zeros(n_links)
-    link_write_free = np.zeros(n_links)
-    warp_mlp = warp_mlp_a.tolist()
-    ready = np.zeros((warp_count, n_links))
-    outstanding: list[list] = [[] for _ in range(warp_count)]
-    out_heads = [0] * warp_count
-    finish = np.zeros(n_links)
-
-    rows = zip(*(column.tolist() for column in tape_cols))
-
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for kind, w, sm, f0, f1, f2, i0, i1, i2, i3, i4, i5 in rows:
-            if kind == 0:  # compute
-                t = maximum(ready[w], sm_free[sm]) + f0
-                sm_free[sm] = t
-                ready[w] = t
-            elif kind == 1:  # load, cache hit
-                issue = maximum(ready[w], sm_free[sm])
-                sm_free[sm] = issue + interval
-                done = issue + f0
-                out = outstanding[w]
-                out.append(done)
-                head = out_heads[w]
-                if len(out) - head >= warp_mlp[w]:
-                    ready[w] = out[head]
-                    out_heads[w] = head + 1
-                else:
-                    ready[w] = issue + interval
-            elif kind == 2:  # load, demand fill
-                issue = maximum(ready[w], sm_free[sm])
-                sm_free[sm] = issue + interval
-                arrival = issue + arrival_lat
-                if f0:  # serv
-                    end = maximum(next_free[i0], arrival) + f0
-                    next_free[i0] = end
-                    done = end + dram_lat
-                else:
-                    done = arrival
-                meta_ready = arrival
-                if i1:  # mmiss
-                    end = maximum(next_free[i2], arrival) + f1
-                    next_free[i2] = end
-                    meta_ready = end + dram_lat
-                    done = maximum(done, meta_ready)
-                if i3:  # bnum
-                    end = maximum(link_read_free, meta_ready) + i3 / link_bpc
-                    link_read_free = end
-                    done = maximum(done, end + link_lat)
-                if f2:  # wbserv
-                    next_free[i4] = maximum(next_free[i4], arrival) + f2
-                if i5:  # wbbnum
-                    link_write_free = (
-                        maximum(link_write_free, arrival) + i5 / link_bpc
-                    )
-                done = done + fill_tail
-                out = outstanding[w]
-                out.append(done)
-                head = out_heads[w]
-                if len(out) - head >= warp_mlp[w]:
-                    ready[w] = out[head]
-                    out_heads[w] = head + 1
-                else:
-                    ready[w] = issue + interval
-            elif kind == 4:  # store, no memory-system timing
-                issue = maximum(ready[w], sm_free[sm])
-                sm_free[sm] = issue + interval
-                ready[w] = issue + interval
-            elif kind == 5:  # store with dirty-eviction writeback
-                issue = maximum(ready[w], sm_free[sm])
-                sm_free[sm] = issue + interval
-                if f2:
-                    next_free[i4] = maximum(next_free[i4], issue) + f2
-                if i5:
-                    link_write_free = (
-                        maximum(link_write_free, issue) + i5 / link_bpc
-                    )
-                ready[w] = issue + interval
-            elif kind == 6:  # store with read-modify-write fill
-                issue = maximum(ready[w], sm_free[sm])
-                sm_free[sm] = issue + interval
-                if f0:
-                    next_free[i0] = maximum(next_free[i0], issue) + f0
-                meta_ready = issue
-                if i1:
-                    end = maximum(next_free[i2], issue) + f1
-                    next_free[i2] = end
-                    meta_ready = end + dram_lat
-                if i3:
-                    link_read_free = (
-                        maximum(link_read_free, meta_ready) + i3 / link_bpc
-                    )
-                if f2:
-                    next_free[i4] = maximum(next_free[i4], issue) + f2
-                if i5:
-                    link_write_free = (
-                        maximum(link_write_free, issue) + i5 / link_bpc
-                    )
-                ready[w] = issue + interval
-            elif kind == 3:  # host load over the link
-                issue = maximum(ready[w], sm_free[sm])
-                sm_free[sm] = issue + interval
-                end = maximum(link_read_free, issue) + i0 / link_bpc
-                link_read_free = end
-                done = end + link_lat
-                out = outstanding[w]
-                out.append(done)
-                head = out_heads[w]
-                if len(out) - head >= warp_mlp[w]:
-                    ready[w] = out[head]
-                    out_heads[w] = head + 1
-                else:
-                    ready[w] = issue + interval
-            elif kind == 7:  # host store over the link
-                issue = maximum(ready[w], sm_free[sm])
-                sm_free[sm] = issue + interval
-                link_write_free = (
-                    maximum(link_write_free, issue) + i0 / link_bpc
-                )
-                ready[w] = issue + interval
-            else:  # warp end
-                out = outstanding[w]
-                head = out_heads[w]
-                if len(out) > head:
-                    last = out[head]
-                    for done in out[head + 1:]:
-                        last = maximum(last, done)
-                    finish = maximum(finish, last)
-                finish = maximum(finish, ready[w])
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-    cycles = maximum(finish, next_free.max(axis=0))
-    cycles = maximum(cycles, link_read_free)
-    cycles = maximum(cycles, link_write_free)
-    cycles = maximum(cycles, sm_free.max(axis=0))
-    return tuple(float(c) for c in cycles)

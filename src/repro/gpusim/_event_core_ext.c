@@ -1,15 +1,18 @@
 /* Compiled twin of repro/gpusim/_event_core.py.
  *
  * This extension is a line-for-line transcription of the pure-Python
- * event core (`_run_exact_py` / `_replay_py`) over the same packed
- * struct-of-arrays interface.  The contract is bit identity: every
- * floating-point operation is an IEEE-754 double op issued in the
- * same order as the Python implementation (the build disables FP
- * contraction so no fused multiply-adds sneak in), every integer
- * quantity is an int64, and the scheduler heap reproduces heapq's
- * strict (ready, sequence) total order.  tests/test_event_core.py
- * asserts the identity per run; the CI `compiled-core` job diffs
- * whole-study digests against the REPRO_NO_EXT fallback.
+ * event core over the same packed struct-of-arrays interface:
+ * run_exact() transcribes `_run_exact_py`, and replay_many() runs
+ * `_replay_py` for every requested link in one pass over the tape
+ * (the only replay entry point; a single link is a one-pack call).
+ * The contract is bit identity: every floating-point operation is an
+ * IEEE-754 double op issued in the same order as the Python
+ * implementation (the build disables FP contraction so no fused
+ * multiply-adds sneak in), every integer quantity is an int64, and
+ * the scheduler heap reproduces heapq's strict (ready, sequence)
+ * total order.  tests/test_event_core.py asserts the identity per
+ * run; the CI `event-core` job diffs whole-study digests against the
+ * REPRO_NO_EXT fallback.
  *
  * The Python-side dict/list structures map to flat arrays:
  *
@@ -1059,319 +1062,18 @@ cleanup:
 }
 
 /* ------------------------------------------------------------------ */
-/* replay(tape_cols, warp_mlp, iscalars, fscalars) -> cycles          */
-/* ------------------------------------------------------------------ */
-static PyObject *
-replay(PyObject *self, PyObject *args)
-{
-    PyObject *tape, *mlp_obj, *iscalars_o, *fscalars_o;
-    if (!PyArg_ParseTuple(args, "OOOO", &tape, &mlp_obj, &iscalars_o,
-                          &fscalars_o))
-        return NULL;
-
-    int64_t isc[RI_COUNT];
-    double fsc[RF_COUNT];
-    if (unpack_i64(iscalars_o, isc, RI_COUNT) < 0 ||
-        unpack_f64(fscalars_o, fsc, RF_COUNT) < 0)
-        return NULL;
-
-    Buf tbufs[12];
-    for (Py_ssize_t k = 0; k < 12; k++)
-        tbufs[k].has = 0;
-    Buf mlp_buf;
-    mlp_buf.has = 0;
-
-    PyObject *result = NULL;
-    double *next_free = NULL, *sm_free = NULL, *ready = NULL, *out = NULL;
-    int64_t *out_base = NULL, *out_len = NULL, *out_head = NULL;
-
-    for (Py_ssize_t k = 0; k < 12; k++) {
-        PyObject *item = PyTuple_GetItem(tape, k);
-        if (item == NULL || get_buf(item, &tbufs[k], 0) < 0)
-            goto cleanup;
-    }
-    if (get_buf(mlp_obj, &mlp_buf, 0) < 0)
-        goto cleanup;
-
-    const int8_t *tk = (const int8_t *)tbufs[0].view.buf;
-    const int32_t *tw = (const int32_t *)tbufs[1].view.buf;
-    const int32_t *tsm = (const int32_t *)tbufs[2].view.buf;
-    const double *tf0 = (const double *)tbufs[3].view.buf;
-    const double *tf1 = (const double *)tbufs[4].view.buf;
-    const double *tf2 = (const double *)tbufs[5].view.buf;
-    const int32_t *ti0 = (const int32_t *)tbufs[6].view.buf;
-    const int32_t *ti1 = (const int32_t *)tbufs[7].view.buf;
-    const int32_t *ti2 = (const int32_t *)tbufs[8].view.buf;
-    const int32_t *ti3 = (const int32_t *)tbufs[9].view.buf;
-    const int32_t *ti4 = (const int32_t *)tbufs[10].view.buf;
-    const int32_t *ti5 = (const int32_t *)tbufs[11].view.buf;
-    const int64_t *warp_mlp = (const int64_t *)mlp_buf.view.buf;
-    const Py_ssize_t n_events = tbufs[0].view.len;
-
-    const int64_t warp_count = isc[RI_WARP_COUNT];
-    const int64_t sm_count = isc[RI_SM_COUNT];
-    const int64_t channels = isc[RI_CHANNELS];
-    const double interval = fsc[RF_INTERVAL];
-    const double dram_lat = fsc[RF_DRAM_LAT];
-    const double arrival_lat = fsc[RF_ARRIVAL_LAT];
-    const double link_bpc = fsc[RF_LINK_BPC];
-    const double link_lat = fsc[RF_LINK_LAT];
-    const double fill_tail = fsc[RF_FILL_TAIL];
-
-    next_free = calloc((size_t)channels, sizeof(double));
-    sm_free = calloc((size_t)sm_count, sizeof(double));
-    ready = calloc((size_t)(warp_count > 0 ? warp_count : 1),
-                   sizeof(double));
-    out_base = calloc((size_t)(warp_count > 0 ? warp_count : 1),
-                      sizeof(int64_t));
-    out_len = calloc((size_t)(warp_count > 0 ? warp_count : 1),
-                     sizeof(int64_t));
-    out_head = calloc((size_t)(warp_count > 0 ? warp_count : 1),
-                      sizeof(int64_t));
-    if (!next_free || !sm_free || !ready || !out_base || !out_len ||
-        !out_head) {
-        PyErr_NoMemory();
-        goto cleanup;
-    }
-    /* Partition one flat completion array by each warp's number of
-     * completing events (kinds 1/2/3). */
-    Py_ssize_t total_out = 0;
-    for (Py_ssize_t e = 0; e < n_events; e++) {
-        int8_t kind = tk[e];
-        if (kind == 1 || kind == 2 || kind == 3) {
-            out_base[tw[e]]++;
-            total_out++;
-        }
-    }
-    {
-        int64_t acc = 0;
-        for (int64_t w = 0; w < warp_count; w++) {
-            int64_t c = out_base[w];
-            out_base[w] = acc;
-            acc += c;
-        }
-    }
-    out = malloc(sizeof(double) * (size_t)(total_out > 0 ? total_out : 1));
-    if (!out) {
-        PyErr_NoMemory();
-        goto cleanup;
-    }
-
-    double link_read_free = 0.0;
-    double link_write_free = 0.0;
-    double finish = 0.0;
-
-    for (Py_ssize_t e = 0; e < n_events; e++) {
-        int8_t kind = tk[e];
-        int64_t w = tw[e];
-        int64_t sm = tsm[e];
-        if (kind == 8) { /* warp end */
-            int64_t head = out_head[w];
-            int64_t base = out_base[w];
-            if (out_len[w] > head) {
-                double last = out[base + head];
-                for (int64_t k = head + 1; k < out_len[w]; k++)
-                    if (out[base + k] > last)
-                        last = out[base + k];
-                if (last > finish)
-                    finish = last;
-            }
-            if (ready[w] > finish)
-                finish = ready[w];
-            continue;
-        }
-        double r = ready[w];
-        double free_t = sm_free[sm];
-        double issue = r > free_t ? r : free_t;
-        if (kind == 0) { /* compute */
-            double t = issue + tf0[e];
-            sm_free[sm] = t;
-            ready[w] = t;
-            continue;
-        }
-        sm_free[sm] = issue + interval;
-        if (kind == 1) { /* load, cache hit */
-            double done = issue + tf0[e];
-            int64_t base = out_base[w];
-            out[base + out_len[w]] = done;
-            out_len[w]++;
-            int64_t head = out_head[w];
-            if (out_len[w] - head >= warp_mlp[w]) {
-                ready[w] = out[base + head];
-                out_head[w] = head + 1;
-            } else {
-                ready[w] = issue + interval;
-            }
-        } else if (kind == 2) { /* load, demand fill */
-            double arrival = issue + arrival_lat;
-            double done;
-            double serv = tf0[e];
-            if (serv != 0.0) {
-                int64_t ch = ti0[e];
-                double cf = next_free[ch];
-                double start = cf > arrival ? cf : arrival;
-                double end = start + serv;
-                next_free[ch] = end;
-                done = end + dram_lat;
-            } else {
-                done = arrival;
-            }
-            double meta_ready = arrival;
-            if (ti1[e]) { /* mmiss */
-                int64_t mch = ti2[e];
-                double cf = next_free[mch];
-                double start = cf > arrival ? cf : arrival;
-                double end = start + tf1[e];
-                next_free[mch] = end;
-                meta_ready = end + dram_lat;
-                if (meta_ready > done)
-                    done = meta_ready;
-            }
-            if (ti3[e]) { /* bnum */
-                double start = link_read_free > meta_ready
-                                   ? link_read_free
-                                   : meta_ready;
-                double end = start + (double)ti3[e] / link_bpc;
-                link_read_free = end;
-                double t = end + link_lat;
-                if (t > done)
-                    done = t;
-            }
-            if (tf2[e] != 0.0) { /* wbserv */
-                int64_t wbch = ti4[e];
-                double cf = next_free[wbch];
-                double start = cf > arrival ? cf : arrival;
-                next_free[wbch] = start + tf2[e];
-            }
-            if (ti5[e]) { /* wbbnum */
-                double start = link_write_free > arrival
-                                   ? link_write_free
-                                   : arrival;
-                link_write_free = start + (double)ti5[e] / link_bpc;
-            }
-            done = done + fill_tail;
-            int64_t base = out_base[w];
-            out[base + out_len[w]] = done;
-            out_len[w]++;
-            int64_t head = out_head[w];
-            if (out_len[w] - head >= warp_mlp[w]) {
-                ready[w] = out[base + head];
-                out_head[w] = head + 1;
-            } else {
-                ready[w] = issue + interval;
-            }
-        } else if (kind == 4) { /* store, no memory-system timing */
-            ready[w] = issue + interval;
-        } else if (kind == 5) { /* store with dirty-eviction writeback */
-            if (tf2[e] != 0.0) {
-                int64_t wbch = ti4[e];
-                double cf = next_free[wbch];
-                double start = cf > issue ? cf : issue;
-                next_free[wbch] = start + tf2[e];
-            }
-            if (ti5[e]) {
-                double start = link_write_free > issue
-                                   ? link_write_free
-                                   : issue;
-                link_write_free = start + (double)ti5[e] / link_bpc;
-            }
-            ready[w] = issue + interval;
-        } else if (kind == 6) { /* store with read-modify-write fill */
-            if (tf0[e] != 0.0) {
-                int64_t ch = ti0[e];
-                double cf = next_free[ch];
-                double start = cf > issue ? cf : issue;
-                next_free[ch] = start + tf0[e];
-            }
-            double meta_ready = issue;
-            if (ti1[e]) {
-                int64_t mch = ti2[e];
-                double cf = next_free[mch];
-                double start = cf > issue ? cf : issue;
-                double end = start + tf1[e];
-                next_free[mch] = end;
-                meta_ready = end + dram_lat;
-            }
-            if (ti3[e]) {
-                double start = link_read_free > meta_ready
-                                   ? link_read_free
-                                   : meta_ready;
-                link_read_free = start + (double)ti3[e] / link_bpc;
-            }
-            if (tf2[e] != 0.0) {
-                int64_t wbch = ti4[e];
-                double cf = next_free[wbch];
-                double start = cf > issue ? cf : issue;
-                next_free[wbch] = start + tf2[e];
-            }
-            if (ti5[e]) {
-                double start = link_write_free > issue
-                                   ? link_write_free
-                                   : issue;
-                link_write_free = start + (double)ti5[e] / link_bpc;
-            }
-            ready[w] = issue + interval;
-        } else if (kind == 3) { /* host load over the link */
-            double start =
-                link_read_free > issue ? link_read_free : issue;
-            double end = start + (double)ti0[e] / link_bpc;
-            link_read_free = end;
-            double done = end + link_lat;
-            int64_t base = out_base[w];
-            out[base + out_len[w]] = done;
-            out_len[w]++;
-            int64_t head = out_head[w];
-            if (out_len[w] - head >= warp_mlp[w]) {
-                ready[w] = out[base + head];
-                out_head[w] = head + 1;
-            } else {
-                ready[w] = issue + interval;
-            }
-        } else { /* kind == 7: host store over the link */
-            double start =
-                link_write_free > issue ? link_write_free : issue;
-            link_write_free = start + (double)ti0[e] / link_bpc;
-            ready[w] = issue + interval;
-        }
-    }
-
-    {
-        double cycles = finish;
-        for (int64_t c = 0; c < channels; c++)
-            if (next_free[c] > cycles)
-                cycles = next_free[c];
-        if (link_read_free > cycles)
-            cycles = link_read_free;
-        if (link_write_free > cycles)
-            cycles = link_write_free;
-        for (int64_t s = 0; s < sm_count; s++)
-            if (sm_free[s] > cycles)
-                cycles = sm_free[s];
-        result = PyFloat_FromDouble(cycles);
-    }
-
-cleanup:
-    free(next_free); free(sm_free); free(ready); free(out);
-    free(out_base); free(out_len); free(out_head);
-    release_bufs(tbufs, 12);
-    if (mlp_buf.has)
-        PyBuffer_Release(&mlp_buf.view);
-    return result;
-}
-
-/* ------------------------------------------------------------------ */
 /* replay_many(tape_cols, warp_mlp, iscalars, fscalars_packs)         */
 /*     -> tuple of per-link cycles                                    */
 /*                                                                    */
-/* Batched twin of replay(): one pass over the tape advances every    */
+/* Batched twin of _replay_py: one pass over the tape advances every  */
 /* requested link together.  Control flow (branches, the MLP pop)     */
 /* depends only on link-invariant tape payloads, so it is hoisted to  */
 /* the event level; the per-link clock state lives in link-minor      */
 /* arrays (state[slot * n_links + l]) walked by a tight inner loop    */
 /* over the RF_* hot scalars.  Each lane performs exactly the IEEE    */
-/* double ops of a serial replay() at that link, in the same order,   */
-/* so the per-link results are bit-identical to serial calls (and to  */
-/* _replay_many_py's NumPy lanes).                                    */
+/* double ops of _replay_py at that link, in the same order, so each  */
+/* link's result is bit-identical to the fallback's and independent   */
+/* of which other links share the pass.                               */
 /* ------------------------------------------------------------------ */
 static PyObject *
 replay_many(PyObject *self, PyObject *args)
@@ -1785,8 +1487,6 @@ static PyMethodDef event_core_methods[] = {
     {"run_exact", run_exact, METH_VARARGS,
      "run_exact(arrays, iscalars, fscalars, tape_cols_or_None) -> "
      "counter tuple"},
-    {"replay", replay, METH_VARARGS,
-     "replay(tape_cols, warp_mlp, iscalars, fscalars) -> cycles"},
     {"replay_many", replay_many, METH_VARARGS,
      "replay_many(tape_cols, warp_mlp, iscalars, fscalars_packs) -> "
      "tuple of per-link cycles"},

@@ -17,9 +17,7 @@ place those knobs are parsed and validated:
 The string form (``"relaxed"``, ``"relaxed:verify=0.5"``,
 ``"relaxed:verify=1.0,tolerance=0.02"``) is accepted everywhere an
 :class:`EngineSpec` is, so CLI flags and config files need no extra
-plumbing.  The legacy keyword pair keeps working through
-:meth:`EngineSpec.coerce`, which emits a :class:`DeprecationWarning`
-naming the replacement.
+plumbing.
 
 ``tolerance`` is deliberately *not* an experiment parameter: it only
 changes when a verified run raises, never the simulated result, so
@@ -31,7 +29,6 @@ it — a custom tolerance is a direct-simulation knob
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from repro.gpusim.simulator import ENGINES
@@ -100,40 +97,12 @@ class EngineSpec:
         return cls(name, **kwargs)
 
     @classmethod
-    def coerce(
-        cls,
-        spec: EngineSpec | str | None = None,
-        *,
-        engine: str | None = None,
-        verify: float | None = None,
-        where: str = "this function",
-    ) -> EngineSpec:
-        """The single funnel from old and new call surfaces to a spec.
-
-        ``spec`` is the preferred argument (an :class:`EngineSpec` or
-        its string form); the legacy ``engine=`` / ``verify=`` keyword
-        pair keeps working but emits a :class:`DeprecationWarning`
-        naming the replacement.  Mixing both is an error.
-        """
-        legacy = engine is not None or verify is not None
-        if spec is not None:
-            if legacy:
-                raise TypeError(
-                    f"{where} got both engine_spec= and the legacy "
-                    "engine=/verify= kwargs; pass only engine_spec="
-                )
-            return spec if isinstance(spec, EngineSpec) else cls.parse(spec)
-        if legacy:
-            replacement = cls(engine or DEFAULT_ENGINE, verify or 0.0)
-            warnings.warn(
-                f"the engine=/verify= kwargs of {where} are deprecated; "
-                f"pass engine_spec={str(replacement)!r} "
-                "(an EngineSpec or its string form) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            return replacement
-        return cls()
+    def coerce(cls, spec: EngineSpec | str | None = None) -> EngineSpec:
+        """An :class:`EngineSpec`, its string form or ``None`` (the
+        default spec) as an :class:`EngineSpec`."""
+        if spec is None:
+            return cls()
+        return spec if isinstance(spec, EngineSpec) else cls.parse(spec)
 
     # ------------------------------------------------------------------
     def __str__(self) -> str:

@@ -625,29 +625,35 @@ def _resolve_tape(
     return tape, reference
 
 
-def _replay_tape(tape: _Tape, config) -> float:
-    """Recompute end-to-end cycles along a frozen event tape.
+def _replay_pack(tape: _Tape, config) -> tuple:
+    """The ``RF_*`` scalar pack that replays ``tape`` under ``config``."""
+    return (
+        config.issue_interval,
+        float(config.dram_latency),
+        float(config.l2_latency),
+        config.link.bytes_per_cycle(config.clock_hz),
+        float(config.link.latency_cycles),
+        tape.fill_tail,
+    )
+
+
+def _replay_cycles(tape: _Tape, configs) -> tuple:
+    """Recompute end-to-end cycles along a frozen event tape, once per
+    configuration in ``configs``.
 
     Every traffic outcome (hits, fills, row-buffer state, victim
     choices) is baked into the tape; only the timing recurrences — SM
     issue slots, DRAM channel queues, the two link directions and each
-    warp's memory-level-parallelism window — are recomputed with the
+    warp's memory-level-parallelism window — are recomputed with each
     requested interconnect.  At the recording interconnect this
     reproduces the exact engine's cycle count bit for bit (the replay
     uses the same float operations in the same order).
     """
-    return _event_core.replay_tape(
+    return _event_core.replay_tape_many(
         tape.cols,
         tape.warp_mlp,
         (tape.warp_count, tape.sm_count, tape.channels),
-        (
-            config.issue_interval,
-            float(config.dram_latency),
-            float(config.l2_latency),
-            config.link.bytes_per_cycle(config.clock_hz),
-            float(config.link.latency_cycles),
-            tape.fill_tail,
-        ),
+        [_replay_pack(tape, config) for config in configs],
     )
 
 
@@ -915,58 +921,41 @@ def replay_links(
 ):
     """Run the relaxed engine at several link bandwidths in one pass.
 
-    The batched twin of looping :class:`RelaxedSimulator` over
-    ``config.with_link(link)`` — bit-identical to that loop, because
-    every non-reference link replays the same frozen tape through
-    :func:`repro.gpusim._event_core.replay_tape_many` (itself
-    bit-identical per link to serial ``replay_tape``).  ``cache_key``
-    (from :func:`tape_cache_key`) routes the tape through
-    :func:`ensure_tape` first, so persistent-cache hits and planner
-    preloads skip the recording.  ``verify`` keeps its per-point
-    deterministic sampling: each link decides independently, exactly
-    as the serial loop did.  Returns one ``SimResult`` per requested
-    link, in order.
+    This is the relaxed engine: :class:`RelaxedSimulator` is a
+    one-link call.  Every non-reference link replays the same frozen
+    tape in one :func:`repro.gpusim._event_core.replay_tape_many`
+    call, whose per-link result does not depend on the other links,
+    so the batch equals a loop of one-link calls bit for bit.
+    ``cache_key`` (from :func:`tape_cache_key`) routes the tape
+    through :func:`ensure_tape` first, so persistent-cache hits and
+    planner preloads skip the recording.  ``verify`` keeps its
+    per-point deterministic sampling: each link decides
+    independently, keyed on the link value exactly as given (``150``
+    and ``150.0`` sample differently).  Returns one ``SimResult`` per
+    requested link, in order.
     """
-    links = [float(link) for link in links]
-    need_tape = any(link != REFERENCE_LINK_GBPS for link in links)
-    if need_tape and cache_key is not None:
-        ensure_tape(cache_key, trace, state, config)
-    tape, reference = _resolve_tape(trace, state, config, need_tape=need_tape)
-
+    link_configs = [config.with_link(link) for link in links]
     off_reference = [
-        link for link in links if link != REFERENCE_LINK_GBPS
+        link_config
+        for link_config in link_configs
+        if link_config.link.bandwidth_gbps != REFERENCE_LINK_GBPS
     ]
-    cycles_by_link = {}
-    if off_reference:
-        packs = []
-        for link in off_reference:
-            link_config = config.with_link(link)
-            packs.append(
-                (
-                    link_config.issue_interval,
-                    float(link_config.dram_latency),
-                    float(link_config.l2_latency),
-                    link_config.link.bytes_per_cycle(link_config.clock_hz),
-                    float(link_config.link.latency_cycles),
-                    tape.fill_tail,
-                )
-            )
-        replayed = _event_core.replay_tape_many(
-            tape.cols,
-            tape.warp_mlp,
-            (tape.warp_count, tape.sm_count, tape.channels),
-            packs,
-        )
-        cycles_by_link = dict(zip(off_reference, replayed))
+    if off_reference and cache_key is not None:
+        ensure_tape(cache_key, trace, state, config)
+    tape, reference = _resolve_tape(
+        trace, state, config, need_tape=bool(off_reference)
+    )
+    replayed = iter(
+        _replay_cycles(tape, off_reference) if off_reference else ()
+    )
 
     results = []
-    for link in links:
-        at_reference = link == REFERENCE_LINK_GBPS
+    for link_config in link_configs:
+        at_reference = link_config.link.bandwidth_gbps == REFERENCE_LINK_GBPS
         if at_reference:
             result = reference
         else:
-            result = replace(reference, cycles=cycles_by_link[link])
-        link_config = config.with_link(link)
+            result = replace(reference, cycles=next(replayed))
         if verify and _verify_selected(trace, state, link_config, verify):
             from repro.gpusim.simulator import DependencyDrivenSimulator
 
@@ -1113,27 +1102,11 @@ class RelaxedSimulator:
 
     def run(self, trace: KernelTrace, state: CompressionState):
         config = self.config
-        at_reference = (
-            config.link.bandwidth_gbps == REFERENCE_LINK_GBPS
-        )
-        tape, reference = _resolve_tape(
-            trace, state, config, need_tape=not at_reference
-        )
-        if at_reference:
-            result = reference
-        else:
-            result = replace(
-                reference, cycles=_replay_tape(tape, config)
-            )
-        if self.verify and _verify_selected(
-            trace, state, config, self.verify
-        ):
-            from repro.gpusim.simulator import DependencyDrivenSimulator
-
-            oracle = DependencyDrivenSimulator(config, "legacy").run(
-                trace, state
-            )
-            check_relaxed_contract(
-                result, oracle, exact=at_reference, tolerance=self.tolerance
-            )
-        return result
+        return replay_links(
+            trace,
+            state,
+            config,
+            [config.link.bandwidth_gbps],
+            self.verify,
+            self.tolerance,
+        )[0]

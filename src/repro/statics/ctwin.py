@@ -22,12 +22,11 @@ pass fails CI before any simulation runs by cross-checking, statically:
     ``vector_sim.py``, the kinds the Python core records
     (``rec(tcols, K, ...)``) and replays (``kind == K``), and the
     kinds the C core writes (``tk[...] = K``) and dispatches
-    (``kind == K``) must all agree.  Additionally, each replay entry
-    point (serial ``replay`` / ``_replay_py`` and batched
-    ``replay_many`` / ``_replay_many_py``) must exist in both twins
-    and individually dispatch every declared kind — at most one kind
-    may ride an entry point's final ``else`` branch, so a dropped
-    dispatch arm in one twin's copy cannot hide behind the other's.
+    (``kind == K``) must all agree.  Each twin has exactly one replay
+    body (``_replay_py`` in Python, ``replay_many`` in C), so each
+    twin's dispatch must test every declared kind explicitly but at
+    most one, which rides the final ``else`` branch — a dropped
+    dispatch arm is caught in either twin.
 ``ctwin-missing``
     One of the three source files is absent.
 
@@ -64,9 +63,6 @@ class PySide:
     group_lines: dict[str, int] = field(default_factory=dict)
     recorded_kinds: set[int] = field(default_factory=set)
     replayed_kinds: set[int] = field(default_factory=set)
-    #: Per replay entry point (normalized name, e.g. ``replay_many``):
-    #: the kinds that function's dispatch chain tests explicitly.
-    replay_fns: dict[str, set[int]] = field(default_factory=dict)
 
 
 @dataclass
@@ -77,39 +73,11 @@ class CSide:
     enums: dict[str, list[str]] = field(default_factory=dict)
     written_kinds: set[int] = field(default_factory=set)
     dispatched_kinds: set[int] = field(default_factory=set)
-    #: Per replay entry point: kinds its dispatch chain tests explicitly.
-    replay_fns: dict[str, set[int]] = field(default_factory=dict)
 
 
 def _prefix_of(name: str) -> str | None:
     head = name.split("_", 1)[0]
     return head if head in GROUP_PREFIXES else None
-
-
-#: Python replay entry points: ``_replay_py``, ``_replay_many_py``, ...
-_PY_REPLAY_FN = re.compile(r"^_replay\w*_py$")
-
-
-def _normalize_replay_name(name: str) -> str:
-    """``_replay_many_py`` (Python) and ``replay_many`` (C) → one key."""
-    name = name.lstrip("_")
-    return name[: -len("_py")] if name.endswith("_py") else name
-
-
-def _dispatched_kinds(tree: ast.AST) -> set[int]:
-    kinds: set[int] = set()
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Compare)
-            and isinstance(node.left, ast.Name)
-            and node.left.id == "kind"
-            and len(node.ops) == 1
-            and isinstance(node.ops[0], ast.Eq)
-            and isinstance(node.comparators[0], ast.Constant)
-            and isinstance(node.comparators[0].value, int)
-        ):
-            kinds.add(node.comparators[0].value)
-    return kinds
 
 
 def parse_py_core(source: str) -> PySide:
@@ -155,14 +123,6 @@ def parse_py_core(source: str) -> PySide:
                 and isinstance(node.comparators[0].value, int)
             ):
                 side.replayed_kinds.add(node.comparators[0].value)
-        elif isinstance(node, ast.FunctionDef) and _PY_REPLAY_FN.match(
-            node.name
-        ):
-            # Per entry point: the serial and batched replay cores must
-            # each dispatch the full kind set on their own.
-            side.replay_fns[_normalize_replay_name(node.name)] = (
-                _dispatched_kinds(node)
-            )
     return side
 
 
@@ -187,23 +147,6 @@ _C_ABI = re.compile(r"#define\s+EXT_ABI\s+(\d+)")
 _C_ENUM = re.compile(r"enum\s*\{([^}]*)\}")
 _C_KIND_WRITE = re.compile(r"\btk\[\w+\]\s*=\s*(\d+)")
 _C_KIND_DISPATCH = re.compile(r"\bkind\s*==\s*(\d+)")
-#: C replay entry points: ``replay`` and ``replay_many`` definitions.
-_C_REPLAY_FN = re.compile(r"static\s+PyObject\s*\*\s*(replay\w*)\s*\(")
-
-
-def _c_replay_bodies(stripped: str) -> dict[str, str]:
-    """Slice each ``replay*`` function body out of the stripped source.
-
-    A body runs from its definition to the next ``static`` at the top
-    level (the file's fixed idiom: no nested ``static``), or EOF.
-    """
-    matches = list(_C_REPLAY_FN.finditer(stripped))
-    bodies: dict[str, str] = {}
-    for match in matches:
-        end = stripped.find("\nstatic ", match.end())
-        body = stripped[match.end() : end if end >= 0 else len(stripped)]
-        bodies[match.group(1)] = body
-    return bodies
 
 
 def parse_c_core(source: str) -> CSide:
@@ -230,10 +173,6 @@ def parse_c_core(source: str) -> CSide:
     side.dispatched_kinds = {
         int(k) for k in _C_KIND_DISPATCH.findall(stripped)
     }
-    for name, body in _c_replay_bodies(stripped).items():
-        side.replay_fns[_normalize_replay_name(name)] = {
-            int(k) for k in _C_KIND_DISPATCH.findall(body)
-        }
     return side
 
 
@@ -336,6 +275,22 @@ def compare_twins(
                 f"{what} kind(s) {sorted(unknown)} not declared by the "
                 f"_T_* constants ({sorted(declared)})",
             )
+    # One replay body per twin: its dispatch chain must test every
+    # declared kind but the one its final `else` branch handles.
+    replays = (
+        ("Python", py.replayed_kinds, py_path),
+        ("C", c.dispatched_kinds, c_path),
+    )
+    for twin, kinds, path in replays:
+        undispatched = sorted(declared - kinds)
+        if len(undispatched) > 1:
+            error(
+                "ctwin-kinds",
+                path,
+                0,
+                f"{twin} replay never tests kind(s) {undispatched}; at "
+                "most one kind may be handled by the final else branch",
+            )
     if declared and c.written_kinds and declared != c.written_kinds:
         missing = sorted(declared - c.written_kinds)
         if missing:
@@ -360,39 +315,6 @@ def compare_twins(
             f"{sorted(c.written_kinds)}",
         )
 
-    # -- per-entry-point replay dispatch -------------------------------
-    # Serial replay and batched replay_many are independent copies of
-    # the same dispatch chain, in both twins.  Each must cover every
-    # declared kind on its own; exactly one kind per entry point may
-    # ride the final `else` branch without an explicit test.
-    if set(py.replay_fns) != set(c.replay_fns):
-        only_py = sorted(set(py.replay_fns) - set(c.replay_fns))
-        only_c = sorted(set(c.replay_fns) - set(py.replay_fns))
-        error(
-            "ctwin-kinds",
-            c_path,
-            0,
-            f"replay entry points differ between the twins "
-            f"(Python-only: {only_py}, C-only: {only_c})",
-        )
-    if declared:
-        sides = (
-            ("Python", py.replay_fns, py_path),
-            ("C", c.replay_fns, c_path),
-        )
-        for twin, fns, path in sides:
-            for name in sorted(fns):
-                undispatched = sorted(declared - fns[name])
-                if len(undispatched) > 1:
-                    error(
-                        "ctwin-kinds",
-                        path,
-                        0,
-                        f"{twin} replay entry point {name!r} never "
-                        f"dispatches kind(s) {undispatched}; at most "
-                        "one kind may be handled by the final else "
-                        "branch",
-                    )
     return findings
 
 

@@ -1,9 +1,8 @@
 """The ``docs-sync`` pass.
 
-The documentation checker that used to live wholly in
-``scripts/check_docs.py``, folded into the pass framework (the script
-remains as a thin shim for direct invocation and the CI ``docs`` job).
-Docs rot in four ways this catches mechanically:
+The documentation checker, run by ``repro check`` (the CI ``statics``
+job) and by ``tests/test_docs.py`` through :func:`check_docs`.  Docs
+rot in four ways this catches mechanically:
 
 ``docs-link``
     A relative markdown link in a tracked doc stops resolving (file

@@ -95,30 +95,30 @@ def test_mutated_c_event_kind_is_caught(sources):
     assert any("77" in f.message for f in findings)
 
 
-def test_parsers_extract_per_entry_point_dispatch(sources):
+def test_parsers_extract_the_replay_dispatch(sources):
     py_source, c_source, vector_sim_source = sources
     py = parse_py_core(py_source)
     c = parse_c_core(c_source)
     declared = set(parse_t_constants(vector_sim_source).values())
-    assert set(py.replay_fns) == set(c.replay_fns) == {"replay", "replay_many"}
-    for fns in (py.replay_fns, c.replay_fns):
-        for kinds in fns.values():
-            # Every entry point covers all but the one else-handled kind.
-            assert len(declared - kinds) == 1
+    # Each twin's one replay body covers all but the else-handled kind.
+    for kinds in (py.replayed_kinds, c.dispatched_kinds):
+        assert len(declared - kinds) == 1
 
 
-def test_dropped_dispatch_arm_in_replay_many_is_caught(sources):
+@pytest.mark.parametrize("twin", ["python", "c"])
+def test_dropped_dispatch_arm_in_replay_is_caught(sources, twin):
     py_source, c_source, vector_sim_source = sources
-    # Retarget one `kind == 5` inside replay_many only: batched replay
-    # would silently misroute one event class while serial replay (and
-    # the global dispatched-kind set) stays intact.
-    start = c_source.index("replay_many(PyObject")
-    head, body = c_source[:start], c_source[start:]
-    mutated, n = re.subn(r"kind\s*==\s*5\b", "kind == 4", body, count=1)
+    # Retarget the one `kind == 5` arm: replay would silently misroute
+    # one event class into a neighbouring arm.
+    source = py_source if twin == "python" else c_source
+    mutated, n = re.subn(r"kind\s*==\s*5\b", "kind == 4", source)
     assert n == 1
-    findings = compare_twins(py_source, head + mutated, vector_sim_source)
+    if twin == "python":
+        findings = compare_twins(mutated, c_source, vector_sim_source)
+    else:
+        findings = compare_twins(py_source, mutated, vector_sim_source)
     assert any(
-        f.rule == "ctwin-kinds" and "'replay_many'" in f.message
+        f.rule == "ctwin-kinds" and "never tests kind(s) [5, " in f.message
         for f in findings
     )
 

@@ -1,10 +1,9 @@
 """EngineSpec: the unified engine-selection surface.
 
 Pins the API-redesign contract: one place parses and validates engine
-name / verify / tolerance, the legacy ``engine=``/``verify=`` keyword
-pair still works (with a :class:`DeprecationWarning` naming the
-replacement), and a custom tolerance threads through to the relaxed
-engine's verification contract without ever becoming a cache axis.
+name / verify / tolerance, and a custom tolerance threads through to
+the relaxed engine's verification contract without ever becoming a
+cache axis.
 """
 
 import pytest
@@ -100,32 +99,6 @@ class TestCoerce:
 
     def test_default(self):
         assert EngineSpec.coerce() == EngineSpec()
-
-    def test_legacy_kwargs_warn_with_replacement(self):
-        with pytest.warns(
-            DeprecationWarning, match="engine_spec='relaxed:verify=0.5'"
-        ):
-            spec = EngineSpec.coerce(
-                engine="relaxed", verify=0.5, where="run_perf_study"
-            )
-        assert spec == EngineSpec("relaxed", 0.5)
-
-    def test_legacy_engine_alone_warns(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            assert EngineSpec.coerce(engine="legacy") == EngineSpec("legacy")
-
-    def test_mixing_spec_and_legacy_raises(self):
-        with pytest.raises(TypeError, match="only engine_spec="):
-            EngineSpec.coerce("vectorized", engine="legacy")
-
-    def test_studies_reject_mixed_selection_before_running(self):
-        from repro.analysis.correlation_study import run_correlation_study
-        from repro.analysis.perf_study import run_perf_study
-
-        with pytest.raises(TypeError, match="run_perf_study"):
-            run_perf_study(engine_spec="vectorized", engine="legacy")
-        with pytest.raises(TypeError, match="run_correlation_study"):
-            run_correlation_study(engine_spec="vectorized", verify=0.0)
 
 
 class TestStudyParams:

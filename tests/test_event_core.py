@@ -16,6 +16,7 @@ exercises both configurations.
 
 import json
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -35,7 +36,8 @@ from repro.gpusim import (
 from repro.gpusim import _event_core
 from repro.gpusim.trace import Op
 from repro.gpusim.vector_sim import (
-    _replay_tape,
+    _replay_cycles,
+    _replay_pack,
     _resolve_tape,
     _TAPE_MEMO,
     replay_links,
@@ -233,9 +235,9 @@ class TestCompiledMatchesPython:
             np.testing.assert_array_equal(np.asarray(col_c), np.asarray(col_p))
 
         off_link = SMALL_GPU.with_link(50.0)
-        replay_c = _replay_tape(tape_c, off_link)
+        replay_c = _replay_cycles(tape_c, [off_link])
         with _event_core.force_python():
-            replay_p = _replay_tape(tape_p, off_link)
+            replay_p = _replay_cycles(tape_p, [off_link])
         assert replay_c == replay_p
 
     def test_relaxed_engine_end_to_end(self):
@@ -280,7 +282,8 @@ class TestTapeCompaction:
         legacy = DependencyDrivenSimulator(config, engine="legacy").run(
             trace, state
         )
-        assert _replay_tape(tape, config) == legacy.cycles == result.cycles
+        (cycles,) = _replay_cycles(tape, [config])
+        assert cycles == legacy.cycles == result.cycles
 
     def test_tape_stores_columns_not_tuples(self):
         _trace, _state, _config, tape, _result = self.record_tape()
@@ -353,37 +356,35 @@ class TestTapeCompaction:
 def replay_packs(tape, config, links):
     """The (iscalars, fscalars_list) a batched replay of ``links`` uses."""
     iscalars = (tape.warp_count, tape.sm_count, tape.channels)
-    packs = []
-    for link in links:
-        cfg = config.with_link(link)
-        packs.append(
-            (
-                cfg.issue_interval,
-                float(cfg.dram_latency),
-                float(cfg.l2_latency),
-                cfg.link.bytes_per_cycle(cfg.clock_hz),
-                float(cfg.link.latency_cycles),
-                tape.fill_tail,
-            )
-        )
+    packs = [_replay_pack(tape, config.with_link(link)) for link in links]
     return iscalars, packs
+
+
+#: A wide 8-link sweep around the reference interconnect.
+WIDE_LINKS = (25.0, 50.0, 75.0, 100.0, 200.0, 300.0, 600.0, 900.0)
 
 
 class TestBatchedReplay:
     LINKS = (25.0, 50.0, 120.0, REFERENCE_LINK_GBPS, 300.0, 900.0)
 
-    def test_batched_equals_serial_per_link(self):
-        """replay_tape_many == [replay_tape per link], bit for bit."""
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_each_link_is_independent_of_the_batch(self, fallback):
+        """replay_tape_many(packs) == [one-pack call per link], bit for
+        bit, on the active core and on the pure-Python fallback."""
         _trace, _state, config, tape, _result = record_small_tape()
         off = [link for link in self.LINKS if link != REFERENCE_LINK_GBPS]
         iscalars, packs = replay_packs(tape, SMALL_GPU, off)
-        batched = _event_core.replay_tape_many(
-            tape.cols, tape.warp_mlp, iscalars, packs
-        )
-        serial = tuple(
-            _replay_tape(tape, SMALL_GPU.with_link(link)) for link in off
-        )
-        assert tuple(batched) == serial
+        with _event_core.force_python() if fallback else nullcontext():
+            batched = _event_core.replay_tape_many(
+                tape.cols, tape.warp_mlp, iscalars, packs
+            )
+            one_by_one = [
+                _event_core.replay_tape_many(
+                    tape.cols, tape.warp_mlp, iscalars, [pack]
+                )[0]
+                for pack in packs
+            ]
+        assert list(batched) == one_by_one
 
     def test_empty_pack_list_returns_empty(self):
         _trace, _state, _config, tape, _result = record_small_tape("354.cg")
@@ -418,12 +419,19 @@ class TestBatchedReplay:
                 )
 
     @needs_ext
-    def test_compiled_and_fallback_batched_replays_agree(self):
-        """Batched replay is digest-identical across builds — the
-        compiled core must never become a cache axis."""
-        _trace, _state, config, tape, _result = record_small_tape()
-        off = [link for link in self.LINKS if link != REFERENCE_LINK_GBPS]
-        iscalars, packs = replay_packs(tape, SMALL_GPU, off)
+    @pytest.mark.parametrize(
+        "name, links",
+        [
+            ("VGG16", [link for link in LINKS if link != REFERENCE_LINK_GBPS]),
+            ("VGG16", WIDE_LINKS),
+            ("354.cg", WIDE_LINKS),
+        ],
+    )
+    def test_compiled_and_fallback_batched_replays_agree(self, name, links):
+        """Batched replay is identical across builds, link for link —
+        the compiled core must never become a cache axis."""
+        _trace, _state, config, tape, _result = record_small_tape(name)
+        iscalars, packs = replay_packs(tape, SMALL_GPU, links)
         compiled = tuple(
             _event_core.replay_tape_many(
                 tape.cols, tape.warp_mlp, iscalars, packs

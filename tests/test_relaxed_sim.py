@@ -44,7 +44,7 @@ from repro.gpusim import trace as trace_mod
 from repro.gpusim.reference import CycleSteppedReference
 from repro.gpusim.trace import Op
 from repro.gpusim.vector_sim import (
-    _replay_tape,
+    _replay_cycles,
     _resolve_tape,
     _TAPE_MEMO,
     _verify_selected,
@@ -285,7 +285,7 @@ class TestTapeMechanics:
         state = small_state("VGG16", CompressionMode.BUDDY, trace)
         config = SMALL_GPU.with_link(REFERENCE_LINK_GBPS)
         tape, reference = _resolve_tape(trace, state, config, need_tape=True)
-        assert _replay_tape(tape, config) == reference.cycles
+        assert _replay_cycles(tape, [config]) == (reference.cycles,)
 
     def test_one_recording_serves_the_link_sweep(self):
         trace = generate_trace("354.cg", SMALL_TRACE)
@@ -407,8 +407,29 @@ class TestVerifyEscapeHatch:
         with pytest.raises(RelaxedVerificationError):
             RelaxedSimulator(config, verify=1.0).run(trace, state)
 
+    @pytest.mark.parametrize("link", [50, 50.0])
+    def test_sampling_keys_on_the_link_as_spelled(self, monkeypatch, link):
+        """A one-link relaxed run samples on its config's bandwidth
+        exactly as given: an int link is not widened to a float, whose
+        ``repr`` (and therefore sample) would differ."""
+        from repro.gpusim import vector_sim
+
+        seen = []
+
+        def spy(trace, state, config, fraction):
+            seen.append(config.link.bandwidth_gbps)
+            return False
+
+        monkeypatch.setattr(vector_sim, "_verify_selected", spy)
+        trace = generate_trace("354.cg", SMALL_TRACE)
+        state = small_state("354.cg", CompressionMode.BUDDY, trace)
+        RelaxedSimulator(SMALL_GPU.with_link(link), verify=0.5).run(
+            trace, state
+        )
+        assert [repr(value) for value in seen] == [repr(link)]
+
     def test_verify_plumbs_through_the_perf_study(self):
-        """`run_perf_study(..., engine="relaxed", verify=1.0)` really
+        """`run_perf_study(..., engine_spec="relaxed:verify=1.0")` really
         cross-checks: the sweep completes (contract holds) and the
         parameter is a registered cache axis rather than a silent
         no-op."""
@@ -423,8 +444,7 @@ class TestVerifyEscapeHatch:
             link_sweep=(50.0, 150.0),
             profile_config=SnapshotConfig(scale=1.0 / 65536),
             runner=ExperimentRunner(),
-            engine="relaxed",
-            verify=1.0,
+            engine_spec="relaxed:verify=1.0",
         )
         assert result.per_benchmark[0].benchmark == "VGG16"
 
@@ -574,6 +594,6 @@ class TestGoldenRelaxedDigest:
             link_sweep=(50.0, 150.0),
             profile_config=SnapshotConfig(scale=1.0 / 65536),
             runner=ExperimentRunner(),
-            engine="relaxed",
+            engine_spec="relaxed",
         )
         assert result_digest(result) == self.GOLDEN

@@ -20,7 +20,7 @@ from repro.gpusim import (
     scaled_config,
 )
 from repro.gpusim.vector_sim import (
-    _replay_tape,
+    _replay_cycles,
     _resolve_tape,
     _TAPE_BLOBS,
     _TAPE_HEADER,
@@ -94,8 +94,8 @@ class TestSerializedForm:
         assert rebuilt.warp_count == tape.warp_count
         assert rebuilt.fill_tail == tape.fill_tail
         off_link = SMALL_GPU.with_link(50.0)
-        assert _replay_tape(rebuilt, off_link) == _replay_tape(
-            tape, off_link
+        assert _replay_cycles(rebuilt, [off_link]) == _replay_cycles(
+            tape, [off_link]
         )
 
     def test_rejects_short_blob(self):

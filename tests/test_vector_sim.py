@@ -371,6 +371,6 @@ class TestGoldenDigest:
             link_sweep=(50.0, 150.0),
             profile_config=SnapshotConfig(scale=1.0 / 65536),
             runner=ExperimentRunner(),
-            engine=engine,
+            engine_spec=engine,
         )
         assert result_digest(result) == self.GOLDEN
