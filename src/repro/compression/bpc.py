@@ -17,9 +17,14 @@ Two paths are provided:
 
 * :meth:`BPCCompressor.encode` / :meth:`BPCCompressor.decode` — a
   bit-exact scalar codec, property-tested for roundtrip fidelity.
-* :meth:`BPCCompressor.compressed_sizes` — a fully vectorised
-  size-only path (what every snapshot study consumes), property-tested
-  for equality with the scalar encoder.
+* :meth:`BPCCompressor.compressed_sizes` — a size-only path (what
+  every snapshot study consumes), property-tested for equality with
+  the scalar encoder.  It never builds the planes: for a delta ``d_j``
+  masked to 33 bits, bit ``b`` of ``d_j ^ (d_j >> 1)`` is symbol ``j``
+  of DBX plane ``b`` (the top plane passes through).  Bitwise
+  reductions over the 31 rows give per-block masks, one bit per plane,
+  whose popcounts price every plane and zero run.  Blocks go through
+  in fixed chunks of ``_CHUNK_BLOCKS``, which bounds the temporaries.
 
 Code table for DBX planes (prefix-free):
 
@@ -51,6 +56,7 @@ _NUM_DELTAS = WORDS_PER_ENTRY - 1  # 31
 _NUM_PLANES = 33  # 33-bit deltas -> 33 bit-planes
 _PLANE_MASK = (1 << _NUM_DELTAS) - 1  # 31-bit planes
 _DELTA_MASK = (1 << _NUM_PLANES) - 1  # 33-bit two's-complement deltas
+_CHUNK_BLOCKS = 1 << 16  # blocks per pass of the vectorised size kernel
 _RAW_BITS = MEMORY_ENTRY_BYTES * 8  # 1024
 
 # Base-word payload widths for the sign-extended classes.
@@ -177,9 +183,9 @@ class BPCCompressor(CompressionAlgorithm):
     def compressed_sizes(self, blocks: np.ndarray) -> np.ndarray:
         """Sizes in bytes for ``(n, 32)`` uint32 blocks, vectorised.
 
-        Matches the scalar encoder bit for bit (property-tested), but
-        runs orders of magnitude faster, which makes the multi-snapshot
-        studies tractable in Python.
+        Matches the scalar encoder bit for bit (property-tested).  The
+        sizes come from bitwise reductions over ``d ^ (d >> 1)``, in
+        chunks of ``_CHUNK_BLOCKS`` blocks (see the module docstring).
         """
         blocks = as_blocks(blocks)
         if blocks.shape[0] == 0:
@@ -283,53 +289,46 @@ class BPCCompressor(CompressionAlgorithm):
     @staticmethod
     def _stream_bits_vectorised(blocks: np.ndarray) -> np.ndarray:
         """Encoded bit count (incl. 1 flag bit) per block, before capping."""
-        n = blocks.shape[0]
-        words = blocks.astype(np.int64)
-        deltas = (words[:, 1:] - words[:, :-1]) & _DELTA_MASK  # (n, 31) uint-ish
+        bits = np.empty(blocks.shape[0], dtype=np.int64)
+        for start in range(0, blocks.shape[0], _CHUNK_BLOCKS):
+            # Word-major (32, n) chunk: each row is one contiguous pass, and
+            # every mask below holds one bit per plane of each block.
+            words = np.ascontiguousarray(
+                blocks[start : start + _CHUNK_BLOCKS].T, dtype=np.int64
+            )
+            deltas = words[1:] - words[:-1]
+            deltas &= _DELTA_MASK
+            dbx = deltas >> 1
+            dbx ^= deltas  # bit b of dbx[j] is symbol j of DBX plane b
 
-        # Build the 33 planes as 31-bit integers, one matrix op per plane.
-        weights = (1 << np.arange(_NUM_DELTAS, dtype=np.int64))
-        dbp = np.empty((n, _NUM_PLANES), dtype=np.int64)
-        for bit in range(_NUM_PLANES):
-            dbp[:, bit] = (((deltas >> bit) & 1) * weights).sum(axis=1)
-        dbx = dbp.copy()
-        dbx[:, :-1] ^= dbp[:, 1:]
+            # Saturating per-plane counts of set symbols (>= 1, >= 2, >= 3)
+            # and whether any two adjacent symbols are both set.
+            ge1 = dbx[0].copy()
+            ge2, ge3, adjacent = (np.zeros_like(ge1) for _ in range(3))
+            for below, row in zip(dbx[:-1], dbx[1:]):
+                ge3 |= ge2 & row
+                ge2 |= ge1 & row
+                ge1 |= row
+                adjacent |= below & row
+            zero = ~ge1 & _DELTA_MASK
+            five = np.bitwise_and.reduce(dbx, axis=0)  # all-ones planes
+            five |= ge1 & ~np.bitwise_or.reduce(deltas, axis=0)  # DBP == 0
+            ten = (ge1 & ~ge2) | (ge2 & ~ge3 & adjacent)
+            ten &= ~five
+            raw = ge1 & ~(five | ten)
+            # A zero run ends (top-down) where the plane below is non-zero
+            # or at plane 0; it costs 8 bits, or 2 when it is one plane.
+            ends = zero & ~(zero << 1)
+            single = ends & ~(zero >> 1)
 
-        # Per-plane cost for every non-zero-run case.
-        popcount = np.bitwise_count(dbx.astype(np.uint64)).astype(np.int64)
-        low_bit = dbx & -dbx
-        two_consecutive = (popcount == 2) & (dbx == (low_bit | (low_bit << 1)))
-        plane_cost = np.full((n, _NUM_PLANES), 32, dtype=np.int64)
-        plane_cost[popcount == 1] = 10
-        plane_cost[two_consecutive] = 10
-        plane_cost[(dbx != 0) & (dbp == 0)] = 5
-        plane_cost[dbx == _PLANE_MASK] = 5
-        # A single zero plane costs 2; zero runs are handled below.
-        plane_cost[dbx == 0] = 2
-
-        # Zero-run accounting, scanning planes top-down as the encoder does:
-        # a maximal run of r >= 2 zero planes is coded in 8 bits, replacing
-        # the r * 2 bits counted above (costlier for r < 4, cheaper after).
-        total = plane_cost.sum(axis=1)
-        zero = dbx == 0
-        run = np.zeros(n, dtype=np.int64)
-        for bit in range(_NUM_PLANES - 1, -1, -1):
-            run = np.where(zero[:, bit], run + 1, 0)
-            if bit == 0:
-                ended = run
-            else:
-                ended = np.where(zero[:, bit - 1], 0, run)
-            total += np.where(ended >= 2, 8 - 2 * ended, 0)
-
-        base = words[:, 0]
-        signed = np.where(base >> 31, base - (1 << 32), base)
-        base_cost = np.full(n, 33, dtype=np.int64)
-        base_cost[(signed >= -(1 << 15)) & (signed < (1 << 15))] = 19
-        base_cost[(signed >= -(1 << 7)) & (signed < (1 << 7))] = 11
-        base_cost[(signed >= -(1 << 3)) & (signed < (1 << 3))] = 7
-        base_cost[signed == 0] = 3
-
-        return 1 + base_cost + total
+            signed = words[0] - ((words[0] >> 31) << 32)
+            magnitude = signed ^ (signed >> 63)  # fits w bits iff < 2**(w-1)
+            fits = [signed == 0] + [magnitude < 1 << w - 1 for _, w in _BASE_CLASSES]
+            cost = np.select(fits, [3] + [3 + w for _, w in _BASE_CLASSES], 33)
+            for weight, mask in ((5, five), (10, ten), (32, raw), (8, ends), (-6, single)):
+                cost += weight * np.bitwise_count(mask).astype(np.int64)
+            bits[start : start + cost.shape[0]] = 1 + cost
+        return bits
 
 
 #: Sentinel used by the decoder for planes known to have DBP == 0.

@@ -456,7 +456,7 @@ def profile_tensors_bulk(
     missing: list[str] = []
     for benchmark in benchmarks:
         name, _, _ = tensor_memo_key(benchmark, config, algorithm)
-        if name in tensors:
+        if name in tensors or name in missing:
             continue
         memo_key = (name, config, _algorithm_key(algorithm))
         tensor = _TENSOR_MEMO.get(memo_key) if _TENSOR_MEMO_ENABLED else None

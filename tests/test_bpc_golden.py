@@ -6,11 +6,14 @@ calibrated studies. These tests pin the exact encodings of known
 blocks so codec changes are deliberate, reviewed events.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.compression.bpc import BPCCompressor
+from repro.compression.bpc import _CHUNK_BLOCKS, BPCCompressor
 from repro.compression.bitio import BitReader, BitWriter
+from repro.workloads.snapshots import SnapshotConfig, generate_run
 
 BPC = BPCCompressor()
 
@@ -99,3 +102,50 @@ class TestGoldenEncodings:
         sizes = BPC.compressed_sizes(blocks).tolist()
         assert sizes == BPC.compressed_sizes(blocks).tolist()  # deterministic
         assert all(8 <= size <= 64 for size in sizes)  # 12-bit data band
+
+
+def _mixed_blocks(n: int, seed: int) -> np.ndarray:
+    """Random, 12-bit, ramp, constant and sparse blocks, interleaved."""
+    rng = np.random.default_rng(seed)
+    ramps = rng.integers(0, 2**32, (n, 1)) + rng.integers(-64, 65, (n, 1)) * np.arange(32)
+    kinds = [
+        rng.integers(0, 2**32, (n, 32)),
+        rng.integers(0, 1 << 12, (n, 32)),
+        ramps % 2**32,
+        np.repeat(rng.integers(0, 2**32, (n, 1)), 32, axis=1),
+        np.where(rng.random((n, 32)) < 0.05, rng.integers(0, 2**32, (n, 32)), 0),
+    ]
+    pick = rng.integers(0, len(kinds), n)
+    return np.choose(pick[:, None], kinds).astype(np.uint32)
+
+
+class TestChunkedSizes:
+    """The size kernel works in fixed chunks; seams must not show."""
+
+    N = 3 * _CHUNK_BLOCKS + 17
+
+    def test_chunk_seams_are_invisible(self):
+        blocks = _mixed_blocks(self.N, seed=14)
+        sizes = BPC.compressed_sizes(blocks)
+        cuts = [0, 1, 999, _CHUNK_BLOCKS + 5, 2 * _CHUNK_BLOCKS - 3, self.N - 17, self.N]
+        sliced = [BPC.compressed_sizes(blocks[a:b]) for a, b in zip(cuts, cuts[1:])]
+        np.testing.assert_array_equal(sizes, np.concatenate(sliced))
+
+        rng = np.random.default_rng(15)
+        ends = [k * _CHUNK_BLOCKS + off for k in (0, 1, 2, 3) for off in (-1, 0)][1:]
+        ends.append(self.N - 1)
+        sample = np.union1d(ends, rng.choice(self.N, 500 - len(ends), replace=False))
+        scalar = [BPC.compressed_size(blocks[i]) for i in sample]
+        np.testing.assert_array_equal(sizes[sample], scalar)
+
+    @pytest.mark.parametrize(
+        "name, count, digest",
+        [("VGG16", 52830, "eb72f1f9dabd90d4"), ("354.cg", 40970, "2b0cd30166e076f5")],
+    )
+    def test_benchmark_run_sizes_are_pinned(self, name, count, digest):
+        """Every size of a default-config run, pinned by a short sha256."""
+        run = generate_run(name, SnapshotConfig())
+        blocks = np.concatenate([snapshot.stacked_data() for snapshot in run])
+        sizes = BPC.compressed_sizes(blocks)
+        assert sizes.shape == (count,)
+        assert hashlib.sha256(sizes.astype("<i8").tobytes()).hexdigest()[:16] == digest

@@ -389,6 +389,19 @@ def test_one_bulk_call_per_benchmark_and_algorithm():
     assert bulk_compression_call_count() - before == 4
 
 
+def test_bulk_profile_sizes_a_repeated_benchmark_once():
+    """A benchmark listed twice is gathered, sized and built once."""
+    from repro.core.profiler import bulk_compression_call_count, profile_tensors_bulk
+
+    clear_snapshot_cache()
+    clear_profile_cache()
+    passes, bulk = profile_pass_count(), bulk_compression_call_count()
+    tensors = profile_tensors_bulk(["VGG16", "VGG16"], TINY)
+    assert list(tensors) == ["VGG16"]
+    assert profile_pass_count() - passes == 1
+    assert bulk_compression_call_count() - bulk == 1
+
+
 # ---------------------------------------------------------------------------
 # The "profile once" contract (ISSUE acceptance criterion).
 # ---------------------------------------------------------------------------

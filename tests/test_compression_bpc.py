@@ -1,8 +1,10 @@
 """Tests for the Bit-Plane Compression codec."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -21,6 +23,38 @@ blocks_strategy = hnp.arrays(
     shape=(WORDS_PER_ENTRY,),
     elements=st.integers(0, 2**32 - 1),
 )
+
+
+def _block(words) -> np.ndarray:
+    """A hand-built entry from 32 word values, taken mod 2**32."""
+    return np.array([int(w) % 2**32 for w in words], dtype=np.uint32)
+
+
+#: Hand-built entries for the size kernel's plane-mask edge cases.
+EDGE_BLOCKS = {
+    # Deltas are multiples of 64: DBX planes 0-4 are a zero run that
+    # ends at plane 0, below non-zero planes.
+    "run_to_plane_0": _block(np.cumsum([1000] + [64 * (j % 3) for j in range(31)])),
+    # Non-negative deltas, one with bit 31 set: plane 32 alone is zero.
+    "single_zero_plane_32": _block(np.cumsum([0, 2**31 + 5] + [1] * 30)),
+    "adjacent_ones_29_30": _block([5] * 30 + [6, 7]),
+    "adjacent_ones_0_1": _block([5, 6] + [7] * 30),
+    "two_ones_apart": _block([5, 6, 6, 7] + [7] * 28),
+    # Every delta is 0 or 2: DBP plane 0 is zero, DBX plane 0 is not.
+    "dbx_set_dbp_zero": _block(np.cumsum([10] + [2 * (j % 3 != 1) for j in range(31)])),
+    # Constant delta 4: DBX planes 1 and 2 are all ones.
+    "all_ones": _block(4 * np.arange(32)),
+    # Negative deltas set the sign plane (bit 32).
+    "sign_plane": _block(100 - np.arange(32)),
+    "mixed_signs": _block([(37 * j * j) % 1000 for j in range(32)]),
+}
+
+#: Constant blocks whose base word sits on each base-class boundary.
+BASE_BOUNDARY_BLOCKS = [
+    np.full(WORDS_PER_ENTRY, value % 2**32, dtype=np.uint32)
+    for bound in (8, 128, 32768)
+    for value in (bound - 1, bound, -bound, -bound - 1)
+]
 
 structured_blocks = st.one_of(
     # Arithmetic ramps: the best case for delta + bit-plane coding.
@@ -89,6 +123,14 @@ class TestScalarCodec:
 
 class TestVectorisedSizes:
     @given(st.lists(st.one_of(blocks_strategy, structured_blocks), min_size=1, max_size=16))
+    @example([EDGE_BLOCKS["run_to_plane_0"]])
+    @example([EDGE_BLOCKS["single_zero_plane_32"]])
+    @example([EDGE_BLOCKS["adjacent_ones_29_30"], EDGE_BLOCKS["adjacent_ones_0_1"]])
+    @example([EDGE_BLOCKS["two_ones_apart"]])
+    @example([EDGE_BLOCKS["dbx_set_dbp_zero"]])
+    @example([EDGE_BLOCKS["all_ones"]])
+    @example([EDGE_BLOCKS["sign_plane"], EDGE_BLOCKS["mixed_signs"]])
+    @example(BASE_BOUNDARY_BLOCKS)
     @settings(max_examples=100, deadline=None)
     def test_matches_scalar(self, blocks):
         stacked = np.stack(blocks)
@@ -97,6 +139,17 @@ class TestVectorisedSizes:
 
     def test_empty_input(self):
         assert BPC.compressed_sizes(np.zeros((0, 32), dtype=np.uint32)).size == 0
+
+    def test_sizing_memory_is_bounded(self):
+        """Chunking caps the kernel's temporaries, whatever the input size."""
+        blocks = np.random.default_rng(18).integers(0, 1 << 12, (1 << 18, 32), dtype=np.uint32)
+        tracemalloc.start()
+        try:
+            BPC.compressed_sizes(blocks)  # 32 MiB of input
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
 
     def test_accepts_flat_bytes(self):
         data = np.zeros(256, dtype=np.uint8)
