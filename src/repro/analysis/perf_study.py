@@ -24,7 +24,7 @@ from repro.gpusim.config import GPUConfig, scaled_config
 from repro.gpusim.simulator import DependencyDrivenSimulator
 from repro.gpusim.vector_sim import (
     REFERENCE_LINK_GBPS,
-    ensure_tape,
+    record_tape,
     replay_links,
     tape_cache_key,
 )
@@ -122,7 +122,7 @@ def perf_benchmark_row(
     trace = generate_trace(benchmark, trace_config)
     # The cached per-entry state behind the trace layout: profiling,
     # trace generation and both compression states all reuse tensors
-    # served by the profiler's memo / the engine result cache, so a
+    # served by the process artifact store, so a
     # warm design point regenerates no snapshots at all.
     layout = layout_state(benchmark, trace_config)
     selection = compressor.select(compressor.profile(benchmark), FINAL)
@@ -144,8 +144,8 @@ def perf_benchmark_row(
     meta_hit = 0.0
     if engine == "relaxed":
         # The whole link sweep shares one frozen tape: resolve it once
-        # (through the persistent ``sim.tape`` cache / the planner's
-        # stage-0 preload when available) and replay every
+        # (through the artifact store, where the planner's stage-0
+        # recording lands when there is one) and replay every
         # non-reference link in a single batched pass — bit-identical
         # to looping the relaxed simulator over the sweep.
         # Links are sampled for ``verify`` as floats, whatever type the
@@ -190,16 +190,18 @@ def prepare_tape(
     config: GPUConfig | None = None,
     trace_config: TraceConfig | None = None,
     profile_config: SnapshotConfig | None = None,
-) -> dict:
+) -> tuple:
     """Record-or-load the relaxed tape for one Fig. 11 design point.
 
     The planner's stage-0 tape build: resolves exactly the inputs
     :func:`perf_benchmark_row` would (same defaults, same buddy
-    selection), then routes the tape through
-    :func:`repro.gpusim.vector_sim.ensure_tape` — a persistent-cache
-    hit deserializes instead of re-recording.  Returns the tape
-    envelope so cacheless pools can ship it to point workers.
+    selection), then gets the ``(tape, reference)`` pair from the
+    process artifact store under the key the point's
+    :func:`~repro.gpusim.vector_sim.replay_links` call uses — a stored
+    tape is loaded, never re-recorded.
     """
+    from repro.engine.store import process_store
+
     config, trace_config, profile_config = _normalize_point_inputs(
         config, trace_config, profile_config
     )
@@ -211,7 +213,9 @@ def prepare_tape(
         layout, selection, CompressionMode.BUDDY
     )
     key = tape_cache_key(benchmark, trace_config, profile_config, config)
-    return ensure_tape(key, trace, buddy_state, config)
+    return process_store().get_or_build(
+        key, lambda: record_tape(trace, buddy_state, config)
+    )
 
 
 def fig11_plan(point: dict) -> list:

@@ -522,14 +522,14 @@ def _cmd_check(args) -> int:
 
 def _serve_components(args):
     """Build the service + server pair from CLI flags."""
-    from repro.serve.hot import HotCache
+    from repro.engine.store import ArtifactStore
     from repro.serve.server import AdvisorServer
     from repro.serve.service import AdvisorService, ServiceConfig
     from repro.workloads.snapshots import SnapshotConfig
 
     backing = None if args.no_cache else ResultCache(args.cache_dir)
     service = AdvisorService(
-        hot=HotCache(backing=backing, max_entries=args.hot_entries),
+        hot=ArtifactStore(backing=backing, max_entries=args.hot_entries),
         config=ServiceConfig(
             max_batch=args.max_batch,
             max_delay=args.max_delay_ms / 1000.0,

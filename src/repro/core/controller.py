@@ -162,7 +162,7 @@ class BuddyCompressor:
         )
 
     def reference_tensor(self, benchmark: str) -> ProfileTensor:
-        """The reference run's columnar profile (memoised per process)."""
+        """The reference run's columnar profile (from the artifact store)."""
         return profile_tensor(
             benchmark, self.config.snapshot_config, self.algorithm
         )

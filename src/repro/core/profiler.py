@@ -13,12 +13,13 @@ here are thin views over it for existing callers.  A tensor build is
 one *stacked* pass: all allocations of all snapshots are compressed by
 a single bulk ``compressed_sizes`` call (see
 :func:`tensor_from_snapshots` and :func:`bulk_compression_call_count`).
-Tensors are memoised per process and — when the experiment engine
-installs its result cache via :func:`set_tensor_cache` — persisted on
-disk, so a sweep profiles each (benchmark, config, algorithm)
-combination exactly once no matter how many design points it
-evaluates.  :func:`entry_state_tensor` extends the same memo/cache
-treatment to the per-entry state the timing simulators consume.
+Tensors resolve through the process artifact store
+(:mod:`repro.engine.store`): a bounded memory tier over the result
+cache the experiment engine installs via :func:`set_tensor_cache`, so
+a sweep profiles each (benchmark, config, algorithm) combination
+exactly once no matter how many design points it evaluates.
+:func:`entry_state_tensor` stores the per-entry state the timing
+simulators consume the same way.
 """
 
 from __future__ import annotations
@@ -236,23 +237,11 @@ def tensor_from_snapshots(
 
 
 # ---------------------------------------------------------------------------
-# Memoised / cached tensor access.
+# Stored tensor access.
 # ---------------------------------------------------------------------------
-#: Per-process tensor memo: (benchmark, config, algorithm key) -> tensor.
-_TENSOR_MEMO: dict[tuple, ProfileTensor] = {}
-
-#: Engine result cache for tensors (installed by the experiment runner).
-_TENSOR_CACHE = None
-
-#: Whether the per-process memos above are consulted at all.  The
-#: advisor service disables them after installing its own hot cache
-#: via :func:`set_tensor_cache`, so residency (and the hit/miss stats
-#: the service reports) live in exactly one layer.
-_TENSOR_MEMO_ENABLED = True
-
-#: Modules whose source forms the on-disk tensor cache's code salt.
-#: The compression algorithm's own defining module is appended per
-#: call (see :func:`profile_tensor`), so editing any compressor
+#: Modules whose source forms the tensor keys' code salt.  The
+#: compression algorithm's own defining module is appended per key
+#: (see :func:`tensor_cache_key`), so editing any compressor
 #: invalidates exactly the tensors built with it.
 _TENSOR_SALT_MODULES = (
     "repro.compression.base",
@@ -267,7 +256,7 @@ _TENSOR_SALT_MODULES = (
     "repro.workloads.valuemodels",
 )
 
-#: Tensor builds actually executed (memo and disk hits excluded).
+#: Tensor builds actually executed (store hits excluded).
 _PROFILE_PASSES = 0
 
 #: Bulk ``compressed_sizes`` calls issued by the stacked profiling
@@ -275,8 +264,8 @@ _PROFILE_PASSES = 0
 #: equals its distinct (benchmark, config, algorithm) combinations.
 _BULK_COMPRESSION_CALLS = 0
 
-#: Per-entry state builds actually executed (memo and disk hits
-#: excluded).  Each build generates exactly one snapshot.
+#: Per-entry state builds actually executed (store hits excluded).
+#: Each build generates exactly one snapshot.
 _ENTRY_STATE_BUILDS = 0
 
 
@@ -312,65 +301,35 @@ def record_bulk_compression_call() -> None:
 
 
 def entry_state_build_count() -> int:
-    """Entry-state reductions executed (not memo/cache hits)."""
+    """Entry-state reductions executed (not store hits)."""
     return _ENTRY_STATE_BUILDS
 
 
 def set_tensor_cache(cache):
-    """Install a :class:`repro.engine.cache.ResultCache` for tensors.
+    """Install the disk tier of the process artifact store.
 
-    Returns the previously installed cache (or ``None``) so callers
-    can restore it; pass ``None`` to uninstall.
+    The one install hook of :mod:`repro.engine.store`, through which
+    profile tensors, entry states and relaxed tapes all resolve.  A
+    :class:`~repro.engine.cache.ResultCache` (or ``None``) swaps only
+    the disk tier — the memory tier keeps its warm, content-addressed
+    values — while an :class:`~repro.engine.store.ArtifactStore` (the
+    advisor service's) replaces the process store.  Returns what was
+    replaced; pass it back to restore.
     """
-    global _TENSOR_CACHE
-    previous = _TENSOR_CACHE
-    _TENSOR_CACHE = cache
-    return previous
+    from repro.engine.store import install
 
-
-def set_tensor_memo_enabled(enabled: bool) -> bool:
-    """Enable/disable the per-process tensor memos; returns previous.
-
-    With the memo disabled, every lookup goes straight to the
-    installed tensor cache (see :func:`set_tensor_cache`) — the hook
-    the advisor service uses to promote the memo to its shared hot
-    cache, whose admission/eviction policy and per-namespace counters
-    would otherwise be bypassed by memo hits.
-    """
-    global _TENSOR_MEMO_ENABLED
-    previous = _TENSOR_MEMO_ENABLED
-    _TENSOR_MEMO_ENABLED = enabled
-    return previous
+    return install(cache)
 
 
 def clear_profile_cache() -> None:
-    """Drop the per-process profile memos (tests, memory pressure)."""
-    _TENSOR_MEMO.clear()
-    _ENTRY_STATE_MEMO.clear()
+    """Drop the process store's memory tier (tests, memory pressure)."""
+    from repro.engine.store import process_store
+
+    process_store().clear()
 
 
 def _algorithm_key(algorithm: CompressionAlgorithm) -> str:
     return f"{type(algorithm).__module__}.{type(algorithm).__qualname__}"
-
-
-def tensor_memo_key(
-    benchmark: str,
-    config: SnapshotConfig,
-    algorithm: CompressionAlgorithm,
-) -> tuple:
-    """The per-process memo key of one profile tensor."""
-    from repro.workloads.catalog import get_benchmark
-
-    return (get_benchmark(benchmark).name, config, _algorithm_key(algorithm))
-
-
-def entry_state_memo_key(
-    benchmark: str, config: SnapshotConfig, index: int
-) -> tuple:
-    """The per-process memo key of one entry-state tensor."""
-    from repro.workloads.catalog import get_benchmark
-
-    return (get_benchmark(benchmark).name, config, int(index))
 
 
 def tensor_cache_key(
@@ -378,51 +337,43 @@ def tensor_cache_key(
     config: SnapshotConfig,
     algorithm: CompressionAlgorithm,
 ):
-    """On-disk cache address of one profile tensor.
+    """Store address of one profile tensor.
 
     The sweep planner keys its ``profile_tensor`` nodes with exactly
     this digest, so predicted cache hits in ``repro plan --explain``
     and the planner's read-through agree byte-for-byte with the
-    profiler's own disk lookups.
+    profiler's own lookups.
     """
     from repro.engine.cache import CacheKey, code_salt, param_digest
+    from repro.workloads.catalog import get_benchmark
 
-    name, cfg, algorithm_key = tensor_memo_key(benchmark, config, algorithm)
     digest = param_digest(
         "profile.tensor",
-        {"benchmark": name, "config": cfg, "algorithm": algorithm_key},
+        {
+            "benchmark": get_benchmark(benchmark).name,
+            "config": config,
+            "algorithm": _algorithm_key(algorithm),
+        },
         code_salt(_TENSOR_SALT_MODULES + (type(algorithm).__module__,)),
     )
     return CacheKey("profile.tensor", digest)
 
 
 def entry_state_cache_key(benchmark: str, config: SnapshotConfig, index: int):
-    """On-disk cache address of one entry-state tensor."""
+    """Store address of one entry-state tensor."""
     from repro.engine.cache import CacheKey, code_salt, param_digest
+    from repro.workloads.catalog import get_benchmark
 
-    name, cfg, idx = entry_state_memo_key(benchmark, config, index)
     digest = param_digest(
         "profile.entries",
-        {"benchmark": name, "config": cfg, "index": idx},
+        {
+            "benchmark": get_benchmark(benchmark).name,
+            "config": config,
+            "index": int(index),
+        },
         code_salt(_TENSOR_SALT_MODULES),
     )
     return CacheKey("profile.entries", digest)
-
-
-def seed_memo(tensors=None, entry_states=None) -> None:
-    """Install prebuilt tensors into the per-process memos.
-
-    The planner ships shared-stage results to cacheless point workers
-    through this hook (``tensors`` maps :func:`tensor_memo_key` keys to
-    :class:`ProfileTensor`, ``entry_states`` maps
-    :func:`entry_state_memo_key` keys to
-    :class:`~repro.core.profile_tensor.EntryStateTensor`), so point
-    execution finds them warm without rebuilding or touching disk.
-    """
-    if tensors:
-        _TENSOR_MEMO.update(tensors)
-    if entry_states:
-        _ENTRY_STATE_MEMO.update(entry_states)
 
 
 def profile_tensors_bulk(
@@ -433,48 +384,41 @@ def profile_tensors_bulk(
 ) -> dict:
     """Profile several benchmarks through ONE bulk compression call.
 
-    The mega-batched form of :func:`profile_tensor`: every benchmark
-    missing from the memo (and, when installed, the disk cache) has
-    its run gathered, all gathered block arrays are concatenated, and
-    a single ``compressed_sizes`` call sizes the whole batch before
-    per-run scatter.  Entries compress independently, so each
-    resulting tensor is bit-identical to a solo
-    :func:`profile_tensor` build — but a planned Fig. 7+9 sweep
-    issues one bulk call where the unplanned path issues one per
-    benchmark.  Counter semantics are preserved: ``_PROFILE_PASSES``
-    advances once per tensor actually built, and
-    :func:`record_bulk_compression_call` once per stacked call.
+    Every benchmark missing from the process artifact store (memory,
+    then its disk tier when installed) has its run gathered, all
+    gathered block arrays are concatenated, and a single
+    ``compressed_sizes`` call sizes the whole batch before per-run
+    scatter; each result is stored.  Entries compress independently,
+    so each resulting tensor is bit-identical to a solo build — but a
+    planned Fig. 7+9 sweep issues one bulk call where the unplanned
+    path issues one per benchmark.  ``_PROFILE_PASSES`` advances once
+    per tensor actually built, and :func:`record_bulk_compression_call`
+    once per stacked call.
 
     When ``built`` is a list, the names of the benchmarks whose
-    tensors were actually built (memo and disk hits excluded) are
-    appended to it — the planner's generation accounting.
+    tensors were actually built (store hits excluded) are appended to
+    it — the planner's generation accounting.
     """
     global _PROFILE_PASSES
+    from repro.engine.cache import CacheMiss
+    from repro.engine.store import process_store
+    from repro.workloads.catalog import get_benchmark
+
     config = config or SnapshotConfig()
     algorithm = algorithm or BPCCompressor()
+    store = process_store()
+    keys = {}
     tensors: dict[str, ProfileTensor] = {}
     missing: list[str] = []
     for benchmark in benchmarks:
-        name, _, _ = tensor_memo_key(benchmark, config, algorithm)
-        if name in tensors or name in missing:
+        name = get_benchmark(benchmark).name
+        if name in keys:
             continue
-        memo_key = (name, config, _algorithm_key(algorithm))
-        tensor = _TENSOR_MEMO.get(memo_key) if _TENSOR_MEMO_ENABLED else None
-        if tensor is None and _TENSOR_CACHE is not None:
-            from repro.engine.cache import CacheMiss
-
-            try:
-                tensor = _TENSOR_CACHE.get(
-                    tensor_cache_key(name, config, algorithm)
-                )
-            except CacheMiss:
-                tensor = None
-            if tensor is not None and _TENSOR_MEMO_ENABLED:
-                _TENSOR_MEMO[memo_key] = tensor
-        if tensor is None:
+        keys[name] = tensor_cache_key(name, config, algorithm)
+        try:
+            tensors[name] = store.get(keys[name])
+        except CacheMiss:
             missing.append(name)
-        else:
-            tensors[name] = tensor
     if missing:
         gathered = [
             _gather_run(name, generate_run(name, config)) for name in missing
@@ -492,17 +436,10 @@ def profile_tensors_bulk(
             _PROFILE_PASSES += 1
             if built is not None:
                 built.append(run.benchmark)
-            if _TENSOR_MEMO_ENABLED:
-                _TENSOR_MEMO[
-                    (run.benchmark, config, _algorithm_key(algorithm))
-                ] = tensor
-            if _TENSOR_CACHE is not None:
-                _TENSOR_CACHE.put(
-                    tensor_cache_key(run.benchmark, config, algorithm), tensor
-                )
+            store.put(keys[run.benchmark], tensor)
             tensors[run.benchmark] = tensor
     return {
-        benchmark: tensors[tensor_memo_key(benchmark, config, algorithm)[0]]
+        benchmark: tensors[get_benchmark(benchmark).name]
         for benchmark in benchmarks
     }
 
@@ -514,47 +451,12 @@ def profile_tensor(
 ) -> ProfileTensor:
     """The columnar profile of a benchmark run under ``config``.
 
-    Memoised per process and, when the engine has installed its result
-    cache, content-addressed on disk under the ``profile.tensor``
-    namespace — the compact tensor (a few KB) is what persists, not the
+    A one-benchmark :func:`profile_tensors_bulk`: resolved through the
+    process artifact store under the ``profile.tensor`` namespace, so
+    the compact tensor (a few KB) is what persists, not the
     regenerated snapshots.
     """
-    global _PROFILE_PASSES
-    from repro.workloads.catalog import get_benchmark
-
-    config = config or SnapshotConfig()
-    algorithm = algorithm or BPCCompressor()
-    name = get_benchmark(benchmark).name
-    memo_key = (name, config, _algorithm_key(algorithm))
-    tensor = _TENSOR_MEMO.get(memo_key) if _TENSOR_MEMO_ENABLED else None
-    if tensor is not None:
-        return tensor
-
-    cache_key = None
-    if _TENSOR_CACHE is not None:
-        from repro.engine.cache import CacheMiss
-
-        cache_key = tensor_cache_key(name, config, algorithm)
-        try:
-            tensor = _TENSOR_CACHE.get(cache_key)
-        except CacheMiss:
-            tensor = None
-        if tensor is not None:
-            if _TENSOR_MEMO_ENABLED:
-                _TENSOR_MEMO[memo_key] = tensor
-            return tensor
-
-    tensor = tensor_from_snapshots(name, generate_run(name, config), algorithm)
-    _PROFILE_PASSES += 1
-    if _TENSOR_MEMO_ENABLED:
-        _TENSOR_MEMO[memo_key] = tensor
-    if cache_key is not None:
-        _TENSOR_CACHE.put(cache_key, tensor)
-    return tensor
-
-
-#: Per-process entry-state memo: (benchmark, config, index) -> state.
-_ENTRY_STATE_MEMO: dict[tuple, EntryStateTensor] = {}
+    return profile_tensors_bulk((benchmark,), config, algorithm)[benchmark]
 
 
 def entry_state_tensor(
@@ -569,42 +471,26 @@ def entry_state_tensor(
     the trace generator consume the returned
     :class:`~repro.core.profile_tensor.EntryStateTensor` instead of a
     regenerated :class:`~repro.workloads.snapshots.MemorySnapshot`.
-    Memoised per process and, when the engine has installed its result
-    cache, content-addressed on disk under the ``profile.entries``
-    namespace — so a warm Fig. 10/11 sweep generates zero snapshots.
+    Resolved through the process artifact store under the
+    ``profile.entries`` namespace — so a warm Fig. 10/11 sweep
+    generates zero snapshots.
     """
-    global _ENTRY_STATE_BUILDS
+    from repro.engine.store import process_store
     from repro.workloads.catalog import get_benchmark
     from repro.workloads.snapshots import generate_snapshot
 
     config = config or SnapshotConfig()
     name = get_benchmark(benchmark).name
-    memo_key = (name, config, int(index))
-    state = _ENTRY_STATE_MEMO.get(memo_key) if _TENSOR_MEMO_ENABLED else None
-    if state is not None:
+
+    def build() -> EntryStateTensor:
+        global _ENTRY_STATE_BUILDS
+        state = generate_snapshot(name, index, config).entry_state()
+        _ENTRY_STATE_BUILDS += 1
         return state
 
-    cache_key = None
-    if _TENSOR_CACHE is not None:
-        from repro.engine.cache import CacheMiss
-
-        cache_key = entry_state_cache_key(name, config, index)
-        try:
-            state = _TENSOR_CACHE.get(cache_key)
-        except CacheMiss:
-            state = None
-        if state is not None:
-            if _TENSOR_MEMO_ENABLED:
-                _ENTRY_STATE_MEMO[memo_key] = state
-            return state
-
-    state = generate_snapshot(name, index, config).entry_state()
-    _ENTRY_STATE_BUILDS += 1
-    if _TENSOR_MEMO_ENABLED:
-        _ENTRY_STATE_MEMO[memo_key] = state
-    if cache_key is not None:
-        _TENSOR_CACHE.put(cache_key, state)
-    return state
+    return process_store().get_or_build(
+        entry_state_cache_key(name, config, index), build
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ DAG of typed :class:`PlanNode` objects:
   per-benchmark builds while issuing strictly fewer bulk calls;
 * **schedule** — :func:`execute_plan` runs the merged DAG in
   topological stages on the runner's process pool: stage 0 builds the
-  shared artifacts (with ResultCache read-through, or shipped to
-  point workers as memo preloads when the runner is cacheless),
+  shared artifacts into the artifact store over the runner's result
+  cache (a private temporary root when the runner is cacheless),
   stage 1 executes every experiment's design points in one pool with
   the exact digests, seeds and cache keys the unplanned path uses,
   stage 2 aggregates in request order.
@@ -45,6 +45,8 @@ generations per benchmark, stage-0 bulk compression calls).
 
 from __future__ import annotations
 
+import shutil
+import tempfile
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -66,7 +68,7 @@ class ProfileTensorSpec:
 
     Executable: the planner builds it in stage 0 (merged with every
     other spec sharing its (config, algorithm) pair into one bulk
-    compression call) and ships or caches it for the points.
+    compression call) and stores it for the points.
     """
 
     benchmark: str
@@ -173,7 +175,6 @@ class PlanRequest:
     points: list[dict]
     digests: list[str]
     predicted_hits: list[bool]
-    point_deps: list[tuple[str, ...]]  # node ids per point
 
     @property
     def keys(self) -> list[CacheKey]:
@@ -447,9 +448,7 @@ def plan(requests, runner=None) -> Plan:
             and runner.cache.contains(CacheKey(experiment.name, digest))
             for digest in digests
         ]
-        point_deps: list[tuple[str, ...]] = []
         for point, hit in zip(points, predicted):
-            deps: list[str] = []
             if experiment.plan_point is not None:
                 for spec in experiment.plan_point(point):
                     node = _node_for_spec(spec)
@@ -459,8 +458,6 @@ def plan(requests, runner=None) -> Plan:
                     existing.references += 1
                     if not hit:
                         existing.needed = True
-                    deps.append(existing.node_id)
-            point_deps.append(tuple(deps))
         plan_requests.append(
             PlanRequest(
                 experiment=experiment,
@@ -468,7 +465,6 @@ def plan(requests, runner=None) -> Plan:
                 points=points,
                 digests=digests,
                 predicted_hits=predicted,
-                point_deps=point_deps,
             )
         )
 
@@ -542,7 +538,7 @@ class ExecutionReport:
 
     seconds: float = 0.0
     shared_built: int = 0
-    shared_reused: int = 0  # memo / disk hits among scheduled builds
+    shared_reused: int = 0  # store hits among scheduled builds
     snapshot_generations: int = 0
     generation_tally: dict = field(default_factory=dict)
     bulk_compression_calls: int = 0
@@ -589,53 +585,42 @@ class _SharedTask:
     gpu_config: Any = None  # tape tasks only
 
 
-def _execute_shared_task(task: _SharedTask, cache_root, cache_max_bytes, ship):
+def _execute_shared_task(task: _SharedTask, cache_root, cache_max_bytes):
     """Build one stage-0 task's artifacts (module-level, pool-safe).
 
-    Returns ``(artifacts, built_node_ids, bulk_calls, recordings)``
-    where ``artifacts`` maps node id to ``(memo kind, memo key,
-    value)`` — populated only when ``ship`` is true (cacheless runners
-    ship memo preloads; cached runners persist through the shared
-    result cache instead) — and ``recordings`` counts exact-order tape
-    recordings this task performed (0 when the tape loaded from the
-    cache or the in-process memo).
+    The artifacts land in the process artifact store, whose disk tier
+    is the result cache at ``cache_root`` for the task's duration —
+    where stage-1 points, in any worker, read them.  Returns
+    ``(built_node_ids, bulk_calls, recordings)``: the nodes actually
+    built (store hits excluded) and the bulk compression calls and
+    exact-order tape recordings this task performed.
     """
     from repro.core import profiler
     from repro.gpusim import vector_sim
 
-    previous = None
-    previous_tape = None
-    if cache_root is not None:
-        shared_cache = ResultCache(cache_root, max_bytes=cache_max_bytes)
-        previous = profiler.set_tensor_cache(shared_cache)
-        previous_tape = vector_sim.set_tape_cache(shared_cache)
+    previous = profiler.set_tensor_cache(
+        ResultCache(cache_root, max_bytes=cache_max_bytes)
+    )
     calls_before = profiler.bulk_compression_call_count()
     recordings_before = vector_sim.tape_recording_count()
-    artifacts: dict[str, tuple[str, tuple, Any]] = {}
     built: list[str] = []
     try:
         if task.kind == "profile":
             freshly_built: list[str] = []
-            tensors = profiler.profile_tensors_bulk(
+            profiler.profile_tensors_bulk(
                 task.benchmarks, task.config, task.algorithm,
                 built=freshly_built,
             )
             fresh = set(freshly_built)
-            for benchmark, node_id in zip(task.benchmarks, task.node_ids):
-                if benchmark in fresh:
-                    built.append(node_id)
-                if ship:
-                    artifacts[node_id] = (
-                        "tensors",
-                        profiler.tensor_memo_key(
-                            benchmark, task.config, task.algorithm
-                        ),
-                        tensors[benchmark],
-                    )
+            built.extend(
+                node_id
+                for benchmark, node_id in zip(task.benchmarks, task.node_ids)
+                if benchmark in fresh
+            )
         elif task.kind == "tape":
             from repro.analysis.perf_study import prepare_tape
 
-            envelope = prepare_tape(
+            prepare_tape(
                 task.benchmarks[0],
                 task.gpu_config,
                 task.trace_config,
@@ -643,36 +628,18 @@ def _execute_shared_task(task: _SharedTask, cache_root, cache_max_bytes, ship):
             )
             if vector_sim.tape_recording_count() > recordings_before:
                 built.append(task.node_ids[0])
-            if ship:
-                node_id = task.node_ids[0]
-                artifacts[node_id] = (
-                    "tapes",
-                    node_id.split("/", 1)[1],  # the sim.tape digest
-                    envelope,
-                )
         else:
-            benchmark = task.benchmarks[0]
             before = profiler.entry_state_build_count()
-            state = profiler.entry_state_tensor(
-                benchmark, task.config, task.index
+            profiler.entry_state_tensor(
+                task.benchmarks[0], task.config, task.index
             )
             if profiler.entry_state_build_count() > before:
                 built.append(task.node_ids[0])
-            if ship:
-                artifacts[task.node_ids[0]] = (
-                    "entry_states",
-                    profiler.entry_state_memo_key(
-                        benchmark, task.config, task.index
-                    ),
-                    state,
-                )
     finally:
-        if cache_root is not None:
-            profiler.set_tensor_cache(previous)
-            vector_sim.set_tape_cache(previous_tape)
+        profiler.set_tensor_cache(previous)
     calls = profiler.bulk_compression_call_count() - calls_before
     recordings = vector_sim.tape_recording_count() - recordings_before
-    return artifacts, tuple(built), calls, recordings
+    return tuple(built), calls, recordings
 
 
 def _chunk(sequence, parts: int) -> list[tuple]:
@@ -729,8 +696,8 @@ def _tape_tasks(sweep_plan: Plan) -> list[_SharedTask]:
     """Stage-0 wave 2: record-or-load each deduped relaxed tape.
 
     Runs after the tensor / entry-state wave — a tape recording
-    consumes both — so cached runners read those artifacts through the
-    shared cache and serial runners hit the in-process memos.
+    consumes both — so it reads those artifacts from the store: the
+    memory tier serially, the shared disk tier across the pool.
     """
     tasks: list[_SharedTask] = []
     for node_id in sweep_plan.tape_nodes:
@@ -752,12 +719,14 @@ def execute_plan(sweep_plan: Plan, runner=None) -> SweepResult:
     """Execute an optimized plan on a runner's pool, bit-identically.
 
     Stage 0 builds every needed shared artifact (merge groups as bulk
-    compression calls, entry states individually), writing through the
-    runner's result cache — or, when the runner is cacheless,
-    collecting the artifacts to ship to point workers as memo
-    preloads.  Stage 1 executes all requests' design points in one
-    pool using exactly the digests, seeds and cache keys of the
-    unplanned path.  Stage 2 aggregates in request order.
+    compression calls, entry states individually, then relaxed tapes)
+    into the artifact store, whose disk tier is the runner's result
+    cache.  Stage 1 executes all requests' design points in one pool
+    using exactly the digests, seeds and cache keys of the unplanned
+    path, reading the stage-0 artifacts back from that disk tier.  A
+    cacheless runner gets a private temporary root for both stages,
+    deleted afterwards, so it shares artifacts exactly like a cached
+    one.  Stage 2 aggregates in request order.
     """
     from repro.engine.runner import ExperimentRunner, RunReport, run_point_seeded
 
@@ -767,8 +736,6 @@ def execute_plan(sweep_plan: Plan, runner=None) -> SweepResult:
     report.points = sum(len(r.points) for r in sweep_plan.requests)
 
     tasks = _stage_zero_tasks(sweep_plan, runner.workers)
-    cache_root = None if runner.cache is None else str(runner.cache.root)
-    cache_max = None if runner.cache is None else runner.cache.max_bytes
 
     # Cache lookups happen before the pool spins up, so a fully warm
     # sweep stays a cheap serial pass (and stage 0 is skipped for
@@ -805,9 +772,14 @@ def execute_plan(sweep_plan: Plan, runner=None) -> SweepResult:
 
     total_pending = sum(len(p) for p in per_request_pending)
     use_pool = runner.workers > 1 and (len(tasks) + total_pending) > 1
-    ship = runner.cache is None and use_pool
-    preload: dict[str, tuple[str, tuple, Any]] = {}
 
+    private_root = None
+    if runner.cache is None:
+        private_root = tempfile.mkdtemp(prefix="repro-plan-")
+        cache_root, cache_max = private_root, None
+    else:
+        cache_root = str(runner.cache.root)
+        cache_max = runner.cache.max_bytes
     pool = None
     try:
         if use_pool:
@@ -815,8 +787,7 @@ def execute_plan(sweep_plan: Plan, runner=None) -> SweepResult:
 
         # ---- Stage 0: shared artifacts -------------------------------
         def account(task: _SharedTask, outcome) -> None:
-            artifacts, built, calls, recordings = outcome
-            preload.update(artifacts)
+            built, calls, recordings = outcome
             report.shared_built += len(built)
             report.shared_reused += len(task.node_ids) - len(built)
             report.bulk_compression_calls += calls
@@ -841,7 +812,7 @@ def execute_plan(sweep_plan: Plan, runner=None) -> SweepResult:
             if pool is not None:
                 futures = {
                     pool.submit(
-                        _execute_shared_task, task, cache_root, cache_max, ship
+                        _execute_shared_task, task, cache_root, cache_max
                     ): task
                     for task in wave
                 }
@@ -856,7 +827,7 @@ def execute_plan(sweep_plan: Plan, runner=None) -> SweepResult:
                 for task in wave:
                     account(
                         task,
-                        _execute_shared_task(task, cache_root, cache_max, ship),
+                        _execute_shared_task(task, cache_root, cache_max),
                     )
 
         if total_pending:
@@ -869,17 +840,6 @@ def execute_plan(sweep_plan: Plan, runner=None) -> SweepResult:
                 run_wave(tape_wave)
 
         # ---- Stage 1: design points (one pool, all experiments) ------
-        def preload_for(request: PlanRequest, index: int):
-            if not ship:
-                return None
-            bundle: dict[str, dict] = {}
-            for node_id in request.point_deps[index]:
-                entry = preload.get(node_id)
-                if entry is not None:
-                    memo_kind, memo_key, value = entry
-                    bundle.setdefault(memo_kind, {})[memo_key] = value
-            return bundle or None
-
         def finish(request_index: int, point_index: int, value) -> None:
             per_request_results[request_index][point_index] = value
             if runner.cache is not None:
@@ -903,7 +863,6 @@ def execute_plan(sweep_plan: Plan, runner=None) -> SweepResult:
                             seed,
                             cache_root,
                             cache_max,
-                            preload_for(request, point_index),
                         )
                     ] = (request_index, point_index)
             outstanding = set(futures)
@@ -934,6 +893,8 @@ def execute_plan(sweep_plan: Plan, runner=None) -> SweepResult:
     finally:
         if pool is not None:
             pool.shutdown()
+        if private_root is not None:
+            shutil.rmtree(private_root, ignore_errors=True)
 
     report.points_executed = total_pending
 

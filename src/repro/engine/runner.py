@@ -61,7 +61,6 @@ def run_point_seeded(
     seed: int,
     cache_root: str | None = None,
     cache_max_bytes: int | None = None,
-    preload: dict | None = None,
 ) -> Any:
     """Execute one design point with deterministic global-RNG state.
 
@@ -71,36 +70,23 @@ def run_point_seeded(
     (serial) execution does not clobber library users' ``np.random``
     streams as a side effect.
 
-    When ``cache_root`` is given, the profiler's tensor cache and the
-    relaxed engine's tape cache are pointed at the runner's result
-    cache for the duration of the point: the compact columnar profiles
-    the point computes persist on disk (the ``profile.tensor``
-    namespace) alongside the per-entry states the simulators consume
+    When ``cache_root`` is given, the result cache there becomes the
+    disk tier of the process artifact store (:mod:`repro.engine.store`)
+    for the duration of the point: the compact columnar profiles the
+    point computes persist (the ``profile.tensor`` namespace)
+    alongside the per-entry states the simulators consume
     (``profile.entries``) and the relaxed engine's recorded event
     tapes (``sim.tape``), shared across design points, experiments,
     worker processes and reruns — the regenerated snapshots themselves
-    are never cached.
-
-    ``preload`` is the planner's cacheless transport: a mapping of
-    ``{"tensors": {memo key: tensor}, "entry_states": {...},
-    "tapes": {tape digest: envelope}}`` seeded into the respective
-    per-process memos before the point runs (see
-    :func:`repro.core.profiler.seed_memo` and
-    :func:`repro.gpusim.vector_sim.seed_tape_preload`), so stage-0
-    artifacts built elsewhere need not be rebuilt here.
+    are never cached.  The planner hands cacheless sweeps a private
+    temporary root here, so its stage-0 artifacts reach every point.
     """
-    from repro.core.profiler import seed_memo, set_tensor_cache
-    from repro.gpusim.vector_sim import seed_tape_preload, set_tape_cache
+    from repro.core.profiler import set_tensor_cache
 
-    previous_cache = None
-    previous_tape_cache = None
     if cache_root is not None:
-        shared_cache = ResultCache(cache_root, max_bytes=cache_max_bytes)
-        previous_cache = set_tensor_cache(shared_cache)
-        previous_tape_cache = set_tape_cache(shared_cache)
-    if preload:
-        seed_memo(preload.get("tensors"), preload.get("entry_states"))
-        seed_tape_preload(preload.get("tapes"))
+        previous = set_tensor_cache(
+            ResultCache(cache_root, max_bytes=cache_max_bytes)
+        )
     state = np.random.get_state()
     try:
         np.random.seed(seed & 0xFFFF_FFFF)
@@ -108,8 +94,7 @@ def run_point_seeded(
     finally:
         np.random.set_state(state)
         if cache_root is not None:
-            set_tensor_cache(previous_cache)
-            set_tape_cache(previous_tape_cache)
+            set_tensor_cache(previous)
 
 
 @dataclass

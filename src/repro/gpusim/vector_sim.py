@@ -104,7 +104,6 @@ from __future__ import annotations
 import hashlib
 import struct
 import weakref
-from collections import OrderedDict
 from dataclasses import replace
 
 import numpy as np
@@ -444,6 +443,11 @@ class _Tape:
     def __init__(self) -> None:
         self.cols = None
 
+    def __reduce__(self):
+        # Pickles (the ``sim.tape`` disk form) carry the stable RTAP
+        # bytes, so a torn or foreign blob fails inside pickle.loads.
+        return deserialize_tape, (serialize_tape(self),)
+
     @property
     def event_count(self) -> int:
         return 0 if self.cols is None else int(self.cols[0].shape[0])
@@ -579,18 +583,39 @@ class VectorizedSimulator:
 # The relaxed-order engine: frozen-order tape replay across the link
 # sweep.
 # ---------------------------------------------------------------------------
+def record_tape(
+    trace: KernelTrace, state: CompressionState, config, need_tape=True
+):
+    """Run the exact engine once at the reference interconnect.
+
+    Returns ``(tape, reference)``: the frozen event tape (``None``
+    unless ``need_tape``) and the reference :class:`SimResult`
+    (:data:`REFERENCE_LINK_GBPS`), which every link bandwidth of the
+    same ``(trace, state, machine geometry)`` shares.  Each tape
+    taken counts one :func:`tape_recording_count` recording.
+    """
+    global _TAPE_RECORDINGS
+    link = config.link
+    if link.bandwidth_gbps == REFERENCE_LINK_GBPS:
+        ref_config = config
+    else:
+        ref_config = replace(
+            config, link=replace(link, bandwidth_gbps=REFERENCE_LINK_GBPS)
+        )
+    tape = _Tape() if need_tape else None
+    if need_tape:
+        _TAPE_RECORDINGS += 1
+    reference = VectorizedSimulator(ref_config).run(trace, state, _tape=tape)
+    return tape, reference
+
+
 def _resolve_tape(
     trace: KernelTrace,
     state: CompressionState,
     config,
     need_tape: bool,
 ):
-    """The memoised (tape, reference result) for a design point.
-
-    Recording runs the exact engine once at the reference interconnect
-    (:data:`REFERENCE_LINK_GBPS`); the tape and the reference
-    :class:`SimResult` are shared by every link bandwidth of the same
-    ``(trace, state, machine geometry)``.
+    """The memoised :func:`record_tape` of an unkeyed design point.
 
     Recording is lazy: a point only ever simulated *at* the reference
     interconnect (``need_tape=False``) runs the plain exact engine and
@@ -598,6 +623,8 @@ def _resolve_tape(
     same as vectorized ones and hold no tape.  The first off-reference
     request upgrades the memo by re-running with recording on (the
     rerun is deterministic, so the reference result is unchanged).
+    Keyed points resolve their tapes through the artifact store
+    instead (see :func:`replay_links`).
     """
     link = config.link
     key = (id(state), _machine_key(config), link.latency_cycles, link.derate)
@@ -610,17 +637,7 @@ def _resolve_tape(
         hit[1] is not None or not need_tape
     ):
         return hit[1], hit[2]
-    if link.bandwidth_gbps == REFERENCE_LINK_GBPS:
-        ref_config = config
-    else:
-        ref_config = replace(
-            config, link=replace(link, bandwidth_gbps=REFERENCE_LINK_GBPS)
-        )
-    tape = _Tape() if need_tape else None
-    if need_tape:
-        global _TAPE_RECORDINGS
-        _TAPE_RECORDINGS += 1
-    reference = VectorizedSimulator(ref_config).run(trace, state, _tape=tape)
+    tape, reference = record_tape(trace, state, config, need_tape)
     per_trace[key] = (state, tape, reference)
     return tape, reference
 
@@ -664,7 +681,7 @@ def _replay_cycles(tape: _Tape, configs) -> tuple:
 # ---------------------------------------------------------------------------
 
 #: Bump when the serialized tape layout changes; stale entries are
-#: re-recorded (the format version is part of both the envelope and
+#: re-recorded (the format version is part of both the RTAP header and
 #: the cache key, so old blobs are simply never addressed again).
 TAPE_FORMAT_VERSION = 1
 
@@ -696,17 +713,7 @@ _TAPE_SALT_MODULES = (
     "repro.workloads.traces",
 )
 
-#: Process-global tape cache (a :class:`repro.engine.cache.ResultCache`)
-#: installed by the engine runner; ``None`` = in-memory memo only.
-_TAPE_CACHE = None
-
-#: Recently ensured tape envelopes by digest — the transport for
-#: planner-prebuilt tapes into worker processes, and an in-process
-#: dedupe across `_TAPE_MEMO` misses (the memo is id(state)-keyed, so
-#: an equal-but-distinct state object cannot find it there).
-_TAPE_BLOBS: OrderedDict[str, dict] = OrderedDict()
-_TAPE_BLOBS_MAX = 8
-
+#: Exact-order tape recordings executed (store hits excluded).
 _TAPE_RECORDINGS = 0
 
 
@@ -819,95 +826,9 @@ def tape_cache_key(benchmark, trace_config, profile_config, config):
     return CacheKey("sim.tape", digest)
 
 
-def set_tape_cache(cache):
-    """Install the persistent tape cache; returns the previous one."""
-    global _TAPE_CACHE
-    previous = _TAPE_CACHE
-    _TAPE_CACHE = cache
-    return previous
-
-
 def tape_recording_count() -> int:
     """Process-lifetime count of exact-order tape recordings."""
     return _TAPE_RECORDINGS
-
-
-def seed_tape_preload(entries) -> None:
-    """Seed the in-process envelope store (digest -> envelope).
-
-    The runner calls this in worker processes with the envelopes the
-    planner prebuilt in stage 0, so cacheless pools replay instead of
-    re-recording.
-    """
-    for digest, envelope in (entries or {}).items():
-        _remember_envelope(digest, envelope)
-
-
-def _remember_envelope(digest: str, envelope: dict) -> None:
-    _TAPE_BLOBS[digest] = envelope
-    _TAPE_BLOBS.move_to_end(digest)
-    while len(_TAPE_BLOBS) > _TAPE_BLOBS_MAX:
-        _TAPE_BLOBS.popitem(last=False)
-
-
-def _tape_envelope(tape: _Tape, reference) -> dict:
-    return {
-        "format": TAPE_FORMAT_VERSION,
-        "tape": serialize_tape(tape),
-        "reference": reference,
-    }
-
-
-def ensure_tape(key, trace, state, config) -> dict:
-    """Get-or-record the tape envelope for one design point.
-
-    Resolution order: the live ``_TAPE_MEMO`` (write-through to the
-    persistent cache if it holds a tape the cache lacks), the
-    preloaded envelope store, the persistent ``sim.tape`` cache
-    (deserializing also seeds the memo, so the subsequent replays run
-    off the in-memory tape), and finally an exact-order recording.
-    Returns the ``{"format", "tape", "reference"}`` envelope.
-    """
-    link = config.link
-    memo_key = (
-        id(state), _machine_key(config), link.latency_cycles, link.derate
-    )
-    per_trace = _TAPE_MEMO.get(trace)
-    hit = per_trace.get(memo_key) if per_trace is not None else None
-    if hit is not None and hit[0] is state and hit[1] is not None:
-        envelope = _tape_envelope(hit[1], hit[2])
-        _remember_envelope(key.digest, envelope)
-        if _TAPE_CACHE is not None and not _TAPE_CACHE.contains(key):
-            _TAPE_CACHE.put(key, envelope)
-        return envelope
-
-    envelope = _TAPE_BLOBS.get(key.digest)
-    if envelope is None and _TAPE_CACHE is not None:
-        from repro.engine.cache import CacheMiss
-
-        try:
-            envelope = _TAPE_CACHE.get(key)
-        except CacheMiss:
-            envelope = None
-    if envelope is not None and envelope.get("format") != TAPE_FORMAT_VERSION:
-        envelope = None  # format drift: re-record
-
-    if envelope is not None:
-        tape = deserialize_tape(envelope["tape"])
-        reference = envelope["reference"]
-        if per_trace is None:
-            per_trace = {}
-            _TAPE_MEMO[trace] = per_trace
-        per_trace[memo_key] = (state, tape, reference)
-        _remember_envelope(key.digest, envelope)
-        return envelope
-
-    tape, reference = _resolve_tape(trace, state, config, need_tape=True)
-    envelope = _tape_envelope(tape, reference)
-    _remember_envelope(key.digest, envelope)
-    if _TAPE_CACHE is not None:
-        _TAPE_CACHE.put(key, envelope)
-    return envelope
 
 
 def replay_links(
@@ -926,9 +847,12 @@ def replay_links(
     tape in one :func:`repro.gpusim._event_core.replay_tape_many`
     call, whose per-link result does not depend on the other links,
     so the batch equals a loop of one-link calls bit for bit.
-    ``cache_key`` (from :func:`tape_cache_key`) routes the tape
-    through :func:`ensure_tape` first, so persistent-cache hits and
-    planner preloads skip the recording.  ``verify`` keeps its
+    With a ``cache_key`` (from :func:`tape_cache_key`) and at least
+    one off-reference link, the ``(tape, reference)`` pair resolves
+    through the process artifact store (:mod:`repro.engine.store`):
+    memory, then the installed ``sim.tape`` disk tier — where the
+    planner's stage-0 recordings land — and only then a recording.
+    Unkeyed calls use the per-trace memo.  ``verify`` keeps its
     per-point deterministic sampling: each link decides
     independently, keyed on the link value exactly as given (``150``
     and ``150.0`` sample differently).  Returns one ``SimResult`` per
@@ -941,10 +865,15 @@ def replay_links(
         if link_config.link.bandwidth_gbps != REFERENCE_LINK_GBPS
     ]
     if off_reference and cache_key is not None:
-        ensure_tape(cache_key, trace, state, config)
-    tape, reference = _resolve_tape(
-        trace, state, config, need_tape=bool(off_reference)
-    )
+        from repro.engine.store import process_store
+
+        tape, reference = process_store().get_or_build(
+            cache_key, lambda: record_tape(trace, state, config)
+        )
+    else:
+        tape, reference = _resolve_tape(
+            trace, state, config, need_tape=bool(off_reference)
+        )
     replayed = iter(
         _replay_cycles(tape, off_reference) if off_reference else ()
     )

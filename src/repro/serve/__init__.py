@@ -4,8 +4,8 @@
 allocation profile, which codec, Buddy Threshold and design point
 should I run?" by routing through the unchanged columnar pipeline:
 micro-batched admission coalesces concurrent requests into single
-bulk profile/evaluate calls, a shared hot cache replaces the
-per-process tensor memo, and bounded-queue back-pressure keeps the
+bulk profile/evaluate calls, the service's own bounded artifact store
+holds tensors and answers, and bounded-queue back-pressure keeps the
 loop responsive.  Answers are digest-identical to one-shot ``repro
 run serve.advice`` results — see docs/serving.md.
 """
@@ -17,7 +17,6 @@ from repro.serve.advisor import (
     request_cache_key,
 )
 from repro.serve.clock import Clock, ManualClock, MonotonicClock
-from repro.serve.hot import HotCache
 from repro.serve.protocol import (
     Advice,
     AdviceError,
@@ -40,7 +39,6 @@ __all__ = [
     "AdvisorService",
     "Clock",
     "Histogram",
-    "HotCache",
     "InvalidRequest",
     "ManualClock",
     "MonotonicClock",

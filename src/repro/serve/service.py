@@ -11,10 +11,9 @@ long-running server component:
   requests coalesce into at most ``ceil(N / max_batch)`` bulk
   profile/evaluate calls;
 * **shared hot cache** — on start the service installs its
-  :class:`~repro.serve.hot.HotCache` as the profiler's tensor cache
-  and disables the per-process memo
-  (:func:`repro.core.profiler.set_tensor_memo_enabled`), so tensor
-  and answer residency live in one bounded, stats-instrumented layer;
+  :class:`~repro.engine.store.ArtifactStore` as the process artifact
+  store (:func:`repro.core.profiler.set_tensor_cache`), so tensor and
+  answer residency live in one bounded, stats-instrumented layer;
 * **back-pressure** — a full queue rejects with
   :class:`~repro.serve.protocol.ServiceOverloaded` (429-style, with a
   retry-after hint) instead of buffering unboundedly, and
@@ -36,9 +35,9 @@ from dataclasses import dataclass, field
 
 from repro.core import controller as controller_mod
 from repro.core import profiler as profiler_mod
+from repro.engine.store import ArtifactStore
 from repro.serve.advisor import advise_batch, advise_one
 from repro.serve.clock import Clock, MonotonicClock
-from repro.serve.hot import HotCache
 from repro.serve.protocol import (
     Advice,
     AdviceRequest,
@@ -111,8 +110,8 @@ class AdvisorService:
 
     Args:
         cache: Optional on-disk backing for the hot cache.
-        hot: A prebuilt :class:`~repro.serve.hot.HotCache` (overrides
-            ``cache``).
+        hot: A prebuilt :class:`~repro.engine.store.ArtifactStore`
+            (overrides ``cache``).
         config: :class:`ServiceConfig` admission knobs.
         snapshot_config: Base profile configuration for
             benchmark-backed requests (defaults to the paper's).
@@ -123,13 +122,13 @@ class AdvisorService:
     def __init__(
         self,
         cache=None,
-        hot: HotCache | None = None,
+        hot: ArtifactStore | None = None,
         config: ServiceConfig | None = None,
         snapshot_config: SnapshotConfig | None = None,
         clock: Clock | None = None,
     ) -> None:
         self.config = config or ServiceConfig()
-        self.hot = hot or HotCache(backing=cache)
+        self.hot = hot or ArtifactStore(backing=cache)
         self.snapshot_config = snapshot_config or SnapshotConfig()
         self.clock = clock or MonotonicClock()
         self.stats = ServiceStats()
@@ -137,8 +136,7 @@ class AdvisorService:
         self._wake = asyncio.Event()
         self._batcher: asyncio.Task | None = None
         self._closing = False
-        self._prev_tensor_cache = None
-        self._prev_memo_enabled = True
+        self._prev_store = None
         self._base_profile_calls = 0
         self._base_evaluate_calls = 0
 
@@ -148,8 +146,7 @@ class AdvisorService:
         if self._batcher is not None:
             raise RuntimeError("service already started")
         self._closing = False
-        self._prev_tensor_cache = profiler_mod.set_tensor_cache(self.hot)
-        self._prev_memo_enabled = profiler_mod.set_tensor_memo_enabled(False)
+        self._prev_store = profiler_mod.set_tensor_cache(self.hot)
         self._base_profile_calls = profiler_mod.bulk_compression_call_count()
         self._base_evaluate_calls = controller_mod.evaluate_bulk_call_count()
         self._batcher = asyncio.ensure_future(self._run())
@@ -165,8 +162,7 @@ class AdvisorService:
             await self._batcher
         finally:
             self._batcher = None
-            profiler_mod.set_tensor_cache(self._prev_tensor_cache)
-            profiler_mod.set_tensor_memo_enabled(self._prev_memo_enabled)
+            profiler_mod.set_tensor_cache(self._prev_store)
 
     async def __aenter__(self) -> "AdvisorService":
         return await self.start()

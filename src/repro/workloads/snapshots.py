@@ -144,8 +144,8 @@ class MemorySnapshot:
         sectors, zero-slot eligibility, allocation layout) the
         simulators consume.  Cached access goes through
         :func:`repro.core.profiler.entry_state_tensor`, which serves
-        this reduction from the per-process memo or the engine result
-        cache instead of regenerating the dump.
+        this reduction from the artifact store instead of regenerating
+        the dump.
         """
         from repro.core.profile_tensor import EntryStateTensor
         from repro.workloads.valuemodels import (

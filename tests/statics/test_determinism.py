@@ -222,7 +222,6 @@ def test_real_serve_package_scope_and_exemption():
     scope = determinism_scope(Context.for_repo())
     assert "repro.serve.service" in scope
     assert "repro.serve.server" in scope
-    assert "repro.serve.hot" in scope
     assert "repro.serve.clock" not in scope
     # The experiment's declared salts stay in scope too.
     assert "repro.serve.advisor" in scope

@@ -275,6 +275,50 @@ class TestTapePlanning:
 
 
 # ---------------------------------------------------------------------------
+# Cacheless pools share stage-0 artifacts like cached ones.
+# ---------------------------------------------------------------------------
+class TestCachelessPool:
+    def _requests(self):
+        return [
+            ("compression.fig7", {"benchmarks": POOL, "config": TINY}),
+            (
+                "perf.fig11",
+                {
+                    "benchmarks": POOL,
+                    "config": TestTapePlanning.GPU,
+                    "trace_config": TestTapePlanning.TRACE,
+                    "link_sweep": (50.0, 150.0),
+                    "profile_config": TINY,
+                    "engine": "relaxed",
+                    "verify": 0.0,
+                },
+            ),
+        ]
+
+    def test_pooled_cacheless_sweep_matches_serial_and_cached(self, tmp_path):
+        requests = self._requests()
+        _reset_memos()
+        pooled = ExperimentRunner(workers=2).run_sweep(requests)
+        _reset_memos()
+        cached = ExperimentRunner(
+            workers=2, cache=ResultCache(tmp_path)
+        ).run_sweep(requests)
+        _reset_memos()
+        serial = [
+            ExperimentRunner().run(name, params) for name, params in requests
+        ]
+        assert [result_digest(v) for v in pooled.values] == [
+            result_digest(v) for v in serial
+        ]
+        # Stage-0 tape tasks read the tensors wave 1 built in another
+        # worker instead of rebuilding them.
+        assert pooled.execution.bulk_compression_calls == (
+            cached.execution.bulk_compression_calls
+        )
+        assert pooled.execution.tape_recordings == len(POOL)
+
+
+# ---------------------------------------------------------------------------
 # ResultCache scan accounting (the evict-rescan regression).
 # ---------------------------------------------------------------------------
 class TestCacheScanRegression:

@@ -347,6 +347,40 @@ class TestTapeMechanics:
         assert slow.cycles > fast.cycles
 
 
+class TestPlannedTapeRecording:
+    def test_cacheless_planned_sweep_records_each_tape_once(self):
+        """Stage 1 reads the tapes stage 0 recorded — more of them than
+        any in-memory LRU holds — instead of recording them again."""
+        from repro.core.profiler import clear_profile_cache
+        from repro.engine.planner import execute_plan, plan
+        from repro.gpusim.vector_sim import tape_recording_count
+        from repro.workloads.catalog import ALL_BENCHMARKS
+
+        benchmarks = tuple(b.name for b in ALL_BENCHMARKS)[:10]
+        requests = [
+            (
+                "perf.fig11",
+                {
+                    "benchmarks": benchmarks,
+                    "config": SMALL_GPU,
+                    "trace_config": SMALL_TRACE,
+                    "link_sweep": (50.0, 150.0),
+                    "profile_config": SnapshotConfig(scale=2.0**-15),
+                    "engine": "relaxed",
+                    "verify": 0.0,
+                },
+            )
+        ]
+        clear_profile_cache()
+        runner = ExperimentRunner()
+        sweep_plan = plan(requests, runner)
+        assert len(sweep_plan.tape_nodes) == len(benchmarks)
+        before = tape_recording_count()
+        result = execute_plan(sweep_plan, runner)
+        recorded = tape_recording_count() - before
+        assert recorded == result.execution.tape_recordings == len(benchmarks)
+
+
 # ---------------------------------------------------------------------------
 # The verify= escape hatch.
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ time):
   one-shot :func:`repro.serve.advise_one` AND to ``repro run
   serve.advice`` — the service is a serving skin, never a second
   math path;
-* the shared :class:`~repro.serve.HotCache` enforces its
-  admission/eviction policy and reports per-namespace stats.
+* the service's :class:`~repro.engine.store.ArtifactStore` is
+  installed as the process store while it runs and restored after
+  (the store's own policy is pinned in ``tests/test_store.py``).
 """
 
 import asyncio
@@ -28,14 +29,13 @@ import numpy as np
 import pytest
 
 from repro.core import profiler as profiler_mod
-from repro.engine import CacheMiss, ExperimentRunner, ResultCache, result_digest
-from repro.engine.cache import CacheKey
+from repro.engine import ExperimentRunner, result_digest
+from repro.engine.store import ArtifactStore, process_store
 from repro.serve import (
     AdviceRequest,
     AdvisorClient,
     AdvisorServer,
     AdvisorService,
-    HotCache,
     InvalidRequest,
     ManualClock,
     ServiceClosed,
@@ -313,16 +313,15 @@ class TestShutdown:
 
     def test_global_hooks_restored_after_close(self):
         async def scenario():
-            marker = HotCache()
-            before_cache = profiler_mod.set_tensor_cache(marker)
+            marker = ArtifactStore()
+            before_store = profiler_mod.set_tensor_cache(marker)
             try:
-                async with AdvisorService(clock=ManualClock()):
-                    pass
-                assert profiler_mod.set_tensor_cache(marker) is marker
-                assert profiler_mod.set_tensor_memo_enabled(True) is True
+                service = AdvisorService(clock=ManualClock())
+                async with service:
+                    assert process_store() is service.hot
+                assert process_store() is marker
             finally:
-                profiler_mod.set_tensor_cache(before_cache)
-                profiler_mod.set_tensor_memo_enabled(True)
+                profiler_mod.set_tensor_cache(before_store)
 
         asyncio.run(scenario())
 
@@ -429,54 +428,6 @@ class TestDigestParity:
 
         advice = asyncio.run(scenario())
         assert advice.digest == advise_one(_histogram_request(0)).digest
-
-
-# ---------------------------------------------------------------------------
-class TestHotCache:
-    def _key(self, digest: str, namespace: str = "ns") -> CacheKey:
-        return CacheKey(namespace, digest)
-
-    def test_lru_eviction_beyond_max_entries(self):
-        hot = HotCache(max_entries=2)
-        hot.put(self._key("a"), 1)
-        hot.put(self._key("b"), 2)
-        assert hot.get(self._key("a")) == 1  # refresh recency
-        hot.put(self._key("c"), 3)  # evicts b, the least recent
-        assert hot.entries == 2
-        assert hot.stats.evictions == 1
-        assert hot.get(self._key("a")) == 1
-        assert hot.get(self._key("c")) == 3
-        with pytest.raises(CacheMiss):
-            hot.get(self._key("b"))
-
-    def test_max_bytes_keeps_at_least_one_entry(self):
-        hot = HotCache(max_entries=8, max_bytes=1)
-        hot.put(self._key("a"), list(range(100)))
-        hot.put(self._key("b"), list(range(100)))
-        assert hot.entries == 1  # over budget, but never empty
-        assert hot.stats.evictions == 1
-
-    def test_read_promotion_waits_for_admit_after(self, tmp_path):
-        backing = ResultCache(tmp_path / "cache")
-        key = self._key("deadbeef", "profile.tensor")
-        backing.put(key, {"x": 1})
-        hot = HotCache(backing=backing, admit_after=2)
-        assert hot.get(key) == {"x": 1}
-        assert hot.entries == 0  # first sighting: served, not resident
-        assert hot.get(key) == {"x": 1}
-        assert hot.entries == 1  # second sighting: promoted
-
-    def test_write_through_and_per_namespace_stats(self, tmp_path):
-        backing = ResultCache(tmp_path / "cache")
-        hot = HotCache(backing=backing)
-        key = self._key("cafe", "serve.advice")
-        hot.put(key, {"answer": 42})
-        assert backing.get(key) == {"answer": 42}
-        assert hot.get(key) == {"answer": 42}
-        with pytest.raises(CacheMiss):
-            hot.get(self._key("absent", "serve.advice"))
-        rows = hot.stats.as_json()["per_namespace"]
-        assert rows["serve.advice"] == {"hits": 1, "misses": 1, "stores": 1}
 
 
 # ---------------------------------------------------------------------------

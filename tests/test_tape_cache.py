@@ -3,16 +3,27 @@
 Covers the stable serialized tape form (round-trip, foreign-blob
 rejection), the content address (link bandwidth and ``verify=`` are
 deliberately NOT key axes), the warm paths that skip re-recording,
-eviction behaviour, and the per-namespace cache accounting that
-reports all of it.
+eviction behaviour, repair of corrupt store entries, and the
+per-namespace cache accounting that reports all of it.
 """
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core.entry import TargetRatio
-from repro.engine.cache import CacheKey, CacheMiss, CacheStats, ResultCache
+from repro.compression.bpc import BPCCompressor
+from repro.core import profiler
+from repro.engine.cache import (
+    CacheKey,
+    CacheMiss,
+    CacheStats,
+    ResultCache,
+    result_digest,
+)
+from repro.engine.store import process_store
 from repro.gpusim import (
     REFERENCE_LINK_GBPS,
     CompressionMode,
@@ -22,15 +33,13 @@ from repro.gpusim import (
 from repro.gpusim.vector_sim import (
     _replay_cycles,
     _resolve_tape,
-    _TAPE_BLOBS,
     _TAPE_HEADER,
     _TAPE_MEMO,
     TAPE_FORMAT_VERSION,
     deserialize_tape,
-    ensure_tape,
+    record_tape,
     replay_links,
     serialize_tape,
-    set_tape_cache,
     tape_cache_key,
     tape_recording_count,
 )
@@ -60,7 +69,7 @@ def small_point(benchmark="VGG16"):
     return trace, state, SMALL_GPU.with_link(REFERENCE_LINK_GBPS)
 
 
-def record_tape():
+def small_tape():
     trace, state, config = small_point()
     _TAPE_MEMO.pop(trace, None)
     tape, result = _resolve_tape(trace, state, config, need_tape=True)
@@ -70,15 +79,22 @@ def record_tape():
 
 @pytest.fixture()
 def tape_cache(tmp_path):
-    """A persistent tape cache installed for the duration of a test."""
+    """A disk tier installed under a cold store memory tier."""
     cache = ResultCache(tmp_path)
-    previous = set_tape_cache(cache)
-    _TAPE_BLOBS.clear()
+    previous = profiler.set_tensor_cache(cache)
+    process_store().clear()
     try:
         yield cache
     finally:
-        set_tape_cache(previous)
-        _TAPE_BLOBS.clear()
+        profiler.set_tensor_cache(previous)
+        process_store().clear()
+
+
+def resolve(key, trace, state, config):
+    """The store lookup a keyed relaxed point performs."""
+    return process_store().get_or_build(
+        key, lambda: record_tape(trace, state, config)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +102,7 @@ def tape_cache(tmp_path):
 # ---------------------------------------------------------------------------
 class TestSerializedForm:
     def test_round_trip_is_byte_stable_and_replays_identically(self):
-        tape, _result = record_tape()
+        tape, _result = small_tape()
         blob = serialize_tape(tape)
         rebuilt = deserialize_tape(blob)
         assert serialize_tape(rebuilt) == blob
@@ -103,20 +119,20 @@ class TestSerializedForm:
             deserialize_tape(b"RTAP")
 
     def test_rejects_foreign_magic(self):
-        tape, _result = record_tape()
+        tape, _result = small_tape()
         blob = b"NOPE" + serialize_tape(tape)[4:]
         with pytest.raises(ValueError, match="magic"):
             deserialize_tape(blob)
 
     def test_rejects_unknown_format_version(self):
-        tape, _result = record_tape()
+        tape, _result = small_tape()
         blob = bytearray(serialize_tape(tape))
         blob[4] = TAPE_FORMAT_VERSION + 1
         with pytest.raises(ValueError, match="format"):
             deserialize_tape(bytes(blob))
 
     def test_rejects_truncated_body(self):
-        tape, _result = record_tape()
+        tape, _result = small_tape()
         blob = serialize_tape(tape)
         with pytest.raises(ValueError, match="header implies"):
             deserialize_tape(blob[:-8])
@@ -165,26 +181,26 @@ LINKS = (50.0, REFERENCE_LINK_GBPS, 300.0)
 
 
 class TestWarmPaths:
-    def test_ensure_tape_round_trips_through_disk(self, tape_cache):
+    def test_tape_round_trips_through_disk(self, tape_cache):
         trace, state, config = small_point()
         key = tape_cache_key(
             "VGG16", SMALL_TRACE, SMALL_TRACE.snapshot_config, config
         )
         _TAPE_MEMO.pop(trace, None)
         before = tape_recording_count()
-        envelope = ensure_tape(key, trace, state, config)
+        tape, reference = resolve(key, trace, state, config)
         assert tape_recording_count() == before + 1
-        assert envelope["format"] == TAPE_FORMAT_VERSION
         assert tape_cache.contains(key)
 
-        # Fresh objects, cold memo and blob store: the disk entry must
-        # satisfy the request without a second recording.
+        # Fresh objects, cold memo and memory tier: the disk entry
+        # must satisfy the request without a second recording.
         trace2, state2, config2 = small_point()
         _TAPE_MEMO.pop(trace2, None)
-        _TAPE_BLOBS.clear()
-        warm = ensure_tape(key, trace2, state2, config2)
+        process_store().clear()
+        warm_tape, warm_reference = resolve(key, trace2, state2, config2)
         assert tape_recording_count() == before + 1
-        assert warm["tape"] == envelope["tape"]
+        assert serialize_tape(warm_tape) == serialize_tape(tape)
+        assert warm_reference == reference
 
     def test_flipping_verify_still_hits_the_tape_cache(self, tape_cache):
         """``verify=`` changes oracle sampling, not tape content — a
@@ -202,7 +218,7 @@ class TestWarmPaths:
 
         trace2, state2, config2 = small_point()
         _TAPE_MEMO.pop(trace2, None)
-        _TAPE_BLOBS.clear()
+        process_store().clear()
         verified = replay_links(
             trace2, state2, config2, LINKS, verify=1.0, cache_key=key
         )
@@ -216,19 +232,90 @@ class TestWarmPaths:
         )
         _TAPE_MEMO.pop(trace, None)
         before = tape_recording_count()
-        ensure_tape(key, trace, state, config)
-        entries, size = tape_cache.usage().per_experiment["sim.tape"]
+        resolve(key, trace, state, config)
+        usage = tape_cache.usage()
+        entries, size = usage.per_experiment["sim.tape"]
         assert entries == 1 and size > 0
 
         # Evict everything (sim.tape entries are ordinary LRU citizens),
         # then a cold request must fall through to a fresh recording.
-        assert tape_cache.evict(0) == 1
+        assert tape_cache.evict(0) == usage.entries
         assert "sim.tape" not in tape_cache.usage().per_experiment
         trace2, state2, config2 = small_point()
         _TAPE_MEMO.pop(trace2, None)
-        _TAPE_BLOBS.clear()
-        ensure_tape(key, trace2, state2, config2)
+        process_store().clear()
+        resolve(key, trace2, state2, config2)
         assert tape_recording_count() == before + 2
+
+
+# ---------------------------------------------------------------------------
+# Corrupt store entries are dropped and rebuilt, never replayed.
+# ---------------------------------------------------------------------------
+class _Blob:
+    """Pickles as the tape a (possibly corrupt) RTAP blob decodes to."""
+
+    def __init__(self, blob: bytes) -> None:
+        self.blob = blob
+
+    def __reduce__(self):
+        return deserialize_tape, (self.blob,)
+
+
+class TestCorruptEntries:
+    def _digest(self, key):
+        trace, state, config = small_point()
+        return result_digest(
+            replay_links(trace, state, config, LINKS, cache_key=key)
+        )
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda blob: b"XTAP" + blob[4:], id="wrong-magic"),
+            pytest.param(lambda blob: blob[:-8], id="8-bytes-short"),
+        ],
+    )
+    def test_bad_tape_blob_is_rerecorded_once(self, tape_cache, corrupt):
+        key = tape_cache_key(
+            "VGG16", SMALL_TRACE, SMALL_TRACE.snapshot_config, SMALL_GPU
+        )
+        cold = self._digest(key)
+        path = tape_cache.path_for(key)
+        tape, reference = pickle.loads(path.read_bytes())
+        good = serialize_tape(tape)
+        path.write_bytes(pickle.dumps((_Blob(corrupt(good)), reference)))
+        process_store().clear()
+
+        before = tape_recording_count()
+        assert self._digest(key) == cold
+        assert tape_recording_count() == before + 1
+        # The entry was replaced by a good one: the next cold read
+        # replays it without recording.
+        tape, _ = pickle.loads(path.read_bytes())
+        assert serialize_tape(tape) == good
+        process_store().clear()
+        assert self._digest(key) == cold
+        assert tape_recording_count() == before + 1
+
+    def test_truncated_profile_tensor_rebuilds_once(self, tape_cache):
+        config = SnapshotConfig(
+            scale=1.0 / 262144, min_footprint_bytes=256 * 1024
+        )
+        first = profiler.profile_tensor("AlexNet", config)
+        key = profiler.tensor_cache_key("AlexNet", config, BPCCompressor())
+        path = tape_cache.path_for(key)
+        blob = path.read_bytes()
+        path.write_bytes(blob[: len(blob) // 2])
+        process_store().clear()
+
+        passes = profiler.profile_pass_count()
+        rebuilt = profiler.profile_tensor("AlexNet", config)
+        assert profiler.profile_pass_count() == passes + 1
+        assert (rebuilt.counts == first.counts).all()
+        assert path.read_bytes() == blob
+        process_store().clear()
+        profiler.profile_tensor("AlexNet", config)
+        assert profiler.profile_pass_count() == passes + 1
 
 
 # ---------------------------------------------------------------------------
