@@ -43,7 +43,7 @@ SPEEDUP_BENCHMARKS = ("VGG16", "354.cg", "370.bt", "FF_Lulesh")
 def test_fig11_performance(benchmark, runner, engine):
     result = benchmark.pedantic(
         run_perf_study,
-        kwargs={"trace_config": TRACE, "runner": runner, "engine": engine},
+        kwargs={"trace_config": TRACE, "runner": runner, "engine_spec": engine},
         rounds=1,
         iterations=1,
     )

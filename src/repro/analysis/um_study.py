@@ -4,11 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.um.oversubscription import UMConfig, UMResult, run_um_study
+from repro.um.oversubscription import UMConfig, UMResult, um_curve
 
 #: The paper's Fig. 12 benchmarks and sweep.
 FIG12_BENCHMARKS = ("360.ilbdc", "356.sp", "351.palm")
 FIG12_LEVELS = (0.0, 0.1, 0.2, 0.3, 0.4)
+#: Sec. 4.3's oversubscription for the Buddy-vs-UM comparison.
+BUDDY_VS_UM_LEVEL = 0.49
 
 
 @dataclass
@@ -25,8 +27,9 @@ def um_benchmark_curve(
     levels=FIG12_LEVELS,
     config: UMConfig | None = None,
 ) -> list[UMResult]:
-    """One benchmark's oversubscription curve (the engine's point unit)."""
-    return run_um_study((benchmark,), tuple(levels), config)
+    """One benchmark's oversubscription curve (the engine's point unit):
+    one stack-distance pass prices every level."""
+    return um_curve(benchmark, levels, config)
 
 
 def fig12_curves(config: UMConfig | None = None, runner=None) -> list[UMResult]:
@@ -49,11 +52,9 @@ def buddy_vs_um(
             50 GB/s link (values near 1.0; the paper bounds the
             resulting slowdown at 1.67x).
     """
-    from repro.um.oversubscription import um_slowdown
-
     rows = []
     for name in FIG12_BENCHMARKS:
-        um = um_slowdown(name, 0.49, config)
+        (um,) = um_benchmark_curve(name, (BUDDY_VS_UM_LEVEL,), config)
         buddy = 1.0 / buddy_relative_performance.get(name, 1.0)
         rows.append(BuddyVsUM(name, um.um_slowdown, buddy))
     return rows

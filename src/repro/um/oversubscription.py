@@ -8,7 +8,10 @@ host access, catastrophically so for the random-access 360.ilbdc.
 
 The model reproduces the mechanism.  A benchmark's page-access stream
 (derived from its catalog access character) runs against an LRU
-residency set sized by the forced oversubscription:
+residency set sized by the forced oversubscription.  LRU's inclusion
+property (Mattson et al., IBM Systems Journal, 1970) lets one
+stack-distance pass over the stream price the baseline and every
+level of a curve at once (:mod:`repro.um.pages`):
 
 * each fault serialises through the driver (tens of microseconds) and
   migrates a whole 64 KB page over the interconnect;
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import rng as rng_lib
-from repro.um.pages import ResidencySet
+from repro.um.pages import lru_faults
 from repro.workloads.catalog import AccessPattern, get_benchmark
 
 #: UM migration granularity (bytes).
@@ -106,38 +109,54 @@ def _page_stream(benchmark: str, config: UMConfig) -> np.ndarray:
     return np.concatenate(sweeps)
 
 
+def um_curve(
+    benchmark: str, oversubscriptions, config: UMConfig | None = None
+) -> list[UMResult]:
+    """Runtime ratios of UM migration vs the fully resident baseline.
+
+    The baseline and every oversubscription level are priced from one
+    stack-distance pass over the benchmark's page stream.
+    """
+    config = config or UMConfig()
+    levels = tuple(oversubscriptions)
+    for level in levels:
+        if not 0.0 <= level < 1.0:
+            raise ValueError(f"oversubscription {level} outside [0, 1)")
+    stream = _page_stream(benchmark, config)
+    accesses = int(stream.size)
+    migration_ns = PAGE_BYTES / (config.link_gbps * 1e9) * 1e9
+    fault_ns = config.fault_us * 1e3 / config.fault_batch + migration_ns
+    # Normalise to the 0 %-oversubscription run, which still pays the
+    # cold-start migration — exactly what "runtime relative to
+    # original" means in the paper's measurement.
+    capacities = [
+        max(1, int(config.footprint_pages * (1.0 - level)))
+        for level in (0.0, *levels)
+    ]
+    baseline_faults, *level_faults = lru_faults(stream, capacities)
+
+    def runtime(faults: int) -> float:
+        return accesses * config.access_ns + faults * fault_ns
+
+    baseline = runtime(baseline_faults)
+    pinned = pinned_slowdown(benchmark, config)
+    return [
+        UMResult(
+            benchmark=benchmark,
+            oversubscription=level,
+            um_slowdown=runtime(faults) / baseline,
+            pinned_slowdown=pinned,
+            fault_rate=faults / accesses,
+        )
+        for level, faults in zip(levels, level_faults)
+    ]
+
+
 def um_slowdown(
     benchmark: str, oversubscription: float, config: UMConfig | None = None
 ) -> UMResult:
     """Runtime ratio of UM migration vs the fully resident baseline."""
-    config = config or UMConfig()
-    if not 0.0 <= oversubscription < 1.0:
-        raise ValueError(f"oversubscription {oversubscription} outside [0, 1)")
-    stream = _page_stream(benchmark, config)
-    migration_ns = PAGE_BYTES / (config.link_gbps * 1e9) * 1e9
-    fault_ns = config.fault_us * 1e3 / config.fault_batch + migration_ns
-
-    def runtime(level: float) -> tuple[float, float]:
-        capacity = max(1, int(config.footprint_pages * (1.0 - level)))
-        residency = ResidencySet(capacity)
-        for page in stream:
-            residency.touch(int(page))
-        total = stream.size * config.access_ns + residency.faults * fault_ns
-        return total, residency.fault_rate
-
-    # Normalise to the 0 %-oversubscription run, which still pays the
-    # cold-start migration — exactly what "runtime relative to
-    # original" means in the paper's measurement.
-    baseline, _ = runtime(0.0)
-    total, fault_rate = runtime(oversubscription)
-
-    return UMResult(
-        benchmark=benchmark,
-        oversubscription=oversubscription,
-        um_slowdown=total / baseline,
-        pinned_slowdown=pinned_slowdown(benchmark, config),
-        fault_rate=fault_rate,
-    )
+    return um_curve(benchmark, (oversubscription,), config)[0]
 
 
 def pinned_slowdown(benchmark: str, config: UMConfig | None = None) -> float:
@@ -161,9 +180,8 @@ def run_um_study(
     config: UMConfig | None = None,
 ) -> list[UMResult]:
     """The Fig. 12 sweep."""
-    config = config or UMConfig()
     return [
-        um_slowdown(benchmark, level, config)
+        row
         for benchmark in benchmarks
-        for level in oversubscriptions
+        for row in um_curve(benchmark, oversubscriptions, config)
     ]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.compression_study import (
     fig3_compression_ratios,
@@ -9,10 +11,13 @@ from repro.analysis.compression_study import (
     render_heatmap,
     suite_gmean,
 )
-from repro.analysis.metadata_study import run_metadata_study
+from repro.analysis.metadata_study import run_metadata_study, two_way_hit_rates
 from repro.analysis.perf_study import run_perf_study
 from repro.analysis.report import gmean, paper_vs_measured, table
 from repro.cli import main
+from repro.core.metadata_cache import MetadataCache
+from repro.engine.cache import result_digest
+from repro.engine.runner import ExperimentRunner
 from repro.units import ENTRIES_PER_PAGE, KIB
 from repro.workloads.snapshots import SnapshotConfig
 from repro.workloads.traces import TraceConfig
@@ -111,6 +116,45 @@ class TestMetadataStudy:
         )
         rates = rows[0].hit_rates
         assert rates[8 * KIB] >= rates[1 * KIB]
+
+    #: Total sizes of 1 to 16 sets per slice at the study's geometry.
+    SIZES = (128, 256, 512, 1024, 2048)
+
+    @given(st.lists(st.integers(0, 200), max_size=300))
+    @settings(max_examples=100, deadline=None)
+    def test_two_way_hits_equal_cache_walk(self, lines):
+        rates = two_way_hit_rates(np.array(lines, dtype=np.int64), self.SIZES)
+        for size in self.SIZES:
+            cache = MetadataCache(size, ways=2, slices=2)
+            for line in lines:
+                cache.access_line(line)
+            assert rates[size] == cache.stats.hit_rate
+            assert type(rates[size]) is float
+
+    def test_empty_stream_hit_rate_is_zero(self):
+        assert two_way_hit_rates(np.zeros(0, dtype=np.int64), (1 * KIB,)) == {
+            1 * KIB: 0.0
+        }
+
+    def test_size_must_divide_into_geometry(self):
+        with pytest.raises(ValueError):
+            two_way_hit_rates(np.arange(8), (100,))
+
+
+class TestRegistryDefaultDigests:
+    """The registry-default Fig. 5b and Fig. 12 datasets, pinned to the
+    same digests as the repository benchmark's goldens.  A NumPy
+    scalar leaking into a result moves its digest."""
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("metadata.fig5b", "562a89aa1e09bb1e6df706c47148bda7"),
+            ("um.fig12", "b81cf2044373bee106b5b96764a2032d"),
+        ],
+    )
+    def test_default_digest(self, name, digest):
+        assert result_digest(ExperimentRunner().run(name)) == digest
 
 
 class TestPerfStudySmall:
