@@ -1,6 +1,7 @@
 """Experiment drivers.
 
 One module per paper artefact; each produces plain dataclass results
-that the benchmarks print and EXPERIMENTS.md tabulates against the
-paper's reported numbers (:mod:`repro.analysis.paper_reference`).
+that ``repro run`` prints and ``tests/test_paper_claims.py`` checks
+against the claims ledger,
+:data:`repro.analysis.paper_reference.CLAIMS`.
 """

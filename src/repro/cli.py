@@ -48,6 +48,7 @@ from repro.engine import (
     runner_from_args,
 )
 from repro import rng as rng_lib
+from repro.analysis import paper_reference as paper
 
 #: ``repro sweep`` default: the Fig. 7 design-point sweep.
 DEFAULT_SWEEP = ("compression.fig7",)
@@ -77,9 +78,9 @@ def _print_fig3(rows) -> None:
     # Subset runs may leave a suite empty; a fabricated 0.00 gmean
     # against the paper value would be misleading.
     if any(row.is_hpc for row in rows):
-        print(f"GMEAN HPC {suite_gmean(rows, True):.2f} (paper 2.51)")
+        print(f"GMEAN HPC {suite_gmean(rows, True):.2f} (paper {paper.FIG3_GMEAN_HPC})")
     if any(not row.is_hpc for row in rows):
-        print(f"GMEAN DL  {suite_gmean(rows, False):.2f} (paper 1.85)")
+        print(f"GMEAN DL  {suite_gmean(rows, False):.2f} (paper {paper.FIG3_GMEAN_DL})")
 
 
 def _print_fig7(study) -> None:
@@ -116,7 +117,10 @@ def _print_fig5b(rows) -> None:
 
 
 def _print_fig10(result) -> None:
-    print(f"correlation (log cycles): {result.correlation:.3f} (paper 0.989)")
+    print(
+        f"correlation (log cycles): {result.correlation:.3f} "
+        f"(paper {paper.FIG10_CORRELATION})"
+    )
     print(f"fast-vs-reference wall-clock ratio: {result.mean_speed_ratio:.0f}x")
 
 

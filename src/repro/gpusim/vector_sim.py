@@ -41,7 +41,7 @@ This engine therefore splits the simulation into:
 The result is the oracle contract the studies rely on: identical
 integer traffic counters (``dram_bytes``, ``link_bytes``, fills, hit
 counts) and bit-identical cycle counts to the legacy engine, at a
-fraction of the wall-clock (``bench_fig11_performance.py`` pins the
+fraction of the wall-clock (``tests/test_speed_floors.py`` pins the
 speedup; ``tests/test_vector_sim.py`` pins the equivalence and
 ``tests/test_event_core.py`` pins compiled == pure-Python).
 

@@ -13,7 +13,6 @@ from repro.analysis.compression_study import (
 )
 from repro.analysis.metadata_study import run_metadata_study, two_way_hit_rates
 from repro.analysis.perf_study import run_perf_study
-from repro.analysis.report import gmean, paper_vs_measured, table
 from repro.cli import main
 from repro.core.metadata_cache import MetadataCache
 from repro.engine.cache import result_digest
@@ -23,22 +22,6 @@ from repro.workloads.snapshots import SnapshotConfig
 from repro.workloads.traces import TraceConfig
 
 TINY = SnapshotConfig(scale=1.0 / 262144, min_footprint_bytes=256 * 1024)
-
-
-class TestReportHelpers:
-    def test_gmean(self):
-        assert gmean([2.0, 8.0]) == pytest.approx(4.0)
-        assert gmean([]) == 0.0
-        with pytest.raises(ValueError):
-            gmean([1.0, 0.0])
-
-    def test_table_renders(self):
-        text = table(["a", "b"], [[1, 2], [30, 40]])
-        assert "a" in text and "40" in text
-
-    def test_paper_vs_measured(self):
-        text = paper_vs_measured([("ratio", 1.9, 1.95)])
-        assert "1.900" in text and "1.950" in text
 
 
 class TestCompressionStudy:

@@ -452,7 +452,6 @@ def test_fig9_golden_digest():
     assert result_digest(sweep) == GOLDEN_FIG9_TINY
 
 
-@pytest.mark.slow
 def test_fig7_full_suite_golden_digest():
     """The canonical sweep digest (all benchmarks, CI smoke scale)."""
     study = ExperimentRunner().run(

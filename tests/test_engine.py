@@ -307,7 +307,6 @@ class TestRunner:
         assert [r.benchmark for r in one] == ["370.bt", "356.sp"]
 
 
-@pytest.mark.slow
 def test_full_fig7_sweep_parallel_equality(tmp_path):
     """Acceptance: the full Fig. 7 sweep is worker-count invariant and
     a second invocation completes from cache."""
