@@ -23,10 +23,11 @@ profile builds merge into bulk compression calls.  ``plan`` prints
 what that optimizer would do — node graph, dedupe counts, predicted
 cache hits — without executing anything.
 
-The paper's figure names (``repro fig3`` … ``repro fig13``) remain as
-deprecated aliases that run serially without touching the cache,
-printing the same rows/series the paper reports plus a pointer to the
-equivalent ``repro run`` invocation.
+The CLI knows no experiment by name: every paper figure (Fig. 6
+included, as ``compression.fig6``) is a registered experiment that
+formats its own result.  ``--engine SPEC`` selects the simulator core
+of the timing studies in :class:`~repro.gpusim.engine_spec.EngineSpec`
+form, e.g. ``relaxed`` or ``relaxed:verify=0.5``.
 """
 
 from __future__ import annotations
@@ -48,130 +49,9 @@ from repro.engine import (
     runner_from_args,
 )
 from repro import rng as rng_lib
-from repro.analysis import paper_reference as paper
 
 #: ``repro sweep`` default: the Fig. 7 design-point sweep.
 DEFAULT_SWEEP = ("compression.fig7",)
-
-#: Legacy figure aliases onto registered experiments.
-FIGURE_ALIASES = {
-    "fig3": "compression.fig3",
-    "fig7": "compression.fig7",
-    "fig8": "compression.fig8",
-    "fig9": "compression.fig9",
-    "fig5b": "metadata.fig5b",
-    "fig10": "correlation.fig10",
-    "fig11": "perf.fig11",
-    "fig12": "um.fig12",
-    "fig13": "dl.fig13",
-}
-
-
-# ---------------------------------------------------------------------------
-# Per-experiment result formatters.
-# ---------------------------------------------------------------------------
-def _print_fig3(rows) -> None:
-    from repro.analysis.compression_study import suite_gmean
-
-    for row in rows:
-        print(f"{row.benchmark:14s} {row.mean_ratio:5.2f}")
-    # Subset runs may leave a suite empty; a fabricated 0.00 gmean
-    # against the paper value would be misleading.
-    if any(row.is_hpc for row in rows):
-        print(f"GMEAN HPC {suite_gmean(rows, True):.2f} (paper {paper.FIG3_GMEAN_HPC})")
-    if any(not row.is_hpc for row in rows):
-        print(f"GMEAN DL  {suite_gmean(rows, False):.2f} (paper {paper.FIG3_GMEAN_DL})")
-
-
-def _print_fig7(study) -> None:
-    for design in ("naive", "per-allocation", "final"):
-        for label, hpc in (("HPC", True), ("DL", False)):
-            ratio, accesses = study.suite_summary(design, hpc)
-            print(
-                f"{design:16s} {label}: {ratio:.2f}x, "
-                f"{accesses:.2%} buddy accesses"
-            )
-
-
-def _print_fig8(results) -> None:
-    for name, result in results.items():
-        series = " ".join(
-            f"{s.entry_fraction:.3f}" for s in result.per_snapshot
-        )
-        print(f"{name:14s} ratio {result.compression_ratio:4.2f}x  {series}")
-
-
-def _print_fig9(sweep) -> None:
-    thresholds = sorted(next(iter(sweep.values())))
-    header = f"{'benchmark':14s} " + " ".join(f"t={t:.2f}" for t in thresholds)
-    print(header)
-    for name, runs in sweep.items():
-        cells = " ".join(f"{runs[t].compression_ratio:6.2f}" for t in thresholds)
-        print(f"{name:14s} {cells}")
-
-
-def _print_fig5b(rows) -> None:
-    from repro.analysis.metadata_study import format_metadata_table
-
-    print(format_metadata_table(rows))
-
-
-def _print_fig10(result) -> None:
-    print(
-        f"correlation (log cycles): {result.correlation:.3f} "
-        f"(paper {paper.FIG10_CORRELATION})"
-    )
-    print(f"fast-vs-reference wall-clock ratio: {result.mean_speed_ratio:.0f}x")
-
-
-def _print_fig11(result) -> None:
-    from repro.analysis.perf_study import format_perf_table
-
-    print(format_perf_table(result))
-
-
-def _print_fig12(rows) -> None:
-    from repro.analysis.um_study import format_fig12_table
-
-    print(format_fig12_table(rows))
-
-
-def _print_dl_ratios(ratios) -> None:
-    for name, ratio in ratios.items():
-        print(f"{name:14s} {ratio:5.2f}x")
-
-
-def _print_fig13(result) -> None:
-    from repro.analysis.dl_study import format_dl_tables
-
-    print(format_dl_tables(result))
-
-
-def _print_advice(results) -> None:
-    for name, payload in results.items():
-        rec = payload["recommendation"]
-        threshold = rec["threshold"]
-        threshold_text = "-" if threshold is None else f"{threshold:.2f}"
-        print(
-            f"{name:14s} {rec['design']:14s} t={threshold_text} "
-            f"{rec['compression_ratio']:5.2f}x "
-            f"{rec['buddy_entry_fraction']:.2%} buddy entries"
-        )
-
-
-FORMATTERS = {
-    "compression.fig3": _print_fig3,
-    "compression.fig7": _print_fig7,
-    "compression.fig8": _print_fig8,
-    "compression.fig9": _print_fig9,
-    "metadata.fig5b": _print_fig5b,
-    "correlation.fig10": _print_fig10,
-    "perf.fig11": _print_fig11,
-    "um.fig12": _print_fig12,
-    "dl.ratios": _print_dl_ratios,
-    "dl.fig13": _print_fig13,
-    "serve.advice": _print_advice,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -183,58 +63,19 @@ def _build_runner(args, offline: bool = False) -> ExperimentRunner:
     )
 
 
-def _cli_engine_spec(name: str, args):
-    """The CLI's single engine-selection parse point.
+def _engine_params(text: str) -> dict:
+    """``--engine SPEC`` as experiment parameters (argparse ``type=``).
 
-    Folds ``--engine-spec`` (preferred) and the legacy ``--engine`` /
-    ``--verify`` pair into one validated
-    :class:`~repro.gpusim.engine_spec.EngineSpec`, or ``None`` when no
-    engine selection applies to this experiment.
+    A malformed spec, or a ``tolerance=`` that cached studies cannot
+    take, is a usage error: argparse prints EngineSpec's message and
+    exits 2.
     """
     from repro.gpusim.engine_spec import EngineSpec
 
-    text = getattr(args, "engine_spec", None)
-    engine = getattr(args, "engine", None)
-    verify = getattr(args, "verify", None)
-    if text:
-        if engine or verify:
-            raise KeyError(
-                "pass either --engine-spec or the --engine/--verify "
-                "pair, not both"
-            )
-        spec = EngineSpec.parse(text)
-    elif engine or verify:
-        if verify and engine != "relaxed":
-            # The exact engines have nothing to cross-check; passing
-            # verify through would raise deep inside every design
-            # point, so fail the friendly way the other flags do.
-            print(
-                "warning: --verify is the relaxed engine's oracle "
-                "cross-check; pass --engine relaxed to enable it "
-                "(--verify ignored)",
-                file=sys.stderr,
-            )
-            verify = None
-        spec = EngineSpec(engine or "vectorized", verify or 0.0)
-    else:
-        return None
-    if "engine" not in get_experiment(name).defaults():
-        print(
-            f"warning: {name} has no simulator engine axis; "
-            "engine selection ignored",
-            file=sys.stderr,
-        )
-        return None
-    if spec.tolerance is not None:
-        # A custom tolerance cannot reach cached design points without
-        # becoming a cache axis (see EngineSpec.study_params).
-        print(
-            "warning: tolerance= is a direct-simulation knob; cached "
-            "experiments pin the default tolerances (ignored)",
-            file=sys.stderr,
-        )
-        spec = replace(spec, tolerance=None)
-    return spec
+    try:
+        return EngineSpec.parse(text).study_params()
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _experiment_params(name: str, args) -> dict:
@@ -242,19 +83,24 @@ def _experiment_params(name: str, args) -> dict:
     from repro.workloads.snapshots import SnapshotConfig
     from repro.workloads.traces import TraceConfig
 
+    defaults = get_experiment(name).defaults()
     params: dict = {}
     benchmarks = getattr(args, "benchmarks", None)
     if benchmarks:
-        key = "networks" if name.startswith("dl.") else "benchmarks"
+        key = "networks" if "networks" in defaults else "benchmarks"
         params[key] = tuple(benchmarks)
-    spec = _cli_engine_spec(name, args)
-    if spec is not None:
-        params["engine"] = spec.name
-        if spec.verify:
-            params["verify"] = spec.verify
+    engine = getattr(args, "engine", None)
+    if engine is not None:
+        if "engine" in defaults:
+            params.update(engine)
+        else:
+            print(
+                f"warning: {name} has no simulator engine axis; "
+                "engine selection ignored",
+                file=sys.stderr,
+            )
     scale = getattr(args, "scale", None)
     if scale:
-        defaults = get_experiment(name).defaults()
         scaled = False
         for key, value in defaults.items():
             if isinstance(value, SnapshotConfig):
@@ -275,6 +121,13 @@ def _experiment_params(name: str, args) -> dict:
     return params
 
 
+def _print_result(name: str, value, report, quiet: bool) -> None:
+    print(get_experiment(name).format(value))
+    if not quiet:
+        print(report.summary())
+        print(f"result digest: {result_digest(value)}")
+
+
 def _run_one(name: str, args, offline: bool = False) -> int:
     runner = _build_runner(args, offline=offline)
     try:
@@ -282,10 +135,7 @@ def _run_one(name: str, args, offline: bool = False) -> int:
     except CacheMiss as miss:
         print(f"error: {miss.args[0]}", file=sys.stderr)
         return 2
-    FORMATTERS[name](value)
-    if not args.quiet:
-        print(report.summary())
-        print(f"result digest: {result_digest(value)}")
+    _print_result(name, value, report, args.quiet)
     return 0
 
 
@@ -302,35 +152,31 @@ def _cmd_run(args) -> int:
     return _run_one(args.experiment, args)
 
 
-def _check_names(names: list[str]) -> int:
+def _check_names(names: list[str]) -> None:
     """Validate experiment names before any work starts."""
     unknown = [n for n in names if n not in experiment_names()]
     if unknown:
-        print(
-            f"error: unknown experiment(s) {', '.join(unknown)}; "
-            f"registered: {', '.join(experiment_names())}",
-            file=sys.stderr,
+        raise KeyError(
+            f"unknown experiment(s) {', '.join(unknown)}; "
+            f"registered: {', '.join(experiment_names())}"
         )
-        return 2
-    return 0
 
 
-def _cmd_sweep(args) -> int:
+def _sweep_requests(args) -> list[tuple[str, dict]]:
+    """The ``(name, params)`` requests of ``sweep`` / ``plan``."""
     names = list(args.experiments) or (
         list(experiment_names()) if args.all else list(DEFAULT_SWEEP)
     )
-    status = _check_names(names)
-    if status:
-        return status
-    runner = _build_runner(args)
-    requests = [(name, _experiment_params(name, args)) for name in names]
-    sweep = runner.run_sweep(requests)
-    for name, value, report in zip(names, sweep.values, sweep.reports):
+    _check_names(names)
+    return [(name, _experiment_params(name, args)) for name in names]
+
+
+def _cmd_sweep(args) -> int:
+    requests = _sweep_requests(args)
+    sweep = _build_runner(args).run_sweep(requests)
+    for (name, _), value, report in zip(requests, sweep.values, sweep.reports):
         print(f"== {name} ==")
-        FORMATTERS[name](value)
-        if not args.quiet:
-            print(report.summary())
-            print(f"result digest: {result_digest(value)}")
+        _print_result(name, value, report, args.quiet)
     if not args.quiet:
         print(sweep.execution.summary())
     return 0
@@ -340,15 +186,7 @@ def _cmd_plan(args) -> int:
     """Print the optimized plan of a sweep without executing it."""
     from repro.engine.planner import plan
 
-    names = list(args.experiments) or (
-        list(experiment_names()) if args.all else list(DEFAULT_SWEEP)
-    )
-    status = _check_names(names)
-    if status:
-        return status
-    runner = _build_runner(args)
-    requests = [(name, _experiment_params(name, args)) for name in names]
-    sweep_plan = plan(requests, runner)
+    sweep_plan = plan(_sweep_requests(args), _build_runner(args))
     if args.json:
         print(json.dumps(sweep_plan.to_json(), indent=2))
     elif args.explain:
@@ -360,8 +198,9 @@ def _cmd_plan(args) -> int:
 
 def _cmd_report(args) -> int:
     names = list(args.experiments) or list(DEFAULT_SWEEP)
-    status = _check_names(names)
-    for name in names if status == 0 else ():
+    _check_names(names)
+    status = 0
+    for name in names:
         print(f"== {name} ==")
         status = max(status, _run_one(name, args, offline=args.from_cache))
     return status
@@ -679,27 +518,6 @@ def _cmd_serve(args) -> int:
 _KEEP = object()
 
 
-def _cmd_figure(args) -> int:
-    """Legacy figure alias: serial, cache-untouched, paper-style output."""
-    if args.figure == "fig6":
-        from repro.analysis.compression_study import fig6_heatmap, render_heatmap
-
-        for name in args.benchmarks or ("FF_HPGMG", "356.sp", "ResNet50"):
-            print(f"== {name} (.:1 -:2 +:3 #:4 sectors) ==")
-            print(render_heatmap(fig6_heatmap(name)))
-        return 0
-    equivalent = " ".join(
-        ["repro", "run", FIGURE_ALIASES[args.figure], *args.benchmarks]
-    )
-    print(
-        f"warning: 'repro {args.figure}' is deprecated; use "
-        f"'{equivalent}' (add --workers/--cache-dir for the cached, "
-        "parallel engine)",
-        file=sys.stderr,
-    )
-    return _run_one(FIGURE_ALIASES[args.figure], args)
-
-
 # ---------------------------------------------------------------------------
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     add_runner_options(parser)  # --workers / --no-cache / --cache-*
@@ -717,35 +535,15 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--engine",
-        choices=("vectorized", "relaxed", "legacy"),
-        default=None,
-        help=(
-            "simulator core for the timing studies (fig10/fig11): the "
-            "batched vectorized engine (default, exact), the relaxed "
-            "frozen-order tape engine (fastest across link sweeps; "
-            "tolerance-pinned off the 150 GB/s reference point), or "
-            "the per-access legacy oracle"
-        ),
-    )
-    parser.add_argument(
-        "--verify",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help=(
-            "with --engine relaxed: fraction of simulator runs "
-            "cross-checked against the legacy oracle (deterministic "
-            "per design point; 1.0 checks every run, raising on any "
-            "contract breach)"
-        ),
-    )
-    parser.add_argument(
-        "--engine-spec",
+        type=_engine_params,
         default=None,
         metavar="SPEC",
         help=(
-            "unified engine selection, e.g. 'relaxed:verify=0.5' "
-            "(subsumes --engine/--verify; see repro.gpusim.EngineSpec)"
+            "simulator core of the timing studies (fig10/fig11) as "
+            "NAME[:verify=FRACTION]: vectorized (default, exact), "
+            "relaxed (frozen-order tape engine, fastest across link "
+            "sweeps; verify= cross-checks that fraction of runs "
+            "against the legacy oracle) or legacy (per-access oracle)"
         ),
     )
     parser.add_argument(
@@ -954,21 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.set_defaults(func=_cmd_serve)
 
-    for alias in sorted(FIGURE_ALIASES) + ["fig6"]:
-        figure = commands.add_parser(alias, help=f"paper {alias} (serial alias)")
-        figure.add_argument(
-            "benchmarks", nargs="*", help="optional benchmark subset"
-        )
-        figure.set_defaults(
-            func=_cmd_figure,
-            figure=alias,
-            workers=1,
-            cache=False,
-            cache_dir=None,
-            seed=rng_lib.DEFAULT_SEED,
-            scale=None,
-            quiet=True,
-        )
     return parser
 
 

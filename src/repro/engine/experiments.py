@@ -1,13 +1,17 @@
 """Built-in experiments: one per analysis study.
 
 Each study module owns its pickle-safe per-point function (named
-``*_point``); this module declares the parameter spaces and reducers
-and registers everything.  Study modules are imported lazily inside
-the callables so importing the engine stays cheap and cycle-free.
+``*_point``); this module declares the parameter spaces, reducers and
+text formatters and registers everything.  Study modules are imported
+lazily inside the callables so importing the engine stays cheap and
+cycle-free.  The formatters live here rather than in the study
+modules because the study modules are salted: a cosmetic change to a
+table must not invalidate cached results.
 
 Registered experiments::
 
     compression.fig3   free-size BPC ratios per benchmark (Fig. 3)
+    compression.fig6   per-page compressibility heatmaps (Fig. 6)
     compression.fig7   naive / per-allocation / final designs (Fig. 7)
     compression.fig8   temporal stability of buddy traffic (Fig. 8)
     compression.fig9   Buddy Threshold sweep (Fig. 9)
@@ -28,6 +32,7 @@ by different simulator cores are addressed separately and never mix.
 
 from __future__ import annotations
 
+from repro.analysis import paper_reference as paper
 from repro.engine.registry import Experiment, register
 
 #: Modules every study's results depend on (workload substrate).
@@ -65,6 +70,13 @@ _CODEC_COMPARISON_MODULES = (
     "repro.compression.cpack",
     "repro.compression.fpc",
     "repro.compression.zeroblock",
+)
+
+#: Salt of every compression.* experiment (Figs. 3, 6, 7, 8, 9).
+_COMPRESSION_STUDY_MODULES = (
+    _PIPELINE_MODULES
+    + _CODEC_COMPARISON_MODULES
+    + ("repro.analysis.compression_study",)
 )
 
 #: The DL-training analytics stack behind dl.ratios / dl.fig13.
@@ -129,9 +141,19 @@ def _keyed_by_benchmark(results: list, params: dict) -> dict:
     return dict(zip(params["benchmarks"], results))
 
 
+def _as_list(results: list, params: dict) -> list:
+    return list(results)
+
+
 # ---------------------------------------------------------------------------
-# compression.* (Figs. 3, 7, 8, 9)
+# compression.* (Figs. 3, 6, 7, 8, 9)
 # ---------------------------------------------------------------------------
+def _buddy_pipeline_plan(point: dict) -> list:
+    from repro.analysis.compression_study import buddy_pipeline_plan
+
+    return buddy_pipeline_plan(point)
+
+
 def _fig3_defaults() -> dict:
     from repro.workloads.snapshots import SnapshotConfig
 
@@ -144,14 +166,27 @@ def _fig3_point(point: dict):
     return fig3_row(point["benchmark"], point["config"])
 
 
-def _fig3_aggregate(results: list, params: dict) -> list:
-    return list(results)
-
-
 def _fig3_plan(point: dict) -> list:
     from repro.analysis.compression_study import fig3_plan
 
     return fig3_plan(point)
+
+
+def _fig3_format(rows) -> str:
+    from repro.analysis.compression_study import suite_gmean
+
+    lines = [f"{row.benchmark:14s} {row.mean_ratio:5.2f}" for row in rows]
+    # Subset runs may leave a suite empty; a fabricated 0.00 gmean
+    # against the paper value would be misleading.
+    if any(row.is_hpc for row in rows):
+        lines.append(
+            f"GMEAN HPC {suite_gmean(rows, True):.2f} (paper {paper.FIG3_GMEAN_HPC})"
+        )
+    if any(not row.is_hpc for row in rows):
+        lines.append(
+            f"GMEAN DL  {suite_gmean(rows, False):.2f} (paper {paper.FIG3_GMEAN_DL})"
+        )
+    return "\n".join(lines)
 
 
 register(
@@ -161,11 +196,51 @@ register(
         defaults=_fig3_defaults,
         expand=_per_benchmark_expand,
         run_point=_fig3_point,
-        aggregate=_fig3_aggregate,
-        salt_modules=_PIPELINE_MODULES
-        + _CODEC_COMPARISON_MODULES
-        + ("repro.analysis.compression_study",),
+        aggregate=_as_list,
+        format=_fig3_format,
+        salt_modules=_COMPRESSION_STUDY_MODULES,
         plan_point=_fig3_plan,
+    )
+)
+
+
+def _fig6_defaults() -> dict:
+    from repro.workloads.snapshots import SnapshotConfig
+
+    return {
+        "benchmarks": ("FF_HPGMG", "356.sp", "ResNet50"),
+        "snapshot_index": 5,
+        "config": SnapshotConfig(),
+    }
+
+
+def _fig6_point(point: dict):
+    from repro.analysis.compression_study import fig6_heatmap
+
+    return fig6_heatmap(
+        point["benchmark"], point["snapshot_index"], point["config"]
+    )
+
+
+def _fig6_format(heatmaps) -> str:
+    from repro.analysis.compression_study import render_heatmap
+
+    return "\n".join(
+        f"== {name} (.:1 -:2 +:3 #:4 sectors) ==\n{render_heatmap(heatmap)}"
+        for name, heatmap in heatmaps.items()
+    )
+
+
+register(
+    Experiment(
+        name="compression.fig6",
+        title="Fig. 6: per-page compressibility heatmaps",
+        defaults=_fig6_defaults,
+        expand=_per_benchmark_expand,
+        run_point=_fig6_point,
+        aggregate=_keyed_by_benchmark,
+        format=_fig6_format,
+        salt_modules=_COMPRESSION_STUDY_MODULES,
     )
 )
 
@@ -193,10 +268,25 @@ def _fig7_aggregate(results: list, params: dict):
     return DesignPointStudy(_keyed_by_benchmark(results, params))
 
 
-def _fig7_plan(point: dict) -> list:
-    from repro.analysis.compression_study import buddy_pipeline_plan
+def _fig7_format(study) -> str:
+    from repro.workloads.catalog import get_benchmark
 
-    return buddy_pipeline_plan(point)
+    # Like Fig. 3, skip a suite the (subset) run left empty instead of
+    # printing suite_summary's 0.00x placeholder.
+    suites = [
+        (label, hpc)
+        for label, hpc in (("HPC", True), ("DL", False))
+        if any(get_benchmark(name).is_hpc == hpc for name in study.results)
+    ]
+    lines = []
+    for design in ("naive", "per-allocation", "final"):
+        for label, hpc in suites:
+            ratio, accesses = study.suite_summary(design, hpc)
+            lines.append(
+                f"{design:16s} {label}: {ratio:.2f}x, "
+                f"{accesses:.2%} buddy accesses"
+            )
+    return "\n".join(lines)
 
 
 register(
@@ -207,10 +297,9 @@ register(
         expand=_per_benchmark_expand,
         run_point=_fig7_point,
         aggregate=_fig7_aggregate,
-        salt_modules=_PIPELINE_MODULES
-        + _CODEC_COMPARISON_MODULES
-        + ("repro.analysis.compression_study",),
-        plan_point=_fig7_plan,
+        format=_fig7_format,
+        salt_modules=_COMPRESSION_STUDY_MODULES,
+        plan_point=_buddy_pipeline_plan,
     )
 )
 
@@ -230,10 +319,16 @@ def _fig8_point(point: dict):
     return fig8_benchmark(point["benchmark"], point["config"])
 
 
-def _fig8_plan(point: dict) -> list:
-    from repro.analysis.compression_study import buddy_pipeline_plan
-
-    return buddy_pipeline_plan(point)
+def _fig8_format(results) -> str:
+    lines = []
+    for name, result in results.items():
+        series = " ".join(
+            f"{s.entry_fraction:.3f}" for s in result.per_snapshot
+        )
+        lines.append(
+            f"{name:14s} ratio {result.compression_ratio:4.2f}x  {series}"
+        )
+    return "\n".join(lines)
 
 
 register(
@@ -244,10 +339,9 @@ register(
         expand=_per_benchmark_expand,
         run_point=_fig8_point,
         aggregate=_keyed_by_benchmark,
-        salt_modules=_PIPELINE_MODULES
-        + _CODEC_COMPARISON_MODULES
-        + ("repro.analysis.compression_study",),
-        plan_point=_fig8_plan,
+        format=_fig8_format,
+        salt_modules=_COMPRESSION_STUDY_MODULES,
+        plan_point=_buddy_pipeline_plan,
     )
 )
 
@@ -270,10 +364,13 @@ def _fig9_point(point: dict):
     )
 
 
-def _fig9_plan(point: dict) -> list:
-    from repro.analysis.compression_study import buddy_pipeline_plan
-
-    return buddy_pipeline_plan(point)
+def _fig9_format(sweep) -> str:
+    thresholds = sorted(next(iter(sweep.values())))
+    lines = [f"{'benchmark':14s} " + " ".join(f"t={t:.2f}" for t in thresholds)]
+    for name, runs in sweep.items():
+        cells = " ".join(f"{runs[t].compression_ratio:6.2f}" for t in thresholds)
+        lines.append(f"{name:14s} {cells}")
+    return "\n".join(lines)
 
 
 register(
@@ -284,10 +381,9 @@ register(
         expand=_per_benchmark_expand,
         run_point=_fig9_point,
         aggregate=_keyed_by_benchmark,
-        salt_modules=_PIPELINE_MODULES
-        + _CODEC_COMPARISON_MODULES
-        + ("repro.analysis.compression_study",),
-        plan_point=_fig9_plan,
+        format=_fig9_format,
+        salt_modules=_COMPRESSION_STUDY_MODULES,
+        plan_point=_buddy_pipeline_plan,
     )
 )
 
@@ -315,14 +411,16 @@ def _fig5b_point(point: dict):
     return metadata_row(point["benchmark"], point["sizes"], point["trace_config"])
 
 
-def _fig5b_aggregate(results: list, params: dict) -> list:
-    return list(results)
-
-
 def _fig5b_plan(point: dict) -> list:
     from repro.analysis.metadata_study import fig5b_plan
 
     return fig5b_plan(point)
+
+
+def _fig5b_format(rows) -> str:
+    from repro.analysis.metadata_study import format_metadata_table
+
+    return format_metadata_table(rows)
 
 
 register(
@@ -332,7 +430,8 @@ register(
         defaults=_fig5b_defaults,
         expand=_per_benchmark_expand,
         run_point=_fig5b_point,
-        aggregate=_fig5b_aggregate,
+        aggregate=_as_list,
+        format=_fig5b_format,
         salt_modules=_SUBSTRATE_MODULES
         + (
             "repro.analysis.metadata_study",
@@ -409,6 +508,14 @@ def _fig10_plan(point: dict) -> list:
     return fig10_plan(point)
 
 
+def _fig10_format(result) -> str:
+    return (
+        f"correlation (log cycles): {result.correlation:.3f} "
+        f"(paper {paper.FIG10_CORRELATION})\n"
+        f"fast-vs-reference wall-clock ratio: {result.mean_speed_ratio:.0f}x"
+    )
+
+
 register(
     Experiment(
         name="correlation.fig10",
@@ -417,6 +524,7 @@ register(
         expand=_fig10_expand,
         run_point=_fig10_point,
         aggregate=_fig10_aggregate,
+        format=_fig10_format,
         salt_modules=_SIMULATOR_MODULES
         + (
             "repro.analysis.correlation_study",
@@ -476,6 +584,12 @@ def _fig11_plan(point: dict) -> list:
     return fig11_plan(point)
 
 
+def _fig11_format(result) -> str:
+    from repro.analysis.perf_study import format_perf_table
+
+    return format_perf_table(result)
+
+
 register(
     Experiment(
         name="perf.fig11",
@@ -484,6 +598,7 @@ register(
         expand=_per_benchmark_expand,
         run_point=_fig11_point,
         aggregate=_fig11_aggregate,
+        format=_fig11_format,
         salt_modules=_SIMULATOR_MODULES
         + _PIPELINE_MODULES
         + ("repro.analysis.perf_study",),
@@ -518,6 +633,12 @@ def _fig12_aggregate(results: list, params: dict) -> list:
     return [row for curve in results for row in curve]
 
 
+def _fig12_format(rows) -> str:
+    from repro.analysis.um_study import format_fig12_table
+
+    return format_fig12_table(rows)
+
+
 register(
     Experiment(
         name="um.fig12",
@@ -526,6 +647,7 @@ register(
         expand=_per_benchmark_expand,
         run_point=_fig12_point,
         aggregate=_fig12_aggregate,
+        format=_fig12_format,
         salt_modules=(
             "repro.rng",
             "repro.units",
@@ -579,6 +701,12 @@ def _dl_ratio_plan(point: dict) -> list:
     return network_ratio_plan(point)
 
 
+def _dl_ratio_format(ratios) -> str:
+    return "\n".join(
+        f"{name:14s} {ratio:5.2f}x" for name, ratio in ratios.items()
+    )
+
+
 register(
     Experiment(
         name="dl.ratios",
@@ -587,6 +715,7 @@ register(
         expand=_dl_expand,
         run_point=_dl_ratio_point,
         aggregate=_dl_ratio_aggregate,
+        format=_dl_ratio_format,
         salt_modules=_PIPELINE_MODULES
         + _DLMODEL_MODULES
         + ("repro.analysis.dl_study",),
@@ -617,6 +746,20 @@ def _advice_point(point: dict):
     return advice_point(point)
 
 
+def _advice_format(results) -> str:
+    lines = []
+    for name, payload in results.items():
+        rec = payload["recommendation"]
+        threshold = rec["threshold"]
+        threshold_text = "-" if threshold is None else f"{threshold:.2f}"
+        lines.append(
+            f"{name:14s} {rec['design']:14s} t={threshold_text} "
+            f"{rec['compression_ratio']:5.2f}x "
+            f"{rec['buddy_entry_fraction']:.2%} buddy entries"
+        )
+    return "\n".join(lines)
+
+
 register(
     Experiment(
         name="serve.advice",
@@ -625,6 +768,7 @@ register(
         expand=_per_benchmark_expand,
         run_point=_advice_point,
         aggregate=_keyed_by_benchmark,
+        format=_advice_format,
         salt_modules=_PIPELINE_MODULES
         + _CODEC_COMPARISON_MODULES
         + (
@@ -643,10 +787,6 @@ def _fig13_defaults() -> dict:
     return params
 
 
-def _fig13_expand(params: dict) -> list[dict]:
-    return _dl_expand(params)
-
-
 def _fig13_aggregate(results: list, params: dict):
     from repro.analysis.dl_study import assemble_dl_study
 
@@ -654,14 +794,21 @@ def _fig13_aggregate(results: list, params: dict):
     return assemble_dl_study(ratios, params["batches"], params["epochs"])
 
 
+def _fig13_format(result) -> str:
+    from repro.analysis.dl_study import format_dl_tables
+
+    return format_dl_tables(result)
+
+
 register(
     Experiment(
         name="dl.fig13",
         title="Fig. 13: the DL-training case study",
         defaults=_fig13_defaults,
-        expand=_fig13_expand,
+        expand=_dl_expand,
         run_point=_dl_ratio_point,
         aggregate=_fig13_aggregate,
+        format=_fig13_format,
         salt_modules=_PIPELINE_MODULES
         + _DLMODEL_MODULES
         + ("repro.analysis.dl_study",),

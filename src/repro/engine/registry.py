@@ -10,6 +10,8 @@ a study as a cached, parallel sweep:
   one design point (workers import it by reference);
 * ``aggregate`` — point results (in expansion order) + parameters →
   the study's result object;
+* ``format`` — the study's result object → the paper-style text that
+  ``repro run`` / ``repro sweep`` print;
 * ``salt_modules`` — the modules whose source text forms the cache's
   code-version salt;
 * ``plan_point`` (optional) — design point → the typed dependency
@@ -43,6 +45,7 @@ class Experiment:
     expand: Callable[[dict[str, Any]], list[dict[str, Any]]]
     run_point: Callable[[dict[str, Any]], Any]
     aggregate: Callable[[list[Any], dict[str, Any]], Any]
+    format: Callable[[Any], str]
     salt_modules: tuple[str, ...] = field(default_factory=tuple)
     #: Optional dependency-graph declaration: point -> list of typed
     #: planner specs (ProfileTensorSpec & co.).  ``None`` = the point

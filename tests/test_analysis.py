@@ -165,10 +165,14 @@ class TestPerfStudySmall:
 
 class TestCLI:
     def test_rejects_unknown_experiment(self):
-        with pytest.raises(SystemExit):
-            main(["fig99"])
+        # Figures are ``repro run`` experiments; there are no ``figN``
+        # alias subcommands.
+        for command in ("fig99", "fig7"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command])
+            assert excinfo.value.code == 2
 
     def test_fig6_runs(self, capsys):
-        assert main(["fig6", "354.cg"]) == 0
+        assert main(["run", "compression.fig6", "354.cg", "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "354.cg" in out

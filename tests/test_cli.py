@@ -1,0 +1,60 @@
+"""The CLI goes through the experiment registry only.
+
+Every registered experiment runs and formats itself through ``repro
+run``; the exact paper-style text of the subset runs is pinned so a
+formatter that moves or changes shows up here.
+"""
+
+import pytest
+
+from repro.cli import main
+from repro.engine import experiment_names, get_experiment
+
+#: The smallest snapshot scale the CI smoke runs use.
+SCALE = "3.0517578125e-05"
+
+#: The built-in experiments (tests may register toy ones alongside).
+BUILTINS = [
+    name
+    for name in experiment_names()
+    if get_experiment(name).run_point.__module__ == "repro.engine.experiments"
+]
+
+
+def _run(capsys, *argv: str) -> str:
+    assert main(["run", *argv, "--no-cache", "--quiet", "--scale", SCALE]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_every_experiment_runs_and_formats_itself(name, capsys):
+    defaults = get_experiment(name).defaults()
+    benchmark = (defaults.get("networks") or defaults["benchmarks"])[0]
+    assert _run(capsys, name, benchmark).strip()
+
+
+def test_fig3_subset_output_is_pinned(capsys):
+    assert _run(capsys, "compression.fig3", "354.cg") == (
+        "354.cg          1.14\n"
+        "GMEAN HPC 1.14 (paper 2.51)\n"
+    )
+
+
+def test_fig7_subset_output_is_pinned(capsys):
+    assert _run(capsys, "compression.fig7", "354.cg", "VGG16") == (
+        "naive            HPC: 1.00x, 0.00% buddy accesses\n"
+        "naive            DL: 1.33x, 18.75% buddy accesses\n"
+        "per-allocation   HPC: 1.10x, 0.00% buddy accesses\n"
+        "per-allocation   DL: 1.61x, 4.20% buddy accesses\n"
+        "final            HPC: 1.10x, 0.00% buddy accesses\n"
+        "final            DL: 1.69x, 4.20% buddy accesses\n"
+    )
+
+
+def test_fig7_skips_a_suite_the_subset_left_empty(capsys):
+    """No made-up ``DL: 0.00x`` rows for an HPC-only subset."""
+    assert _run(capsys, "compression.fig7", "354.cg") == (
+        "naive            HPC: 1.00x, 0.00% buddy accesses\n"
+        "per-allocation   HPC: 1.10x, 0.00% buddy accesses\n"
+        "final            HPC: 1.10x, 0.00% buddy accesses\n"
+    )

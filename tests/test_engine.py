@@ -39,6 +39,7 @@ register(
         expand=lambda p: [{"value": v} for v in p["values"]],
         run_point=_double_point,
         aggregate=lambda results, p: list(results),
+        format=str,
         salt_modules=("repro.engine.runner",),
     )
 )

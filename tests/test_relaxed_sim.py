@@ -483,23 +483,38 @@ class TestVerifyEscapeHatch:
         assert result.per_benchmark[0].benchmark == "VGG16"
 
     def test_verify_cli_flag_maps_to_the_experiment(self):
-        """`repro run perf.fig11 --engine relaxed --verify 0.5` sets
+        """`repro run perf.fig11 --engine relaxed:verify=0.5` sets
         both parameters; non-engine experiments warn instead."""
         from repro.cli import _experiment_params, build_parser
 
         parser = build_parser()
         args = parser.parse_args(
-            ["run", "perf.fig11", "--engine", "relaxed", "--verify", "0.5"]
+            ["run", "perf.fig11", "--engine", "relaxed:verify=0.5"]
         )
         params = _experiment_params("perf.fig11", args)
         assert params["engine"] == "relaxed"
         assert params["verify"] == 0.5
-        args = parser.parse_args(["run", "compression.fig7", "--verify", "1"])
+        args = parser.parse_args(
+            ["run", "compression.fig7", "--engine", "relaxed:verify=1"]
+        )
         assert "verify" not in _experiment_params("compression.fig7", args)
-        # Without --engine relaxed the exact engines would reject
-        # verify deep inside every point; the CLI warns and drops it.
-        args = parser.parse_args(["run", "perf.fig11", "--verify", "1"])
-        assert "verify" not in _experiment_params("perf.fig11", args)
+
+    @pytest.mark.parametrize(
+        "spec", ["vectorized:verify=1", "relaxed:tolerance=0.02", "warp"]
+    )
+    def test_cli_rejects_specs_cached_studies_cannot_take(self, spec, capsys):
+        """The exact engines would reject verify deep inside every
+        point, and a custom tolerance is no cache axis: both are usage
+        errors carrying EngineSpec's own message."""
+        from repro.cli import main
+        from repro.gpusim import EngineSpec
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "perf.fig11", "--engine", spec, "--no-cache"])
+        assert excinfo.value.code == 2
+        with pytest.raises(ValueError) as expected:
+            EngineSpec.parse(spec).study_params()
+        assert str(expected.value) in capsys.readouterr().err
 
     def test_contract_checker_rejects_divergence(self):
         trace = generate_trace("VGG16", SMALL_TRACE)
