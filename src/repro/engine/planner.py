@@ -3,18 +3,21 @@
 The figures of the paper are grids of design points that share almost
 all of their inputs: the same benchmark snapshot runs, the same
 columnar profile tensors, the same per-entry state tables — swept
-across targets, thresholds and link speeds.  The unplanned runner
-resolves each point's dependencies independently (the on-disk
-:class:`~repro.engine.cache.ResultCache` is the only cross-point
-sharing), so a cold parallel Fig. 7 → Fig. 9 → Fig. 11 session
-rebuilds every benchmark's tensors once per sweep per worker.
+across targets, thresholds and link speeds.  Resolving each point's
+dependencies on its own (with the on-disk
+:class:`~repro.engine.cache.ResultCache` as the only cross-point
+sharing) would rebuild every benchmark's tensors once per sweep per
+worker in a cold parallel Fig. 7 → Fig. 9 → Fig. 11 session.
 
-This module makes the sharing explicit.  Each registered experiment
-may declare the dependency graph of a design point (its
-``plan_point`` hook returns typed specs — :class:`ProfileTensorSpec`,
-:class:`EntryStateSpec`, :class:`SnapshotsSpec`, :class:`TraceSpec`),
-and :func:`plan` assembles the requests of a whole session into one
-DAG of typed :class:`PlanNode` objects:
+This module makes the sharing explicit, and it is the one executor:
+:meth:`~repro.engine.runner.ExperimentRunner.run` is a one-request
+sweep, so single runs and sweeps share one pool, one cache lookup and
+one offline ``CacheMiss``.  Each registered experiment may declare the
+dependency graph of a design point (its ``plan_point`` hook returns
+typed specs — :class:`ProfileTensorSpec`, :class:`EntryStateSpec`,
+:class:`SnapshotsSpec`, :class:`TraceSpec`), and :func:`plan`
+assembles the requests of a whole session into one DAG of typed
+:class:`PlanNode` objects:
 
 * **dedupe** — nodes are hash-addressed by the *same* content digests
   the profiler's disk cache uses (:func:`repro.core.profiler.
@@ -32,15 +35,15 @@ DAG of typed :class:`PlanNode` objects:
   topological stages on the runner's process pool: stage 0 builds the
   shared artifacts into the artifact store over the runner's result
   cache (a private temporary root when the runner is cacheless),
-  stage 1 executes every experiment's design points in one pool with
-  the exact digests, seeds and cache keys the unplanned path uses,
-  stage 2 aggregates in request order.
+  stage 1 executes every experiment's design points in one pool,
+  each seeded and cached by its content digest, stage 2 aggregates in
+  request order.
 
-Results are therefore **bit-identical** to per-experiment
-:meth:`~repro.engine.runner.ExperimentRunner.run` calls — the planner
-only changes *where* and *how often* shared work happens, which the
-returned :class:`ExecutionReport` counters pin (snapshot-run
-generations per benchmark, stage-0 bulk compression calls).
+Results are therefore **bit-identical** to running each design point
+alone with no stage 0 — the planner only changes *where* and *how
+often* shared work happens, which the returned
+:class:`ExecutionReport` counters pin (snapshot-run generations per
+benchmark, stage-0 bulk compression calls).
 """
 
 from __future__ import annotations
@@ -715,18 +718,40 @@ def _tape_tasks(sweep_plan: Plan) -> list[_SharedTask]:
     return tasks
 
 
+def _drain(pool, calls, finish) -> None:
+    """Run ``(tag, fn, *args)`` calls and hand each result to
+    ``finish(tag, result)`` as it completes.
+
+    The one pool-or-inline executor of :func:`execute_plan`, shared by
+    both stage-0 waves and stage 1: on ``pool`` when one is given,
+    inline (in call order) otherwise.  Results are finished as they
+    arrive, not after the whole batch, so an interrupted sweep keeps
+    its completed work and the rerun is incremental.
+    """
+    if pool is None:
+        for tag, fn, *args in calls:
+            finish(tag, fn(*args))
+        return
+    futures = {pool.submit(fn, *args): tag for tag, fn, *args in calls}
+    outstanding = set(futures)
+    while outstanding:
+        done, outstanding = wait(outstanding, return_when=FIRST_COMPLETED)
+        for future in done:
+            finish(futures[future], future.result())
+
+
 def execute_plan(sweep_plan: Plan, runner=None) -> SweepResult:
     """Execute an optimized plan on a runner's pool, bit-identically.
 
     Stage 0 builds every needed shared artifact (merge groups as bulk
     compression calls, entry states individually, then relaxed tapes)
     into the artifact store, whose disk tier is the runner's result
-    cache.  Stage 1 executes all requests' design points in one pool
-    using exactly the digests, seeds and cache keys of the unplanned
-    path, reading the stage-0 artifacts back from that disk tier.  A
-    cacheless runner gets a private temporary root for both stages,
-    deleted afterwards, so it shares artifacts exactly like a cached
-    one.  Stage 2 aggregates in request order.
+    cache.  Stage 1 executes all requests' design points in one pool,
+    each seeded from its :func:`~repro.engine.runner.point_digests`
+    digest and cached under it, reading the stage-0 artifacts back
+    from that disk tier.  A cacheless runner gets a private temporary
+    root for both stages, deleted afterwards, so it shares artifacts
+    exactly like a cached one.  Stage 2 aggregates in request order.
     """
     from repro.engine.runner import ExperimentRunner, RunReport, run_point_seeded
 
@@ -808,88 +833,48 @@ def execute_plan(sweep_plan: Plan, runner=None) -> SweepResult:
                     report.generation_tally.get(tally_key, 0) + 1
                 )
 
-        def run_wave(wave: list[_SharedTask]) -> None:
-            if pool is not None:
-                futures = {
-                    pool.submit(
-                        _execute_shared_task, task, cache_root, cache_max
-                    ): task
-                    for task in wave
-                }
-                outstanding = set(futures)
-                while outstanding:
-                    done, outstanding = wait(
-                        outstanding, return_when=FIRST_COMPLETED
-                    )
-                    for future in done:
-                        account(futures[future], future.result())
-            else:
-                for task in wave:
-                    account(
-                        task,
-                        _execute_shared_task(task, cache_root, cache_max),
-                    )
-
         if total_pending:
             # Tapes build in a second wave: a recording consumes the
             # tensors and entry states the first wave produced.
-            if tasks:
-                run_wave(tasks)
-            tape_wave = _tape_tasks(sweep_plan)
-            if tape_wave:
-                run_wave(tape_wave)
+            for wave in (tasks, _tape_tasks(sweep_plan)):
+                _drain(
+                    pool,
+                    [
+                        (task, _execute_shared_task, task, cache_root, cache_max)
+                        for task in wave
+                    ],
+                    account,
+                )
 
         # ---- Stage 1: design points (one pool, all experiments) ------
-        def finish(request_index: int, point_index: int, value) -> None:
+        def finish(where: tuple[int, int], value) -> None:
+            request_index, point_index = where
             per_request_results[request_index][point_index] = value
             if runner.cache is not None:
                 request = sweep_plan.requests[request_index]
                 runner.cache.put(request.keys[point_index], value)
 
-        if pool is not None and total_pending:
-            futures = {}
-            for request_index, request in enumerate(sweep_plan.requests):
-                for point_index in per_request_pending[request_index]:
-                    seed = rng_lib.stream_seed(
+        _drain(
+            pool,
+            [
+                (
+                    (request_index, point_index),
+                    run_point_seeded,
+                    request.experiment.run_point,
+                    request.points[point_index],
+                    rng_lib.stream_seed(
                         f"engine/{request.experiment.name}/"
                         f"{request.digests[point_index]}",
                         runner.seed,
-                    )
-                    futures[
-                        pool.submit(
-                            run_point_seeded,
-                            request.experiment.run_point,
-                            request.points[point_index],
-                            seed,
-                            cache_root,
-                            cache_max,
-                        )
-                    ] = (request_index, point_index)
-            outstanding = set(futures)
-            while outstanding:
-                done, outstanding = wait(outstanding, return_when=FIRST_COMPLETED)
-                for future in done:
-                    request_index, point_index = futures[future]
-                    finish(request_index, point_index, future.result())
-        else:
-            for request_index, request in enumerate(sweep_plan.requests):
-                for point_index in per_request_pending[request_index]:
-                    seed = rng_lib.stream_seed(
-                        f"engine/{request.experiment.name}/"
-                        f"{request.digests[point_index]}",
-                        runner.seed,
-                    )
-                    finish(
-                        request_index,
-                        point_index,
-                        run_point_seeded(
-                            request.experiment.run_point,
-                            request.points[point_index],
-                            seed,
-                            cache_root,
-                            cache_max,
-                        ),
-                    )
+                    ),
+                    cache_root,
+                    cache_max,
+                )
+                for request_index, request in enumerate(sweep_plan.requests)
+                for point_index in per_request_pending[request_index]
+            ],
+            finish,
+        )
     finally:
         if pool is not None:
             pool.shutdown()

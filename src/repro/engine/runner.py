@@ -1,36 +1,36 @@
-"""The parallel, cache-aware experiment runner.
+"""The experiment runner: execution settings over one executor.
 
-:class:`ExperimentRunner` executes a registered experiment: expand the
-parameter space into design points, satisfy what it can from the
-:class:`~repro.engine.cache.ResultCache`, fan the misses out across a
-``ProcessPoolExecutor`` (or run them inline for ``workers <= 1``), and
-reduce with the experiment's aggregator.
+:class:`ExperimentRunner` holds how experiments run — worker count,
+:class:`~repro.engine.cache.ResultCache`, seed, offline mode — and
+routes every call through the sweep planner
+(:mod:`repro.engine.planner`): :meth:`~ExperimentRunner.run` is a
+one-request :meth:`~ExperimentRunner.run_sweep`.  The planner owns
+the process pool, the cache lookups, the per-point seeding and the
+reduction; this module keeps what addresses and executes one design
+point (:func:`point_digests`, :func:`run_point_seeded`) and what
+reports on one request (:class:`RunReport`).
 
 Determinism: every synthetic substrate in this repository draws from
 named :mod:`repro.rng` streams, so a design point's result depends
-only on its parameters — never on scheduling.  As defence in depth the
-worker wrapper additionally seeds numpy's *global* generator from the
-point's content digest (via :func:`repro.rng.stream_seed`) before the
-point function runs, so even code that reaches for ``np.random``
-module functions is deterministic per point rather than per process.
-Results are collected in expansion order, making ``--workers N``
-output byte-identical to serial runs.
+only on its parameters — never on scheduling.  As defence in depth
+:func:`run_point_seeded` additionally seeds numpy's *global* generator
+from a seed the planner derives from the point's content digest, so
+even code that reaches for ``np.random`` module functions is
+deterministic per point rather than per process.  Results are
+collected in expansion order, making ``--workers N`` output
+byte-identical to serial runs.
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
 from repro import rng as rng_lib
-from repro.engine.cache import CacheKey, CacheMiss, ResultCache, code_salt, param_digest
-from repro.engine.registry import Experiment, get_experiment
-
-_UNSET = object()
+from repro.engine.cache import ResultCache, code_salt, param_digest
+from repro.engine.registry import Experiment
 
 
 def point_digests(
@@ -41,8 +41,7 @@ def point_digests(
     The runner seed is part of the address: a point executed under one
     ``--seed`` must not be served for another (the seed feeds the
     per-point global-RNG derivation).  The sweep planner keys its
-    point nodes with exactly these digests, so planned and unplanned
-    execution read and write the same cache entries.
+    point nodes and their result-cache entries with these digests.
     """
     salt = code_salt(experiment.salt_modules)
     return [
@@ -99,7 +98,7 @@ def run_point_seeded(
 
 @dataclass
 class RunReport:
-    """What one :meth:`ExperimentRunner.run_report` call did."""
+    """What one request did: its points, cache hits and executions."""
 
     experiment: str
     points: int
@@ -146,7 +145,6 @@ class ExperimentRunner:
         self.cache = cache
         self.seed = seed
         self.offline = offline
-        self.last_report: RunReport | None = None
 
     # ------------------------------------------------------------------
     def run(self, name: str, params: dict | None = None) -> Any:
@@ -157,23 +155,13 @@ class ExperimentRunner:
     def run_report(
         self, name: str, params: dict | None = None
     ) -> tuple[Any, RunReport]:
-        """Like :meth:`run`, also returning a :class:`RunReport`."""
-        experiment = get_experiment(name)
-        resolved = experiment.resolve_params(params)
-        points = experiment.expand(resolved)
-        started = time.perf_counter()
-        results, hits, executed = self.map_points(experiment, points)
-        value = experiment.aggregate(results, resolved)
-        report = RunReport(
-            experiment=experiment.name,
-            points=len(points),
-            executed=executed,
-            cache_hits=hits,
-            workers=self.workers,
-            seconds=time.perf_counter() - started,
-        )
-        self.last_report = report
-        return value, report
+        """Like :meth:`run`, also returning a :class:`RunReport`.
+
+        A one-request :meth:`run_sweep`, so a single run gets the same
+        stage-0 dedupe and bulk-call merging as a sweep.
+        """
+        result = self.run_sweep([(name, params)])
+        return result.values[0], result.reports[0]
 
     def run_sweep(self, requests):
         """Run several experiments as one optimized, planned sweep.
@@ -182,8 +170,8 @@ class ExperimentRunner:
         :func:`repro.engine.planner.execute_plan`: shared dependency
         nodes are deduped across every point of every request, profile
         builds merge into bulk compression calls, and all points run
-        on one process pool — bit-identical to calling :meth:`run` per
-        request, but without rebuilding shared tensors per sweep.
+        on one process pool — bit-identical to running each request
+        alone, but without rebuilding shared tensors per request.
 
         Args:
             requests: Iterable of experiment names or
@@ -196,102 +184,6 @@ class ExperimentRunner:
         from repro.engine.planner import execute_plan, plan
 
         return execute_plan(plan(requests, self), self)
-
-    # ------------------------------------------------------------------
-    def map_points(
-        self, experiment: Experiment, points: list[dict]
-    ) -> tuple[list[Any], int, int]:
-        """Resolve every point (cache or execution), in point order.
-
-        Returns ``(results, cache_hits, executed)``.
-        """
-        digests = point_digests(experiment, points, self.seed)
-        keys = [CacheKey(experiment.name, digest) for digest in digests]
-        results: list[Any] = [_UNSET] * len(points)
-
-        pending: list[int] = []
-        hits = 0
-        for index, key in enumerate(keys):
-            if self.cache is not None:
-                try:
-                    results[index] = self.cache.get(key)
-                    hits += 1
-                    continue
-                except CacheMiss:
-                    pass
-            pending.append(index)
-
-        if pending and self.offline:
-            missing = ", ".join(digests[i] for i in pending[:4])
-            raise CacheMiss(
-                f"{experiment.name}: {len(pending)} of {len(points)} design "
-                f"point(s) not cached (e.g. {missing}); rerun without "
-                "--from-cache to populate the cache"
-            )
-
-        seeds = {
-            index: rng_lib.stream_seed(
-                f"engine/{experiment.name}/{digests[index]}", self.seed
-            )
-            for index in pending
-        }
-        # Results are stored as each point finishes (not after the whole
-        # batch), so an interrupted sweep keeps its completed work and
-        # the rerun is incremental.
-        def finish(index: int, value: Any) -> None:
-            results[index] = value
-            if self.cache is not None:
-                self.cache.put(keys[index], value)
-
-        if len(pending) > 1 and self.workers > 1:
-            self._execute_parallel(experiment, points, pending, seeds, finish)
-        else:
-            for index in pending:
-                finish(
-                    index,
-                    run_point_seeded(
-                        experiment.run_point,
-                        points[index],
-                        seeds[index],
-                        self._cache_root(),
-                        self._cache_max_bytes(),
-                    ),
-                )
-        return results, hits, len(pending)
-
-    def _cache_root(self) -> str | None:
-        """Cache root handed to point executions for tensor caching."""
-        return None if self.cache is None else str(self.cache.root)
-
-    def _cache_max_bytes(self) -> int | None:
-        return None if self.cache is None else self.cache.max_bytes
-
-    def _execute_parallel(
-        self,
-        experiment: Experiment,
-        points: list[dict],
-        pending: list[int],
-        seeds: dict[int, int],
-        finish: Callable[[int, Any], None],
-    ) -> None:
-        max_workers = min(self.workers, len(pending))
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            futures = {
-                pool.submit(
-                    run_point_seeded,
-                    experiment.run_point,
-                    points[index],
-                    seeds[index],
-                    self._cache_root(),
-                    self._cache_max_bytes(),
-                ): index
-                for index in pending
-            }
-            outstanding = set(futures)
-            while outstanding:
-                done, outstanding = wait(outstanding, return_when=FIRST_COMPLETED)
-                for future in done:
-                    finish(futures[future], future.result())
 
 
 # ---------------------------------------------------------------------------

@@ -2,25 +2,27 @@
 
 Pins the ISSUE's sweep-optimizer guarantees:
 
-* planned sweeps are **bit-identical** to per-experiment ``run()``
-  calls, for arbitrary benchmark subsets (property-tested);
+* planned sweeps are **bit-identical** to running every design point
+  alone with no stage 0 (``_run_unplanned``), for arbitrary benchmark
+  subsets (property-tested);
 * dedupe never merges nodes with different content digests, and every
   merge group's members share the exact (config, algorithm) merge key
   ``plan()`` computes;
-* a planned sweep generates each benchmark's snapshots at most once
-  (``generation_tally``) and issues strictly fewer bulk compression
-  calls than the unplanned per-benchmark path;
+* a planned sweep — a single ``run()`` included — generates each
+  benchmark's snapshots at most once (``generation_tally``) and issues
+  strictly fewer bulk compression calls than the per-benchmark path;
 * the bounded :class:`ResultCache` never performs more than one
   directory scan per evicting put (the ``scans`` counter regression);
 * the :mod:`repro.api` facade returns the typed results it documents.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
 import repro
-from repro.core.profiler import clear_profile_cache
+from repro import rng as rng_lib
+from repro.core.profiler import bulk_compression_call_count, clear_profile_cache
 from repro.engine import (
     CacheMiss,
     ExperimentRunner,
@@ -30,6 +32,8 @@ from repro.engine import (
 )
 from repro.engine.cache import CacheKey
 from repro.engine.planner import execute_plan, plan
+from repro.engine.registry import get_experiment
+from repro.engine.runner import point_digests, run_point_seeded
 from repro.gpusim.config import scaled_config
 from repro.workloads.snapshots import SnapshotConfig, clear_snapshot_cache
 from repro.workloads.traces import TraceConfig
@@ -39,10 +43,37 @@ TINY = SnapshotConfig(scale=1.0 / 262144, min_footprint_bytes=256 * 1024)
 #: Small, mixed HPC/DL pool so property examples stay fast.
 POOL = ("354.cg", "FF_HPGMG", "AlexNet", "VGG16")
 
+#: The CLI smoke scale (``--scale 3.0517578125e-05``).
+SMOKE = SnapshotConfig(scale=1.0 / 32768)
+
 
 def _reset_memos() -> None:
     clear_snapshot_cache()
     clear_profile_cache()
+
+
+def _run_unplanned(name, params, seed=rng_lib.DEFAULT_SEED, cache_root=None):
+    """Reference executor: every design point run alone, serially.
+
+    No planner and no stage 0 — each point resolves its own
+    dependencies — with the digests and per-point seeds the planner
+    uses, so "planned == unplanned" pins what stage 0 may change.
+    """
+    experiment = get_experiment(name)
+    resolved = experiment.resolve_params(params)
+    points = experiment.expand(resolved)
+    results = [
+        run_point_seeded(
+            experiment.run_point,
+            point,
+            rng_lib.stream_seed(f"engine/{name}/{digest}", seed),
+            cache_root,
+        )
+        for point, digest in zip(
+            points, point_digests(experiment, points, seed)
+        )
+    ]
+    return experiment.aggregate(results, resolved)
 
 
 def _requests(benchmarks, config=TINY):
@@ -80,14 +111,15 @@ class TestPlannedBitIdentity:
     @given(
         benchmarks=st.lists(
             st.sampled_from(POOL), unique=True, min_size=1, max_size=2
-        )
+        ),
+        config=st.just(TINY),
     )
-    def test_random_subsets_bit_identical(self, benchmarks):
-        requests = _requests(benchmarks)
+    # The whole pool at the CLI smoke scale.
+    @example(benchmarks=list(POOL), config=SMOKE)
+    def test_random_subsets_bit_identical(self, benchmarks, config):
+        requests = _requests(benchmarks, config=config)
         planned = ExperimentRunner().run_sweep(requests)
-        unplanned = [
-            ExperimentRunner().run(name, params) for name, params in requests
-        ]
+        unplanned = [_run_unplanned(name, params) for name, params in requests]
         assert [result_digest(v) for v in planned.values] == [
             result_digest(v) for v in unplanned
         ]
@@ -97,13 +129,11 @@ class TestPlannedBitIdentity:
         planned = ExperimentRunner(
             cache=ResultCache(tmp_path / "planned")
         ).run_sweep(requests)
-        unplanned_runner = ExperimentRunner(
-            cache=ResultCache(tmp_path / "unplanned")
-        )
         for (name, params), value in zip(requests, planned.values):
-            assert result_digest(unplanned_runner.run(name, params)) == (
-                result_digest(value)
+            unplanned = _run_unplanned(
+                name, params, cache_root=str(tmp_path / "unplanned")
             )
+            assert result_digest(unplanned) == result_digest(value)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +233,17 @@ class TestExecutionCounters:
         assert execution.bulk_compression_calls == stats.planned_bulk_calls
         assert stats.planned_bulk_calls < stats.unplanned_bulk_calls
         assert "bulk call(s)" in execution.summary()
+
+    def test_single_run_merges_bulk_calls(self):
+        # A lone run is a one-request sweep: its tensor builds merge
+        # into one bulk call per snapshot config, not one per benchmark.
+        params = {"benchmarks": POOL, "config": TINY}
+        _reset_memos()
+        stats = plan([("compression.fig7", params)]).stats()
+        before = bulk_compression_call_count()
+        ExperimentRunner().run_report("compression.fig7", params)
+        calls = bulk_compression_call_count() - before
+        assert calls == stats.planned_bulk_calls < stats.unplanned_bulk_calls
 
     def test_warm_points_execute_nothing(self, tmp_path):
         runner = ExperimentRunner(cache=ResultCache(tmp_path))
@@ -304,9 +345,7 @@ class TestCachelessPool:
             workers=2, cache=ResultCache(tmp_path)
         ).run_sweep(requests)
         _reset_memos()
-        serial = [
-            ExperimentRunner().run(name, params) for name, params in requests
-        ]
+        serial = [_run_unplanned(name, params) for name, params in requests]
         assert [result_digest(v) for v in pooled.values] == [
             result_digest(v) for v in serial
         ]

@@ -4,8 +4,9 @@
   >=2x over the pure-Python core;
 * one batched multi-link tape replay >=2x over a loop of one-link
   replays (compiled core);
-* the planned combined Fig. 7 + 9 + 11 sweep >=1.3x over the
-  unplanned one, cold, each side timed in fresh interpreters;
+* the planned combined Fig. 7 + 9 + 11 sweep >=1.3x over running
+  each request alone as its own sweep (no cross-request sharing),
+  cold, each side timed in fresh interpreters;
 * the advisor service: >=1000 warm requests/second in-process, zero
   below-capacity drops, the coalescing ceiling and warm/cold digest
   parity.
@@ -245,6 +246,8 @@ def _sweep_child(mode: str, workers: int) -> None:
         record["snapshot_generations"] = result.execution.snapshot_generations
         record["max_generations"] = result.execution.max_generations_per_artifact
     else:
+        # The baseline: each request alone, as its own one-request
+        # sweep, so nothing is shared across requests.
         values = [runner.run(name, params) for name, params in requests]
     record["seconds"] = time.perf_counter() - start
     record["digests"] = [result_digest(value) for value in values]
