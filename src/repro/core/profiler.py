@@ -239,17 +239,23 @@ def tensor_from_snapshots(
 # ---------------------------------------------------------------------------
 # Stored tensor access.
 # ---------------------------------------------------------------------------
-#: Modules whose source forms the tensor keys' code salt.  The
-#: compression algorithm's own defining module is appended per key
-#: (see :func:`tensor_cache_key`), so editing any compressor
-#: invalidates exactly the tensors built with it.
+#: Modules whose source forms the tensor keys' code salt: every
+#: salt-relevant module this module reaches in the static import
+#: graph (``tests/statics/test_salts.py`` pins the closure), except the
+#: default compressor's.  The compression algorithm's own defining
+#: module is appended per key (see :func:`tensor_cache_key`), so
+#: editing any compressor invalidates exactly the tensors built with
+#: it.
 _TENSOR_SALT_MODULES = (
     "repro.compression.base",
+    "repro.compression.bitio",
     "repro.compression.sectors",
+    "repro.core.entry",
     "repro.core.histogram",
     "repro.core.profile_tensor",
     "repro.core.profiler",
     "repro.rng",
+    "repro.units",
     "repro.workloads.calibration",
     "repro.workloads.catalog",
     "repro.workloads.snapshots",

@@ -117,7 +117,6 @@ _SIMULATOR_MODULES = _SUBSTRATE_MODULES + (
     "repro.gpusim.interconnect",
     "repro.gpusim.simulator",
     "repro.gpusim.trace",
-    "repro.gpusim.vector_cache",
     "repro.gpusim.vector_sim",
     "repro.workloads.traces",
 )

@@ -28,7 +28,6 @@ from repro.gpusim.compression import CompressionMode, CompressionState
 from repro.gpusim.engine_spec import EngineSpec
 from repro.gpusim.simulator import ENGINES, DependencyDrivenSimulator, SimResult
 from repro.gpusim.trace import ColumnarTrace, KernelTrace, WarpTrace
-from repro.gpusim.vector_cache import VectorSectoredCache
 from repro.gpusim.vector_sim import (
     REFERENCE_LINK_GBPS,
     RELAXED_COUNTER_TOLERANCE,
@@ -54,7 +53,6 @@ __all__ = [
     "REFERENCE_LINK_GBPS",
     "RELAXED_COUNTER_TOLERANCE",
     "RELAXED_CYCLE_TOLERANCE",
-    "VectorSectoredCache",
     "ENGINES",
     "SimResult",
     "ColumnarTrace",

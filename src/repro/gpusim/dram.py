@@ -76,7 +76,6 @@ class ChannelSet:
         bandwidth without a completion dependency."""
         self.request(address, num_bytes, arrival)
 
-    # -- batched reservation API ---------------------------------------
     def decompose(
         self, addresses
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -92,23 +91,6 @@ class ChannelSet:
         rows = addresses // ROW_BYTES
         banks = channels * BANKS_PER_CHANNEL + rows % BANKS_PER_CHANNEL
         return channels, rows, banks
-
-    def request_many(self, addresses, byte_counts, arrivals) -> np.ndarray:
-        """Batched :meth:`request`; returns per-request completions.
-
-        Channel occupancy and open-row state are order-dependent, so
-        requests are reserved in argument order — identical timings
-        and counters to an equivalent scalar sequence.
-        """
-        addresses = np.asarray(addresses, dtype=np.int64)
-        byte_counts = np.asarray(byte_counts, dtype=np.int64)
-        arrivals = np.asarray(arrivals, dtype=np.float64)
-        done = np.empty(addresses.size, dtype=np.float64)
-        for position, (address, count, arrival) in enumerate(
-            zip(addresses.tolist(), byte_counts.tolist(), arrivals.tolist())
-        ):
-            done[position] = self.request(address, count, arrival)
-        return done
 
     @property
     def busy_until(self) -> float:

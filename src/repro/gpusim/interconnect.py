@@ -9,15 +9,17 @@ latency.  The paper sweeps the unidirectional bandwidth from 50 to
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.gpusim.config import GPUConfig
 
 #: Per-transaction overhead (request/response headers, flit padding).
-#: Buddy fetches are small (1–3 sectors), and small NVLink transfers
-#: only achieve ~half the nominal link bandwidth — this is what makes
-#: the 50 GB/s point of the paper's sweep collapse under buddy
-#: traffic while 150 GB/s rides comfortably.
+#: Buddy fetches are small (1–3 sectors), so small NVLink transfers
+#: achieve only about half the nominal link bandwidth.  The intended
+#: effect is the paper's Fig. 11 shape: buddy traffic collapses the
+#: 50 GB/s point while 150 GB/s rides comfortably.  The model does not
+#: produce that collapse yet — the default Fig. 11 buddy gmean is
+#: 1.008 at 50 GB/s against the paper's "more than 20 % slowdown" —
+#: so the link is not yet the bottleneck this overhead was meant to
+#: expose (an open ROADMAP item).
 TRANSACTION_OVERHEAD_BYTES = 64
 
 
@@ -46,25 +48,6 @@ class Interconnect:
         start = max(self._write_free, arrival)
         self._write_free = start + service
         self.write_bytes += num_bytes
-
-    # -- batched reservation API ---------------------------------------
-    def read_many(self, byte_counts, arrivals):
-        """Batched :meth:`read`; reservations resolve in order."""
-        byte_counts = np.asarray(byte_counts, dtype=np.int64)
-        arrivals = np.asarray(arrivals, dtype=np.float64)
-        done = np.empty(byte_counts.size, dtype=np.float64)
-        for position, (count, arrival) in enumerate(
-            zip(byte_counts.tolist(), arrivals.tolist())
-        ):
-            done[position] = self.read(count, arrival)
-        return done
-
-    def write_many(self, byte_counts, arrivals) -> None:
-        """Batched :meth:`write`; reservations resolve in order."""
-        byte_counts = np.asarray(byte_counts, dtype=np.int64)
-        arrivals = np.asarray(arrivals, dtype=np.float64)
-        for count, arrival in zip(byte_counts.tolist(), arrivals.tolist()):
-            self.write(count, arrival)
 
     @property
     def busy_until(self) -> float:

@@ -19,8 +19,9 @@ This engine therefore splits the simulation into:
    (:meth:`~repro.gpusim.compression.CompressionState.device_transfer_bytes_table`
    /
    :meth:`~repro.gpusim.compression.CompressionState.buddy_transfer_bytes_table`),
-   using the batched geometry helpers (:meth:`ChannelSet.decompose`,
-   :meth:`VectorSectoredCache.decompose`).  Trace/machine geometry
+   using :meth:`ChannelSet.decompose` for the DRAM coordinates and
+   the :class:`~repro.gpusim.cache.SectoredCache` geometry for the
+   cache sets.  Trace/machine geometry
    (:func:`_geometry_columns`) is shared by every compression state;
    the per-state tables (:func:`_state_columns`) are shared by every
    link bandwidth — so the Fig. 11 sweep resolves each benchmark's
@@ -111,6 +112,7 @@ import numpy as np
 from repro.core.metadata_cache import MetadataCache
 from repro.gpusim import _event_core
 from repro.gpusim.compression import CompressionMode, CompressionState
+from repro.gpusim.cache import SectoredCache
 from repro.gpusim.config import GPUConfig
 from repro.gpusim.dram import (
     BANKS_PER_CHANNEL,
@@ -121,7 +123,6 @@ from repro.gpusim.dram import (
 )
 from repro.gpusim.interconnect import TRANSACTION_OVERHEAD_BYTES
 from repro.gpusim.trace import KernelTrace, Op
-from repro.gpusim.vector_cache import VectorSectoredCache
 from repro.units import (
     ENTRIES_PER_METADATA_LINE,
     MEMORY_ENTRY_BYTES,
@@ -262,14 +263,11 @@ def _geometry_columns(trace: KernelTrace, config: GPUConfig) -> _Geometry:
     first = (a % MEMORY_ENTRY_BYTES) // SECTOR_BYTES
     count = np.minimum(b, SECTORS_PER_ENTRY - first)
     mask = ((1 << count) - 1) << first
-    l1_proto = VectorSectoredCache(
-        config.l1_bytes, config.l1_ways, config.line_bytes
-    )
-    l2_proto = VectorSectoredCache(
-        config.l2_bytes, config.l2_ways, config.line_bytes
-    )
-    _, l1set = l1_proto.decompose(a)
-    _, l2set = l2_proto.decompose(a)
+    l1_proto = SectoredCache(config.l1_bytes, config.l1_ways, config.line_bytes)
+    l2_proto = SectoredCache(config.l2_bytes, config.l2_ways, config.line_bytes)
+    cache_line = a // config.line_bytes
+    l1set = cache_line % l1_proto.sets
+    l2set = cache_line % l2_proto.sets
     # The owning SM is fixed per warp, so the flat per-(SM, set) L1
     # index resolves at build time too.
     row_counts = np.diff(col.warp_starts)
@@ -699,18 +697,44 @@ _TAPE_COL_DTYPES = (
 
 #: Modules whose source feeds the tape cache salt: everything that
 #: determines tape *content* — trace synthesis, compression state
-#: derivation, and the recording engine itself.  Link bandwidth and
-#: ``verify=`` sampling are deliberately absent from the key: one
+#: derivation, the memory-system models and the recording engine
+#: itself.  It is every salt-relevant module the static import graph
+#: reaches from this module and from
+#: :func:`repro.analysis.perf_study.prepare_tape`'s module
+#: (``tests/statics/test_salts.py`` pins the closure).  Link bandwidth
+#: and ``verify=`` sampling are deliberately absent from the key: one
 #: tape serves the whole link sweep at any verify rate.
 _TAPE_SALT_MODULES = (
+    "repro.analysis.perf_study",
     "repro.compression.base",
+    "repro.compression.bitio",
     "repro.compression.bpc",
+    "repro.compression.sectors",
+    "repro.core.allocator",
     "repro.core.controller",
+    "repro.core.entry",
+    "repro.core.histogram",
+    "repro.core.metadata_cache",
+    "repro.core.profile_tensor",
     "repro.core.profiler",
     "repro.core.targets",
     "repro.gpusim._event_core",
+    "repro.gpusim.cache",
+    "repro.gpusim.compression",
+    "repro.gpusim.config",
+    "repro.gpusim.dram",
+    "repro.gpusim.engine_spec",
+    "repro.gpusim.interconnect",
+    "repro.gpusim.simulator",
+    "repro.gpusim.trace",
     "repro.gpusim.vector_sim",
+    "repro.rng",
+    "repro.units",
+    "repro.workloads.calibration",
+    "repro.workloads.catalog",
+    "repro.workloads.snapshots",
     "repro.workloads.traces",
+    "repro.workloads.valuemodels",
 )
 
 #: Exact-order tape recordings executed (store hits excluded).

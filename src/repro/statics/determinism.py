@@ -52,8 +52,6 @@ from repro.statics.salts import (
 #: *equivalent implementations or capacities*, never values.
 SANCTIONED_ENV: tuple[str, ...] = (
     "REPRO_NO_EXT",  # forces the bit-identical pure-Python event core
-    "REPRO_SNAPSHOT_CACHE",  # snapshot memo capacity; entries are
-    # deterministic per (spec, seed) so size never changes values
     "REPRO_CACHE_DIR",  # result-cache location, not content
 )
 

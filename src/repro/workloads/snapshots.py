@@ -19,9 +19,7 @@ from the calibrated allocation specs in
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -278,59 +276,16 @@ def generate_snapshot(
 ) -> MemorySnapshot:
     """Generate dump ``index`` (0-based) of a benchmark's run.
 
-    Results are memoised per process (see :func:`clear_snapshot_cache`):
-    the profile/evaluate pipeline and the experiment engine's worker
-    processes ask for the same dumps repeatedly, and regeneration —
-    not analysis — would otherwise dominate the sweep hot path.  The
-    returned snapshot's arrays are marked read-only because they are
-    shared between callers; analyses that need to modify entries must
-    copy (``stacked_data`` already returns a fresh array).
+    Every call generates afresh; the content is a pure function of
+    ``(benchmark, index, config)``.  Repeated work is avoided one
+    level up: the sweep planner's stage 0 reduces each dump once into
+    the stored profile and entry-state tensors
+    (:mod:`repro.core.profiler`), which later stages read instead.
     """
+    global _GENERATION_COUNT
     config = config or SnapshotConfig()
     if not 0 <= index < config.snapshots:
         raise ValueError(f"snapshot index {index} outside 0..{config.snapshots - 1}")
-    return _generate_snapshot_cached(get_benchmark(benchmark).name, index, config)
-
-
-#: Entries kept by the per-process snapshot memo (override with the
-#: ``REPRO_SNAPSHOT_CACHE`` environment variable; 0 disables).
-_SNAPSHOT_CACHE_SIZE = int(os.environ.get("REPRO_SNAPSHOT_CACHE", "64"))
-
-
-def clear_snapshot_cache() -> None:
-    """Drop the per-process snapshot memo (tests, memory pressure)."""
-    _generate_snapshot_cached.cache_clear()
-
-
-#: Snapshots actually generated by this process (memo hits excluded).
-_GENERATION_COUNT = 0
-
-
-def generation_count() -> int:
-    """Dumps generated (not served from the memo) by this process.
-
-    The profile/evaluate pipeline's "profile once" contract is
-    asserted against this counter: a sweep over N design points must
-    generate each dump of the profile and reference runs exactly once.
-    """
-    return _GENERATION_COUNT
-
-
-@lru_cache(maxsize=_SNAPSHOT_CACHE_SIZE)
-def _generate_snapshot_cached(
-    benchmark: str, index: int, config: SnapshotConfig
-) -> MemorySnapshot:
-    snapshot = _generate_snapshot(benchmark, index, config)
-    for alloc in snapshot.allocations:
-        alloc.classes.flags.writeable = False
-        alloc.data.flags.writeable = False
-    return snapshot
-
-
-def _generate_snapshot(
-    benchmark: str, index: int, config: SnapshotConfig
-) -> MemorySnapshot:
-    global _GENERATION_COUNT
     _GENERATION_COUNT += 1
     spec = data_spec(get_benchmark(benchmark).name)
     counts = _entry_counts(spec, config)
@@ -347,6 +302,20 @@ def _generate_snapshot(
         data = generate_entries(classes, data_rng)
         allocations.append(AllocationSnapshot(effective, classes, data))
     return MemorySnapshot(spec.benchmark, index, progress, allocations)
+
+
+#: Snapshots generated by this process.
+_GENERATION_COUNT = 0
+
+
+def generation_count() -> int:
+    """Dumps generated by this process (every call counts).
+
+    The profile/evaluate pipeline's "profile once" contract is
+    asserted against this counter: a sweep over N design points must
+    generate each dump of the profile and reference runs exactly once.
+    """
+    return _GENERATION_COUNT
 
 
 def generate_run(

@@ -159,6 +159,18 @@ def test_sanctioned_list_is_the_documented_one():
     assert "REPRO_CACHE_DIR" in SANCTIONED_ENV
 
 
+def test_retired_snapshot_memo_knob_is_flagged(tmp_path):
+    """The per-process snapshot memo is gone; a salted module that
+    reads its old size knob again is an unsanctioned env read."""
+    findings = _lint(
+        tmp_path,
+        "import os\n\n"
+        'SIZE = int(os.environ.get("REPRO_SNAPSHOT_CACHE", "64"))\n',
+    )
+    assert [f.rule for f in findings] == ["det-env"]
+    assert "REPRO_SNAPSHOT_CACHE" in findings[0].message
+
+
 # ---------------------------------------------------------------------------
 # The serve-package scope extension: the whole advisor service is
 # linted (it answers digest-pinned requests from a long-running

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.statics.framework import Severity
+from repro.statics.framework import Context, Severity
 from repro.statics.imports import (
+    DEFAULT_EXEMPT,
     is_transparent_init,
     module_imports,
     reachable,
+    salt_relevant,
 )
 from repro.statics.salts import (
     SaltCompletenessPass,
@@ -135,3 +137,34 @@ def test_pass_is_clean_once_salts_are_fixed(tmp_path):
     assert (
         SaltCompletenessPass("fixpkg.engine.experiments").run(ctx) == []
     )
+
+
+# ---------------------------------------------------------------------------
+# The artifact salts outside the experiment registry: a recorded tape
+# and a profile / entry-state tensor are keyed by their own salt
+# tuples, which must cover every module that can shape their contents
+# (a missing one replays a stale artifact under a fresh result key).
+# ---------------------------------------------------------------------------
+def _reached(roots):
+    ctx = Context.for_repo()
+    reach = reachable(ctx, roots, DEFAULT_EXEMPT)
+    return salt_relevant(ctx, reach, DEFAULT_EXEMPT)
+
+
+def test_tape_salt_covers_what_records_a_tape():
+    """``record_tape`` lives in vector_sim, ``prepare_tape`` (which
+    derives the recorded state) in perf_study."""
+    from repro.gpusim.vector_sim import _TAPE_SALT_MODULES
+
+    reached = _reached(["repro.gpusim.vector_sim", "repro.analysis.perf_study"])
+    assert sorted(reached - set(_TAPE_SALT_MODULES)) == []
+
+
+def test_tensor_salt_covers_what_builds_a_tensor():
+    """The algorithm's own module is appended per key, so the default
+    compressor's module is the one reached module left out."""
+    from repro.compression.bpc import BPCCompressor
+    from repro.core.profiler import _TENSOR_SALT_MODULES
+
+    declared = set(_TENSOR_SALT_MODULES) | {BPCCompressor.__module__}
+    assert sorted(_reached(["repro.core.profiler"]) - declared) == []

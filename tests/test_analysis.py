@@ -42,14 +42,14 @@ class TestCompressionStudy:
         from repro.core.profiler import bulk_compression_call_count
         from repro.workloads.snapshots import generation_count
 
-        free_size_study("356.sp", TINY)  # warm the snapshot memo
         calls = bulk_compression_call_count()
         generations = generation_count()
         rows = free_size_study(
             "356.sp", TINY, (BPCCompressor(), BDICompressor())
         )
         assert bulk_compression_call_count() - calls == 2
-        assert generation_count() - generations == 0  # stacked once, warm
+        # Each dump is generated once and stacked, not once per codec.
+        assert generation_count() - generations == TINY.snapshots
         assert set(rows) == {"bpc", "bdi"}
 
     def test_free_size_study_matches_per_snapshot_path(self):
@@ -125,13 +125,16 @@ class TestMetadataStudy:
 
 
 class TestRegistryDefaultDigests:
-    """The registry-default Fig. 5b and Fig. 12 datasets, pinned to the
-    same digests as the repository benchmark's goldens.  A NumPy
-    scalar leaking into a result moves its digest."""
+    """The registry-default Fig. 3, 6, 5b and 12 datasets, pinned to
+    the same digests as the repository benchmark's goldens (Fig. 6 has
+    none there).  A NumPy scalar leaking into a result moves its
+    digest."""
 
     @pytest.mark.parametrize(
         "name, digest",
         [
+            ("compression.fig3", "96f5ccb85a73f44be69ecaed2d39296a"),
+            ("compression.fig6", "e9c23446f423c656db1f255bb577f9f6"),
             ("metadata.fig5b", "562a89aa1e09bb1e6df706c47148bda7"),
             ("um.fig12", "b81cf2044373bee106b5b96764a2032d"),
         ],

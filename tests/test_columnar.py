@@ -38,7 +38,6 @@ from repro.engine import ExperimentRunner, result_digest
 from repro.units import MEMORY_ENTRY_BYTES
 from repro.workloads.snapshots import (
     SnapshotConfig,
-    clear_snapshot_cache,
     generation_count,
 )
 
@@ -378,7 +377,6 @@ def test_one_bulk_call_per_benchmark_and_algorithm():
     from repro.compression.bdi import BDICompressor
     from repro.core.profiler import bulk_compression_call_count, profile_tensor
 
-    clear_snapshot_cache()
     clear_profile_cache()
     before = bulk_compression_call_count()
     for benchmark in ("356.sp", "354.cg"):
@@ -393,7 +391,6 @@ def test_bulk_profile_sizes_a_repeated_benchmark_once():
     """A benchmark listed twice is gathered, sized and built once."""
     from repro.core.profiler import bulk_compression_call_count, profile_tensors_bulk
 
-    clear_snapshot_cache()
     clear_profile_cache()
     passes, bulk = profile_pass_count(), bulk_compression_call_count()
     tensors = profile_tensors_bulk(["VGG16", "VGG16"], TINY)
@@ -409,7 +406,6 @@ def test_threshold_sweep_profiles_reference_exactly_once():
     from repro.analysis.compression_study import fig9_benchmark
     from repro.core.profiler import bulk_compression_call_count
 
-    clear_snapshot_cache()
     clear_profile_cache()
     generated_before = generation_count()
     passes_before = profile_pass_count()

@@ -24,7 +24,6 @@ from repro.core.profiler import (
 from repro.engine.cache import ResultCache
 from repro.workloads.snapshots import (
     SnapshotConfig,
-    clear_snapshot_cache,
     generate_snapshot,
     generation_count,
 )
@@ -40,7 +39,6 @@ SMALL_TRACE = TraceConfig(
 
 
 def _reset():
-    clear_snapshot_cache()
     clear_profile_cache()
 
 

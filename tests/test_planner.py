@@ -35,7 +35,7 @@ from repro.engine.planner import execute_plan, plan
 from repro.engine.registry import get_experiment
 from repro.engine.runner import point_digests, run_point_seeded
 from repro.gpusim.config import scaled_config
-from repro.workloads.snapshots import SnapshotConfig, clear_snapshot_cache
+from repro.workloads.snapshots import SnapshotConfig
 from repro.workloads.traces import TraceConfig
 
 TINY = SnapshotConfig(scale=1.0 / 262144, min_footprint_bytes=256 * 1024)
@@ -48,7 +48,6 @@ SMOKE = SnapshotConfig(scale=1.0 / 32768)
 
 
 def _reset_memos() -> None:
-    clear_snapshot_cache()
     clear_profile_cache()
 
 

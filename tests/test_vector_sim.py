@@ -4,9 +4,12 @@ The vectorized batched-event core must be indistinguishable from the
 per-access oracle on every observable: identical integer traffic
 counters, identical hit rates and bit-identical cycle counts, across
 all three compression modes, several benchmarks and link bandwidths.
-These tests pin that contract, the batched component APIs it builds
-on, and a golden Fig. 11 subset digest shared by both engines.
+These tests pin that contract, the batched geometry and table helpers
+it builds on, and a golden Fig. 11 subset digest shared by both
+engines.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,14 +22,13 @@ from repro.gpusim import (
     DependencyDrivenSimulator,
     KernelTrace,
     VectorizedSimulator,
-    VectorSectoredCache,
     WarpTrace,
     scaled_config,
 )
-from repro.gpusim.cache import SectoredCache, sector_mask
+from repro.gpusim.cache import SectoredCache
 from repro.gpusim.dram import ChannelSet
-from repro.gpusim.interconnect import Interconnect
 from repro.gpusim.trace import ColumnarTrace, Op
+from repro.gpusim.vector_sim import _geometry_columns
 from repro.workloads.snapshots import SnapshotConfig
 from repro.workloads.traces import TraceConfig, generate_trace, layout_snapshot
 
@@ -206,82 +208,76 @@ class TestEngineEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Component equivalence: cache, DRAM, interconnect, state tables.
+# Component equivalence: cache state, DRAM geometry, state tables.
 # ---------------------------------------------------------------------------
 class TestVectorCacheEquivalence:
+    """The vectorized engine keeps its own per-set cache state; it must
+    behave as :class:`SectoredCache`, the legacy engine's cache."""
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_sequences_match_sectored_cache(self, seed):
         rng = np.random.default_rng(seed)
-        legacy = SectoredCache(4096, ways=4)
-        vector = VectorSectoredCache(4096, ways=4)
+        instructions = []
         for _ in range(2000):
-            address = int(rng.integers(0, 1 << 16)) * 32
-            first = int(rng.integers(0, 4))
-            mask = sector_mask(first, int(rng.integers(1, 5)))
-            if rng.random() < 0.5:
-                assert legacy.lookup(address, mask) == vector.lookup(
-                    address, mask
-                )
-            else:
-                dirty = bool(rng.random() < 0.3)
-                assert legacy.fill(address, mask, dirty) == vector.fill(
-                    address, mask, dirty
-                )
-        assert (legacy.hits, legacy.misses) == (vector.hits, vector.misses)
+            address = int(rng.integers(0, 1 << 9)) * 32  # 16 KiB span
+            sectors = int(rng.integers(1, 5))
+            op = Op.LOAD if rng.random() < 0.7 else Op.STORE
+            instructions.append((int(op), address, sectors))
+        trace = KernelTrace(
+            "fuzz", [WarpTrace(0, instructions, max_outstanding=2)], 1 << 21
+        )
+        # Small caches so both levels evict under the random stream.
+        config = scaled_config(
+            sm_count=1, warps_per_sm=1, l1_bytes=4096, l2_bytes=8192
+        )
+        legacy, _vector = assert_equivalent(
+            trace, CompressionState.ideal(trace.footprint_bytes), config
+        )
+        assert 0.0 < legacy.l1_hit_rate < 1.0
+        assert 0.0 < legacy.l2_hit_rate < 1.0
 
     def test_batched_probe_fill_match_scalar(self):
+        """The set columns the engine probes and fills, resolved in one
+        batch, match the scalar cache's per-address set, also for set
+        counts that are not a power of two."""
         rng = np.random.default_rng(7)
-        scalar = VectorSectoredCache(2048, ways=2)
-        batched = VectorSectoredCache(2048, ways=2)
-        addresses = rng.integers(0, 1 << 12, 256) * 128
-        masks = np.array(
-            [sector_mask(0, int(s)) for s in rng.integers(1, 5, 256)]
-        )
-        scalar_evictions = []
-        for address, mask in zip(addresses.tolist(), masks.tolist()):
-            evicted = scalar.fill(address, mask, dirty=True)
-            if evicted is not None:
-                scalar_evictions.append(evicted)
-        assert (
-            batched.fill_many(addresses, masks, dirty=True)
-            == scalar_evictions
-        )
-        scalar_hits = [
-            scalar.lookup(address, mask)
-            for address, mask in zip(addresses.tolist(), masks.tolist())
-        ]
-        assert batched.probe_many(addresses, masks).tolist() == scalar_hits
+        addresses = rng.integers(0, 1 << 16, 256) * 32
+        instructions = [(int(Op.LOAD), int(a), 1) for a in addresses]
+        trace = KernelTrace("unit", [WarpTrace(0, instructions)], 1 << 21)
+        config = scaled_config(sm_count=1, warps_per_sm=1, l1_bytes=3072)
+        l1 = SectoredCache(config.l1_bytes, config.l1_ways, config.line_bytes)
+        l2 = SectoredCache(config.l2_bytes, config.l2_ways, config.line_bytes)
+        assert l1.sets == 6
+        geometry = _geometry_columns(trace, config)
+        for index, address in enumerate(addresses.tolist()):
+            assert geometry.l1flat[index] == l1._locate(address)[0]
+            assert geometry.l2set[index] == l2._locate(address)[0]
 
     def test_state_arrays_shape_and_lru(self):
-        cache = VectorSectoredCache(512, ways=2)  # 2 sets x 2 ways
-        cache.fill(0, 0xF)
-        cache.fill(512, 0xF)  # same set as 0
-        cache.lookup(0, 0xF)  # 0 becomes MRU
-        tags, masks, _dirty, stamps = cache.state_arrays()
-        assert tags.shape == (2, 2)
-        assert masks[0].tolist() == [0xF, 0xF]
-        assert stamps[0].tolist() == [0, 1]
-        set0 = tags[0].tolist()
-        assert set0 == [4, 0]  # line 512//128=4 is now LRU, line 0 MRU
+        """2 sets x 2 ways: a hit makes its line MRU, so the next miss
+        in that set evicts the other line."""
+        lines = [0, 512, 0, 1024, 0, 512]  # all map to set 0
+        cache = SectoredCache(512, ways=2)
+        assert (cache.sets, cache.ways) == (2, 2)
+        for address in lines:
+            if not cache.lookup(address, 0xF):
+                cache.fill(address, 0xF)
+        assert (cache.hits, cache.misses) == (2, 4)
+        instructions = [(int(Op.LOAD), address, 4) for address in lines]
+        trace = KernelTrace(
+            "unit", [WarpTrace(0, instructions, max_outstanding=1)], 1 << 20
+        )
+        config = replace(
+            scaled_config(sm_count=1, warps_per_sm=1, l1_bytes=512),
+            l1_ways=2,
+        )
+        legacy, _vector = assert_equivalent(
+            trace, CompressionState.ideal(trace.footprint_bytes), config
+        )
+        assert legacy.l1_hit_rate == cache.hit_rate
 
 
 class TestBatchedReservations:
-    def test_request_many_matches_scalar_sequence(self):
-        scalar = ChannelSet(4, 10.0, 100)
-        batched = ChannelSet(4, 10.0, 100)
-        rng = np.random.default_rng(3)
-        addresses = rng.integers(0, 1 << 16, 128) * 32
-        counts = rng.integers(32, 256, 128)
-        arrivals = np.sort(rng.random(128) * 100)
-        expected = [
-            scalar.request(int(a), int(n), float(t))
-            for a, n, t in zip(addresses, counts, arrivals)
-        ]
-        got = batched.request_many(addresses, counts, arrivals)
-        assert got.tolist() == expected
-        assert batched.bytes_moved == scalar.bytes_moved
-        assert batched.row_hits == scalar.row_hits
-
     def test_decompose_matches_scalar_geometry(self):
         channels = ChannelSet(6, 10.0, 100)
         addresses = np.arange(0, 6 * 2048 * 4, 128)
@@ -289,22 +285,6 @@ class TestBatchedReservations:
         for index, address in enumerate(addresses.tolist()):
             assert chan[index] == channels.channel_of(address)
             assert row[index] == address // 2048
-
-    def test_link_many_match_scalar(self):
-        config = scaled_config()
-        scalar = Interconnect(config)
-        batched = Interconnect(config)
-        counts = [64, 128, 32, 256]
-        arrivals = [0.0, 1.0, 2.0, 3.0]
-        expected = [
-            scalar.read(n, t) for n, t in zip(counts, arrivals)
-        ]
-        assert batched.read_many(counts, arrivals).tolist() == expected
-        for n, t in zip(counts, arrivals):
-            scalar.write(n, t)
-        batched.write_many(counts, arrivals)
-        assert batched.busy_until == scalar.busy_until
-        assert batched.total_bytes == scalar.total_bytes
 
 
 class TestCompressionStateTables:
