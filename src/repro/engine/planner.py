@@ -15,29 +15,29 @@ sweep, so single runs and sweeps share one pool, one cache lookup and
 one offline ``CacheMiss``.  Each registered experiment may declare the
 dependency graph of a design point (its ``plan_point`` hook returns
 typed specs — :class:`ProfileTensorSpec`, :class:`EntryStateSpec`,
-:class:`SnapshotsSpec`, :class:`TraceSpec`), and :func:`plan`
+:class:`SnapshotsSpec`, :class:`TraceSpec`, :class:`TapeSpec` — that
+all implement the :class:`ArtifactSpec` protocol), and :func:`plan`
 assembles the requests of a whole session into one DAG of typed
-:class:`PlanNode` objects:
+:class:`PlanNode` objects, treating every kind alike:
 
-* **dedupe** — nodes are hash-addressed by the *same* content digests
-  the profiler's disk cache uses (:func:`repro.core.profiler.
-  tensor_cache_key` / :func:`~repro.core.profiler.entry_state_cache_key`),
-  so two sweeps needing the same tensor reference one node, and
-  predicted cache hits in ``repro plan --explain`` agree
+* **dedupe** — nodes are hash-addressed by each spec's
+  :meth:`~ArtifactSpec.cache_key`, the *same* content digests the
+  artifact store uses, so two sweeps needing the same tensor reference
+  one node, and predicted cache hits in ``repro plan --explain`` agree
   byte-for-byte with execution-time lookups;
-* **merge** — profile-tensor nodes sharing a (snapshot config,
-  algorithm) pair merge into a :class:`MergeGroup` executed by one
-  mega-batched ``compressed_sizes`` call
-  (:func:`repro.core.profiler.profile_tensors_bulk`); entries
-  compress independently, so the merged call is bit-identical to
-  per-benchmark builds while issuing strictly fewer bulk calls;
+* **merge** — needed builds sharing a :meth:`~ArtifactSpec.merge_key`
+  (profile tensors of one (snapshot config, algorithm) pair) merge
+  into a :class:`MergeGroup` built by one mega-batched
+  ``compressed_sizes`` call; entries compress independently, so the
+  merged call is bit-identical to per-benchmark builds while issuing
+  strictly fewer bulk calls;
 * **schedule** — :func:`execute_plan` runs the merged DAG in
   topological stages on the runner's process pool: stage 0 builds the
   shared artifacts into the artifact store over the runner's result
-  cache (a private temporary root when the runner is cacheless),
-  stage 1 executes every experiment's design points in one pool,
-  each seeded and cached by its content digest, stage 2 aggregates in
-  request order.
+  cache (a private temporary root when the runner is cacheless), one
+  wave per :meth:`~ArtifactSpec.deps` depth, stage 1 executes every
+  experiment's design points in one pool, each seeded and cached by
+  its content digest, stage 2 aggregates in request order.
 
 Results are therefore **bit-identical** to running each design point
 alone with no stage 0 — the planner only changes *where* and *how
@@ -52,7 +52,7 @@ import shutil
 import tempfile
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from repro import rng as rng_lib
@@ -65,8 +65,52 @@ _UNSET = object()
 # ---------------------------------------------------------------------------
 # Dependency specs: what an experiment's plan_point hook returns.
 # ---------------------------------------------------------------------------
+class ArtifactSpec:
+    """The artifact protocol every plan spec implements.
+
+    ``kind`` names the node kind and :meth:`cache_key` (store namespace
+    plus content digest) its identity.  The classmethod ``build(specs)``
+    stores a tuple of same-kind specs' artifacts and says, per spec,
+    whether it was freshly built rather than a store hit; specs with
+    one non-``None`` :meth:`merge_key` share a call, and :meth:`deps`
+    (the specs a build consumes) orders the stage-0 waves.  A kind
+    with ``build = None`` is statistics-only: the points make it.
+    """
+
+    kind = ""
+    build = None
+
+    def cache_key(self) -> CacheKey:
+        raise NotImplementedError
+
+    def label(self) -> str:
+        raise NotImplementedError
+
+    def deps(self) -> tuple:
+        return ()
+
+    def merge_key(self) -> str | None:
+        return None
+
+
+def _plan_key(namespace: str, **fields) -> CacheKey:
+    """A statistics-only node's address: nothing is stored under it."""
+    return CacheKey(namespace, param_digest(namespace, fields))
+
+
+def _build_each(specs, build_one, counter) -> tuple[bool, ...]:
+    """``build`` for a kind built one spec at a time: fresh when the
+    kind's process counter advanced across the spec's build."""
+    fresh = []
+    for spec in specs:
+        before = counter()
+        build_one(spec)
+        fresh.append(counter() > before)
+    return tuple(fresh)
+
+
 @dataclass(frozen=True)
-class ProfileTensorSpec:
+class ProfileTensorSpec(ArtifactSpec):
     """A columnar profile tensor (benchmark run under one codec).
 
     Executable: the planner builds it in stage 0 (merged with every
@@ -78,9 +122,47 @@ class ProfileTensorSpec:
     config: Any  # SnapshotConfig
     algorithm: Any = None  # CompressionAlgorithm; None = BPC default
 
+    kind = "profile_tensor"
+
+    def _algorithm(self):
+        from repro.compression.bpc import BPCCompressor
+
+        return self.algorithm or BPCCompressor()
+
+    def cache_key(self) -> CacheKey:
+        from repro.core.profiler import tensor_cache_key
+
+        return tensor_cache_key(self.benchmark, self.config, self._algorithm())
+
+    def label(self) -> str:
+        return f"{self.benchmark} [{_config_label(self.config)}]"
+
+    def merge_key(self) -> str:
+        algorithm = type(self._algorithm())
+        return param_digest(
+            "plan.merge",
+            {
+                "config": self.config,
+                "algorithm": f"{algorithm.__module__}.{algorithm.__qualname__}",
+            },
+        )
+
+    @classmethod
+    def build(cls, specs) -> tuple[bool, ...]:
+        from repro.core.profiler import profile_tensors_bulk
+
+        built: list[str] = []
+        profile_tensors_bulk(
+            [spec.benchmark for spec in specs],
+            specs[0].config,
+            specs[0]._algorithm(),
+            built=built,
+        )
+        return tuple(spec.benchmark in built for spec in specs)
+
 
 @dataclass(frozen=True)
-class EntryStateSpec:
+class EntryStateSpec(ArtifactSpec):
     """The per-entry compression state of one dump (simulator input).
 
     Executable: built in stage 0 (each build generates exactly one
@@ -91,9 +173,34 @@ class EntryStateSpec:
     config: Any  # SnapshotConfig
     index: int
 
+    kind = "entry_state"
+
+    def cache_key(self) -> CacheKey:
+        from repro.core.profiler import entry_state_cache_key
+
+        return entry_state_cache_key(self.benchmark, self.config, self.index)
+
+    def label(self) -> str:
+        return (
+            f"{self.benchmark} dump {self.index} "
+            f"[{_config_label(self.config)}]"
+        )
+
+    @classmethod
+    def build(cls, specs) -> tuple[bool, ...]:
+        from repro.core import profiler
+
+        return _build_each(
+            specs,
+            lambda spec: profiler.entry_state_tensor(
+                spec.benchmark, spec.config, spec.index
+            ),
+            profiler.entry_state_build_count,
+        )
+
 
 @dataclass(frozen=True)
-class SnapshotsSpec:
+class SnapshotsSpec(ArtifactSpec):
     """A benchmark's snapshot run at one config (statistics only).
 
     Dumps are too large to ship or cache; they are generated inside
@@ -104,37 +211,98 @@ class SnapshotsSpec:
     benchmark: str
     config: Any  # SnapshotConfig
 
+    kind = "snapshots"
+
+    def cache_key(self) -> CacheKey:
+        return _plan_key(
+            "plan.snapshots", benchmark=self.benchmark, config=self.config
+        )
+
+    def label(self) -> str:
+        return f"{self.benchmark} [{_config_label(self.config)}]"
+
 
 @dataclass(frozen=True)
-class TraceSpec:
+class TraceSpec(ArtifactSpec):
     """A benchmark's synthetic kernel trace (statistics only).
 
-    Traces are cheap to regenerate from a warm entry-state tensor and
-    large to pickle, so the planner leaves them inside the points and
-    only tracks the sharing.
+    The points that consume a trace generate it themselves; the
+    planner only tracks the sharing.  That regeneration is not free:
+    trace generation is about 1.25 s of a cold serial whole-paper
+    sweep (44 calls for 28 distinct traces, 2-vCPU VM), and a trace
+    is at most 1.7 MB of columns — small enough to store once.
     """
 
     benchmark: str
     trace_config: Any  # TraceConfig
 
+    kind = "trace"
+
+    def cache_key(self) -> CacheKey:
+        return _plan_key(
+            "plan.trace",
+            benchmark=self.benchmark,
+            trace_config=self.trace_config,
+        )
+
+    def label(self) -> str:
+        return f"{self.benchmark}"
+
 
 @dataclass(frozen=True)
-class TapeSpec:
+class TapeSpec(ArtifactSpec):
     """A relaxed design point's frozen event tape.
 
-    Executable: built in a second stage-0 wave (after the tensors and
-    entry states it consumes), deduped by the ``sim.tape`` content
-    digest across every relaxed point of every co-submitted sweep —
-    one exact-order recording per ``(trace, state, geometry)``, loaded
-    from the persistent cache when a previous session already recorded
-    it.  All configs are the *normalized* values the point resolves at
-    run time, so the plan-time digest matches the run-time lookup.
+    Executable: built in a later stage-0 wave than the entry state and
+    profile tensor it consumes (its :meth:`deps`), deduped by the
+    ``sim.tape`` content digest across every relaxed point of every
+    co-submitted sweep — one exact-order recording per ``(trace,
+    state, geometry)``, loaded from the persistent cache when a
+    previous session already recorded it.  All configs are the
+    *normalized* values the point resolves at run time, so the
+    plan-time digest matches the run-time lookup.
     """
 
     benchmark: str
     trace_config: Any  # TraceConfig
     profile_config: Any  # SnapshotConfig
     config: Any  # GPUConfig
+
+    kind = "tape"
+
+    def cache_key(self) -> CacheKey:
+        from repro.gpusim.vector_sim import tape_cache_key
+
+        return tape_cache_key(
+            self.benchmark, self.trace_config, self.profile_config, self.config
+        )
+
+    def label(self) -> str:
+        return f"{self.benchmark} tape"
+
+    def deps(self) -> tuple:
+        # The trace layout's dump and the target-selection profile.
+        return (
+            EntryStateSpec(
+                self.benchmark,
+                self.trace_config.snapshot_config,
+                self.trace_config.snapshot_index,
+            ),
+            ProfileTensorSpec(self.benchmark, self.profile_config.as_profile()),
+        )
+
+    @classmethod
+    def build(cls, specs) -> tuple[bool, ...]:
+        from repro.analysis.perf_study import prepare_tape
+        from repro.gpusim.vector_sim import tape_recording_count
+
+        return _build_each(
+            specs,
+            lambda spec: prepare_tape(
+                spec.benchmark, spec.config, spec.trace_config, spec.profile_config
+            ),
+            tape_recording_count,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +312,10 @@ class TapeSpec:
 class PlanNode:
     """One node of the merged sweep DAG."""
 
-    kind: str  # profile_tensor | entry_state | snapshots | trace | tape | point | aggregate
-    digest: str  # content digest (cache-compatible for executable kinds)
+    kind: str  # the spec's ArtifactSpec.kind
+    digest: str  # the spec's cache_key() digest
     label: str
     spec: Any = None
-    deps: tuple[str, ...] = ()  # node ids this node consumes
     references: int = 0  # how many consumers named this node
     executable: bool = False  # stage-0 buildable (vs statistics-only)
     predicted_cached: bool = False  # disk cache already holds it
@@ -158,13 +325,17 @@ class PlanNode:
     def node_id(self) -> str:
         return f"{self.kind}/{self.digest}"
 
+    @property
+    def scheduled(self) -> bool:
+        """Stage 0 builds this node."""
+        return self.executable and self.needed and not self.predicted_cached
+
 
 @dataclass
 class MergeGroup:
-    """Profile-tensor nodes merged into one bulk compression call."""
+    """Nodes sharing a merge key, built by one ``build`` call."""
 
     config: Any
-    algorithm: Any
     benchmarks: tuple[str, ...]
     node_ids: tuple[str, ...]
 
@@ -210,8 +381,6 @@ class Plan:
     requests: list[PlanRequest]
     shared: dict[str, PlanNode]  # node id -> node (insertion = discovery order)
     merge_groups: list[MergeGroup]
-    entry_nodes: list[str]  # entry-state node ids to build in stage 0
-    tape_nodes: list = field(default_factory=list)  # relaxed tapes, stage-0 wave 2
     seed: int = rng_lib.DEFAULT_SEED
 
     def stats(self) -> PlanStats:
@@ -287,20 +456,11 @@ class Plan:
 
     def to_json(self) -> dict:
         """Machine-readable plan description (``repro plan --json``)."""
-        stats = self.stats()
         return {
             "stats": {
-                "experiments": stats.experiments,
-                "points": stats.points,
-                "predicted_point_hits": stats.predicted_point_hits,
-                "shared_nodes": stats.shared_nodes,
-                "shared_references": stats.shared_references,
-                "deduped_references": stats.deduped_references,
-                "predicted_shared_hits": stats.predicted_shared_hits,
-                "merge_groups": stats.merge_groups,
-                "merged_nodes": stats.merged_nodes,
-                "planned_bulk_calls": stats.planned_bulk_calls,
-                "unplanned_bulk_calls": stats.unplanned_bulk_calls,
+                name: value
+                for name, value in asdict(self.stats()).items()
+                if name not in ("executable_nodes", "needed_nodes")
             },
             "requests": [
                 {
@@ -312,15 +472,7 @@ class Plan:
                 for request in self.requests
             ],
             "nodes": [
-                {
-                    "kind": node.kind,
-                    "digest": node.digest,
-                    "label": node.label,
-                    "references": node.references,
-                    "executable": node.executable,
-                    "predicted_cached": node.predicted_cached,
-                    "needed": node.needed,
-                }
+                {name: getattr(node, name) for name in _NODE_JSON_FIELDS}
                 for node in self.shared.values()
             ],
             "merge_groups": [
@@ -334,89 +486,17 @@ class Plan:
         }
 
 
+_NODE_JSON_FIELDS = (
+    "kind", "digest", "label", "references", "executable",
+    "predicted_cached", "needed",
+)
+
+
 def _config_label(config) -> str:
     role = getattr(config, "role", "")
     scale = getattr(config, "scale", None)
     scale_text = f"scale=1/{round(1 / scale)}" if scale else ""
     return ":".join(part for part in (role, scale_text) if part)
-
-
-def _default_algorithm():
-    from repro.compression.bpc import BPCCompressor
-
-    return BPCCompressor()
-
-
-def _node_for_spec(spec) -> PlanNode:
-    """Materialise one typed spec as a digest-addressed plan node."""
-    from repro.core.profiler import entry_state_cache_key, tensor_cache_key
-
-    if isinstance(spec, ProfileTensorSpec):
-        algorithm = spec.algorithm or _default_algorithm()
-        spec = ProfileTensorSpec(spec.benchmark, spec.config, algorithm)
-        key = tensor_cache_key(spec.benchmark, spec.config, algorithm)
-        return PlanNode(
-            kind="profile_tensor",
-            digest=key.digest,
-            label=f"{spec.benchmark} [{_config_label(spec.config)}]",
-            spec=spec,
-            executable=True,
-        )
-    if isinstance(spec, EntryStateSpec):
-        key = entry_state_cache_key(spec.benchmark, spec.config, spec.index)
-        return PlanNode(
-            kind="entry_state",
-            digest=key.digest,
-            label=(
-                f"{spec.benchmark} dump {spec.index} "
-                f"[{_config_label(spec.config)}]"
-            ),
-            spec=spec,
-            executable=True,
-        )
-    if isinstance(spec, SnapshotsSpec):
-        digest = param_digest(
-            "plan.snapshots",
-            {"benchmark": spec.benchmark, "config": spec.config},
-        )
-        return PlanNode(
-            kind="snapshots",
-            digest=digest,
-            label=f"{spec.benchmark} [{_config_label(spec.config)}]",
-            spec=spec,
-        )
-    if isinstance(spec, TraceSpec):
-        digest = param_digest(
-            "plan.trace",
-            {"benchmark": spec.benchmark, "trace_config": spec.trace_config},
-        )
-        return PlanNode(
-            kind="trace",
-            digest=digest,
-            label=f"{spec.benchmark}",
-            spec=spec,
-        )
-    if isinstance(spec, TapeSpec):
-        from repro.gpusim.vector_sim import tape_cache_key
-
-        key = tape_cache_key(
-            spec.benchmark, spec.trace_config, spec.profile_config, spec.config
-        )
-        return PlanNode(
-            kind="tape",
-            digest=key.digest,
-            label=f"{spec.benchmark} tape",
-            spec=spec,
-            executable=True,
-        )
-    raise TypeError(f"unknown plan spec {type(spec).__qualname__}")
-
-
-_CACHE_NAMESPACE = {
-    "profile_tensor": "profile.tensor",
-    "entry_state": "profile.entries",
-    "tape": "sim.tape",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +534,24 @@ def plan(requests, runner=None) -> Plan:
         for point, hit in zip(points, predicted):
             if experiment.plan_point is not None:
                 for spec in experiment.plan_point(point):
-                    node = _node_for_spec(spec)
-                    existing = shared.get(node.node_id)
-                    if existing is None:
-                        shared[node.node_id] = existing = node
-                    existing.references += 1
+                    key = spec.cache_key()
+                    node_id = f"{spec.kind}/{key.digest}"
+                    node = shared.get(node_id)
+                    if node is None:
+                        executable = spec.build is not None
+                        shared[node_id] = node = PlanNode(
+                            kind=spec.kind,
+                            digest=key.digest,
+                            label=spec.label(),
+                            spec=spec,
+                            executable=executable,
+                            predicted_cached=executable
+                            and runner.cache is not None
+                            and runner.cache.contains(key),
+                        )
+                    node.references += 1
                     if not hit:
-                        existing.needed = True
+                        node.needed = True
         plan_requests.append(
             PlanRequest(
                 experiment=experiment,
@@ -471,41 +562,18 @@ def plan(requests, runner=None) -> Plan:
             )
         )
 
-    # Predicted disk hits for the executable shared nodes.
-    if runner.cache is not None:
-        for node in shared.values():
-            if node.executable:
-                node.predicted_cached = runner.cache.contains(
-                    CacheKey(_CACHE_NAMESPACE[node.kind], node.digest)
-                )
-
-    # Merge: profile-tensor builds sharing (config, algorithm) become
-    # one mega-batched bulk compression call.  Predicted-cached nodes
-    # stay out — execution would only re-read them from disk.
+    # Merge: scheduled builds sharing a merge key (profile tensors of
+    # one (config, algorithm) pair) become one mega-batched bulk
+    # compression call.  Predicted-cached nodes stay out — execution
+    # would only re-read them from disk.
     groups: dict[str, list[PlanNode]] = {}
-    entry_nodes: list[str] = []
-    tape_nodes: list[str] = []
     for node in shared.values():
-        if not (node.executable and node.needed and not node.predicted_cached):
-            continue
-        if node.kind == "profile_tensor":
-            group_key = param_digest(
-                "plan.merge",
-                {
-                    "config": node.spec.config,
-                    "algorithm": f"{type(node.spec.algorithm).__module__}."
-                    f"{type(node.spec.algorithm).__qualname__}",
-                },
-            )
-            groups.setdefault(group_key, []).append(node)
-        elif node.kind == "entry_state":
-            entry_nodes.append(node.node_id)
-        elif node.kind == "tape":
-            tape_nodes.append(node.node_id)
+        merge_key = node.spec.merge_key() if node.scheduled else None
+        if merge_key is not None:
+            groups.setdefault(merge_key, []).append(node)
     merge_groups = [
         MergeGroup(
             config=nodes[0].spec.config,
-            algorithm=nodes[0].spec.algorithm,
             benchmarks=tuple(node.spec.benchmark for node in nodes),
             node_ids=tuple(node.node_id for node in nodes),
         )
@@ -515,8 +583,6 @@ def plan(requests, runner=None) -> Plan:
         requests=plan_requests,
         shared=shared,
         merge_groups=merge_groups,
-        entry_nodes=entry_nodes,
-        tape_nodes=tape_nodes,
         seed=runner.seed,
     )
 
@@ -574,29 +640,17 @@ class SweepResult:
     plan: Plan
 
 
-@dataclass(frozen=True)
-class _SharedTask:
-    """One stage-0 build task (pickle-safe for the process pool)."""
+def _execute_shared_task(specs: tuple, cache_root, cache_max_bytes):
+    """Build one stage-0 task's specs (module-level, pool-safe).
 
-    kind: str  # "profile" | "entry" | "tape"
-    benchmarks: tuple[str, ...]
-    config: Any
-    algorithm: Any = None
-    index: int = 0
-    node_ids: tuple[str, ...] = ()
-    trace_config: Any = None  # tape tasks only
-    gpu_config: Any = None  # tape tasks only
-
-
-def _execute_shared_task(task: _SharedTask, cache_root, cache_max_bytes):
-    """Build one stage-0 task's artifacts (module-level, pool-safe).
-
-    The artifacts land in the process artifact store, whose disk tier
-    is the result cache at ``cache_root`` for the task's duration —
-    where stage-1 points, in any worker, read them.  Returns
-    ``(built_node_ids, bulk_calls, recordings)``: the nodes actually
-    built (store hits excluded) and the bulk compression calls and
-    exact-order tape recordings this task performed.
+    ``specs`` share a kind (and a merge key when there are several);
+    the kind's ``build`` stores their artifacts in the process
+    artifact store, whose disk tier is the result cache at
+    ``cache_root`` for the task's duration — where stage-1 points, in
+    any worker, read them.  Returns ``(fresh, bulk_calls,
+    recordings)``: per spec, whether it was actually built (store hits
+    are not), and the bulk compression calls and exact-order tape
+    recordings this task performed.
     """
     from repro.core import profiler
     from repro.gpusim import vector_sim
@@ -606,43 +660,13 @@ def _execute_shared_task(task: _SharedTask, cache_root, cache_max_bytes):
     )
     calls_before = profiler.bulk_compression_call_count()
     recordings_before = vector_sim.tape_recording_count()
-    built: list[str] = []
     try:
-        if task.kind == "profile":
-            freshly_built: list[str] = []
-            profiler.profile_tensors_bulk(
-                task.benchmarks, task.config, task.algorithm,
-                built=freshly_built,
-            )
-            fresh = set(freshly_built)
-            built.extend(
-                node_id
-                for benchmark, node_id in zip(task.benchmarks, task.node_ids)
-                if benchmark in fresh
-            )
-        elif task.kind == "tape":
-            from repro.analysis.perf_study import prepare_tape
-
-            prepare_tape(
-                task.benchmarks[0],
-                task.gpu_config,
-                task.trace_config,
-                task.config,
-            )
-            if vector_sim.tape_recording_count() > recordings_before:
-                built.append(task.node_ids[0])
-        else:
-            before = profiler.entry_state_build_count()
-            profiler.entry_state_tensor(
-                task.benchmarks[0], task.config, task.index
-            )
-            if profiler.entry_state_build_count() > before:
-                built.append(task.node_ids[0])
+        fresh = specs[0].build(specs)
     finally:
         profiler.set_tensor_cache(previous)
     calls = profiler.bulk_compression_call_count() - calls_before
     recordings = vector_sim.tape_recording_count() - recordings_before
-    return tuple(built), calls, recordings
+    return fresh, calls, recordings
 
 
 def _chunk(sequence, parts: int) -> list[tuple]:
@@ -658,64 +682,30 @@ def _chunk(sequence, parts: int) -> list[tuple]:
     return chunks
 
 
-def _stage_zero_tasks(sweep_plan: Plan, workers: int) -> list[_SharedTask]:
-    """Stage-0 schedule: merged groups (chunked across the pool) and
-    entry-state builds.
+def _depth(spec) -> int:
+    """A spec's stage-0 wave: one past the deepest spec it consumes."""
+    return 1 + max((_depth(dep) for dep in spec.deps()), default=-1)
 
-    Serial execution keeps every merge group as ONE mega-batched bulk
-    call; with ``workers > 1`` a group may split into up to ``workers``
-    chunks (each still a bulk call over several benchmarks) so the
-    pool's cores all contribute — still strictly fewer calls than the
-    per-benchmark unplanned path.
+
+def _stage_zero_waves(sweep_plan: Plan, workers: int) -> list[list[tuple]]:
+    """Stage-0 schedule: one wave of node-id tasks per ``deps()`` depth.
+
+    A wave lists its merge groups, then its single builds, each in
+    discovery order; later waves read what earlier ones stored.  A
+    serial run keeps every merge group as ONE bulk build; with
+    ``workers > 1`` a group splits into up to ``workers`` chunks (each
+    still a bulk call over several benchmarks) so every core helps.
     """
-    tasks: list[_SharedTask] = []
+    waves: dict[int, list[tuple]] = {}
+    merged: set[str] = set()
     for group in sweep_plan.merge_groups:
-        pairs = list(zip(group.benchmarks, group.node_ids))
-        for chunk in _chunk(pairs, workers):
-            tasks.append(
-                _SharedTask(
-                    kind="profile",
-                    benchmarks=tuple(b for b, _ in chunk),
-                    config=group.config,
-                    algorithm=group.algorithm,
-                    node_ids=tuple(n for _, n in chunk),
-                )
-            )
-    for node_id in sweep_plan.entry_nodes:
-        node = sweep_plan.shared[node_id]
-        tasks.append(
-            _SharedTask(
-                kind="entry",
-                benchmarks=(node.spec.benchmark,),
-                config=node.spec.config,
-                index=node.spec.index,
-                node_ids=(node_id,),
-            )
-        )
-    return tasks
-
-
-def _tape_tasks(sweep_plan: Plan) -> list[_SharedTask]:
-    """Stage-0 wave 2: record-or-load each deduped relaxed tape.
-
-    Runs after the tensor / entry-state wave — a tape recording
-    consumes both — so it reads those artifacts from the store: the
-    memory tier serially, the shared disk tier across the pool.
-    """
-    tasks: list[_SharedTask] = []
-    for node_id in sweep_plan.tape_nodes:
-        node = sweep_plan.shared[node_id]
-        tasks.append(
-            _SharedTask(
-                kind="tape",
-                benchmarks=(node.spec.benchmark,),
-                config=node.spec.profile_config,
-                trace_config=node.spec.trace_config,
-                gpu_config=node.spec.config,
-                node_ids=(node_id,),
-            )
-        )
-    return tasks
+        depth = _depth(sweep_plan.shared[group.node_ids[0]].spec)
+        waves.setdefault(depth, []).extend(_chunk(group.node_ids, workers))
+        merged.update(group.node_ids)
+    for node_id, node in sweep_plan.shared.items():
+        if node.scheduled and node_id not in merged:
+            waves.setdefault(_depth(node.spec), []).append((node_id,))
+    return [waves.get(depth, []) for depth in range(max(waves, default=0) + 1)]
 
 
 def _drain(pool, calls, finish) -> None:
@@ -723,7 +713,7 @@ def _drain(pool, calls, finish) -> None:
     ``finish(tag, result)`` as it completes.
 
     The one pool-or-inline executor of :func:`execute_plan`, shared by
-    both stage-0 waves and stage 1: on ``pool`` when one is given,
+    every stage-0 wave and stage 1: on ``pool`` when one is given,
     inline (in call order) otherwise.  Results are finished as they
     arrive, not after the whole batch, so an interrupted sweep keeps
     its completed work and the rerun is incremental.
@@ -744,9 +734,9 @@ def execute_plan(sweep_plan: Plan, runner=None) -> SweepResult:
     """Execute an optimized plan on a runner's pool, bit-identically.
 
     Stage 0 builds every needed shared artifact (merge groups as bulk
-    compression calls, entry states individually, then relaxed tapes)
-    into the artifact store, whose disk tier is the runner's result
-    cache.  Stage 1 executes all requests' design points in one pool,
+    calls, other specs one by one), wave by ``deps()`` depth, into the
+    artifact store, whose disk tier is the runner's result cache.
+    Stage 1 executes all requests' design points in one pool,
     each seeded from its :func:`~repro.engine.runner.point_digests`
     digest and cached under it, reading the stage-0 artifacts back
     from that disk tier.  A cacheless runner gets a private temporary
@@ -760,7 +750,7 @@ def execute_plan(sweep_plan: Plan, runner=None) -> SweepResult:
     report = ExecutionReport()
     report.points = sum(len(r.points) for r in sweep_plan.requests)
 
-    tasks = _stage_zero_tasks(sweep_plan, runner.workers)
+    waves = _stage_zero_waves(sweep_plan, runner.workers)
 
     # Cache lookups happen before the pool spins up, so a fully warm
     # sweep stays a cheap serial pass (and stage 0 is skipped for
@@ -796,7 +786,9 @@ def execute_plan(sweep_plan: Plan, runner=None) -> SweepResult:
     report.point_cache_hits = sum(hits_per_request)
 
     total_pending = sum(len(p) for p in per_request_pending)
-    use_pool = runner.workers > 1 and (len(tasks) + total_pending) > 1
+    # The first wave and stage 1 decide the pool; later waves run on
+    # whatever they chose.
+    use_pool = runner.workers > 1 and (len(waves[0]) + total_pending) > 1
 
     private_root = None
     if runner.cache is None:
@@ -811,37 +803,40 @@ def execute_plan(sweep_plan: Plan, runner=None) -> SweepResult:
             pool = ProcessPoolExecutor(max_workers=runner.workers)
 
         # ---- Stage 0: shared artifacts -------------------------------
-        def account(task: _SharedTask, outcome) -> None:
-            built, calls, recordings = outcome
-            report.shared_built += len(built)
-            report.shared_reused += len(task.node_ids) - len(built)
+        def account(node_ids: tuple, outcome) -> None:
+            fresh, calls, recordings = outcome
             report.bulk_compression_calls += calls
             report.tape_recordings += recordings
-            if task.kind == "tape":
-                # Tape recordings are accounted separately; they are
-                # replays of already-tallied snapshot artifacts.
-                return
-            report.snapshot_generations += len(built)
-            for node_id in built:
-                node = sweep_plan.shared[node_id]
+            for node_id, built in zip(node_ids, fresh):
+                if not built:
+                    report.shared_reused += 1
+                    continue
+                report.shared_built += 1
+                spec = sweep_plan.shared[node_id].spec
+                if spec.deps():
+                    # Built from stored artifacts, not from snapshots.
+                    continue
+                report.snapshot_generations += 1
                 tally_key = (
-                    node.spec.benchmark,
-                    _config_label(node.spec.config),
-                    node.kind,
+                    spec.benchmark, _config_label(spec.config), spec.kind
                 )
                 report.generation_tally[tally_key] = (
                     report.generation_tally.get(tally_key, 0) + 1
                 )
 
         if total_pending:
-            # Tapes build in a second wave: a recording consumes the
-            # tensors and entry states the first wave produced.
-            for wave in (tasks, _tape_tasks(sweep_plan)):
+            for wave in waves:
                 _drain(
                     pool,
                     [
-                        (task, _execute_shared_task, task, cache_root, cache_max)
-                        for task in wave
+                        (
+                            node_ids,
+                            _execute_shared_task,
+                            tuple(sweep_plan.shared[n].spec for n in node_ids),
+                            cache_root,
+                            cache_max,
+                        )
+                        for node_ids in wave
                     ],
                     account,
                 )

@@ -194,7 +194,11 @@ class TestDedupeInvariants:
         warm = plan(requests, runner)
         assert all(all(r.predicted_hits) for r in warm.requests)
         assert warm.merge_groups == []
-        assert warm.entry_nodes == []
+        assert [
+            node_id
+            for node_id, node in warm.shared.items()
+            if node.kind == "entry_state" and node.scheduled
+        ] == []
         assert warm.stats().planned_bulk_calls == 0
 
 
@@ -303,7 +307,11 @@ class TestTapePlanning:
         # fig10's relaxed points run at the reference interconnect
         # only (exact, tape-free), so the co-submitted sweep plans
         # exactly one tape node per fig11 relaxed benchmark.
-        assert len(sweep_plan.tape_nodes) == 2
+        tapes = [
+            node for node in sweep_plan.shared.values()
+            if node.kind == "tape" and node.scheduled
+        ]
+        assert len(tapes) == 2
         cold = execute_plan(sweep_plan, runner)
         assert cold.execution.tape_recordings == 2
 

@@ -374,7 +374,11 @@ class TestPlannedTapeRecording:
         clear_profile_cache()
         runner = ExperimentRunner()
         sweep_plan = plan(requests, runner)
-        assert len(sweep_plan.tape_nodes) == len(benchmarks)
+        tapes = [
+            node for node in sweep_plan.shared.values()
+            if node.kind == "tape" and node.scheduled
+        ]
+        assert len(tapes) == len(benchmarks)
         before = tape_recording_count()
         result = execute_plan(sweep_plan, runner)
         recorded = tape_recording_count() - before
