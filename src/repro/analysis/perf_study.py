@@ -101,18 +101,16 @@ def perf_benchmark_row(
     """One benchmark's full Fig. 11 series (the engine's point unit).
 
     ``engine`` selects the simulator core: ``"vectorized"`` (default)
-    and ``"legacy"`` are equivalence-pinned, so between those two the
-    choice only affects wall-clock — the vectorized engine resolves
-    its accesses once per (trace, state) and shares the resolution
-    across the whole link sweep.  ``"relaxed"`` additionally freezes
-    the event *order* at the 150 GB/s reference interconnect and
-    replays it across the sweep: exact at 150 GB/s (the row every
-    figure normalises against), tolerance-pinned at the other link
-    points, and by far the fastest on warm sweeps (see
+    is exact — it resolves its accesses once per (trace, state) and
+    shares the resolution across the whole link sweep.  ``"relaxed"``
+    additionally freezes the event *order* at the 150 GB/s reference
+    interconnect and replays it across the sweep: exact at 150 GB/s
+    (the row every figure normalises against), tolerance-pinned at
+    the other link points, and by far the fastest on warm sweeps (see
     ``docs/engines.md``).  ``verify`` is the relaxed engine's escape
     hatch: the fraction of simulator runs cross-checked against the
-    legacy oracle (a breach raises ``RelaxedVerificationError``); it
-    must stay 0.0 for the exact engines.
+    vectorized engine (a breach raises ``RelaxedVerificationError``);
+    it must stay 0.0 for ``"vectorized"``.
     """
     config, trace_config, profile_config = _normalize_point_inputs(
         config, trace_config, profile_config
@@ -224,12 +222,13 @@ def fig11_plan(point: dict) -> list:
     Target selection consumes the profile-role tensor at the (small)
     profiling scale; the trace generator and both compression states
     consume the per-entry state of the layout dump behind the trace
-    config.  The trace itself is declared for statistics only — it is
-    cheap to regenerate from a warm entry-state tensor.  A relaxed
-    point whose sweep leaves the reference interconnect additionally
-    declares its recorded event tape (:class:`TapeSpec`), so
-    co-submitted sweeps record each ``(trace, state, geometry)`` tape
-    once in stage 0.
+    config.  The trace itself is declared for statistics only; the
+    point regenerates it from the entry-state tensor, which is not
+    free (1.25 s of a 9.75 s serial cold whole-paper sweep under
+    cProfile on a 2-vCPU VM).  A relaxed point whose sweep leaves the
+    reference interconnect additionally declares its recorded event
+    tape (:class:`TapeSpec`), so co-submitted sweeps record each
+    ``(trace, state, geometry)`` tape once in stage 0.
     """
     from repro.compression.bpc import BPCCompressor
     from repro.engine.planner import (

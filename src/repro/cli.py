@@ -540,10 +540,10 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         metavar="SPEC",
         help=(
             "simulator core of the timing studies (fig10/fig11) as "
-            "NAME[:verify=FRACTION]: vectorized (default, exact), "
-            "relaxed (frozen-order tape engine, fastest across link "
+            "NAME[:verify=FRACTION]: vectorized (default, exact) "
+            "or relaxed (frozen-order tape engine, fastest across link "
             "sweeps; verify= cross-checks that fraction of runs "
-            "against the legacy oracle) or legacy (per-access oracle)"
+            "against the vectorized engine)"
         ),
     )
     parser.add_argument(

@@ -24,10 +24,11 @@ Registered experiments::
     serve.advice       the advisor service's answer, one-shot form
 
 The two timing studies carry an ``engine`` parameter
-("vectorized" / "relaxed" / "legacy", see docs/engines.md) and a
-``verify`` fraction (the relaxed engine's sampled oracle
-cross-check); both are ordinary cache-key axes, so results produced
-by different simulator cores are addressed separately and never mix.
+("vectorized" / "relaxed", see docs/engines.md) and a ``verify``
+fraction (the relaxed engine's sampled cross-check against the
+vectorized engine); both are ordinary cache-key axes, so results
+produced by different simulator cores are addressed separately and
+never mix.
 """
 
 from __future__ import annotations

@@ -11,23 +11,23 @@ three memory-system modes of Fig. 11:
 * ``buddy`` — full Buddy Compression: metadata cache, buddy-memory
   overflow sectors over the interconnect, decompression latency.
 
-The simulator ships three engines behind one front door
+The simulator ships two engines behind one front door
 (:class:`DependencyDrivenSimulator`): the default ``"vectorized"``
-batched-event core (:mod:`repro.gpusim.vector_sim`), the
+batched-event core (:mod:`repro.gpusim.vector_sim`) and the
 ``"relaxed"`` frozen-order tape engine
-(:class:`~repro.gpusim.vector_sim.RelaxedSimulator`, with its
-``verify=`` oracle cross-check), and the ``"legacy"`` per-access
-oracle both are pinned against.  The three-way contract is documented
-in ``docs/engines.md``.  :mod:`repro.gpusim.reference` provides a
-cycle-stepped reference machine used as the silicon proxy for the
-Fig. 10 correlation study.
+(:class:`~repro.gpusim.vector_sim.RelaxedSimulator`, whose ``verify=``
+cross-checks sampled runs against the vectorized engine).  The tests
+pin both against a per-access oracle kept with them; the contract is
+documented in ``docs/engines.md``.  :mod:`repro.gpusim.reference`
+provides a cycle-stepped reference machine used as the silicon proxy
+for the Fig. 10 correlation study.
 """
 
 from repro.gpusim.config import GPUConfig, LinkConfig, scaled_config
 from repro.gpusim.compression import CompressionMode, CompressionState
-from repro.gpusim.engine_spec import EngineSpec
-from repro.gpusim.simulator import ENGINES, DependencyDrivenSimulator, SimResult
-from repro.gpusim.trace import ColumnarTrace, KernelTrace, WarpTrace
+from repro.gpusim.engine_spec import ENGINES, EngineSpec
+from repro.gpusim.simulator import DependencyDrivenSimulator, SimResult
+from repro.gpusim.trace import ColumnarTrace, KernelTrace
 from repro.gpusim.vector_sim import (
     REFERENCE_LINK_GBPS,
     RELAXED_COUNTER_TOLERANCE,
@@ -57,5 +57,4 @@ __all__ = [
     "SimResult",
     "ColumnarTrace",
     "KernelTrace",
-    "WarpTrace",
 ]

@@ -7,10 +7,9 @@ Engine selection used to be a pair of ad-hoc keyword arguments
 the CLI, each with its own validation.  :class:`EngineSpec` is the one
 place those knobs are parsed and validated:
 
-* ``name`` — the simulator core (one of
-  :data:`~repro.gpusim.simulator.ENGINES`);
-* ``verify`` — the relaxed engine's sampled oracle cross-check
-  fraction (0.0 for the exact engines);
+* ``name`` — the simulator core (one of :data:`ENGINES`);
+* ``verify`` — the relaxed engine's sampled cross-check fraction
+  against the exact vectorized engine (0.0 for ``vectorized``);
 * ``tolerance`` — an optional override of the relaxed engine's pinned
   verification tolerances (see :func:`check_relaxed_contract`).
 
@@ -31,7 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.gpusim.simulator import ENGINES
+#: Engines selectable on :class:`~repro.gpusim.simulator.DependencyDrivenSimulator`.
+ENGINES = ("vectorized", "relaxed")
 
 #: Default spec: the exact batched engine, no cross-checking.
 DEFAULT_ENGINE = "vectorized"

@@ -10,10 +10,9 @@ how faithfully (and how much faster) the fast simulator tracks it.
 
 The machine consumes the :class:`ColumnarTrace` representation
 directly: instruction streams are flat op/operand columns indexed per
-warp through the CSR offsets, so a columnar-native trace (everything
-the generator emits) is simulated without ever materialising the
-legacy per-warp tuple lists.  Only the issue logic reads the columns —
-the memory system is shared with the legacy engine unchanged.
+warp through the CSR offsets.  Only the issue logic reads the
+columns — the memory system is the scalar per-access
+:class:`~repro.gpusim.simulator._MemorySystem`.
 """
 
 from __future__ import annotations

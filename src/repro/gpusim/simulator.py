@@ -1,4 +1,4 @@
-"""The dependency-driven performance simulator (fast path).
+"""The dependency-driven performance simulator's front door.
 
 Warps advance through their instruction streams subject to three
 resource classes — SM issue slots, DRAM channel bandwidth, and
@@ -16,11 +16,15 @@ The memory pipeline implements the three Fig.-11 modes:
 * ``BUDDY`` adds the metadata cache (misses consume DRAM bandwidth;
   buddy fetches cannot start until the metadata arrives) and sources
   overflow sectors over the interconnect.
+
+:class:`DependencyDrivenSimulator` dispatches to the engines in
+:mod:`repro.gpusim.vector_sim`.  :class:`_MemorySystem` is the same
+pipeline as scalar per-access calls; the cycle-stepped reference
+(:mod:`repro.gpusim.reference`) drives it.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from repro.core.metadata_cache import MetadataCache
@@ -28,8 +32,9 @@ from repro.gpusim.cache import FULL_MASK, SectoredCache, sector_mask
 from repro.gpusim.compression import CompressionMode, CompressionState
 from repro.gpusim.config import GPUConfig
 from repro.gpusim.dram import ChannelSet
+from repro.gpusim.engine_spec import EngineSpec
 from repro.gpusim.interconnect import Interconnect
-from repro.gpusim.trace import KernelTrace, Op
+from repro.gpusim.trace import KernelTrace
 from repro.units import (
     ENTRIES_PER_METADATA_LINE,
     MEMORY_ENTRY_BYTES,
@@ -203,19 +208,16 @@ class _MemorySystem:
                 self.link.write(buddy_bytes, now)
 
 
-#: Engines selectable on :class:`DependencyDrivenSimulator`.
-ENGINES = ("vectorized", "relaxed", "legacy")
-
-
 class DependencyDrivenSimulator:
     """The fast simulator (Fig. 10's subject; Fig. 11's instrument).
 
-    Three interchangeable engines implement the same machine (the
-    full three-way contract is documented in ``docs/engines.md``):
+    Two engines implement the same machine (the contract is
+    documented in ``docs/engines.md``); the selection is validated by
+    :class:`~repro.gpusim.engine_spec.EngineSpec`:
 
     * ``"vectorized"`` (default) — the batched-event core in
       :mod:`repro.gpusim.vector_sim`: per-access quantities resolve as
-      whole-trace array operations, events advance in the same
+      whole-trace array operations, events advance in exact
       ``(ready, sequence)`` order over prepared columns.  Identical
       counters and bit-identical cycles to the oracle, everywhere.
     * ``"relaxed"`` — the frozen-order tape engine
@@ -224,14 +226,13 @@ class DependencyDrivenSimulator:
       interconnect, and every other link bandwidth replays the frozen
       tape.  Exact at the reference interconnect; counters and cycles
       within the pinned tolerances elsewhere.  ``verify`` selects the
-      fraction of runs cross-checked against the legacy oracle
+      fraction of runs cross-checked against the vectorized engine
       (``verify=1.0`` checks every run; the sample is deterministic
       per design point), and ``tolerance`` optionally overrides the
       pinned verification tolerances for those cross-checks.
-    * ``"legacy"`` — the original per-access engine below, kept as the
-      correctness oracle.
 
-    The equivalence contracts are pinned by ``tests/test_vector_sim.py``
+    Both engines are pinned against a per-access oracle kept with the
+    tests (``tests/sim_oracle.py``) by ``tests/test_vector_sim.py``
     and ``tests/test_relaxed_sim.py``.
     """
 
@@ -242,125 +243,23 @@ class DependencyDrivenSimulator:
         verify: float = 0.0,
         tolerance: float | None = None,
     ) -> None:
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
-        if verify and engine != "relaxed":
-            raise ValueError(
-                "verify= cross-checking is the relaxed engine's escape "
-                f"hatch; engine {engine!r} is already exact"
-            )
-        if tolerance is not None and engine != "relaxed":
-            raise ValueError(
-                "tolerance= loosens the relaxed engine's verification "
-                f"contract; engine {engine!r} has no tolerances"
-            )
+        EngineSpec(engine, verify, tolerance)  # raises on a bad selection
         self.config = config
         self.engine = engine
         self.verify = verify
         self.tolerance = tolerance
 
-    @classmethod
-    def from_spec(cls, config: GPUConfig, spec) -> DependencyDrivenSimulator:
-        """Build from an :class:`repro.gpusim.engine_spec.EngineSpec`
-        (or its string form) — the preferred selection surface."""
-        from repro.gpusim.engine_spec import EngineSpec
-
-        if not isinstance(spec, EngineSpec):
-            spec = EngineSpec.parse(spec)
-        return cls(config, spec.name, spec.verify, tolerance=spec.tolerance)
-
     def run(self, trace: KernelTrace, state: CompressionState) -> SimResult:
         """Simulate a kernel trace under a compression state."""
-        if self.engine == "vectorized":
-            from repro.gpusim.vector_sim import VectorizedSimulator
-
-            return VectorizedSimulator(self.config).run(trace, state)
         if self.engine == "relaxed":
             from repro.gpusim.vector_sim import RelaxedSimulator
 
             return RelaxedSimulator(
                 self.config, self.verify, self.tolerance
             ).run(trace, state)
-        return self._run_legacy(trace, state)
+        from repro.gpusim.vector_sim import VectorizedSimulator
 
-    def _run_legacy(
-        self, trace: KernelTrace, state: CompressionState
-    ) -> SimResult:
-        """The per-access oracle engine (one heap event per probe)."""
-        config = self.config
-        memory = _MemorySystem(config, state)
-        if trace.host_traffic_fraction > 0:
-            memory.host_base = trace.footprint_bytes
-
-        issue_interval = config.issue_interval
-        sm_free = [0.0] * config.sm_count
-        warps = trace.warps
-        # (ready_time, sequence, warp_index, pc, outstanding_loads)
-        heap: list = []
-        for index, warp in enumerate(warps):
-            heapq.heappush(heap, (0.0, index, index, 0, ()))
-
-        finish = 0.0
-        sequence = len(warps)
-        while heap:
-            ready, _, index, pc, outstanding = heapq.heappop(heap)
-            warp = warps[index]
-            if pc >= len(warp.instructions):
-                finish = max(finish, ready, *outstanding) if outstanding else max(finish, ready)
-                continue
-            op, a, b = warp.instructions[pc]
-            sm = warp.sm
-            issue = max(ready, sm_free[sm])
-
-            if op == Op.COMPUTE:
-                # a back-to-back arithmetic instructions: they occupy
-                # the SM's issue slots; ALU latency pipelines away.
-                busy = a * issue_interval
-                sm_free[sm] = issue + busy
-                next_ready = issue + busy
-            elif op == Op.LOAD:
-                sm_free[sm] = issue + issue_interval
-                done = memory.load(sm, a, b, issue)
-                outstanding = outstanding + (done,)
-                if len(outstanding) >= warp.max_outstanding:
-                    # Block on the oldest outstanding load.
-                    next_ready = outstanding[0]
-                    outstanding = outstanding[1:]
-                else:
-                    next_ready = issue + issue_interval
-            else:  # STORE
-                sm_free[sm] = issue + issue_interval
-                memory.store(sm, a, b, issue)
-                next_ready = issue + issue_interval
-
-            sequence += 1
-            heapq.heappush(heap, (next_ready, sequence, index, pc + 1, outstanding))
-
-        # Final time covers in-flight fire-and-forget traffic too: DRAM
-        # posts *and* the interconnect's write direction must drain
-        # before the kernel's memory state is complete.
-        cycles = max(
-            finish,
-            memory.dram.busy_until,
-            memory.link.busy_until,
-            max(sm_free),
-        )
-        meta = memory.metadata.stats
-        return SimResult(
-            benchmark=trace.benchmark,
-            mode=state.mode.value,
-            cycles=cycles,
-            instructions=trace.instruction_count,
-            l1_hit_rate=_aggregate_hit_rate(memory.l1s),
-            l2_hit_rate=memory.l2.hit_rate,
-            dram_bytes=memory.dram.bytes_moved,
-            link_bytes=memory.link.total_bytes,
-            metadata_hit_rate=meta.hit_rate,
-            buddy_fills=memory.buddy_fills,
-            demand_fills=memory.demand_fills,
-        )
+        return VectorizedSimulator(self.config).run(trace, state)
 
 
 def _aggregate_hit_rate(caches) -> float:

@@ -1,14 +1,15 @@
 """Vectorized batched-event core for the dependency-driven simulator.
 
-The legacy engine (:mod:`repro.gpusim.simulator`) resolves every
-instruction with a stack of Python method calls — heap pop, sector
-mask arithmetic, ``OrderedDict`` cache probes, per-access
-``CompressionState`` lookups, DRAM channel decomposition.  Profiling
-shows those per-access recomputations dominating the Fig. 10/11 hot
-path, yet almost all of them are static for a given ``(trace, state,
-machine)``: the address never changes, so neither do the sector mask,
-the cache set, the DRAM channel/row/bank, the metadata line, the
-compressed transfer sizes or the per-hop service times.
+A per-access engine resolves every instruction with a stack of
+Python method calls — heap pop, sector mask arithmetic,
+``OrderedDict`` cache probes, per-access ``CompressionState`` lookups,
+DRAM channel decomposition (the tests keep one such engine as their
+oracle, ``tests/sim_oracle.py``).  Profiling shows those per-access
+recomputations dominating the Fig. 10/11 hot path, yet almost all of
+them are static for a given ``(trace, state, machine)``: the address
+never changes, so neither do the sector mask, the cache set, the DRAM
+channel/row/bank, the metadata line, the compressed transfer sizes or
+the per-hop service times.
 
 This engine therefore splits the simulation into:
 
@@ -29,7 +30,7 @@ This engine therefore splits the simulation into:
    flat C-contiguous ``int64``/``float64`` columns.
 2. **An event core** (:mod:`repro.gpusim._event_core`) that advances
    ready warps in the *exact* ``(ready time, sequence)`` order of the
-   legacy scheduler over those flat columns.  Cache, DRAM and
+   per-access scheduler over those flat columns.  Cache, DRAM and
    interconnect state transitions are inherently order-dependent, so
    each round's accesses resolve sequentially — but all the
    per-access *derivation* already happened in step 1.  The core has
@@ -41,8 +42,8 @@ This engine therefore splits the simulation into:
 
 The result is the oracle contract the studies rely on: identical
 integer traffic counters (``dram_bytes``, ``link_bytes``, fills, hit
-counts) and bit-identical cycle counts to the legacy engine, at a
-fraction of the wall-clock (``tests/test_speed_floors.py`` pins the
+counts) and bit-identical cycle counts to the per-access oracle, at
+a fraction of the wall-clock (``tests/test_speed_floors.py`` pins the
 speedup; ``tests/test_vector_sim.py`` pins the equivalence and
 ``tests/test_event_core.py`` pins compiled == pure-Python).
 
@@ -88,16 +89,20 @@ The contract this buys (pinned by ``tests/test_relaxed_sim.py``):
 * at the reference interconnect the relaxed engine *is* the exact
   engine — bit-identical counters and cycles;
 * traffic counters are link-invariant by construction, and within
-  :data:`RELAXED_COUNTER_TOLERANCE` of the legacy oracle at every
-  other link (the oracle's own counters drift by a similar margin
-  across the sweep, because scheduling feeds back into cache order);
+  :data:`RELAXED_COUNTER_TOLERANCE` of the exact order at every
+  other link (whose own counters drift by a similar margin across
+  the sweep, because scheduling feeds back into cache order);
 * cycles are within :data:`RELAXED_CYCLE_TOLERANCE` everywhere, and
   *exact* where order is provably immaterial — single-warp traces,
   traces whose warps share no memory-system resources, and any
   IDEAL-mode trace without host traffic (no link dependence at all);
 * ``verify=`` cross-checks a deterministic sample of runs against
-  the legacy oracle at full fidelity and raises
-  :class:`RelaxedVerificationError` on a contract violation.
+  the exact vectorized engine and raises
+  :class:`RelaxedVerificationError` on a contract violation.  That
+  engine shares :func:`_geometry_columns` and the event core with
+  the tape recorder, so ``verify=`` checks the frozen-order
+  approximation only; the tests check that shared code against the
+  per-access oracle.
 """
 
 from __future__ import annotations
@@ -482,7 +487,7 @@ class VectorizedSimulator:
         """Simulate a kernel trace under a compression state.
 
         Returns a :class:`repro.gpusim.simulator.SimResult` whose
-        traffic counters are identical to the legacy engine's and
+        traffic counters are identical to the per-access oracle's and
         whose cycle count is bit-identical.
 
         ``_tape`` (internal, used by :class:`RelaxedSimulator`) is a
@@ -910,11 +915,7 @@ def replay_links(
         else:
             result = replace(reference, cycles=next(replayed))
         if verify and _verify_selected(trace, state, link_config, verify):
-            from repro.gpusim.simulator import DependencyDrivenSimulator
-
-            oracle = DependencyDrivenSimulator(link_config, "legacy").run(
-                trace, state
-            )
+            oracle = VectorizedSimulator(link_config).run(trace, state)
             check_relaxed_contract(
                 result, oracle, exact=at_reference, tolerance=tolerance
             )
@@ -937,7 +938,7 @@ _CONTRACT_RATES = ("l1_hit_rate", "l2_hit_rate", "metadata_hit_rate")
 def check_relaxed_contract(
     relaxed, oracle, exact: bool, tolerance: float | None = None
 ) -> None:
-    """Assert a relaxed result against the legacy oracle's.
+    """Assert a relaxed result against an exact-order oracle's.
 
     ``exact`` (reference interconnect, single-warp traces, provably
     non-contending traces) demands bit-identical results; otherwise
@@ -1038,9 +1039,9 @@ class RelaxedSimulator:
     ``(trace, state, machine geometry)``; every other interconnect
     bandwidth replays the frozen tape.  ``verify`` is the sampled
     escape hatch: the fraction of runs (deterministically chosen per
-    design point) that are cross-checked against the legacy oracle at
-    full fidelity via :func:`check_relaxed_contract`; ``tolerance``
-    optionally overrides that contract's pinned tolerances.
+    design point) that are cross-checked against the vectorized engine
+    via :func:`check_relaxed_contract`; ``tolerance`` optionally
+    overrides that contract's pinned tolerances.
     """
 
     def __init__(

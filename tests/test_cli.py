@@ -58,3 +58,11 @@ def test_fig7_skips_a_suite_the_subset_left_empty(capsys):
         "per-allocation   HPC: 1.10x, 0.00% buddy accesses\n"
         "final            HPC: 1.10x, 0.00% buddy accesses\n"
     )
+
+
+def test_legacy_engine_is_a_usage_error(capsys):
+    """Two engines remain; ``legacy`` is a bad spec like any other."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "perf.fig11", "--engine", "legacy", "--no-cache"])
+    assert excinfo.value.code == 2
+    assert "unknown engine 'legacy'" in capsys.readouterr().err

@@ -38,7 +38,6 @@ class TestParse:
         "spec",
         [
             EngineSpec(),
-            EngineSpec("legacy"),
             EngineSpec("relaxed", 0.5),
             EngineSpec("relaxed", 1.0, 0.02),
             EngineSpec("relaxed", tolerance=0.05),
@@ -68,6 +67,12 @@ class TestParse:
         with pytest.raises(ValueError):
             EngineSpec.parse(text)
 
+    def test_legacy_is_no_engine(self):
+        """The per-access oracle lives with the tests, not behind a
+        spec; the error names the two engines there are."""
+        with pytest.raises(ValueError, match="'vectorized', 'relaxed'"):
+            EngineSpec("legacy")
+
 
 class TestValidation:
     def test_verify_requires_relaxed(self):
@@ -80,7 +85,7 @@ class TestValidation:
 
     def test_tolerance_requires_relaxed(self):
         with pytest.raises(ValueError, match="no tolerances"):
-            EngineSpec("legacy", tolerance=0.05)
+            EngineSpec("vectorized", tolerance=0.05)
 
     def test_tolerance_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
@@ -124,8 +129,8 @@ class TestStudyParams:
 
 class TestSimulatorThreading:
     def test_from_spec_threads_all_fields(self):
-        sim = DependencyDrivenSimulator.from_spec(
-            scaled_config(), "relaxed:verify=0.25,tolerance=0.05"
+        sim = EngineSpec.parse("relaxed:verify=0.25,tolerance=0.05").simulator(
+            scaled_config()
         )
         assert sim.engine == "relaxed"
         assert sim.verify == 0.25

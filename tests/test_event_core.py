@@ -6,7 +6,7 @@ on every observable — counters, cycles, and the recorded tape columns
 — because engine results are digest-pinned and the compiled core must
 never become a cache axis.  These tests fuzz that identity across all
 compression modes and engines, pin the compacted tape round-trip
-against the legacy oracle, and assert the tape-memory reduction over
+against the per-access oracle, and assert the tape-memory reduction over
 the historical list-of-tuples representation.
 
 When the extension is unavailable (or ``REPRO_NO_EXT=1``), the
@@ -28,9 +28,7 @@ from repro.gpusim import (
     CompressionMode,
     CompressionState,
     DependencyDrivenSimulator,
-    KernelTrace,
     VectorizedSimulator,
-    WarpTrace,
     scaled_config,
 )
 from repro.gpusim import _event_core
@@ -44,6 +42,7 @@ from repro.gpusim.vector_sim import (
 )
 from repro.workloads.snapshots import SnapshotConfig
 from repro.workloads.traces import TraceConfig, generate_trace, layout_snapshot
+from sim_oracle import Warp, kernel_trace, run_oracle
 
 needs_ext = pytest.mark.skipif(
     not _event_core.compiled_active(),
@@ -99,11 +98,9 @@ def fuzz_trace(seed, n=1024):
                 op = Op.LOAD if kind == 1 else Op.STORE
                 instructions.append((int(op), address, sectors))
         warps.append(
-            WarpTrace(
-                w % 2, instructions, max_outstanding=int(rng.integers(1, 6))
-            )
+            Warp(w % 2, instructions, max_outstanding=int(rng.integers(1, 6)))
         )
-    return KernelTrace("fuzz", warps, n * 128), rng
+    return kernel_trace("fuzz", warps, n * 128), rng
 
 
 def fuzz_state(mode, rng, trace, n=1024):
@@ -161,30 +158,28 @@ class TestDispatch:
 class TestCompiledMatchesPython:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_fuzzed_unit_traces_all_modes(self, seed):
-        """Fuzzed streams agree across cores — and with the legacy
+        """Fuzzed streams agree across cores — and with the per-access
         oracle, closing the mode x engine matrix."""
         trace, rng = fuzz_trace(seed)
         config = scaled_config(sm_count=2, warps_per_sm=4)
         for mode in CompressionMode:
             state = fuzz_state(mode, rng, trace)
             compiled, fallback = run_both_cores(trace, state, config)
-            legacy = DependencyDrivenSimulator(config, engine="legacy").run(
-                trace, state
-            )
+            oracle = run_oracle(config, trace, state)
             for field in RESULT_FIELDS:
                 value = getattr(compiled, field)
                 assert value == getattr(fallback, field), field
-                assert value == getattr(legacy, field), field
+                assert value == getattr(oracle, field), field
 
     def test_host_region_trace(self):
         footprint = 1 << 20
         stores = [(int(Op.STORE), footprint + 128 * i, 4) for i in range(64)]
         loads = [(int(Op.LOAD), footprint + 128 * i, 2) for i in range(32)]
         warps = [
-            WarpTrace(0, stores, max_outstanding=1),
-            WarpTrace(0, loads, max_outstanding=2),
+            Warp(0, stores, max_outstanding=1),
+            Warp(0, loads, max_outstanding=2),
         ]
-        trace = KernelTrace("unit", warps, footprint, host_traffic_fraction=0.5)
+        trace = kernel_trace("unit", warps, footprint, host_traffic_fraction=0.5)
         config = scaled_config(sm_count=1, warps_per_sm=2, link_gbps=50)
         compiled, fallback = run_both_cores(
             trace, CompressionState.ideal(footprint), config
@@ -198,8 +193,8 @@ class TestCompiledMatchesPython:
         instructions = [
             (int(Op.STORE), (i * 128) % (n * 128), 1) for i in range(512)
         ]
-        warps = [WarpTrace(0, instructions, max_outstanding=4)]
-        trace = KernelTrace("unit", warps, n * 128)
+        warps = [Warp(0, instructions, max_outstanding=4)]
+        trace = kernel_trace("unit", warps, n * 128)
         state = CompressionState(
             CompressionMode.BUDDY,
             np.full(n, 4, dtype=np.int8),
@@ -275,15 +270,13 @@ class TestTapeCompaction:
     def record_tape(self, benchmark="VGG16", mode=CompressionMode.BUDDY):
         return record_small_tape(benchmark, mode)
 
-    def test_round_trip_replay_matches_legacy(self):
-        """record -> compact arrays -> replay == the legacy oracle at
-        the recording link (exactly, not within tolerance)."""
+    def test_round_trip_replay_matches_oracle(self):
+        """record -> compact arrays -> replay == the per-access oracle
+        at the recording link (exactly, not within tolerance)."""
         trace, state, config, tape, result = self.record_tape()
-        legacy = DependencyDrivenSimulator(config, engine="legacy").run(
-            trace, state
-        )
+        oracle = run_oracle(config, trace, state)
         (cycles,) = _replay_cycles(tape, [config])
-        assert cycles == legacy.cycles == result.cycles
+        assert cycles == oracle.cycles == result.cycles
 
     def test_tape_stores_columns_not_tuples(self):
         _trace, _state, _config, tape, _result = self.record_tape()

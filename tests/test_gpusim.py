@@ -8,8 +8,6 @@ from repro.gpusim import (
     CompressionMode,
     CompressionState,
     DependencyDrivenSimulator,
-    KernelTrace,
-    WarpTrace,
     scaled_config,
 )
 from repro.gpusim.cache import SectoredCache, sector_mask
@@ -19,6 +17,7 @@ from repro.gpusim.reference import CycleSteppedReference
 from repro.gpusim.trace import Op
 from repro.workloads.snapshots import SnapshotConfig, generate_snapshot
 from repro.workloads.traces import TraceConfig, generate_trace, layout_snapshot
+from sim_oracle import Warp, kernel_trace
 
 SMALL_TRACE = TraceConfig(
     sm_count=4,
@@ -42,8 +41,8 @@ def _store(addr, sectors=4):
 
 
 def _trace(instructions, sm_count=1, footprint=1 << 20, mlp=4):
-    warps = [WarpTrace(0, list(instructions), max_outstanding=mlp)]
-    return KernelTrace("unit", warps, footprint)
+    warps = [Warp(0, list(instructions), max_outstanding=mlp)]
+    return kernel_trace("unit", warps, footprint)
 
 
 class TestSectoredCache:
@@ -292,8 +291,8 @@ class TestSimulator:
     def test_host_region_traffic(self):
         config = scaled_config(sm_count=1, warps_per_sm=1)
         footprint = 1 << 20
-        warps = [WarpTrace(0, [_load(footprint + 128)], max_outstanding=1)]
-        trace = KernelTrace("unit", warps, footprint, host_traffic_fraction=0.5)
+        warps = [Warp(0, [_load(footprint + 128)], max_outstanding=1)]
+        trace = kernel_trace("unit", warps, footprint, host_traffic_fraction=0.5)
         result = DependencyDrivenSimulator(config).run(
             trace, CompressionState.ideal(footprint)
         )
@@ -306,8 +305,8 @@ class TestSimulator:
         config = scaled_config(sm_count=1, warps_per_sm=1, link_gbps=50)
         footprint = 1 << 20
         stores = [_store(footprint + 128 * i) for i in range(64)]
-        warps = [WarpTrace(0, stores, max_outstanding=1)]
-        trace = KernelTrace("unit", warps, footprint, host_traffic_fraction=0.5)
+        warps = [Warp(0, stores, max_outstanding=1)]
+        trace = kernel_trace("unit", warps, footprint, host_traffic_fraction=0.5)
         result = DependencyDrivenSimulator(config).run(
             trace, CompressionState.ideal(footprint)
         )
@@ -392,8 +391,8 @@ class TestReferenceSimulator:
         config = scaled_config(sm_count=1, warps_per_sm=1, link_gbps=50)
         footprint = 1 << 20
         stores = [_store(footprint + 128 * i) for i in range(64)]
-        warps = [WarpTrace(0, stores, max_outstanding=1)]
-        trace = KernelTrace("unit", warps, footprint, host_traffic_fraction=0.5)
+        warps = [Warp(0, stores, max_outstanding=1)]
+        trace = kernel_trace("unit", warps, footprint, host_traffic_fraction=0.5)
         result = CycleSteppedReference(config).run(
             trace, CompressionState.ideal(footprint)
         )

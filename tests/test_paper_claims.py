@@ -235,7 +235,6 @@ def test_fig10_correlation(runner):
     [
         "vectorized",
         pytest.param("relaxed", marks=pytest.mark.slow),
-        pytest.param("legacy", marks=pytest.mark.slow),
     ],
 )
 def test_fig11_performance(runner, engine):

@@ -1,4 +1,4 @@
-"""The relaxed engine's contract against the legacy oracle.
+"""The relaxed engine's contract against the per-access oracle.
 
 ``engine="relaxed"`` freezes the exact event order of the reference
 interconnect (150 GB/s) and replays it at every other link bandwidth.
@@ -33,14 +33,11 @@ from repro.gpusim import (
     CompressionMode,
     CompressionState,
     DependencyDrivenSimulator,
-    KernelTrace,
     RelaxedSimulator,
     RelaxedVerificationError,
-    WarpTrace,
     check_relaxed_contract,
     scaled_config,
 )
-from repro.gpusim import trace as trace_mod
 from repro.gpusim.reference import CycleSteppedReference
 from repro.gpusim.trace import Op
 from repro.gpusim.vector_sim import (
@@ -51,6 +48,7 @@ from repro.gpusim.vector_sim import (
 )
 from repro.workloads.snapshots import SnapshotConfig
 from repro.workloads.traces import TraceConfig, generate_trace, layout_snapshot
+from sim_oracle import Warp, decode, kernel_trace, run_oracle
 
 SMALL_TRACE = TraceConfig(
     sm_count=4,
@@ -99,16 +97,12 @@ class TestEngineSelection:
         relaxed = DependencyDrivenSimulator(SMALL_GPU, "relaxed").run(
             trace, state
         )
-        legacy = DependencyDrivenSimulator(SMALL_GPU, "legacy").run(
-            trace, state
-        )
-        assert relaxed.cycles == legacy.cycles
+        oracle = run_oracle(SMALL_GPU, trace, state)
+        assert relaxed.cycles == oracle.cycles
 
     def test_verify_requires_relaxed_engine(self):
         with pytest.raises(ValueError):
             DependencyDrivenSimulator(SMALL_GPU, "vectorized", verify=0.5)
-        with pytest.raises(ValueError):
-            DependencyDrivenSimulator(SMALL_GPU, "legacy", verify=1.0)
         DependencyDrivenSimulator(SMALL_GPU, "relaxed", verify=1.0)
 
 
@@ -125,12 +119,12 @@ class TestRelaxedContract:
         trace = generate_trace(name, SMALL_TRACE)
         state = small_state(name, mode, trace)
         config = SMALL_GPU.with_link(REFERENCE_LINK_GBPS)
-        legacy = DependencyDrivenSimulator(config, "legacy").run(trace, state)
+        oracle = run_oracle(config, trace, state)
         relaxed = DependencyDrivenSimulator(config, "relaxed").run(
             trace, state
         )
         for field in RESULT_FIELDS:
-            assert getattr(legacy, field) == getattr(relaxed, field), field
+            assert getattr(oracle, field) == getattr(relaxed, field), field
 
     @pytest.mark.parametrize(
         "name", ["VGG16", "354.cg", "356.sp", "FF_HPGMG", "FF_Lulesh"]
@@ -147,11 +141,11 @@ class TestRelaxedContract:
         relaxed = DependencyDrivenSimulator(config, "relaxed").run(
             trace, state
         )
-        oracle = DependencyDrivenSimulator(config, "legacy").run(trace, state)
+        oracle = run_oracle(config, trace, state)
         check_relaxed_contract(relaxed, oracle, exact=False)
-        reference_oracle = DependencyDrivenSimulator(
-            SMALL_GPU.with_link(REFERENCE_LINK_GBPS), "legacy"
-        ).run(trace, state)
+        reference_oracle = run_oracle(
+            SMALL_GPU.with_link(REFERENCE_LINK_GBPS), trace, state
+        )
         for field in COUNTER_FIELDS:
             assert getattr(relaxed, field) == getattr(
                 reference_oracle, field
@@ -170,9 +164,7 @@ class TestRelaxedContract:
                 relaxed = DependencyDrivenSimulator(config, "relaxed").run(
                     trace, state
                 )
-                oracle = DependencyDrivenSimulator(config, "legacy").run(
-                    trace, state
-                )
+                oracle = run_oracle(config, trace, state)
                 worst_cycles = max(
                     worst_cycles,
                     abs(relaxed.cycles - oracle.cycles) / oracle.cycles,
@@ -215,8 +207,8 @@ class TestProvableExactness:
                         int(rng.integers(1, 5)),
                     )
                 )
-        trace = KernelTrace(
-            "unit", [WarpTrace(0, instructions, max_outstanding=2)], n * 128
+        trace = kernel_trace(
+            "unit", [Warp(0, instructions, max_outstanding=2)], n * 128
         )
         if mode is CompressionMode.IDEAL:
             state = CompressionState.ideal(trace.footprint_bytes)
@@ -228,12 +220,12 @@ class TestProvableExactness:
                 rng.random(n) < 0.2,
             )
         config = scaled_config(sm_count=1, warps_per_sm=1).with_link(link)
-        legacy = DependencyDrivenSimulator(config, "legacy").run(trace, state)
+        oracle = run_oracle(config, trace, state)
         relaxed = DependencyDrivenSimulator(config, "relaxed").run(
             trace, state
         )
         for field in RESULT_FIELDS:
-            assert getattr(legacy, field) == getattr(relaxed, field), field
+            assert getattr(oracle, field) == getattr(relaxed, field), field
 
     @pytest.mark.parametrize("link", [50.0, 150.0, 200.0])
     def test_ideal_mode_without_host_traffic_is_exact(self, link):
@@ -243,12 +235,12 @@ class TestProvableExactness:
         trace = generate_trace("VGG16", SMALL_TRACE)
         state = CompressionState.ideal(trace.footprint_bytes)
         config = SMALL_GPU.with_link(link)
-        legacy = DependencyDrivenSimulator(config, "legacy").run(trace, state)
+        oracle = run_oracle(config, trace, state)
         relaxed = DependencyDrivenSimulator(config, "relaxed").run(
             trace, state
         )
         for field in RESULT_FIELDS:
-            assert getattr(legacy, field) == getattr(relaxed, field), field
+            assert getattr(oracle, field) == getattr(relaxed, field), field
 
     @pytest.mark.parametrize("link", [50.0, 200.0])
     def test_non_contending_warps_are_exact(self, link):
@@ -265,15 +257,15 @@ class TestProvableExactness:
                 address = (i * config.dram_channels * 2 + w) * 128
                 instructions.append((int(Op.LOAD), address, 4))
                 instructions.append((int(Op.COMPUTE), 3, 0))
-            warps.append(WarpTrace(w, instructions, max_outstanding=2))
-        trace = KernelTrace("unit", warps, 1 << 24)
+            warps.append(Warp(w, instructions, max_outstanding=2))
+        trace = kernel_trace("unit", warps, 1 << 24)
         state = CompressionState.ideal(trace.footprint_bytes)
-        legacy = DependencyDrivenSimulator(config, "legacy").run(trace, state)
+        oracle = run_oracle(config, trace, state)
         relaxed = DependencyDrivenSimulator(config, "relaxed").run(
             trace, state
         )
         for field in RESULT_FIELDS:
-            assert getattr(legacy, field) == getattr(relaxed, field), field
+            assert getattr(oracle, field) == getattr(relaxed, field), field
 
 
 # ---------------------------------------------------------------------------
@@ -541,18 +533,15 @@ class TestVerifyEscapeHatch:
 
 # ---------------------------------------------------------------------------
 # Columnar ports: the cycle-stepped reference and the metadata study
-# no longer materialise per-warp tuple lists.
+# read the trace columns directly.
 # ---------------------------------------------------------------------------
 class TestColumnarPorts:
     def test_reference_runs_columnar_native(self):
         trace = generate_trace("370.bt", SMALL_TRACE)
-        assert trace._warps is None
-        before = trace_mod.tuple_materialisations
-        CycleSteppedReference(scaled_config(sm_count=4, warps_per_sm=8)).run(
-            trace, CompressionState.ideal(trace.footprint_bytes)
-        )
-        assert trace_mod.tuple_materialisations == before
-        assert trace._warps is None
+        result = CycleSteppedReference(
+            scaled_config(sm_count=4, warps_per_sm=8)
+        ).run(trace, CompressionState.ideal(trace.footprint_bytes))
+        assert result.cycles > 0
 
     def test_reference_is_representation_independent(self):
         """Columnar and tuple-built traces simulate identically."""
@@ -564,9 +553,9 @@ class TestColumnarPorts:
             snapshot_config=SMALL_TRACE.snapshot_config,
         )
         columnar = generate_trace("VGG16", trace_config)
-        rebuilt = KernelTrace(
+        rebuilt = kernel_trace(
             columnar.benchmark,
-            warps=columnar.columnar().materialise_warps(),
+            decode(columnar),
             footprint_bytes=columnar.footprint_bytes,
             allocation_ranges=columnar.allocation_ranges,
             host_traffic_fraction=columnar.host_traffic_fraction,
@@ -582,11 +571,7 @@ class TestColumnarPorts:
         config = TraceConfig(
             snapshot_config=SnapshotConfig(scale=1.0 / 2048)
         )
-        trace = generate_trace("VGG16", config)
-        assert trace._warps is None
-        before = trace_mod.tuple_materialisations
         stream = metadata_access_stream("VGG16", config)
-        assert trace_mod.tuple_materialisations == before
         assert stream.size  # non-empty
 
     def test_metadata_stream_matches_tuple_interleaving(self):
@@ -608,7 +593,7 @@ class TestColumnarPorts:
                     for instr in warp.instructions
                     if instr[0] != Op.COMPUTE
                 ]
-                for warp in trace.columnar().materialise_warps()
+                for warp in decode(trace)
             ]
             expected = []
             depth = max(len(s) for s in streams)
@@ -617,16 +602,6 @@ class TestColumnarPorts:
                     if index < len(stream):
                         expected.append(stream[index])
             assert metadata_access_stream(name, config).tolist() == expected
-
-    def test_legacy_engine_still_materialises(self):
-        """The oracle intentionally walks tuple lists — the counter
-        catches any columnar consumer regressing onto that path."""
-        trace = generate_trace("370.bt", SMALL_TRACE)
-        before = trace_mod.tuple_materialisations
-        DependencyDrivenSimulator(SMALL_GPU, "legacy").run(
-            trace, CompressionState.ideal(trace.footprint_bytes)
-        )
-        assert trace_mod.tuple_materialisations == before + 1
 
 
 # ---------------------------------------------------------------------------

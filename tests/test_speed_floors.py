@@ -52,6 +52,7 @@ from repro.serve import (
 )
 from repro.workloads.snapshots import SnapshotConfig
 from repro.workloads.traces import TraceConfig, generate_trace, layout_state
+from sim_oracle import run_oracle
 
 pytestmark = pytest.mark.slow
 
@@ -82,8 +83,9 @@ def test_fig11_engine_speedup():
     """The fast cores' wall-clock advantage on the Fig. 11 grid.
 
     Times the sweep's simulation hot path (every (mode, link) point of
-    four benchmarks, traces and states prepared once) on all three
-    engines over three alternating passes.  The first vectorized pass
+    four benchmarks, traces and states prepared once) on both engines
+    and the per-access oracle (``sim_oracle.py``, the baseline) over
+    three alternating passes.  The first vectorized pass
     is fully cold (whole column resolution), so its *cold* ratio is
     what a fresh sweep sees.  The first relaxed pass records its tapes
     over the columns vectorized just warmed; the relaxed floor uses
@@ -112,16 +114,18 @@ def test_fig11_engine_speedup():
     def sweep(engine):
         start = time.perf_counter()
         results = [
-            DependencyDrivenSimulator(machine, engine).run(trace, state)
+            run_oracle(machine, trace, state)
+            if engine == "oracle"
+            else DependencyDrivenSimulator(machine, engine).run(trace, state)
             for trace, states in grid
             for machine, state in states
         ]
         return time.perf_counter() - start, results
 
-    times = {"legacy": [], "vectorized": [], "relaxed": [], "python-core": []}
+    times = {"oracle": [], "vectorized": [], "relaxed": [], "python-core": []}
     results = {}
     for _ in range(3):
-        for engine in ("legacy", "vectorized", "relaxed"):
+        for engine in ("oracle", "vectorized", "relaxed"):
             seconds, results[engine] = sweep(engine)
             times[engine].append(seconds)
         if _event_core.compiled_active():
@@ -135,27 +139,27 @@ def test_fig11_engine_speedup():
     # vectorized is bit-identical to the oracle at every grid point;
     # relaxed is exact at the reference link, tolerance-pinned elsewhere
     points = [machine for _, states in grid for machine, _ in states]
-    for machine, legacy, vector, relaxed in zip(
-        points, results["legacy"], results["vectorized"], results["relaxed"]
+    for machine, oracle, vector, relaxed in zip(
+        points, results["oracle"], results["vectorized"], results["relaxed"]
     ):
-        assert legacy.cycles == vector.cycles
-        assert legacy.dram_bytes == vector.dram_bytes
-        assert legacy.link_bytes == vector.link_bytes
-        assert legacy.buddy_fills == vector.buddy_fills
-        assert legacy.demand_fills == vector.demand_fills
+        assert oracle.cycles == vector.cycles
+        assert oracle.dram_bytes == vector.dram_bytes
+        assert oracle.link_bytes == vector.link_bytes
+        assert oracle.buddy_fills == vector.buddy_fills
+        assert oracle.demand_fills == vector.demand_fills
         check_relaxed_contract(
-            relaxed, legacy, exact=machine.link.bandwidth_gbps == REFERENCE_LINK_GBPS
+            relaxed, oracle, exact=machine.link.bandwidth_gbps == REFERENCE_LINK_GBPS
         )
 
     # Floors at the pure-Python core's level (vectorized measured
     # ~2-2.5x cold, ~2.5-3x warm; relaxed ~3x cold, ~15-20x warm), so
     # a fallback-only install holds the same bar; conservative for
     # shared CI runners.
-    legacy_best = min(times["legacy"])
-    assert legacy_best / times["vectorized"][0] >= 1.5
-    assert legacy_best / min(times["vectorized"]) >= 2.0
-    assert legacy_best / times["relaxed"][0] >= 1.2
-    assert legacy_best / min(times["relaxed"]) >= 5.0
+    oracle_best = min(times["oracle"])
+    assert oracle_best / times["vectorized"][0] >= 1.5
+    assert oracle_best / min(times["vectorized"]) >= 2.0
+    assert oracle_best / times["relaxed"][0] >= 1.2
+    assert oracle_best / min(times["relaxed"]) >= 5.0
 
     if _event_core.compiled_active():
         for vector, python in zip(results["vectorized"], results["python-core"]):

@@ -7,6 +7,7 @@ from repro.gpusim.trace import Op
 from repro.units import MEMORY_ENTRY_BYTES
 from repro.workloads.snapshots import SnapshotConfig
 from repro.workloads.traces import TraceConfig, generate_trace
+from sim_oracle import decode
 
 SMALL = TraceConfig(
     sm_count=4,
@@ -29,24 +30,24 @@ def cg_trace():
 class TestTraceStructure:
     def test_warp_population(self, vgg_trace):
         assert vgg_trace.warp_count == SMALL.sm_count * SMALL.warps_per_sm
-        sms = {warp.sm for warp in vgg_trace.warps}
+        sms = {warp.sm for warp in decode(vgg_trace)}
         assert sms == set(range(SMALL.sm_count))
 
     def test_memory_instruction_budget(self, vgg_trace):
-        for warp in vgg_trace.warps:
+        for warp in decode(vgg_trace):
             memory = sum(1 for i in warp.instructions if i[0] != Op.COMPUTE)
             assert memory == SMALL.memory_instructions_per_warp
 
     def test_determinism(self):
         a = generate_trace("356.sp", SMALL)
         b = generate_trace("356.sp", SMALL)
-        assert a.warps[3].instructions == b.warps[3].instructions
+        assert decode(a)[3].instructions == decode(b)[3].instructions
 
     def test_addresses_inside_footprint_or_host(self, vgg_trace):
         limit = vgg_trace.footprint_bytes * (
             2 if vgg_trace.host_traffic_fraction else 1
         )
-        for warp in vgg_trace.warps:
+        for warp in decode(vgg_trace):
             for op, address, sectors in warp.instructions:
                 if op == Op.COMPUTE:
                     continue
@@ -64,14 +65,14 @@ class TestTraceStructure:
 class TestAccessCharacter:
     def test_streaming_is_coalesced(self, vgg_trace):
         sectors = [
-            i[2] for w in vgg_trace.warps for i in w.instructions
+            i[2] for w in decode(vgg_trace) for i in w.instructions
             if i[0] != Op.COMPUTE
         ]
         assert np.mean(sectors) == 4.0
 
     def test_random_touches_single_sectors(self, cg_trace):
         sectors = [
-            i[2] for w in cg_trace.warps for i in w.instructions
+            i[2] for w in decode(cg_trace) for i in w.instructions
             if i[0] != Op.COMPUTE
         ]
         assert np.mean(sectors) < 1.5
@@ -79,14 +80,15 @@ class TestAccessCharacter:
     def test_latency_sensitivity_maps_to_mlp(self):
         lulesh = generate_trace("FF_Lulesh", SMALL)
         vgg = generate_trace("VGG16", SMALL)
-        assert lulesh.warps[0].max_outstanding < vgg.warps[0].max_outstanding
+        lulesh_mlp = decode(lulesh)[0].max_outstanding
+        assert lulesh_mlp < decode(vgg)[0].max_outstanding
 
     def test_host_traffic_only_for_hpgmg(self):
         hpgmg = generate_trace("FF_HPGMG", SMALL)
         assert hpgmg.host_traffic_fraction > 0
         host_accesses = sum(
             1
-            for w in hpgmg.warps
+            for w in decode(hpgmg)
             for i in w.instructions
             if i[0] != Op.COMPUTE and i[1] >= hpgmg.footprint_bytes
         )
@@ -99,7 +101,7 @@ class TestAccessCharacter:
         trace = generate_trace("ResNet50", SMALL)
         ranges = trace.allocation_ranges
         counts = {name: 0 for name in ranges}
-        for warp in trace.warps:
+        for warp in decode(trace):
             for op, address, _ in warp.instructions:
                 if op == Op.COMPUTE:
                     continue
@@ -114,7 +116,7 @@ class TestAccessCharacter:
         ilbdc = generate_trace("360.ilbdc", SMALL)  # bandwidth-bound
         def intensity(trace):
             compute = sum(
-                i[1] for w in trace.warps for i in w.instructions
+                i[1] for w in decode(trace) for i in w.instructions
                 if i[0] == Op.COMPUTE
             )
             return compute / trace.memory_instruction_count

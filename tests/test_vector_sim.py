@@ -1,15 +1,18 @@
-"""Equivalence contract between the vectorized and legacy engines.
+"""Equivalence contract between the vectorized engine and the oracle.
 
 The vectorized batched-event core must be indistinguishable from the
-per-access oracle on every observable: identical integer traffic
-counters, identical hit rates and bit-identical cycle counts, across
-all three compression modes, several benchmarks and link bandwidths.
+per-access oracle (``sim_oracle.py``) on every observable: identical
+integer traffic counters, identical hit rates and bit-identical cycle
+counts, across all three compression modes, several benchmarks and
+link bandwidths.
 These tests pin that contract, the batched geometry and table helpers
-it builds on, and a golden Fig. 11 subset digest shared by both
-engines.
+it builds on, and a golden Fig. 11 subset digest shared by the
+engine and the oracle.
 """
 
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,17 +23,16 @@ from repro.gpusim import (
     CompressionMode,
     CompressionState,
     DependencyDrivenSimulator,
-    KernelTrace,
     VectorizedSimulator,
-    WarpTrace,
     scaled_config,
 )
 from repro.gpusim.cache import SectoredCache
 from repro.gpusim.dram import ChannelSet
-from repro.gpusim.trace import ColumnarTrace, Op
+from repro.gpusim.trace import KernelTrace, Op
 from repro.gpusim.vector_sim import _geometry_columns
 from repro.workloads.snapshots import SnapshotConfig
 from repro.workloads.traces import TraceConfig, generate_trace, layout_snapshot
+from sim_oracle import Warp, decode, kernel_trace, run_oracle
 
 SMALL_TRACE = TraceConfig(
     sm_count=4,
@@ -59,13 +61,11 @@ RESULT_FIELDS = (
 
 
 def assert_equivalent(trace, state, config):
-    legacy = DependencyDrivenSimulator(config, engine="legacy").run(
-        trace, state
-    )
+    oracle = run_oracle(config, trace, state)
     vector = VectorizedSimulator(config).run(trace, state)
     for field in RESULT_FIELDS:
-        assert getattr(legacy, field) == getattr(vector, field), field
-    return legacy, vector
+        assert getattr(oracle, field) == getattr(vector, field), field
+    return oracle, vector
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +85,26 @@ class TestEngineSwitch:
         fast = DependencyDrivenSimulator(SMALL_GPU, "vectorized").run(
             trace, state
         )
-        slow = DependencyDrivenSimulator(SMALL_GPU, "legacy").run(trace, state)
+        slow = run_oracle(SMALL_GPU, trace, state)
         assert fast.cycles == slow.cycles
+
+    def test_oracle_is_independent(self):
+        """The oracle imports none of the code it checks."""
+        tree = ast.parse(
+            (Path(__file__).parent / "sim_oracle.py").read_text()
+        )
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module)
+                imported.update(
+                    f"{node.module}.{alias.name}" for alias in node.names
+                )
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert "repro.gpusim.simulator" in imported
+        for checked in ("repro.gpusim.vector_sim", "repro.gpusim._event_core"):
+            assert checked not in imported
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +136,8 @@ class TestEngineEquivalence:
         state = CompressionState.from_snapshot(
             snapshot, selection, CompressionMode.BUDDY
         )
-        legacy, vector = assert_equivalent(trace, state, SMALL_GPU)
-        assert legacy.cycles == vector.cycles  # exact float equality
+        oracle, vector = assert_equivalent(trace, state, SMALL_GPU)
+        assert oracle.cycles == vector.cycles  # exact float equality
 
     def test_unit_trace_with_host_region(self):
         footprint = 1 << 20
@@ -128,10 +146,10 @@ class TestEngineEquivalence:
         ]
         loads = [(int(Op.LOAD), footprint + 128 * i, 2) for i in range(32)]
         warps = [
-            WarpTrace(0, stores, max_outstanding=1),
-            WarpTrace(0, loads, max_outstanding=2),
+            Warp(0, stores, max_outstanding=1),
+            Warp(0, loads, max_outstanding=2),
         ]
-        trace = KernelTrace(
+        trace = kernel_trace(
             "unit", warps, footprint, host_traffic_fraction=0.5
         )
         config = scaled_config(sm_count=1, warps_per_sm=2, link_gbps=50)
@@ -144,8 +162,8 @@ class TestEngineEquivalence:
         n = 4096
         instructions = [(int(Op.STORE), (i * 128) % (n * 128), 1)
                         for i in range(512)]
-        warps = [WarpTrace(0, instructions, max_outstanding=4)]
-        trace = KernelTrace("unit", warps, n * 128)
+        warps = [Warp(0, instructions, max_outstanding=4)]
+        trace = kernel_trace("unit", warps, n * 128)
         state = CompressionState(
             CompressionMode.BUDDY,
             np.full(n, 4, dtype=np.int8),
@@ -153,8 +171,8 @@ class TestEngineEquivalence:
             np.zeros(n, dtype=bool),
         )
         config = scaled_config(sm_count=1, warps_per_sm=1)
-        legacy, _vector = assert_equivalent(trace, state, config)
-        assert legacy.demand_fills > 0  # the RMW fills actually fired
+        oracle, _vector = assert_equivalent(trace, state, config)
+        assert oracle.demand_fills > 0  # the RMW fills actually fired
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_fuzzed_unit_traces(self, seed):
@@ -177,12 +195,12 @@ class TestEngineEquivalence:
                     op = Op.LOAD if kind == 1 else Op.STORE
                     instructions.append((int(op), address, sectors))
             warps.append(
-                WarpTrace(
+                Warp(
                     w % 2, instructions,
                     max_outstanding=int(rng.integers(1, 6)),
                 )
             )
-        trace = KernelTrace("fuzz", warps, n * 128)
+        trace = kernel_trace("fuzz", warps, n * 128)
         sectors = rng.integers(1, 5, n).astype(np.int8)
         budgets = rng.integers(0, 5, n).astype(np.int8)
         zero_fit = rng.random(n) < 0.2
@@ -199,12 +217,12 @@ class TestEngineEquivalence:
         config = scaled_config(sm_count=1, warps_per_sm=1)
         lines = 2 * config.l2_bytes // config.line_bytes
         instructions = [(int(Op.STORE), i * 128, 1) for i in range(lines)]
-        warps = [WarpTrace(0, instructions, max_outstanding=4)]
-        trace = KernelTrace("unit", warps, 1 << 24)
-        legacy, _vector = assert_equivalent(
+        warps = [Warp(0, instructions, max_outstanding=4)]
+        trace = kernel_trace("unit", warps, 1 << 24)
+        oracle, _vector = assert_equivalent(
             trace, CompressionState.ideal(trace.footprint_bytes), config
         )
-        assert legacy.dram_bytes > 0
+        assert oracle.dram_bytes > 0
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +230,7 @@ class TestEngineEquivalence:
 # ---------------------------------------------------------------------------
 class TestVectorCacheEquivalence:
     """The vectorized engine keeps its own per-set cache state; it must
-    behave as :class:`SectoredCache`, the legacy engine's cache."""
+    behave as :class:`SectoredCache`, the oracle's cache."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_sequences_match_sectored_cache(self, seed):
@@ -223,18 +241,18 @@ class TestVectorCacheEquivalence:
             sectors = int(rng.integers(1, 5))
             op = Op.LOAD if rng.random() < 0.7 else Op.STORE
             instructions.append((int(op), address, sectors))
-        trace = KernelTrace(
-            "fuzz", [WarpTrace(0, instructions, max_outstanding=2)], 1 << 21
+        trace = kernel_trace(
+            "fuzz", [Warp(0, instructions, max_outstanding=2)], 1 << 21
         )
         # Small caches so both levels evict under the random stream.
         config = scaled_config(
             sm_count=1, warps_per_sm=1, l1_bytes=4096, l2_bytes=8192
         )
-        legacy, _vector = assert_equivalent(
+        oracle, _vector = assert_equivalent(
             trace, CompressionState.ideal(trace.footprint_bytes), config
         )
-        assert 0.0 < legacy.l1_hit_rate < 1.0
-        assert 0.0 < legacy.l2_hit_rate < 1.0
+        assert 0.0 < oracle.l1_hit_rate < 1.0
+        assert 0.0 < oracle.l2_hit_rate < 1.0
 
     def test_batched_probe_fill_match_scalar(self):
         """The set columns the engine probes and fills, resolved in one
@@ -243,7 +261,7 @@ class TestVectorCacheEquivalence:
         rng = np.random.default_rng(7)
         addresses = rng.integers(0, 1 << 16, 256) * 32
         instructions = [(int(Op.LOAD), int(a), 1) for a in addresses]
-        trace = KernelTrace("unit", [WarpTrace(0, instructions)], 1 << 21)
+        trace = kernel_trace("unit", [Warp(0, instructions)], 1 << 21)
         config = scaled_config(sm_count=1, warps_per_sm=1, l1_bytes=3072)
         l1 = SectoredCache(config.l1_bytes, config.l1_ways, config.line_bytes)
         l2 = SectoredCache(config.l2_bytes, config.l2_ways, config.line_bytes)
@@ -264,17 +282,17 @@ class TestVectorCacheEquivalence:
                 cache.fill(address, 0xF)
         assert (cache.hits, cache.misses) == (2, 4)
         instructions = [(int(Op.LOAD), address, 4) for address in lines]
-        trace = KernelTrace(
-            "unit", [WarpTrace(0, instructions, max_outstanding=1)], 1 << 20
+        trace = kernel_trace(
+            "unit", [Warp(0, instructions, max_outstanding=1)], 1 << 20
         )
         config = replace(
             scaled_config(sm_count=1, warps_per_sm=1, l1_bytes=512),
             l1_ways=2,
         )
-        legacy, _vector = assert_equivalent(
+        oracle, _vector = assert_equivalent(
             trace, CompressionState.ideal(trace.footprint_bytes), config
         )
-        assert legacy.l1_hit_rate == cache.hit_rate
+        assert oracle.l1_hit_rate == cache.hit_rate
 
 
 class TestBatchedReservations:
@@ -309,7 +327,7 @@ class TestCompressionStateTables:
 class TestColumnarTrace:
     def test_round_trip_is_identity(self):
         trace = generate_trace("VGG16", SMALL_TRACE)
-        rebuilt = ColumnarTrace.from_warps(trace.warps)
+        rebuilt = kernel_trace(trace.benchmark, decode(trace)).columnar()
         original = trace.columnar()
         assert (rebuilt.ops == original.ops).all()
         assert (rebuilt.a == original.a).all()
@@ -319,38 +337,76 @@ class TestColumnarTrace:
     def test_generated_trace_is_columnar_native(self):
         trace = generate_trace("VGG16", SMALL_TRACE)
         assert trace._columnar is not None
-        assert trace._warps is None  # tuple lists materialise lazily
+        assert not hasattr(trace, "warps")  # columns are the only view
 
     def test_counts_agree_between_representations(self):
         trace = generate_trace("354.cg", SMALL_TRACE)
         columnar = trace.columnar()
-        per_warp = sum(w.instruction_count for w in trace.warps)
+        per_warp = sum(
+            a if op == Op.COMPUTE else 1
+            for warp in decode(trace)
+            for op, a, _ in warp.instructions
+        )
         assert columnar.instruction_count == per_warp
-        assert columnar.warp_count == len(trace.warps)
+        assert columnar.warp_count == len(decode(trace))
 
     def test_trace_requires_some_representation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             KernelTrace("unit")
 
 
 # ---------------------------------------------------------------------------
-# Golden digest: the Fig. 11 subset, identical for both engines.
+# Golden digests: the Fig. 11 subset, identical for engine and oracle.
 # ---------------------------------------------------------------------------
 class TestGoldenDigest:
-    #: Pinned when the vectorized engine landed; both engines must
-    #: keep producing exactly this dataset, bit for bit.
+    #: Pinned when the vectorized engine landed; the engine and the
+    #: oracle must keep producing exactly this dataset, bit for bit.
     GOLDEN = "36fffebd7889855276c66e53065155ba"
 
-    @pytest.mark.parametrize("engine", ["vectorized", "legacy"])
-    def test_fig11_subset_digest(self, engine):
+    #: ``repro run perf.fig11 VGG16 --engine vectorized --no-cache
+    #: --scale 3.0517578125e-05`` (the CI ``engines`` job's run); the
+    #: per-access oracle produced the same digest when it was pinned.
+    CI_GOLDEN = "58e2c52ab695a0ff4e0dffdc3b95d65b"
+
+    @pytest.mark.parametrize("engine", ["vectorized", "oracle"])
+    def test_fig11_subset_digest(self, engine, monkeypatch):
+        from repro.analysis import perf_study
         from repro.analysis.perf_study import run_perf_study
 
+        oracle_runs = []
+
+        class OracleSimulator:
+            """Stands in for ``DependencyDrivenSimulator``."""
+
+            def __init__(self, config, engine, verify):
+                self.config = config
+
+            def run(self, trace, state):
+                oracle_runs.append(trace.benchmark)
+                return run_oracle(self.config, trace, state)
+
+        if engine == "oracle":
+            # The runner is serial and uncached, so every point runs
+            # in this process, through the patched simulator.
+            monkeypatch.setattr(
+                perf_study, "DependencyDrivenSimulator", OracleSimulator
+            )
         result = run_perf_study(
             benchmarks=("VGG16", "354.cg"),
             trace_config=SMALL_TRACE,
             link_sweep=(50.0, 150.0),
             profile_config=SnapshotConfig(scale=1.0 / 65536),
             runner=ExperimentRunner(),
-            engine_spec=engine,
         )
         assert result_digest(result) == self.GOLDEN
+        # ideal + bandwidth-only + two links, per benchmark
+        assert len(oracle_runs) == (8 if engine == "oracle" else 0)
+
+    def test_ci_run_digest(self, capsys):
+        from repro.cli import main
+
+        main([
+            "run", "perf.fig11", "VGG16", "--engine", "vectorized",
+            "--no-cache", "--scale", "3.0517578125e-05",
+        ])
+        assert f"result digest: {self.CI_GOLDEN}" in capsys.readouterr().out
