@@ -20,7 +20,7 @@ from repro.gpusim import (
     DependencyDrivenSimulator,
     scaled_config,
 )
-from repro.core import BuddyCompressor, BuddyConfig
+from repro.core import BuddyCompressor
 from repro.core.targets import FINAL
 from repro.workloads.snapshots import SnapshotConfig
 from repro.workloads.traces import TraceConfig, generate_trace, layout_snapshot
@@ -29,9 +29,7 @@ from repro.workloads.traces import TraceConfig, generate_trace, layout_snapshot
 def buddy_slowdown_at_50gbps(benchmark: str) -> float:
     """Slowdown of Buddy Compression vs ideal at a 50 GB/s link."""
     trace_config = TraceConfig(memory_instructions_per_warp=48)
-    engine = BuddyCompressor(
-        BuddyConfig(snapshot_config=SnapshotConfig(scale=1.0 / 65536))
-    )
+    engine = BuddyCompressor(SnapshotConfig(scale=1.0 / 65536))
     trace = generate_trace(benchmark, trace_config)
     snapshot = layout_snapshot(benchmark, trace_config)
     selection = engine.select(engine.profile(benchmark), FINAL)

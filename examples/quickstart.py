@@ -15,7 +15,7 @@ from the same shared result cache as ``repro run`` and
 """
 
 import repro
-from repro.core import BuddyCompressor, BuddyConfig
+from repro.core import BuddyCompressor
 from repro.core.targets import FINAL, NAIVE
 from repro.engine import example_runner
 from repro.units import GIB, bytes_to_human
@@ -49,7 +49,7 @@ def main() -> None:
         print(f"  compression ratio: {result.compression_ratio:.2f}x")
         print(f"  buddy-memory accesses: {result.buddy_access_fraction:.2%} of entries")
 
-    engine = BuddyCompressor(BuddyConfig(snapshot_config=config))
+    engine = BuddyCompressor(config)
     allocator = engine.place(
         benchmark, results[FINAL.name].selection, device_capacity=12 * GIB
     )

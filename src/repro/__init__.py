@@ -9,10 +9,10 @@ oversubscription model, and the DL-training case-study analytics.
 
 Quickstart::
 
-    from repro import BuddyCompressor, BuddyConfig
+    from repro import BuddyCompressor
     from repro.core.targets import FINAL
 
-    engine = BuddyCompressor(BuddyConfig())
+    engine = BuddyCompressor()
     result = engine.run("VGG16", FINAL)
     print(result.compression_ratio, result.buddy_access_fraction)
 
@@ -37,7 +37,7 @@ from repro.api import (
     sweep,
 )
 from repro.compression import BPCCompressor
-from repro.core import BuddyCompressor, BuddyConfig, TargetRatio
+from repro.core import BuddyCompressor, TargetRatio
 from repro.units import MEMORY_ENTRY_BYTES, SECTOR_BYTES, SECTORS_PER_ENTRY
 
 __version__ = "1.0.0"
@@ -45,7 +45,6 @@ __version__ = "1.0.0"
 __all__ = [
     "BPCCompressor",
     "BuddyCompressor",
-    "BuddyConfig",
     "TargetRatio",
     "CacheStats",
     "RunResult",

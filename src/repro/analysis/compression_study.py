@@ -8,9 +8,14 @@ import numpy as np
 
 from repro.compression import BPCCompressor, free_sizes_for_sizes, sectors_for_sizes
 from repro.compression.zeroblock import zero_mask
-from repro.core.controller import BuddyCompressor, BuddyConfig, EvaluationResult
-from repro.core.targets import FINAL, NAIVE, PER_ALLOCATION, DesignPoint
-from repro.core.targets import threshold_sweep as targets_threshold_sweep
+from repro.core.controller import BuddyCompressor, EvaluationResult
+from repro.core.targets import (
+    FINAL,
+    NAIVE,
+    PER_ALLOCATION,
+    DesignPoint,
+    select_per_allocation_indices,
+)
 from repro.units import ENTRIES_PER_PAGE, MEMORY_ENTRY_BYTES
 from repro.workloads.catalog import get_benchmark
 from repro.workloads.snapshots import SnapshotConfig, generate_run, generate_snapshot
@@ -175,11 +180,9 @@ def fig7_benchmark(
     One profiling pass selects for every design; one reference pass
     evaluates the whole batch (:meth:`BuddyCompressor.evaluate_many`).
     """
-    engine = BuddyCompressor(
-        BuddyConfig(snapshot_config=config or SnapshotConfig())
-    )
-    profile = engine.profile(benchmark)
-    selections = [engine.select(profile, design) for design in designs]
+    engine = BuddyCompressor(config or SnapshotConfig())
+    tensor = engine.profile(benchmark)
+    selections = [engine.select(tensor, design) for design in designs]
     names = [design.name for design in designs]
     results = engine.evaluate_many(benchmark, selections, names)
     return dict(zip(names, results))
@@ -230,9 +233,7 @@ def fig8_benchmark(
     benchmark: str, config: SnapshotConfig | None = None
 ) -> EvaluationResult:
     """One benchmark's Fig. 8 run under the final design."""
-    engine = BuddyCompressor(
-        BuddyConfig(snapshot_config=config or SnapshotConfig())
-    )
+    engine = BuddyCompressor(config or SnapshotConfig())
     return engine.run(benchmark, FINAL)
 
 
@@ -258,17 +259,16 @@ def fig9_benchmark(
 
     The whole sweep runs exactly one profiling pass and one reference
     pass: selections for every threshold reduce over a single
-    worst-overflow matrix (:func:`repro.core.targets.threshold_sweep`)
-    and the batch is evaluated in one
-    :meth:`BuddyCompressor.evaluate_many` call.
+    worst-overflow matrix
+    (:func:`repro.core.targets.select_per_allocation_indices`) and the
+    batch is evaluated in one :meth:`BuddyCompressor.evaluate_many`
+    call.
     """
     thresholds = tuple(thresholds)
-    engine = BuddyCompressor(
-        BuddyConfig(snapshot_config=config or SnapshotConfig())
-    )
-    profile = engine.profile(benchmark)
-    by_threshold = targets_threshold_sweep(profile, thresholds)
-    selections = [by_threshold[threshold] for threshold in thresholds]
+    engine = BuddyCompressor(config or SnapshotConfig())
+    tensor = engine.profile(benchmark)
+    batch = select_per_allocation_indices(tensor, thresholds)
+    selections = [tensor.selection_from_indices(row) for row in batch]
     names = [f"threshold-{threshold:.2f}" for threshold in thresholds]
     results = engine.evaluate_many(benchmark, selections, names)
     return dict(zip(thresholds, results))

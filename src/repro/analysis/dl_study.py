@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.controller import BuddyCompressor, BuddyConfig
+from repro.core.controller import BuddyCompressor
 from repro.core.targets import FINAL
 from repro.dlmodel.casestudy import CaseStudyRow, buddy_batch_speedups, mean_speedup
 from repro.dlmodel.convergence import accuracy_curve
@@ -37,9 +37,7 @@ def network_ratio(
     network: str, config: SnapshotConfig | None = None
 ) -> float:
     """One network's buddy ratio (the engine's point unit)."""
-    engine = BuddyCompressor(
-        BuddyConfig(snapshot_config=config or SnapshotConfig(scale=1.0 / 65536))
-    )
+    engine = BuddyCompressor(config or SnapshotConfig(scale=1.0 / 65536))
     return engine.run(network, FINAL).compression_ratio
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.controller import BuddyCompressor, BuddyConfig
+from repro.core.controller import BuddyCompressor
 from repro.core.targets import FINAL
 from repro.gpusim.compression import CompressionMode, CompressionState
 from repro.gpusim.config import GPUConfig, scaled_config
@@ -115,7 +115,7 @@ def perf_benchmark_row(
     config, trace_config, profile_config = _normalize_point_inputs(
         config, trace_config, profile_config
     )
-    compressor = BuddyCompressor(BuddyConfig(snapshot_config=profile_config))
+    compressor = BuddyCompressor(profile_config)
 
     trace = generate_trace(benchmark, trace_config)
     # The cached per-entry state behind the trace layout: profiling,
@@ -203,7 +203,7 @@ def prepare_tape(
     config, trace_config, profile_config = _normalize_point_inputs(
         config, trace_config, profile_config
     )
-    compressor = BuddyCompressor(BuddyConfig(snapshot_config=profile_config))
+    compressor = BuddyCompressor(profile_config)
     trace = generate_trace(benchmark, trace_config)
     layout = layout_state(benchmark, trace_config)
     selection = compressor.select(compressor.profile(benchmark), FINAL)

@@ -8,7 +8,9 @@ The engine follows the paper's flow end to end:
    per-allocation compressed-size histograms.
 2. :mod:`repro.core.targets` turns the tensor into per-allocation
    target compression ratios under a Buddy Threshold, including the
-   naive whole-program baseline and the 16x zero-page promotion.
+   naive whole-program baseline and the 16x zero-page promotion, as
+   one target-axis index per allocation
+   (:meth:`ProfileTensor.selection_from_indices` names them).
 3. :mod:`repro.core.allocator` and :mod:`repro.core.translation` model
    the split device/buddy layout: GBBR-relative carve-out addressing,
    page-table extension bits and the 4-bit-per-entry size metadata.
@@ -20,43 +22,19 @@ The engine follows the paper's flow end to end:
 """
 
 from repro.core.entry import TargetRatio, ALLOWED_TARGETS
-from repro.core.histogram import SectorHistogram
 from repro.core.profile_tensor import EntryStateTensor, ProfileTensor
-from repro.core.profiler import (
-    AllocationProfile,
-    BenchmarkProfile,
-    entry_state_tensor,
-    profile_benchmark,
-    profile_tensor,
-)
-from repro.core.targets import (
-    DesignPoint,
-    select_naive,
-    select_per_allocation,
-    apply_zero_page,
-    selection_ratio,
-    threshold_sweep,
-)
-from repro.core.controller import BuddyCompressor, BuddyConfig, EvaluationResult
+from repro.core.profiler import entry_state_tensor, profile_tensor
+from repro.core.targets import DesignPoint
+from repro.core.controller import BuddyCompressor, EvaluationResult
 
 __all__ = [
     "TargetRatio",
     "ALLOWED_TARGETS",
-    "SectorHistogram",
     "ProfileTensor",
     "EntryStateTensor",
-    "AllocationProfile",
-    "BenchmarkProfile",
     "entry_state_tensor",
-    "profile_benchmark",
     "profile_tensor",
     "DesignPoint",
-    "select_naive",
-    "select_per_allocation",
-    "apply_zero_page",
-    "selection_ratio",
-    "threshold_sweep",
     "BuddyCompressor",
-    "BuddyConfig",
     "EvaluationResult",
 ]

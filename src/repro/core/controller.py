@@ -17,7 +17,7 @@ over that single reference tensor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,21 +28,10 @@ from repro.core import targets as targets_mod
 from repro.core.allocator import BuddyAllocator
 from repro.core.entry import TargetRatio
 from repro.core.profile_tensor import ProfileTensor
-from repro.core.profiler import BenchmarkProfile, profile_tensor
+from repro.core.profiler import entry_state_tensor, profile_tensor
 from repro.core.targets import DesignPoint
 from repro.units import GIB, MEMORY_ENTRY_BYTES
-from repro.workloads.snapshots import SnapshotConfig, generate_run
-
-
-@dataclass(frozen=True)
-class BuddyConfig:
-    """Engine configuration (paper defaults)."""
-
-    threshold: float = targets_mod.DEFAULT_THRESHOLD
-    zero_tolerance: float = targets_mod.ZERO_PAGE_TOLERANCE
-    naive_overflow_cap: float = targets_mod.NAIVE_OVERFLOW_CAP
-    max_overall_ratio: float = targets_mod.MAX_OVERALL_RATIO
-    snapshot_config: SnapshotConfig = field(default_factory=SnapshotConfig)
+from repro.workloads.snapshots import SnapshotConfig
 
 
 @dataclass
@@ -140,54 +129,39 @@ def evaluate_selections_batch(groups) -> list[list[EvaluationResult]]:
 
 
 class BuddyCompressor:
-    """Profile / annotate / evaluate pipeline for one configuration."""
+    """Profile / annotate / evaluate pipeline for one configuration.
+
+    ``snapshot_config`` is the reference run's snapshot configuration
+    (paper defaults when omitted); profiling uses its profile-role
+    form (:meth:`~repro.workloads.snapshots.SnapshotConfig.as_profile`).
+    """
 
     def __init__(
         self,
-        config: BuddyConfig | None = None,
+        snapshot_config: SnapshotConfig | None = None,
         algorithm: CompressionAlgorithm | None = None,
     ) -> None:
-        self.config = config or BuddyConfig()
+        self.snapshot_config = snapshot_config or SnapshotConfig()
         self.algorithm = algorithm or BPCCompressor()
 
     # ------------------------------------------------------------------
-    def profile(self, benchmark: str) -> BenchmarkProfile:
+    def profile(self, benchmark: str) -> ProfileTensor:
         """Run the profiling pass (profile-role snapshots)."""
-        return BenchmarkProfile(
-            profile_tensor(
-                benchmark,
-                self.config.snapshot_config.as_profile(),
-                self.algorithm,
-            )
+        return profile_tensor(
+            benchmark, self.snapshot_config.as_profile(), self.algorithm
         )
 
     def reference_tensor(self, benchmark: str) -> ProfileTensor:
         """The reference run's columnar profile (from the artifact store)."""
-        return profile_tensor(
-            benchmark, self.config.snapshot_config, self.algorithm
-        )
+        return profile_tensor(benchmark, self.snapshot_config, self.algorithm)
 
     def select(
-        self, profile: BenchmarkProfile, design: DesignPoint
+        self, tensor: ProfileTensor, design: DesignPoint
     ) -> dict[str, TargetRatio]:
         """Choose target ratios for a design point."""
-        tensor = targets_mod.as_tensor(profile)
-        if design.per_allocation:
-            indices = targets_mod.select_per_allocation_indices(
-                tensor, (design.threshold,)
-            )[0]
-        else:
-            indices = targets_mod.select_naive_indices(
-                tensor, self.config.naive_overflow_cap
-            )
-        if design.zero_page:
-            indices = targets_mod.apply_zero_page_indices(
-                indices,
-                tensor,
-                self.config.zero_tolerance,
-                self.config.max_overall_ratio,
-            )
-        return tensor.selection_from_indices(indices)
+        return tensor.selection_from_indices(
+            targets_mod.select_indices(tensor, design)
+        )
 
     def evaluate(
         self,
@@ -240,16 +214,15 @@ class BuddyCompressor:
     ) -> BuddyAllocator:
         """Build the device + carve-out layout for a selection.
 
-        Uses the reference run's allocation sizes; raises
+        Uses the allocation sizes of the reference run's first dump (its
+        stored entry-state tensor); raises
         :class:`repro.core.allocator.OutOfMemoryError` if the selection
         cannot fit, which is how capacity experiments detect failure.
         """
-        snapshot = next(iter(generate_run(benchmark, self.config.snapshot_config)))
+        layout = entry_state_tensor(benchmark, self.snapshot_config, 0)
         allocator = BuddyAllocator(device_capacity=device_capacity)
-        for alloc in snapshot.allocations:
+        for name, entries in zip(layout.names, layout.entry_counts):
             allocator.allocate(
-                alloc.name,
-                alloc.entries * MEMORY_ENTRY_BYTES,
-                selection[alloc.name],
+                name, int(entries) * MEMORY_ENTRY_BYTES, selection[name]
             )
         return allocator

@@ -17,12 +17,11 @@ over this tensor, so a threshold or design-point sweep profiles the
 reference run once and evaluates every point as array ops.
 
 Bit-compatibility contract: every reduction here reproduces the exact
-IEEE-754 operation sequence of the historical per-object
-:class:`~repro.core.histogram.SectorHistogram` path (same integer
-divisions, same accumulation order over allocations), so results are
-bit-identical to the legacy pipeline and cached digests stay valid.
-:class:`~repro.core.histogram.SectorHistogram` survives as a thin view
-over tensor rows for existing callers.
+IEEE-754 operation sequence of a per-(allocation, snapshot) histogram
+object (same integer divisions, same accumulation order over
+allocations), so results match that slow form bit for bit and cached
+digests stay valid.  The per-object form is the test oracle
+(``tests/profile_oracle.py``).
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from repro.core.entry import TargetRatio
-from repro.core.histogram import SectorHistogram
 from repro.units import MEMORY_ENTRY_BYTES, SECTORS_PER_ENTRY
 
 #: Canonical target order for the tensor's target axis.
@@ -101,7 +99,10 @@ class ProfileTensor:
         The advisor service accepts client-supplied histograms; this
         is the single choke point where they are checked (finite,
         integral, non-negative, shape-consistent, ``zero_fit`` within
-        bucket 0) before entering the pipeline.  Raises
+        bucket 0, at least one snapshot, and at least one entry per
+        allocation over the run — a profile without evidence would be
+        answered with the most aggressive targets) before entering the
+        pipeline.  Raises
         :class:`ValueError` with a client-presentable message.
         """
         names = tuple(str(name) for name in names)
@@ -135,6 +136,14 @@ class ProfileTensor:
             raise ValueError(
                 f"counts covers {counts.shape[0]} allocations for "
                 f"{len(names)} names"
+            )
+        if counts.shape[1] == 0:
+            raise ValueError("profile must cover at least one snapshot")
+        has_entries = counts.any(axis=(1, 2))
+        if not has_entries.all():
+            empty = names[int(np.argmin(has_entries))]
+            raise ValueError(
+                f"allocation {empty!r} has no entries over the run"
             )
         zero_fit = as_int_array("zero_fit", zero_fit, 2)
         if zero_fit.shape != counts.shape[:2]:
@@ -208,9 +217,9 @@ class ProfileTensor:
     def overflow_fractions(self) -> np.ndarray:
         """``(T, A, S)`` fraction of entries overflowing each target.
 
-        Replicates :meth:`SectorHistogram.overflow_fraction` exactly:
-        integer overflow count divided by the integer total, and the
-        16x class computed as ``1.0 - zero_fit / total``.
+        Integer overflow count divided by the integer total, and the
+        16x class computed as ``1.0 - zero_fit / total``; empty cells
+        report 0.0.
         """
         totals = self.totals
         safe = np.maximum(totals, 1)
@@ -230,8 +239,8 @@ class ProfileTensor:
     def sector_fractions(self) -> np.ndarray:
         """``(T, A, S)`` overflow sectors per entry for each target.
 
-        Replicates :meth:`SectorHistogram.buddy_sector_fraction`: the
-        integer overflow-sector dot product divided by the total.
+        The integer overflow-sector dot product divided by the total;
+        empty cells report 0.0.
         """
         totals = self.totals
         safe = np.maximum(totals, 1)
@@ -280,9 +289,9 @@ class ProfileTensor:
     def selection_ratio(self, indices: np.ndarray) -> float:
         """Overall compression ratio of a selection (capacity metric).
 
-        Accumulates in allocation order with scalar float arithmetic —
-        the exact legacy :func:`repro.core.targets.selection_ratio`
-        operation sequence.
+        Footprint divided by the device memory the annotated
+        allocations reserve, accumulated in allocation order with
+        scalar float arithmetic (the order cached digests pin).
         """
         footprint = 0.0
         device = 0.0
@@ -317,27 +326,6 @@ class ProfileTensor:
             sectors = sectors + weighted_sectors[position]
         entries = np.maximum(totals.sum(axis=0), 1)
         return overflowing / entries, sectors / entries
-
-    # -- histogram views --------------------------------------------------
-    def histogram(self, position: int, snapshot: int) -> SectorHistogram:
-        """One (allocation, snapshot) cell as a legacy histogram."""
-        return SectorHistogram(
-            self.counts[position, snapshot].copy(),
-            int(self.zero_fit[position, snapshot]),
-        )
-
-    def merged_histogram(self, position: int) -> SectorHistogram:
-        """One allocation's run-merged histogram view."""
-        return SectorHistogram(
-            self.merged_counts[position].copy(),
-            int(self.merged_zero_fit[position]),
-        )
-
-    def program_histogram(self) -> SectorHistogram:
-        """Whole-program histogram (what the naive design sees)."""
-        return SectorHistogram(
-            self.program_counts.copy(), int(self.zero_fit.sum())
-        )
 
 
 @dataclass(eq=False)

@@ -6,10 +6,8 @@ DL) while a tool snapshots memory and accumulates per-allocation
 histograms of compressed memory-entry sizes.  The output feeds target
 selection in :mod:`repro.core.targets`.
 
-The canonical profile representation is the columnar
-:class:`~repro.core.profile_tensor.ProfileTensor`; the
-:class:`BenchmarkProfile` / :class:`AllocationProfile` classes kept
-here are thin views over it for existing callers.  A tensor build is
+The profile is the columnar
+:class:`~repro.core.profile_tensor.ProfileTensor`.  A tensor build is
 one *stacked* pass: all allocations of all snapshots are compressed by
 a single bulk ``compressed_sizes`` call (see
 :func:`tensor_from_snapshots` and :func:`bulk_compression_call_count`).
@@ -30,91 +28,13 @@ import numpy as np
 
 from repro.compression.base import CompressionAlgorithm, as_blocks
 from repro.compression.bpc import BPCCompressor
-from repro.core.entry import TargetRatio
-from repro.core.histogram import SectorHistogram
-from repro.core.profile_tensor import TARGET_INDEX, EntryStateTensor, ProfileTensor
-from repro.units import SECTORS_PER_ENTRY
+from repro.compression.sectors import sectors_for_sizes
+from repro.core.profile_tensor import EntryStateTensor, ProfileTensor
+from repro.units import SECTORS_PER_ENTRY, ZERO_CLASS_BYTES
 from repro.workloads.snapshots import (
     SnapshotConfig,
     generate_run,
 )
-
-
-@dataclass
-class AllocationProfile:
-    """View of one allocation's row of a :class:`ProfileTensor`.
-
-    Attributes:
-        tensor: The owning profile tensor.
-        position: Row on the tensor's allocation axis.
-    """
-
-    tensor: ProfileTensor
-    position: int
-
-    @property
-    def name(self) -> str:
-        return self.tensor.names[self.position]
-
-    @property
-    def fraction(self) -> float:
-        """Fraction of the benchmark footprint."""
-        return float(self.tensor.fractions[self.position])
-
-    @property
-    def merged(self) -> SectorHistogram:
-        """Histogram over all profiling snapshots."""
-        return self.tensor.merged_histogram(self.position)
-
-    @property
-    def per_snapshot(self) -> list[SectorHistogram]:
-        """One histogram view per snapshot (stability checks)."""
-        return [
-            self.tensor.histogram(self.position, snapshot)
-            for snapshot in range(self.tensor.snapshot_count)
-        ]
-
-    def worst_overflow(self, target: TargetRatio) -> float:
-        """Max over snapshots of the overflow fraction at ``target``.
-
-        This is the "conservative" view the paper's profiler takes:
-        355.seismic's compressibility halves over its run, and a
-        target chosen from the run average would overflow massively
-        late in execution.
-        """
-        return float(
-            self.tensor.worst_overflow[TARGET_INDEX[target], self.position]
-        )
-
-    @property
-    def worst_zero_overflow(self) -> float:
-        """Max over snapshots of the 16x-class overflow fraction."""
-        return self.worst_overflow(TargetRatio.X16)
-
-
-@dataclass
-class BenchmarkProfile:
-    """Profiling output for one benchmark run (a tensor view)."""
-
-    tensor: ProfileTensor
-
-    @property
-    def benchmark(self) -> str:
-        return self.tensor.benchmark
-
-    @property
-    def allocations(self) -> list[AllocationProfile]:
-        return [
-            AllocationProfile(self.tensor, position)
-            for position in range(self.tensor.allocation_count)
-        ]
-
-    def allocation(self, name: str) -> AllocationProfile:
-        return AllocationProfile(self.tensor, self.tensor.index(name))
-
-    def program_histogram(self) -> SectorHistogram:
-        """Whole-program histogram (what the naive design sees)."""
-        return self.tensor.program_histogram()
 
 
 # ---------------------------------------------------------------------------
@@ -183,21 +103,24 @@ def _gather_run(benchmark: str, snapshots) -> _GatheredRun:
 
 
 def _scatter_tensor(gathered: _GatheredRun, sizes: np.ndarray) -> ProfileTensor:
-    """Scatter one run's slice of bulk sizes into its tensor columns."""
+    """Scatter one run's slice of bulk sizes into its tensor columns.
+
+    Every entry row is tagged with its (allocation, snapshot) cell, and
+    one ``bincount`` over cell and sector bucket fills ``counts``
+    (another over the zero-fit rows fills ``zero_fit``).
+    """
     names = gathered.names
-    counts = np.zeros(
-        (len(names), gathered.snapshot_count, SECTORS_PER_ENTRY), np.int64
-    )
-    zero_fit = np.zeros((len(names), gathered.snapshot_count), np.int64)
-    offset = 0
-    for position, snapshot, rows in gathered.cells:
-        # One SectorHistogram.from_sizes call per cell keeps the
-        # sector-bucket / zero-class rule defined in exactly one
-        # place; the tensor stores its integer columns.
-        histogram = SectorHistogram.from_sizes(sizes[offset : offset + rows])
-        counts[position, snapshot] = histogram.sector_counts
-        zero_fit[position, snapshot] = histogram.zero_fit
-        offset += rows
+    shape = (len(names), gathered.snapshot_count)
+    cells = np.array(gathered.cells, dtype=np.int64).reshape(-1, 3)
+    cell_of_row = np.repeat(cells[:, 0] * shape[1] + cells[:, 1], cells[:, 2])
+    sizes = np.asarray(sizes, dtype=np.int64)
+    buckets = cell_of_row * SECTORS_PER_ENTRY + sectors_for_sizes(sizes) - 1
+    counts = np.bincount(
+        buckets, minlength=shape[0] * shape[1] * SECTORS_PER_ENTRY
+    ).reshape(shape + (SECTORS_PER_ENTRY,))
+    zero_fit = np.bincount(
+        cell_of_row[sizes <= ZERO_CLASS_BYTES], minlength=shape[0] * shape[1]
+    ).reshape(shape)
     return ProfileTensor(
         benchmark=gathered.benchmark,
         names=names,
@@ -251,7 +174,6 @@ _TENSOR_SALT_MODULES = (
     "repro.compression.bitio",
     "repro.compression.sectors",
     "repro.core.entry",
-    "repro.core.histogram",
     "repro.core.profile_tensor",
     "repro.core.profiler",
     "repro.rng",
@@ -497,27 +419,3 @@ def entry_state_tensor(
     return process_store().get_or_build(
         entry_state_cache_key(name, config, index), build
     )
-
-
-# ---------------------------------------------------------------------------
-# Legacy-shaped entry points.
-# ---------------------------------------------------------------------------
-def profile_snapshots(
-    benchmark: str,
-    snapshots,
-    algorithm: CompressionAlgorithm | None = None,
-) -> BenchmarkProfile:
-    """Profile an explicit sequence of memory snapshots."""
-    return BenchmarkProfile(
-        tensor_from_snapshots(benchmark, snapshots, algorithm)
-    )
-
-
-def profile_benchmark(
-    benchmark: str,
-    config: SnapshotConfig | None = None,
-    algorithm: CompressionAlgorithm | None = None,
-) -> BenchmarkProfile:
-    """Run the profiling pass on the benchmark's *profile* dataset."""
-    config = (config or SnapshotConfig()).as_profile()
-    return BenchmarkProfile(profile_tensor(benchmark, config, algorithm))

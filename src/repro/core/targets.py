@@ -12,21 +12,24 @@ Three design points from the paper's Fig. 7, in increasing refinement:
    buddy-memory carve-out size.
 
 All policies are vectorised reductions over the columnar
-:class:`~repro.core.profile_tensor.ProfileTensor`; the ``*_batch``
-variants select for many thresholds from one profile at once (the
-Fig. 9 sweep's hot path).  Every function accepts either a tensor or
-a :class:`~repro.core.profiler.BenchmarkProfile` view.
+:class:`~repro.core.profile_tensor.ProfileTensor` that return
+target-axis indices, one per allocation
+(:meth:`~repro.core.profile_tensor.ProfileTensor.selection_from_indices`
+turns them into a name -> ratio selection);
+:func:`select_per_allocation_indices` selects for a whole batch of
+thresholds from one profile at once (the Fig. 9 sweep's hot path).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.entry import ALLOWED_TARGETS, TargetRatio
 from repro.core.profile_tensor import TARGET_INDEX, ProfileTensor
+from repro.units import SECTORS_PER_ENTRY
 
 #: The paper's default Buddy Threshold.
 DEFAULT_THRESHOLD = 0.30
@@ -50,6 +53,9 @@ _ALLOWED_INDICES = np.array(
     [TARGET_INDEX[target] for target in ALLOWED_TARGETS], dtype=np.intp
 )
 
+#: Sector cost of each bucket (bucket b holds entries of b+1 sectors).
+_SECTOR_WEIGHTS = np.arange(1, SECTORS_PER_ENTRY + 1)
+
 _X1_INDEX = TARGET_INDEX[TargetRatio.X1]
 _X16_INDEX = TARGET_INDEX[TargetRatio.X16]
 
@@ -70,16 +76,6 @@ PER_ALLOCATION = DesignPoint("per-allocation", per_allocation=True, zero_page=Fa
 FINAL = DesignPoint("final", per_allocation=True, zero_page=True)
 
 
-def as_tensor(profile) -> ProfileTensor:
-    """The columnar tensor behind a profile (or the tensor itself)."""
-    if isinstance(profile, ProfileTensor):
-        return profile
-    return profile.tensor
-
-
-# ---------------------------------------------------------------------------
-# Index-space policies (the vectorised core).
-# ---------------------------------------------------------------------------
 def select_per_allocation_indices(
     tensor: ProfileTensor, thresholds: Sequence[float]
 ) -> np.ndarray:
@@ -88,6 +84,9 @@ def select_per_allocation_indices(
     For each threshold, each allocation gets the largest (best-first)
     sector-aligned target whose *worst-snapshot* overflow stays within
     it — the whole sweep reduced over one worst-overflow matrix.
+    Overflow is judged against the worst profiled snapshot, not the
+    run average: compressibility drifts over time (355.seismic) and
+    the paper avoids that hazard by choosing conservative targets.
     """
     worst = tensor.worst_overflow[_ALLOWED_INDICES, :]  # (4, A) best-first
     thresholds_arr = np.asarray(thresholds, dtype=np.float64)
@@ -100,14 +99,22 @@ def select_per_allocation_indices(
 def select_naive_indices(
     tensor: ProfileTensor, overflow_cap: float = NAIVE_OVERFLOW_CAP
 ) -> np.ndarray:
-    """``(A,)`` indices of one conservative whole-program target."""
-    program = tensor.program_histogram()
-    mean_sectors = program.mean_sectors()
+    """``(A,)`` indices of one conservative whole-program target.
+
+    The target is the largest allowed ratio not exceeding the
+    program's average compressibility (rounding the profiled mean
+    down, as a conservative whole-program annotation would), subject
+    to the overflow cap.
+    """
+    program = tensor.program_counts
+    total = int(program.sum())
+    mean_sectors = float(program @ _SECTOR_WEIGHTS) / total if total else 0.0
     chosen = TargetRatio.X1
     for target in ALLOWED_TARGETS:  # best-first: 4x, 2x, 1.33x, 1x
         if target.device_sectors < mean_sectors:
             continue  # more aggressive than the program average
-        if program.overflow_fraction(target) <= overflow_cap:
+        overflowing = int(program[target.device_sectors :].sum())
+        if (overflowing / total if total else 0.0) <= overflow_cap:
             chosen = target
             break
     return np.full(tensor.allocation_count, TARGET_INDEX[chosen], dtype=np.intp)
@@ -150,90 +157,3 @@ def select_indices(tensor: ProfileTensor, design: DesignPoint) -> np.ndarray:
     if design.zero_page:
         indices = apply_zero_page_indices(indices, tensor)
     return indices
-
-
-# ---------------------------------------------------------------------------
-# Dictionary-facing API (legacy shape).
-# ---------------------------------------------------------------------------
-def select_per_allocation(
-    profile, threshold: float = DEFAULT_THRESHOLD
-) -> dict[str, TargetRatio]:
-    """Largest target per allocation with overflow <= ``threshold``.
-
-    Overflow is judged conservatively against the *worst* profiled
-    snapshot, not the run average: compressibility drifts over time
-    (355.seismic) and the paper avoids that hazard by choosing
-    conservative targets.
-    """
-    tensor = as_tensor(profile)
-    indices = select_per_allocation_indices(tensor, (threshold,))[0]
-    return tensor.selection_from_indices(indices)
-
-
-def select_naive(
-    profile,
-    overflow_cap: float = NAIVE_OVERFLOW_CAP,
-) -> dict[str, TargetRatio]:
-    """One conservative whole-program target for every allocation.
-
-    The target is the largest allowed ratio not exceeding the
-    program's average compressibility (rounding the profiled mean
-    down, as a conservative whole-program annotation would), subject
-    to the overflow cap.
-    """
-    tensor = as_tensor(profile)
-    return tensor.selection_from_indices(
-        select_naive_indices(tensor, overflow_cap)
-    )
-
-
-def apply_zero_page(
-    selection: dict[str, TargetRatio],
-    profile,
-    tolerance: float = ZERO_PAGE_TOLERANCE,
-    max_overall_ratio: float = MAX_OVERALL_RATIO,
-) -> dict[str, TargetRatio]:
-    """Promote stably mostly-zero allocations to the 16x class."""
-    tensor = as_tensor(profile)
-    indices = apply_zero_page_indices(
-        tensor.selection_indices(selection),
-        tensor,
-        tolerance,
-        max_overall_ratio,
-    )
-    return tensor.selection_from_indices(indices)
-
-
-def selection_ratio(
-    selection: dict[str, TargetRatio], profile
-) -> float:
-    """Overall compression ratio a selection achieves.
-
-    This is the paper's capacity metric: footprint divided by the
-    device memory the annotated allocations reserve.
-    """
-    tensor = as_tensor(profile)
-    return tensor.selection_ratio(tensor.selection_indices(selection))
-
-
-def select(profile, design: DesignPoint) -> dict[str, TargetRatio]:
-    """Run a full design point's selection policy."""
-    tensor = as_tensor(profile)
-    return tensor.selection_from_indices(select_indices(tensor, design))
-
-
-def threshold_sweep(
-    profile, thresholds: Iterable[float] = (0.10, 0.20, 0.30, 0.40)
-) -> dict[float, dict[str, TargetRatio]]:
-    """Fig. 9's x-axis: per-allocation selections across thresholds.
-
-    All thresholds reduce over a single worst-overflow matrix — the
-    profile is consulted once, not once per threshold.
-    """
-    tensor = as_tensor(profile)
-    thresholds = tuple(thresholds)
-    batch = select_per_allocation_indices(tensor, thresholds)
-    return {
-        threshold: tensor.selection_from_indices(batch[row])
-        for row, threshold in enumerate(thresholds)
-    }

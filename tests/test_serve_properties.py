@@ -18,7 +18,7 @@ import asyncio
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -67,6 +67,8 @@ def histograms(draw):
             elements=st.floats(0.01, 1.0, allow_nan=False),
         )
     )
+    # A profile needs entries behind every allocation to be valid.
+    assume(counts.sum(axis=(1, 2)).all())
     names = tuple(f"alloc{i}" for i in range(allocations))
     return build_histogram("property", names, fractions, counts, zero_fit)
 
@@ -219,6 +221,23 @@ class TestMalformedRequestsStayTyped:
             (dict(zero_fit=[[5]]), "zero_fit exceeds"),
             (dict(names=()), "at least one allocation"),
             (dict(names=("a", "a")), "unique"),
+            (
+                dict(
+                    counts=np.zeros((1, 0, BUCKETS), np.int64),
+                    zero_fit=np.zeros((1, 0), np.int64),
+                ),
+                "at least one snapshot",
+            ),
+            (dict(counts=[[[0, 0, 0, 0]]], zero_fit=[[0]]), "no entries"),
+            (
+                dict(
+                    names=("a", "b"),
+                    fractions=(0.5, 0.5),
+                    counts=[[[1, 0, 0, 0]], [[0, 0, 0, 0]]],
+                    zero_fit=[[1], [0]],
+                ),
+                "'b' has no entries",
+            ),
         ],
     )
     def test_bad_histograms_get_the_bad_histogram_code(
@@ -232,11 +251,15 @@ class TestMalformedRequestsStayTyped:
         )
         base.update(histogram_kwargs)
         if "names" in histogram_kwargs:
-            # Keep array shapes consistent with the names override.
-            count = len(histogram_kwargs["names"])
-            base["fractions"] = (1.0,) * max(count, 1)
-            base["counts"] = [[[1, 0, 0, 0]]] * max(count, 1)
-            base["zero_fit"] = [[1]] * max(count, 1)
+            # Keep array shapes consistent with the names override
+            # unless the case gives them itself.
+            count = max(len(histogram_kwargs["names"]), 1)
+            for field, value in (
+                ("fractions", (1.0,) * count),
+                ("counts", [[[1, 0, 0, 0]]] * count),
+                ("zero_fit", [[1]] * count),
+            ):
+                base[field] = histogram_kwargs.get(field, value)
         with pytest.raises(InvalidRequest) as excinfo:
             build_histogram("bad", **base)
         assert excinfo.value.code == "bad-histogram"

@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.perf_study import LINK_SWEEP
-from repro.core.controller import BuddyCompressor, BuddyConfig
+from repro.core.controller import BuddyCompressor
 from repro.core.targets import FINAL
 from repro.engine import ExperimentRunner, result_digest
 from repro.gpusim import (
@@ -67,9 +67,7 @@ def _fig11_setup(name):
         warps_per_sm=config.warps_per_sm,
         memory_instructions_per_warp=64,
     )
-    compressor = BuddyCompressor(
-        BuddyConfig(snapshot_config=SnapshotConfig(scale=1.0 / 65536))
-    )
+    compressor = BuddyCompressor(SnapshotConfig(scale=1.0 / 65536))
     selection = compressor.select(compressor.profile(name), FINAL)
     return (
         config,
