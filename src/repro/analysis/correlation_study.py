@@ -7,12 +7,13 @@ reference machine: we correlate the two simulators' cycle counts over
 the benchmark suite at several trace lengths (log-log, as in the
 figure) and measure the wall-clock gap.
 
-Both simulators run the same trace, and trace generation consumes the
-cached per-entry layout (:func:`repro.workloads.traces.layout_state`)
-rather than a regenerated memory dump — a design point whose layout is
-already memoised or in the engine result cache generates zero
-snapshots, which matters here because every (benchmark, length) pair
-shares one layout.
+Both simulators run the same stored trace
+(:func:`repro.workloads.traces.stored_trace`), and trace generation
+consumes the cached per-entry layout
+(:func:`repro.workloads.traces.layout_state`) rather than a
+regenerated memory dump — a design point whose trace and layout are
+already in the engine result cache generates neither, which matters
+here because every (benchmark, length) pair shares one layout.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.gpusim.config import scaled_config
 from repro.gpusim.reference import CycleSteppedReference
 from repro.gpusim.simulator import DependencyDrivenSimulator
 from repro.workloads.snapshots import SnapshotConfig
-from repro.workloads.traces import TraceConfig, generate_trace
+from repro.workloads.traces import TraceConfig, stored_trace
 
 #: A diverse sample across suites and patterns.
 DEFAULT_BENCHMARKS = (
@@ -93,7 +94,7 @@ def correlation_point(
         memory_instructions_per_warp=memory_instructions,
         snapshot_config=SnapshotConfig(scale=1.0 / 16384),
     )
-    trace = generate_trace(benchmark, trace_config)
+    trace = stored_trace(benchmark, trace_config)
     state = CompressionState.ideal(trace.footprint_bytes)
 
     # The *_seconds fields are informational wall-clock measurements

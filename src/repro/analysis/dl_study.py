@@ -59,16 +59,6 @@ def network_ratio_plan(point: dict) -> list:
     ]
 
 
-def measured_compression_ratios(
-    config: SnapshotConfig | None = None, runner=None
-) -> dict[str, float]:
-    """Per-network buddy ratios from the Fig. 7 pipeline."""
-    from repro.engine.runner import default_runner
-
-    runner = runner or default_runner()
-    return runner.run("dl.ratios", {"config": config})
-
-
 def run_dl_study(
     compression_ratios: dict[str, float] | None = None,
     batches=BATCH_SWEEP,

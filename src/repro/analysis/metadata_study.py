@@ -25,7 +25,7 @@ from repro.core.metadata_cache import MetadataCache
 from repro.gpusim.trace import Op
 from repro.units import ENTRIES_PER_METADATA_LINE, KIB, MEMORY_ENTRY_BYTES
 from repro.workloads.snapshots import SnapshotConfig
-from repro.workloads.traces import TraceConfig, generate_trace
+from repro.workloads.traces import TraceConfig, stored_trace
 
 #: Cache sizes swept (total bytes across slices).
 DEFAULT_SIZES = tuple(k * KIB for k in (1, 2, 4, 8, 16, 32, 64))
@@ -46,7 +46,7 @@ def metadata_access_stream(benchmark: str, config: TraceConfig) -> np.ndarray:
     round-robin interleaving across per-warp streams — without ever
     materialising the per-warp tuple lists.
     """
-    trace = generate_trace(benchmark, config)
+    trace = stored_trace(benchmark, config)
     col = trace.columnar()
     memory_rows = np.flatnonzero(col.ops != int(Op.COMPUTE))
     if memory_rows.size == 0:

@@ -69,17 +69,6 @@ def _signed_fits(value: int, bits: int) -> bool:
     return -bound <= value < bound
 
 
-def _base_cost_bits(word: int) -> int:
-    """Encoded size of the base word under the base code table."""
-    signed = word - (1 << 32) if word >> 31 else word
-    if signed == 0:
-        return 3
-    for _, width in _BASE_CLASSES:
-        if _signed_fits(signed, width):
-            return 3 + width
-    return 1 + 32
-
-
 def _dbp_planes(words: np.ndarray) -> list[int]:
     """Compute the 33 delta bit-planes of one entry as Python ints."""
     values = [int(w) for w in words]

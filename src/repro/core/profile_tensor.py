@@ -203,11 +203,6 @@ class ProfileTensor:
         return self.counts.sum(axis=1)
 
     @cached_property
-    def merged_zero_fit(self) -> np.ndarray:
-        """``(A,)`` run-merged zero-fit counts per allocation."""
-        return self.zero_fit.sum(axis=1)
-
-    @cached_property
     def program_counts(self) -> np.ndarray:
         """``(4,)`` whole-program sector counts (naive design's view)."""
         return self.counts.sum(axis=(0, 1))

@@ -430,20 +430,10 @@ register(
         run_point=_fig5b_point,
         aggregate=_as_list,
         format=_fig5b_format,
-        salt_modules=_SUBSTRATE_MODULES
-        + (
-            "repro.analysis.metadata_study",
-            "repro.compression.base",
-            "repro.compression.bitio",
-            "repro.compression.bpc",
-            "repro.compression.sectors",
-            "repro.core.entry",
-            "repro.core.metadata_cache",
-            "repro.core.profile_tensor",
-            "repro.core.profiler",
-            "repro.gpusim.trace",
-            "repro.workloads.traces",
-        ),
+        # The stored trace it reads is keyed by the simulator's tape
+        # salt (``workloads.traces.trace_cache_key``), hence the
+        # simulator modules.
+        salt_modules=_SIMULATOR_MODULES + ("repro.analysis.metadata_study",),
         plan_point=_fig5b_plan,
     )
 )

@@ -93,11 +93,6 @@ class ArtifactSpec:
         return None
 
 
-def _plan_key(namespace: str, **fields) -> CacheKey:
-    """A statistics-only node's address: nothing is stored under it."""
-    return CacheKey(namespace, param_digest(namespace, fields))
-
-
 def _build_each(specs, build_one, counter) -> tuple[bool, ...]:
     """``build`` for a kind built one spec at a time: fresh when the
     kind's process counter advanced across the spec's build."""
@@ -214,8 +209,10 @@ class SnapshotsSpec(ArtifactSpec):
     kind = "snapshots"
 
     def cache_key(self) -> CacheKey:
-        return _plan_key(
-            "plan.snapshots", benchmark=self.benchmark, config=self.config
+        # A statistics-only address: nothing is stored under it.
+        fields = {"benchmark": self.benchmark, "config": self.config}
+        return CacheKey(
+            "plan.snapshots", param_digest("plan.snapshots", fields)
         )
 
     def label(self) -> str:
@@ -224,13 +221,14 @@ class SnapshotsSpec(ArtifactSpec):
 
 @dataclass(frozen=True)
 class TraceSpec(ArtifactSpec):
-    """A benchmark's synthetic kernel trace (statistics only).
+    """A benchmark's synthetic kernel trace (simulator input).
 
-    The points that consume a trace generate it themselves; the
-    planner only tracks the sharing.  That regeneration is not free:
-    trace generation is about 1.25 s of a cold serial whole-paper
-    sweep (44 calls for 28 distinct traces, 2-vCPU VM), and a trace
-    is at most 1.7 MB of columns — small enough to store once.
+    Executable: built in the stage-0 wave after the entry state its
+    layout reads, and stored as a ``trace.columnar`` artifact under
+    :func:`~repro.workloads.traces.trace_cache_key` — the key every
+    consuming point reads it back by — so a sweep generates each
+    distinct trace once and a warm sweep generates none.  Traces live
+    in the store's disk tier only.
     """
 
     benchmark: str
@@ -239,26 +237,50 @@ class TraceSpec(ArtifactSpec):
     kind = "trace"
 
     def cache_key(self) -> CacheKey:
-        return _plan_key(
-            "plan.trace",
-            benchmark=self.benchmark,
-            trace_config=self.trace_config,
-        )
+        from repro.workloads.traces import trace_cache_key
+
+        return trace_cache_key(self.benchmark, self.trace_config)
 
     def label(self) -> str:
         return f"{self.benchmark}"
+
+    def deps(self) -> tuple:
+        # The per-entry state of the dump supplying the trace layout.
+        return (
+            EntryStateSpec(
+                self.benchmark,
+                self.trace_config.snapshot_config,
+                self.trace_config.snapshot_index,
+            ),
+        )
+
+    @classmethod
+    def build(cls, specs) -> tuple[bool, ...]:
+        from repro.engine.store import process_store
+        from repro.workloads.traces import generate_trace
+
+        store = process_store()
+        fresh = []
+        for spec in specs:
+            key = spec.cache_key()
+            missing = not store.backing.contains(key)
+            if missing:
+                trace = generate_trace(spec.benchmark, spec.trace_config)
+                store.put(key, trace)
+            fresh.append(missing)
+        return tuple(fresh)
 
 
 @dataclass(frozen=True)
 class TapeSpec(ArtifactSpec):
     """A relaxed design point's frozen event tape.
 
-    Executable: built in a later stage-0 wave than the entry state and
-    profile tensor it consumes (its :meth:`deps`), deduped by the
-    ``sim.tape`` content digest across every relaxed point of every
-    co-submitted sweep — one exact-order recording per ``(trace,
-    state, geometry)``, loaded from the persistent cache when a
-    previous session already recorded it.  All configs are the
+    Executable: built in a later stage-0 wave than the entry state,
+    profile tensor and trace it consumes (its :meth:`deps`), deduped
+    by the ``sim.tape`` content digest across every relaxed point of
+    every co-submitted sweep — one exact-order recording per
+    ``(trace, state, geometry)``, loaded from the persistent cache
+    when a previous session already recorded it.  All configs are the
     *normalized* values the point resolves at run time, so the
     plan-time digest matches the run-time lookup.
     """
@@ -281,7 +303,7 @@ class TapeSpec(ArtifactSpec):
         return f"{self.benchmark} tape"
 
     def deps(self) -> tuple:
-        # The trace layout's dump and the target-selection profile.
+        # The trace, its layout's dump and the target-selection profile.
         return (
             EntryStateSpec(
                 self.benchmark,
@@ -289,6 +311,7 @@ class TapeSpec(ArtifactSpec):
                 self.trace_config.snapshot_index,
             ),
             ProfileTensorSpec(self.benchmark, self.profile_config.as_profile()),
+            TraceSpec(self.benchmark, self.trace_config),
         )
 
     @classmethod

@@ -2,11 +2,12 @@
 
 Every reusable artifact resolves through one :class:`ArtifactStore` —
 profile tensors (``profile.tensor``), per-entry states
-(``profile.entries``), the relaxed engine's recorded tapes
-(``sim.tape``) and the advisor's answers (``serve.advice``).  A store
-is a bounded in-memory LRU over an optional on-disk
-:class:`~repro.engine.cache.ResultCache` tier, speaking the cache's
-``get``/``put``/:class:`~repro.engine.cache.CacheMiss` protocol plus
+(``profile.entries``), generated kernel traces (``trace.columnar``),
+the relaxed engine's recorded tapes (``sim.tape``) and the advisor's
+answers (``serve.advice``).  A store is a bounded in-memory LRU over
+an optional on-disk :class:`~repro.engine.cache.ResultCache` tier,
+speaking the cache's ``get``/``put``/
+:class:`~repro.engine.cache.CacheMiss` protocol plus
 :meth:`ArtifactStore.get_or_build`.
 
 Values are content-addressed, so the memory tier survives disk-tier
@@ -19,7 +20,8 @@ artifact used under it, which is how pool workers share them.
 
 Policy:
 
-* **admission** — writes and disk-tier reads always enter memory;
+* **admission** — writes and disk-tier reads enter memory, except in
+  the :data:`DISK_ONLY` namespaces;
 * **eviction** — least-recently-used beyond ``max_entries`` and,
   optionally, ``max_bytes`` of pickled payload (the process store
   holds at most :data:`MEMORY_BUDGET_BYTES`; at least one value stays
@@ -43,6 +45,13 @@ from repro.engine.cache import CacheKey, CacheMiss, CacheStats, ResultCache
 #: A Fig. 11 tape pickles to ~5.5 MB, so a handful stay resident;
 #: the rest of a sweep's tapes are read back from the disk tier.
 MEMORY_BUDGET_BYTES = 32 * 1024 * 1024
+
+#: Namespaces that resolve through the disk tier only.  A trace is
+#: read once per design point, and the simulator memoises the columns
+#: it resolves from a trace weakly on the trace object, so a
+#: memory-resident trace would keep those columns alive for the whole
+#: process instead of letting them die with the point.
+DISK_ONLY = frozenset({"trace.columnar"})
 
 
 class ArtifactStore:
@@ -133,6 +142,8 @@ class ArtifactStore:
 
     # ------------------------------------------------------------------
     def _admit(self, key: CacheKey, value) -> None:
+        if key.experiment in DISK_ONLY:
+            return
         size = self._sizeof(value)
         old = self._entries.pop(key, None)
         if old is not None:

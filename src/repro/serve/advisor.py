@@ -161,7 +161,7 @@ def advise_batch(
     for position in misses:
         request = requests[position]
         if request.histogram is not None:
-            tensors[position] = request.histogram.tensor()
+            tensors[position] = request.histogram.tensor
             continue
         cfg = base_config
         if request.scale is not None:

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.compression.bdi import BDICompressor
 from repro.compression.bpc import BPCCompressor
 from repro.compression.cpack import CPackCompressor
@@ -83,23 +81,16 @@ class ServiceClosed(AdviceError):
 
 @dataclass(frozen=True)
 class Histogram:
-    """A client-supplied raw profile (already validated on construction).
+    """A client-supplied raw profile, validated once.
 
-    Arrays follow :class:`~repro.core.profile_tensor.ProfileTensor`
-    layout: ``counts`` is ``(A, S, 4)``, ``zero_fit`` ``(A, S)``,
+    :func:`build_histogram` validates the raw arrays into ``tensor``,
+    which the advisor evaluates as is.  Its arrays follow
+    :class:`~repro.core.profile_tensor.ProfileTensor` layout:
+    ``counts`` is ``(A, S, 4)``, ``zero_fit`` ``(A, S)``,
     ``fractions`` ``(A,)``.
     """
 
-    label: str
-    names: tuple[str, ...]
-    fractions: np.ndarray
-    counts: np.ndarray
-    zero_fit: np.ndarray
-
-    def tensor(self) -> ProfileTensor:
-        return ProfileTensor.from_payload(
-            self.label, self.names, self.fractions, self.counts, self.zero_fit
-        )
+    tensor: ProfileTensor
 
 
 @dataclass(frozen=True)
@@ -222,12 +213,13 @@ class AdviceRequest:
         """Canonical parameter payload (request digests hash this)."""
         histogram = None
         if self.histogram is not None:
+            tensor = self.histogram.tensor
             histogram = {
-                "label": self.histogram.label,
-                "names": self.histogram.names,
-                "fractions": self.histogram.fractions,
-                "counts": self.histogram.counts,
-                "zero_fit": self.histogram.zero_fit,
+                "label": tensor.benchmark,
+                "names": tensor.names,
+                "fractions": tensor.fractions,
+                "counts": tensor.counts,
+                "zero_fit": tensor.zero_fit,
             }
         return {
             "benchmark": self.benchmark,
@@ -247,13 +239,13 @@ class AdviceRequest:
         """Wire (JSON-lines) form of the request."""
         body = self.payload()
         if body["histogram"] is not None:
-            histogram = self.histogram
+            tensor = self.histogram.tensor
             body["histogram"] = {
-                "label": histogram.label,
-                "names": list(histogram.names),
-                "fractions": histogram.fractions.tolist(),
-                "counts": histogram.counts.tolist(),
-                "zero_fit": histogram.zero_fit.tolist(),
+                "label": tensor.benchmark,
+                "names": list(tensor.names),
+                "fractions": tensor.fractions.tolist(),
+                "counts": tensor.counts.tolist(),
+                "zero_fit": tensor.zero_fit.tolist(),
             }
         body["thresholds"] = list(body["thresholds"])
         body["designs"] = list(body["designs"])
@@ -331,13 +323,7 @@ def build_histogram(
         )
     except ValueError as err:
         raise InvalidRequest("bad-histogram", str(err)) from None
-    return Histogram(
-        label=tensor.benchmark,
-        names=tensor.names,
-        fractions=tensor.fractions,
-        counts=tensor.counts,
-        zero_fit=tensor.zero_fit,
-    )
+    return Histogram(tensor)
 
 
 @dataclass(frozen=True)

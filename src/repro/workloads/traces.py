@@ -16,6 +16,11 @@ layout is consumed through the cached
 full memory dump, so trace generation triggers zero snapshot
 regeneration once the per-entry state is warm (memoised in-process or
 persisted in the engine result cache).
+
+Generation itself is not cheap (the per-warp RNG draws are sequential
+by design, since they fix the digests), so consumers read traces
+through :func:`stored_trace`: one ``trace.columnar`` artifact per
+distinct ``(benchmark, TraceConfig)``, generated once per store.
 """
 
 from __future__ import annotations
@@ -117,6 +122,47 @@ def generate_trace(
         allocation_ranges=ranges,
         host_traffic_fraction=character.host_traffic_fraction,
         columnar=columnar,
+    )
+
+
+def trace_cache_key(benchmark: str, config: TraceConfig):
+    """The ``trace.columnar`` store address of one generated trace.
+
+    Keyed by the benchmark and its :class:`TraceConfig`, salted with
+    the relaxed tape's module set
+    (:data:`repro.gpusim.vector_sim._TAPE_SALT_MODULES`), which covers
+    every module trace generation reaches.  The planner's
+    ``TraceSpec`` and every consuming point use this one key, so
+    Figs. 5b, 10 and 11 share each distinct trace.
+    """
+    from repro.engine.cache import CacheKey, code_salt, param_digest
+    from repro.gpusim.vector_sim import _TAPE_SALT_MODULES
+
+    digest = param_digest(
+        "trace.columnar",
+        {"benchmark": benchmark, "trace_config": config},
+        code_salt(_TAPE_SALT_MODULES),
+    )
+    return CacheKey("trace.columnar", digest)
+
+
+def stored_trace(
+    benchmark: str, config: TraceConfig | None = None
+) -> KernelTrace:
+    """:func:`generate_trace`, read through the process artifact store.
+
+    Loads the trace from the store's disk tier, generating and storing
+    it only on a miss (a torn entry is a miss).  Traces never enter
+    the store's memory tier, so each caller gets a private copy whose
+    per-trace simulator memos die with it; with no disk tier installed
+    every call generates afresh.
+    """
+    from repro.engine.store import process_store
+
+    config = config or TraceConfig()
+    return process_store().get_or_build(
+        trace_cache_key(benchmark, config),
+        lambda: generate_trace(benchmark, config),
     )
 
 

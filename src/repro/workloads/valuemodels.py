@@ -46,11 +46,6 @@ class EntryClass(enum.IntEnum):
         return _NOMINAL_SECTORS[self]
 
     @property
-    def nominal_free_bytes(self) -> int:
-        """Free-size quantisation (Fig. 3 study) of the class."""
-        return _NOMINAL_FREE[self]
-
-    @property
     def zero_class_eligible(self) -> bool:
         """Whether entries of this class fit the 16x (8 B) slot."""
         return self in (EntryClass.ZERO, EntryClass.CONST)
@@ -63,15 +58,6 @@ _NOMINAL_SECTORS = {
     EntryClass.SECTOR2: 2,
     EntryClass.SECTOR3: 3,
     EntryClass.SECTOR4: 4,
-}
-
-_NOMINAL_FREE = {
-    EntryClass.ZERO: 0,
-    EntryClass.CONST: 8,
-    EntryClass.SECTOR1: 32,
-    EntryClass.SECTOR2: 64,
-    EntryClass.SECTOR3: 96,
-    EntryClass.SECTOR4: 128,
 }
 
 #: Random-walk delta magnitude (bits) per sectored class.
@@ -145,12 +131,6 @@ def _random_walk(n: int, delta_bits: int, rng: np.random.Generator) -> np.ndarra
 def nominal_sectors_for(classes: np.ndarray) -> np.ndarray:
     """Vectorised nominal sector count per class value."""
     table = np.array([_NOMINAL_SECTORS[c] for c in EntryClass], dtype=np.int64)
-    return table[np.asarray(classes, dtype=np.int64)]
-
-
-def nominal_free_bytes_for(classes: np.ndarray) -> np.ndarray:
-    """Vectorised nominal free-size bytes per class value."""
-    table = np.array([_NOMINAL_FREE[c] for c in EntryClass], dtype=np.int64)
     return table[np.asarray(classes, dtype=np.int64)]
 
 

@@ -99,52 +99,52 @@ NODES = [
     ("snapshots", "ResNet50 [profile:scale=1/32768]", 3, False, True),
     ("snapshots", "ResNet50 [reference:scale=1/32768]", 2, False, True),
     ("entry_state", "351.palm dump 5 [reference:scale=1/32768]", 1, True, True),
-    ("trace", "351.palm", 1, False, True),
+    ("trace", "351.palm", 1, True, True),
     ("tape", "351.palm tape", 1, True, True),
     ("entry_state", "352.ep dump 5 [reference:scale=1/32768]", 1, True, True),
-    ("trace", "352.ep", 1, False, True),
+    ("trace", "352.ep", 1, True, True),
     ("tape", "352.ep tape", 1, True, True),
     ("entry_state", "354.cg dump 5 [reference:scale=1/32768]", 1, True, True),
-    ("trace", "354.cg", 1, False, True),
+    ("trace", "354.cg", 1, True, True),
     ("tape", "354.cg tape", 1, True, True),
     ("entry_state", "355.seismic dump 5 [reference:scale=1/32768]", 1, True, True),
-    ("trace", "355.seismic", 1, False, True),
+    ("trace", "355.seismic", 1, True, True),
     ("tape", "355.seismic tape", 1, True, True),
     ("entry_state", "356.sp dump 5 [reference:scale=1/32768]", 1, True, True),
-    ("trace", "356.sp", 1, False, True),
+    ("trace", "356.sp", 1, True, True),
     ("tape", "356.sp tape", 1, True, True),
     ("entry_state", "357.csp dump 5 [reference:scale=1/32768]", 1, True, True),
-    ("trace", "357.csp", 1, False, True),
+    ("trace", "357.csp", 1, True, True),
     ("tape", "357.csp tape", 1, True, True),
     ("entry_state", "360.ilbdc dump 5 [reference:scale=1/32768]", 1, True, True),
-    ("trace", "360.ilbdc", 1, False, True),
+    ("trace", "360.ilbdc", 1, True, True),
     ("tape", "360.ilbdc tape", 1, True, True),
     ("entry_state", "370.bt dump 5 [reference:scale=1/32768]", 1, True, True),
-    ("trace", "370.bt", 1, False, True),
+    ("trace", "370.bt", 1, True, True),
     ("tape", "370.bt tape", 1, True, True),
     ("entry_state", "FF_HPGMG dump 5 [reference:scale=1/32768]", 1, True, True),
-    ("trace", "FF_HPGMG", 1, False, True),
+    ("trace", "FF_HPGMG", 1, True, True),
     ("tape", "FF_HPGMG tape", 1, True, True),
     ("entry_state", "FF_Lulesh dump 5 [reference:scale=1/32768]", 1, True, True),
-    ("trace", "FF_Lulesh", 1, False, True),
+    ("trace", "FF_Lulesh", 1, True, True),
     ("tape", "FF_Lulesh tape", 1, True, True),
     ("entry_state", "BigLSTM dump 5 [reference:scale=1/32768]", 1, True, True),
-    ("trace", "BigLSTM", 1, False, True),
+    ("trace", "BigLSTM", 1, True, True),
     ("tape", "BigLSTM tape", 1, True, True),
     ("entry_state", "AlexNet dump 5 [reference:scale=1/32768]", 1, True, True),
-    ("trace", "AlexNet", 1, False, True),
+    ("trace", "AlexNet", 1, True, True),
     ("tape", "AlexNet tape", 1, True, True),
     ("entry_state", "Inception_V2 dump 5 [reference:scale=1/32768]", 1, True, True),
-    ("trace", "Inception_V2", 1, False, True),
+    ("trace", "Inception_V2", 1, True, True),
     ("tape", "Inception_V2 tape", 1, True, True),
     ("entry_state", "SqueezeNet dump 5 [reference:scale=1/32768]", 1, True, True),
-    ("trace", "SqueezeNet", 1, False, True),
+    ("trace", "SqueezeNet", 1, True, True),
     ("tape", "SqueezeNet tape", 1, True, True),
     ("entry_state", "VGG16 dump 5 [reference:scale=1/32768]", 1, True, True),
-    ("trace", "VGG16", 1, False, True),
+    ("trace", "VGG16", 1, True, True),
     ("tape", "VGG16 tape", 1, True, True),
     ("entry_state", "ResNet50 dump 5 [reference:scale=1/32768]", 1, True, True),
-    ("trace", "ResNet50", 1, False, True),
+    ("trace", "ResNet50", 1, True, True),
     ("tape", "ResNet50 tape", 1, True, True),
 ]
 
@@ -194,7 +194,9 @@ def test_every_dependency_is_a_node_of_the_plan():
         if node.executable
         for dep in node.spec.deps()
     ]
-    # Each relaxed tape consumes one entry state and one profile tensor.
+    # Each relaxed tape consumes one entry state, one profile tensor
+    # and one trace; each trace consumes one entry state.
     tapes = [node for node in NODES if node[0] == "tape"]
-    assert len(consumed) == 2 * len(tapes)
+    traces = [node for node in NODES if node[0] == "trace"]
+    assert len(consumed) == 3 * len(tapes) + len(traces)
     assert [dep for dep in consumed if dep not in sweep_plan.shared] == []

@@ -274,7 +274,8 @@ class TestTapePlanning:
     )
     GPU = scaled_config(sm_count=4, warps_per_sm=8)
 
-    def _requests(self, benchmarks=("354.cg", "AlexNet")):
+    def _requests(self, benchmarks=("354.cg", "AlexNet"),
+                  link_sweep=(50.0, 150.0, 300.0)):
         return [
             (
                 "perf.fig11",
@@ -282,7 +283,7 @@ class TestTapePlanning:
                     "benchmarks": tuple(benchmarks),
                     "config": self.GPU,
                     "trace_config": self.TRACE,
-                    "link_sweep": (50.0, 150.0, 300.0),
+                    "link_sweep": link_sweep,
                     "profile_config": TINY,
                     "engine": "relaxed",
                     "verify": 0.0,
@@ -299,7 +300,9 @@ class TestTapePlanning:
             ),
         ]
 
-    def test_one_tape_recording_per_relaxed_benchmark(self, tmp_path):
+    def test_one_tape_recording_per_relaxed_benchmark(
+        self, tmp_path, generations
+    ):
         _reset_memos()
         runner = ExperimentRunner(cache=ResultCache(tmp_path))
         requests = self._requests()
@@ -320,6 +323,39 @@ class TestTapePlanning:
         assert [result_digest(v) for v in warm.values] == [
             result_digest(v) for v in cold.values
         ]
+
+        # A new link sweep misses every fig11 point, yet the points
+        # load their stored traces and tapes: nothing is regenerated.
+        del generations[:]
+        relinked = runner.run_sweep(self._requests(link_sweep=(75.0, 150.0)))
+        assert relinked.execution.points_executed == 2
+        assert relinked.execution.tape_recordings == 0
+        assert generations == []
+
+    def test_cold_sweep_generates_each_distinct_trace_once(
+        self, tmp_path, generations
+    ):
+        # metadata.fig5b and perf.fig11 share the same two traces;
+        # correlation.fig10's trace geometry is its own.
+        requests = [
+            (
+                "metadata.fig5b",
+                {"benchmarks": ("354.cg", "AlexNet"), "trace_config": self.TRACE},
+            ),
+            *self._requests(),
+        ]
+        runner = ExperimentRunner(cache=ResultCache(tmp_path))
+        sweep_plan = plan(requests, runner)
+        traces = [n for n in sweep_plan.shared.values() if n.kind == "trace"]
+        assert len(traces) == 3
+        assert sum(n.references for n in traces) == 5
+        result = execute_plan(sweep_plan, runner)
+        assert len(set(generations)) == len(generations) == 3
+        assert {benchmark for benchmark, _ in generations} == {
+            "354.cg", "AlexNet",
+        }
+        # Trace builds consume stored entry states, not snapshot runs.
+        assert result.execution.max_generations_per_artifact <= 1
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ import numpy as np
 import pytest
 
 from repro.core import profiler as profiler_mod
+from repro.core.profile_tensor import ProfileTensor
 from repro.engine import ExperimentRunner, result_digest
 from repro.engine.store import ArtifactStore, process_store
 from repro.serve import (
@@ -43,7 +44,7 @@ from repro.serve import (
     ServiceOverloaded,
     build_histogram,
 )
-from repro.serve.advisor import advise_one
+from repro.serve.advisor import advise_batch, advise_one
 from repro.workloads.snapshots import SnapshotConfig
 
 TINY = SnapshotConfig(scale=1.0 / 262144, min_footprint_bytes=256 * 1024)
@@ -428,6 +429,35 @@ class TestDigestParity:
 
         advice = asyncio.run(scenario())
         assert advice.digest == advise_one(_histogram_request(0)).digest
+
+
+# ---------------------------------------------------------------------------
+class TestValidateOnce:
+    """A client profile is validated when the request is parsed, and
+    the advisor evaluates that validated tensor as is."""
+
+    def test_one_from_payload_call_per_client_profile(self, monkeypatch):
+        bodies = [_histogram_request(seed).to_json() for seed in range(3)]
+        expected = [advise_one(_histogram_request(s)).digest for s in range(3)]
+        calls = []
+        original = ProfileTensor.from_payload
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ProfileTensor, "from_payload", counting)
+        requests = [AdviceRequest.from_json(body) for body in bodies]
+        advices = advise_batch(requests)
+        assert calls == ["client-0", "client-1", "client-2"]
+        assert [advice.digest for advice in advices] == expected
+
+    def test_bad_histogram_code_is_unchanged(self):
+        body = _histogram_request(0).to_json()
+        body["histogram"]["counts"][0][0][0] = -1
+        with pytest.raises(InvalidRequest) as excinfo:
+            AdviceRequest.from_json(body)
+        assert excinfo.value.code == "bad-histogram"
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,23 @@
 """Tests for the warp-instruction trace generator."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from repro.core.profiler import set_tensor_cache
+from repro.engine.cache import ResultCache
+from repro.engine.runner import run_point_seeded
+from repro.engine.store import process_store
 from repro.gpusim.trace import Op
 from repro.units import MEMORY_ENTRY_BYTES
 from repro.workloads.snapshots import SnapshotConfig
-from repro.workloads.traces import TraceConfig, generate_trace
+from repro.workloads.traces import (
+    TraceConfig,
+    generate_trace,
+    stored_trace,
+    trace_cache_key,
+)
 from sim_oracle import decode
 
 SMALL = TraceConfig(
@@ -121,3 +132,79 @@ class TestAccessCharacter:
             )
             return compute / trace.memory_instruction_count
         assert intensity(ep) > 2 * intensity(ilbdc)
+
+
+# ---------------------------------------------------------------------------
+# Traces as store artifacts (``trace.columnar``).
+# ---------------------------------------------------------------------------
+def _assert_same_columns(got, want):
+    assert got.benchmark == want.benchmark
+    assert got.footprint_bytes == want.footprint_bytes
+    assert got.allocation_ranges == want.allocation_ranges
+    assert got.host_traffic_fraction == want.host_traffic_fraction
+    for column in fields(want.columnar()):
+        a = getattr(got.columnar(), column.name)
+        b = getattr(want.columnar(), column.name)
+        assert a.dtype == b.dtype, column.name
+        assert np.array_equal(a, b), column.name
+
+
+@pytest.fixture
+def disk_tier(tmp_path):
+    """A fresh result cache installed as the process store's disk tier."""
+    cache = ResultCache(tmp_path)
+    previous = set_tensor_cache(cache)
+    yield cache
+    set_tensor_cache(previous)
+
+
+class TestStoredTrace:
+    def test_stored_columns_equal_fresh_columns(self, disk_tier, generations):
+        built = stored_trace("FF_HPGMG", SMALL)
+        loaded = stored_trace("FF_HPGMG", SMALL)
+        assert len(generations) == 1
+        assert loaded is not built  # read back from disk, not memory
+        _assert_same_columns(loaded, generate_trace("FF_HPGMG", SMALL))
+
+    def test_truncated_entry_is_rebuilt_once(self, disk_tier, generations):
+        stored_trace("354.cg", SMALL)
+        path = disk_tier.path_for(trace_cache_key("354.cg", SMALL))
+        blob = path.read_bytes()
+        path.write_bytes(blob[: len(blob) // 2])
+        del generations[:]
+        first = stored_trace("354.cg", SMALL)
+        second = stored_trace("354.cg", SMALL)
+        assert generations == [("354.cg", SMALL)]
+        assert path.read_bytes() != blob[: len(blob) // 2]
+        _assert_same_columns(second, first)
+
+    def test_key_is_per_benchmark_and_config(self):
+        other = TraceConfig(
+            sm_count=4,
+            warps_per_sm=8,
+            memory_instructions_per_warp=33,
+            snapshot_config=SMALL.snapshot_config,
+        )
+        keys = {
+            trace_cache_key("VGG16", SMALL),
+            trace_cache_key("VGG16", other),
+            trace_cache_key("AlexNet", SMALL),
+        }
+        assert len(keys) == 3
+        assert {key.experiment for key in keys} == {"trace.columnar"}
+
+    def test_memory_tier_never_holds_a_trace(self, tmp_path):
+        from repro.engine.registry import get_experiment
+
+        experiment = get_experiment("metadata.fig5b")
+        point = experiment.expand(
+            experiment.resolve_params(
+                {"benchmarks": ("VGG16",), "trace_config": SMALL}
+            )
+        )[0]
+        for _ in range(2):  # a build, then a disk hit
+            run_point_seeded(experiment.run_point, point, 1, str(tmp_path))
+        assert ResultCache(tmp_path).contains(trace_cache_key("VGG16", SMALL))
+        resident = [key.experiment for key in process_store()._entries]
+        assert "profile.entries" in resident
+        assert "trace.columnar" not in resident
