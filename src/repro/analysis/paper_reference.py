@@ -32,9 +32,7 @@ FIG9_THRESHOLDS = (0.10, 0.20, 0.30, 0.40)
 FIG9_CHOSEN_THRESHOLD = 0.30
 
 # --- Metadata (Sec. 3.2) -------------------------------------------------
-METADATA_BITS_PER_ENTRY = 4
 METADATA_OVERHEAD_FRACTION = 0.004
-PTE_EXTENSION_BITS = 24
 
 # --- Fig. 10: simulator methodology --------------------------------------
 FIG10_CORRELATION = 0.989

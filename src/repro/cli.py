@@ -672,8 +672,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = commands.add_parser(
         "check",
-        help="static invariant analyzer: cache salts, determinism "
-        "hazards, C-twin ABI drift, docs sync",
+        help="static invariant analyzer: determinism hazards, C-twin "
+        "ABI drift, docs sync",
     )
     check.add_argument(
         "--json",

@@ -11,9 +11,9 @@ The engine follows the paper's flow end to end:
    naive whole-program baseline and the 16x zero-page promotion, as
    one target-axis index per allocation
    (:meth:`ProfileTensor.selection_from_indices` names them).
-3. :mod:`repro.core.allocator` and :mod:`repro.core.translation` model
-   the split device/buddy layout: GBBR-relative carve-out addressing,
-   page-table extension bits and the 4-bit-per-entry size metadata.
+3. :mod:`repro.core.allocator` models the split device/buddy layout:
+   GBBR-relative carve-out addressing with a fixed buddy slot per
+   entry (the 4-bit-per-entry size metadata is :mod:`repro.units`).
 4. :mod:`repro.core.metadata_cache` models the sliced metadata cache
    (Fig. 5b).
 5. :mod:`repro.core.controller` ties it together: profile → annotate →

@@ -162,28 +162,6 @@ def tensor_from_snapshots(
 # ---------------------------------------------------------------------------
 # Stored tensor access.
 # ---------------------------------------------------------------------------
-#: Modules whose source forms the tensor keys' code salt: every
-#: salt-relevant module this module reaches in the static import
-#: graph (``tests/statics/test_salts.py`` pins the closure), except the
-#: default compressor's.  The compression algorithm's own defining
-#: module is appended per key (see :func:`tensor_cache_key`), so
-#: editing any compressor invalidates exactly the tensors built with
-#: it.
-_TENSOR_SALT_MODULES = (
-    "repro.compression.base",
-    "repro.compression.bitio",
-    "repro.compression.sectors",
-    "repro.core.entry",
-    "repro.core.profile_tensor",
-    "repro.core.profiler",
-    "repro.rng",
-    "repro.units",
-    "repro.workloads.calibration",
-    "repro.workloads.catalog",
-    "repro.workloads.snapshots",
-    "repro.workloads.valuemodels",
-)
-
 #: Tensor builds actually executed (store hits excluded).
 _PROFILE_PASSES = 0
 
@@ -270,9 +248,12 @@ def tensor_cache_key(
     The sweep planner keys its ``profile_tensor`` nodes with exactly
     this digest, so predicted cache hits in ``repro plan --explain``
     and the planner's read-through agree byte-for-byte with the
-    profiler's own lookups.
+    profiler's own lookups.  The salt covers every module this module
+    and the algorithm's module reach, so editing a compressor
+    invalidates exactly the tensors built with it.
     """
-    from repro.engine.cache import CacheKey, code_salt, param_digest
+    from repro.engine.cache import CacheKey, param_digest
+    from repro.engine.salts import code_salt
     from repro.workloads.catalog import get_benchmark
 
     digest = param_digest(
@@ -282,14 +263,15 @@ def tensor_cache_key(
             "config": config,
             "algorithm": _algorithm_key(algorithm),
         },
-        code_salt(_TENSOR_SALT_MODULES + (type(algorithm).__module__,)),
+        code_salt((__name__, type(algorithm).__module__)),
     )
     return CacheKey("profile.tensor", digest)
 
 
 def entry_state_cache_key(benchmark: str, config: SnapshotConfig, index: int):
     """Store address of one entry-state tensor."""
-    from repro.engine.cache import CacheKey, code_salt, param_digest
+    from repro.engine.cache import CacheKey, param_digest
+    from repro.engine.salts import code_salt
     from repro.workloads.catalog import get_benchmark
 
     digest = param_digest(
@@ -299,7 +281,7 @@ def entry_state_cache_key(benchmark: str, config: SnapshotConfig, index: int):
             "config": config,
             "index": int(index),
         },
-        code_salt(_TENSOR_SALT_MODULES),
+        code_salt((__name__,)),
     )
     return CacheKey("profile.entries", digest)
 

@@ -18,7 +18,6 @@ from repro.engine.cache import (
     CacheMiss,
     CacheUsage,
     ResultCache,
-    code_salt,
     param_digest,
     result_digest,
 )
@@ -50,6 +49,7 @@ from repro.engine.runner import (
     parse_size,
     runner_from_args,
 )
+from repro.engine.salts import code_salt
 
 __all__ = [
     "CacheMiss",

@@ -6,9 +6,10 @@ code-version salt)``:
 * the *parameter digest* is a SHA-256 over a canonical encoding of the
   point's parameters (dataclasses, enums, numpy arrays and plain
   containers all canonicalise deterministically);
-* the *code salt* hashes the source text of the modules an experiment
-  declares as its implementation, so editing the study code invalidates
-  its cached results without touching anyone else's.
+* the *code salt* (:mod:`repro.engine.salts`) hashes the source of
+  every module the experiment's point functions reach in the static
+  import graph, so editing the study code invalidates its cached
+  results without touching anyone else's.
 
 Values are stored as pickles under ``<root>/<experiment>/<digest>.pkl``
 with atomic replace, so concurrent writers (parallel sweeps, CI jobs
@@ -21,14 +22,11 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import importlib
-import inspect
 import os
 import pickle
 import tempfile
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -112,29 +110,6 @@ def result_digest(value) -> str:
     digest for exactly that purpose — go through :func:`canonical`.
     """
     return hashlib.sha256(repr(canonical(value)).encode("utf-8")).hexdigest()[:32]
-
-
-@lru_cache(maxsize=None)
-def code_salt(module_names: tuple[str, ...]) -> str:
-    """Hash of the source text of the named modules.
-
-    Experiments declare the modules that implement them; editing any of
-    those files changes the salt and invalidates the cached results.
-    """
-    import repro
-
-    digest = hashlib.sha256()
-    digest.update(repro.__version__.encode("utf-8"))
-    for name in sorted(set(module_names)):
-        module = importlib.import_module(name)
-        digest.update(name.encode("utf-8"))
-        try:
-            digest.update(inspect.getsource(module).encode("utf-8"))
-        except OSError:
-            # Source unavailable (frozen/zipapp): fall back to the
-            # package version captured above.
-            continue
-    return digest.hexdigest()[:16]
 
 
 @dataclass(frozen=True)

@@ -36,91 +36,6 @@ from __future__ import annotations
 from repro.analysis import paper_reference as paper
 from repro.engine.registry import Experiment, register
 
-#: Modules every study's results depend on (workload substrate).
-_SUBSTRATE_MODULES = (
-    "repro.rng",
-    "repro.units",
-    "repro.workloads.calibration",
-    "repro.workloads.catalog",
-    "repro.workloads.snapshots",
-    "repro.workloads.valuemodels",
-)
-
-#: Additional modules behind the Buddy static pipeline (the BPC codec
-#: with its encoder substrate, and the controller with its allocator
-#: and entry layout).
-_PIPELINE_MODULES = _SUBSTRATE_MODULES + (
-    "repro.compression.base",
-    "repro.compression.bitio",
-    "repro.compression.bpc",
-    "repro.compression.sectors",
-    "repro.core.allocator",
-    "repro.core.controller",
-    "repro.core.entry",
-    "repro.core.profile_tensor",
-    "repro.core.profiler",
-    "repro.core.targets",
-)
-
-#: The comparison codecs the free-size compression study sweeps
-#: (Fig. 3's codec shoot-out); only compression.* experiments reach
-#: them.
-_CODEC_COMPARISON_MODULES = (
-    "repro.compression.bdi",
-    "repro.compression.cpack",
-    "repro.compression.fpc",
-    "repro.compression.zeroblock",
-)
-
-#: Salt of every compression.* experiment (Figs. 3, 6, 7, 8, 9).
-_COMPRESSION_STUDY_MODULES = (
-    _PIPELINE_MODULES
-    + _CODEC_COMPARISON_MODULES
-    + ("repro.analysis.compression_study",)
-)
-
-#: The DL-training analytics stack behind dl.ratios / dl.fig13.
-_DLMODEL_MODULES = (
-    "repro.dlmodel.casestudy",
-    "repro.dlmodel.convergence",
-    "repro.dlmodel.layers",
-    "repro.dlmodel.memory",
-    "repro.dlmodel.networks",
-    "repro.dlmodel.throughput",
-)
-
-#: Modules behind the timing simulators.  Trace generation and the
-#: compression states consume the cached per-entry tensors, so the
-#: profiler layer is part of every simulator result's code salt, and
-#: both engines (the per-access oracle and the vectorized core, plus
-#: the memory-system models they share) invalidate cached results.
-#: The event core's Python module is salted; the compiled build is
-#: deliberately *not* a cache axis — it is bit-identical to the
-#: fallback by contract, and its C twin changes in lockstep with the
-#: salted Python source it transcribes.
-_SIMULATOR_MODULES = _SUBSTRATE_MODULES + (
-    "repro.compression.base",
-    "repro.compression.bitio",
-    "repro.compression.bpc",
-    "repro.compression.sectors",
-    "repro.core.entry",
-    "repro.core.metadata_cache",
-    "repro.core.profile_tensor",
-    "repro.core.profiler",
-    "repro.gpusim._event_core",
-    "repro.gpusim.engine_spec",
-    "repro.gpusim.cache",
-    "repro.gpusim.compression",
-    "repro.gpusim.config",
-    "repro.gpusim.dram",
-    "repro.gpusim.interconnect",
-    "repro.gpusim.simulator",
-    "repro.gpusim.trace",
-    "repro.gpusim.vector_sim",
-    "repro.workloads.traces",
-)
-
-
 def _benchmark_names() -> tuple[str, ...]:
     from repro.workloads.catalog import ALL_BENCHMARKS
 
@@ -196,7 +111,6 @@ register(
         run_point=_fig3_point,
         aggregate=_as_list,
         format=_fig3_format,
-        salt_modules=_COMPRESSION_STUDY_MODULES,
         plan_point=_fig3_plan,
     )
 )
@@ -238,7 +152,6 @@ register(
         run_point=_fig6_point,
         aggregate=_keyed_by_benchmark,
         format=_fig6_format,
-        salt_modules=_COMPRESSION_STUDY_MODULES,
     )
 )
 
@@ -296,7 +209,6 @@ register(
         run_point=_fig7_point,
         aggregate=_fig7_aggregate,
         format=_fig7_format,
-        salt_modules=_COMPRESSION_STUDY_MODULES,
         plan_point=_buddy_pipeline_plan,
     )
 )
@@ -338,7 +250,6 @@ register(
         run_point=_fig8_point,
         aggregate=_keyed_by_benchmark,
         format=_fig8_format,
-        salt_modules=_COMPRESSION_STUDY_MODULES,
         plan_point=_buddy_pipeline_plan,
     )
 )
@@ -380,7 +291,6 @@ register(
         run_point=_fig9_point,
         aggregate=_keyed_by_benchmark,
         format=_fig9_format,
-        salt_modules=_COMPRESSION_STUDY_MODULES,
         plan_point=_buddy_pipeline_plan,
     )
 )
@@ -430,10 +340,6 @@ register(
         run_point=_fig5b_point,
         aggregate=_as_list,
         format=_fig5b_format,
-        # The stored trace it reads is keyed by the simulator's tape
-        # salt (``workloads.traces.trace_cache_key``), hence the
-        # simulator modules.
-        salt_modules=_SIMULATOR_MODULES + ("repro.analysis.metadata_study",),
         plan_point=_fig5b_plan,
     )
 )
@@ -512,11 +418,6 @@ register(
         run_point=_fig10_point,
         aggregate=_fig10_aggregate,
         format=_fig10_format,
-        salt_modules=_SIMULATOR_MODULES
-        + (
-            "repro.analysis.correlation_study",
-            "repro.gpusim.reference",
-        ),
         plan_point=_fig10_plan,
     )
 )
@@ -586,9 +487,6 @@ register(
         run_point=_fig11_point,
         aggregate=_fig11_aggregate,
         format=_fig11_format,
-        salt_modules=_SIMULATOR_MODULES
-        + _PIPELINE_MODULES
-        + ("repro.analysis.perf_study",),
         plan_point=_fig11_plan,
     )
 )
@@ -635,14 +533,6 @@ register(
         run_point=_fig12_point,
         aggregate=_fig12_aggregate,
         format=_fig12_format,
-        salt_modules=(
-            "repro.rng",
-            "repro.units",
-            "repro.analysis.um_study",
-            "repro.um.oversubscription",
-            "repro.um.pages",
-            "repro.workloads.catalog",
-        ),
     )
 )
 
@@ -703,9 +593,6 @@ register(
         run_point=_dl_ratio_point,
         aggregate=_dl_ratio_aggregate,
         format=_dl_ratio_format,
-        salt_modules=_PIPELINE_MODULES
-        + _DLMODEL_MODULES
-        + ("repro.analysis.dl_study",),
         plan_point=_dl_ratio_plan,
     )
 )
@@ -756,12 +643,6 @@ register(
         run_point=_advice_point,
         aggregate=_keyed_by_benchmark,
         format=_advice_format,
-        salt_modules=_PIPELINE_MODULES
-        + _CODEC_COMPARISON_MODULES
-        + (
-            "repro.serve.advisor",
-            "repro.serve.protocol",
-        ),
     )
 )
 
@@ -796,9 +677,6 @@ register(
         run_point=_dl_ratio_point,
         aggregate=_fig13_aggregate,
         format=_fig13_format,
-        salt_modules=_PIPELINE_MODULES
-        + _DLMODEL_MODULES
-        + ("repro.analysis.dl_study",),
         plan_point=_dl_ratio_plan,
     )
 )

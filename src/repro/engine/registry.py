@@ -12,11 +12,13 @@ a study as a cached, parallel sweep:
   the study's result object;
 * ``format`` — the study's result object → the paper-style text that
   ``repro run`` / ``repro sweep`` print;
-* ``salt_modules`` — the modules whose source text forms the cache's
-  code-version salt;
 * ``plan_point`` (optional) — design point → the typed dependency
   specs (:mod:`repro.engine.planner`) the point shares with its
   neighbours, so the sweep planner can dedupe and merge them.
+
+The cache's code-version salt is not declared: it hashes every module
+``run_point`` and ``plan_point`` import, closed over the static import
+graph (:func:`repro.engine.salts.experiment_salt`).
 
 The built-in experiments (one per analysis study) live in
 :mod:`repro.engine.experiments` and register on first lookup.
@@ -25,7 +27,7 @@ The built-in experiments (one per analysis study) live in
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 _REGISTRY: dict[str, "Experiment"] = {}
@@ -46,7 +48,6 @@ class Experiment:
     run_point: Callable[[dict[str, Any]], Any]
     aggregate: Callable[[list[Any], dict[str, Any]], Any]
     format: Callable[[Any], str]
-    salt_modules: tuple[str, ...] = field(default_factory=tuple)
     #: Optional dependency-graph declaration: point -> list of typed
     #: planner specs (ProfileTensorSpec & co.).  ``None`` = the point
     #: is opaque; the planner runs it unoptimized.

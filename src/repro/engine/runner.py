@@ -29,8 +29,9 @@ from typing import Any, Callable
 import numpy as np
 
 from repro import rng as rng_lib
-from repro.engine.cache import ResultCache, code_salt, param_digest
+from repro.engine.cache import ResultCache, param_digest
 from repro.engine.registry import Experiment
+from repro.engine.salts import experiment_salt
 
 
 def point_digests(
@@ -43,7 +44,7 @@ def point_digests(
     per-point global-RNG derivation).  The sweep planner keys its
     point nodes and their result-cache entries with these digests.
     """
-    salt = code_salt(experiment.salt_modules)
+    salt = experiment_salt(experiment)
     return [
         param_digest(
             experiment.name,

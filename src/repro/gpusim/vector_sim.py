@@ -700,47 +700,6 @@ _TAPE_COL_DTYPES = (
     "int32", "int32", "int32", "int32", "int32", "int32",
 )
 
-#: Modules whose source feeds the tape cache salt: everything that
-#: determines tape *content* — trace synthesis, compression state
-#: derivation, the memory-system models and the recording engine
-#: itself.  It is every salt-relevant module the static import graph
-#: reaches from this module and from
-#: :func:`repro.analysis.perf_study.prepare_tape`'s module
-#: (``tests/statics/test_salts.py`` pins the closure).  Link bandwidth
-#: and ``verify=`` sampling are deliberately absent from the key: one
-#: tape serves the whole link sweep at any verify rate.
-_TAPE_SALT_MODULES = (
-    "repro.analysis.perf_study",
-    "repro.compression.base",
-    "repro.compression.bitio",
-    "repro.compression.bpc",
-    "repro.compression.sectors",
-    "repro.core.allocator",
-    "repro.core.controller",
-    "repro.core.entry",
-    "repro.core.metadata_cache",
-    "repro.core.profile_tensor",
-    "repro.core.profiler",
-    "repro.core.targets",
-    "repro.gpusim._event_core",
-    "repro.gpusim.cache",
-    "repro.gpusim.compression",
-    "repro.gpusim.config",
-    "repro.gpusim.dram",
-    "repro.gpusim.engine_spec",
-    "repro.gpusim.interconnect",
-    "repro.gpusim.simulator",
-    "repro.gpusim.trace",
-    "repro.gpusim.vector_sim",
-    "repro.rng",
-    "repro.units",
-    "repro.workloads.calibration",
-    "repro.workloads.catalog",
-    "repro.workloads.snapshots",
-    "repro.workloads.traces",
-    "repro.workloads.valuemodels",
-)
-
 #: Exact-order tape recordings executed (store hits excluded).
 _TAPE_RECORDINGS = 0
 
@@ -831,12 +790,14 @@ def tape_cache_key(benchmark, trace_config, profile_config, config):
     Keyed by everything that determines tape content — the benchmark,
     the trace/profile configuration that synthesises its accesses and
     compression state, the machine geometry (:func:`_machine_key`) and
-    the link *latency/derate* — salted with the source of
-    :data:`_TAPE_SALT_MODULES`.  Link **bandwidth** and ``verify=``
-    sampling are excluded: the whole Fig. 11 sweep, at any verify
-    rate, shares one tape.
+    the link *latency/derate* — salted with every module this module
+    and :mod:`repro.analysis.perf_study` (whose ``prepare_tape``
+    derives the recorded state) reach.  Link **bandwidth** and
+    ``verify=`` sampling are excluded: the whole Fig. 11 sweep, at any
+    verify rate, shares one tape.
     """
-    from repro.engine.cache import CacheKey, code_salt, param_digest
+    from repro.engine.cache import CacheKey, param_digest
+    from repro.engine.salts import code_salt
 
     digest = param_digest(
         "sim.tape",
@@ -849,7 +810,7 @@ def tape_cache_key(benchmark, trace_config, profile_config, config):
             "link_latency": config.link.latency_cycles,
             "link_derate": config.link.derate,
         },
-        code_salt(_TAPE_SALT_MODULES),
+        code_salt((__name__, "repro.analysis.perf_study")),
     )
     return CacheKey("sim.tape", digest)
 

@@ -38,10 +38,10 @@ ADVICE_EXPERIMENT = "serve.advice"
 
 def advice_salt() -> str:
     """Code salt of the ``serve.advice`` experiment (single source)."""
-    from repro.engine.cache import code_salt
     from repro.engine.registry import get_experiment
+    from repro.engine.salts import experiment_salt
 
-    return code_salt(get_experiment(ADVICE_EXPERIMENT).salt_modules)
+    return experiment_salt(get_experiment(ADVICE_EXPERIMENT))
 
 
 def request_cache_key(request: AdviceRequest):

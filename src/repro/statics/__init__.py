@@ -1,28 +1,24 @@
 """Static invariant analysis for the reproduction (``repro check``).
 
 The reproduction's credibility rests on invariants that are otherwise
-enforced only at runtime (golden digests, CI diff jobs) or by
-convention (hand-maintained ``salt_modules`` tuples):
+enforced only at runtime (golden digests, CI diff jobs):
 
-* every module that can affect an experiment's results must be part of
-  that experiment's cache salt, or a stale cached figure is silently
-  served after an edit;
-* salted modules must not contain nondeterminism hazards (unsorted
-  directory listings, set iteration, wall clocks, unseeded RNGs,
-  unsanctioned environment reads) that would break bit-identical
-  digests;
+* salt-relevant modules (every module a code salt could hash; see
+  :mod:`repro.engine.salts`) must not contain nondeterminism hazards
+  (unsorted directory listings, set iteration, wall clocks, unseeded
+  RNGs, unsanctioned environment reads) that would break
+  bit-identical digests;
 * the hand-written C extension ``_event_core_ext.c`` must stay a
   faithful twin of ``_event_core.py`` — same ABI number, same event
   kinds, same array-pack layout.
 
 :mod:`repro.statics` checks all of this *statically*, before any
 simulation runs, via an AST pass framework (:mod:`.framework`) with
-four production passes:
+three production passes:
 
 ========================  ==================================================
 pass                      rules
 ========================  ==================================================
-``salt-completeness``     ``salt-missing``, ``salt-dead``, ``salt-unknown``
 ``determinism-lint``      ``det-set-iter``, ``det-unsorted-dir``,
                           ``det-time``, ``det-random``, ``det-id-order``,
                           ``det-env``
@@ -69,10 +65,8 @@ def all_passes() -> list:
     from repro.statics.ctwin import CTwinDriftPass
     from repro.statics.determinism import DeterminismLintPass
     from repro.statics.docs_sync import DocsSyncPass
-    from repro.statics.salts import SaltCompletenessPass
 
     return [
-        SaltCompletenessPass(),
         DeterminismLintPass(),
         CTwinDriftPass(),
         DocsSyncPass(),

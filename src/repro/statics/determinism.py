@@ -1,8 +1,8 @@
 """The ``determinism-lint`` pass.
 
-Every salted module feeds digest-pinned results: the golden Fig. 7/9
-/11 digests, the canonical sweep digest and the relaxed-engine pins
-all assume a design point's bytes depend only on its parameters.
+Every salt-relevant module can feed digest-pinned results: the golden
+Fig. 7/9/11 digests, the canonical sweep digest and the relaxed-engine
+pins all assume a design point's bytes depend only on its parameters.
 This pass flags the constructs that historically break that promise:
 
 ``det-set-iter``
@@ -29,26 +29,21 @@ This pass flags the constructs that historically break that promise:
     (:data:`SANCTIONED_ENV`) — an env var that changes results is an
     invisible cache axis.
 
-Scope: the union of every experiment's declared ``salt_modules`` and
-the modules the salt-completeness pass proves reachable (so a module
-cannot dodge the lint by being missing from the salts it should be
-in).  Deliberate uses carry ``# repro: allow[rule] reason`` pragmas.
+Scope: every salt-relevant module of the package, whether or not a
+salt reaches it today: all but exempt infrastructure and re-export-only
+``__init__`` files (:class:`repro.engine.salts.ImportGraph`).  The
+advisor's wall-clock seam (:data:`CLOCK_SEAM`) is left out.
+Deliberate uses carry ``# repro: allow[rule] reason`` pragmas.
 """
 
 from __future__ import annotations
 
 import ast
 
+from repro.engine.salts import DEFAULT_EXEMPT, ImportGraph
 from repro.statics.framework import Context, Finding, Pass, Severity
-from repro.statics.imports import reachable, salt_relevant
-from repro.statics.salts import (
-    EXPERIMENTS_MODULE,
-    _rebased_exempt,
-    function_imports,
-    parse_registrations,
-)
 
-#: Environment variables salted modules may read: they select
+#: Environment variables salt-relevant modules may read: they select
 #: *equivalent implementations or capacities*, never values.
 SANCTIONED_ENV: tuple[str, ...] = (
     "REPRO_NO_EXT",  # forces the bit-identical pure-Python event core
@@ -73,17 +68,10 @@ _TIME_CALLS = {
 _DIR_CALLS = {"os.listdir", "os.scandir", "glob.glob", "glob.iglob"}
 _DIR_METHODS = {"iterdir", "glob", "rglob"}
 
-#: Packages linted in full even where salt reachability does not reach
-#: them.  The advisor service (``repro.serve``) computes digest-pinned
-#: answers from a long-running process, so *all* of it must be free of
-#: wall-clock/randomness/ordering hazards — not just the two modules
-#: the ``serve.advice`` experiment declares in its salts.
-EXTRA_SCOPE_PACKAGES: tuple[str, ...] = ("repro.serve",)
-
-#: Modules inside the extra scope exempt from the lint: the batching
-#: clock is the service's single sanctioned wall-clock seam (tests
+#: The one salt-relevant module exempt from the lint: the advisor's
+#: batching clock is the service's sanctioned wall-clock seam (tests
 #: replace it with virtual time; answers never depend on it).
-EXTRA_SCOPE_EXEMPT: tuple[str, ...] = ("repro.serve.clock",)
+CLOCK_SEAM = "repro.serve.clock"
 
 
 def _rebased(name: str, ctx: Context) -> str:
@@ -205,7 +193,7 @@ def lint_module(
                 "det-env",
                 node,
                 f"{how} with a dynamic key; only the sanctioned "
-                "variables may be read in salted modules",
+                "variables may be read in salt-relevant modules",
             )
 
     for node in ast.walk(tree):
@@ -331,42 +319,25 @@ def lint_module(
 
 
 def determinism_scope(ctx: Context) -> list[str]:
-    """Salted-or-should-be-salted modules: declared union reachable."""
-    exempt = _rebased_exempt(ctx)
-    experiments_module = (
-        EXPERIMENTS_MODULE
-        if ctx.package == "repro"
-        else f"{ctx.package}.engine.experiments"
+    """Every salt-relevant module of the package but the clock seam."""
+    graph = ImportGraph(
+        ctx.src_root,
+        ctx.package,
+        tuple(_rebased(prefix, ctx) for prefix in DEFAULT_EXEMPT),
     )
-    scope: set[str] = set()
-    for registration in parse_registrations(ctx, experiments_module):
-        scope.update(
-            module
-            for module in registration.salt_modules
-            if ctx.module_path(module) is not None
-        )
-        roots = function_imports(
-            ctx, experiments_module, registration.root_functions
-        )
-        reach = reachable(ctx, roots, exempt)
-        scope.update(salt_relevant(ctx, reach, exempt))
-    clock_exempt = {_rebased(name, ctx) for name in EXTRA_SCOPE_EXEMPT}
-    for package in EXTRA_SCOPE_PACKAGES:
-        prefix = _rebased(package, ctx)
-        scope.update(
-            module
-            for module in ctx.modules()
-            if (module == prefix or module.startswith(prefix + "."))
-            and module not in clock_exempt
-        )
-    return sorted(scope)
+    clock = _rebased(CLOCK_SEAM, ctx)
+    return [
+        module
+        for module in graph.paths
+        if module != clock and graph.is_relevant(module)
+    ]
 
 
 class DeterminismLintPass(Pass):
     name = "determinism-lint"
     description = (
-        "salted modules are free of nondeterminism hazards that would "
-        "break golden digests"
+        "salt-relevant modules are free of nondeterminism hazards that "
+        "would break golden digests"
     )
     rules = (
         "det-set-iter",

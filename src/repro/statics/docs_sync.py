@@ -11,9 +11,9 @@ rot in four ways this catches mechanically:
     README.md no longer links one of the docs' front doors.
 ``docs-experiment``
     A documented ``repro run <experiment>`` name drifts from the
-    experiment registry (resolved statically from the same
-    ``register(Experiment(...))`` parse the salt pass uses — no
-    imports are executed).
+    experiment registry (the ``name=`` of every ``Experiment(...)``
+    call in the registration module, parsed — no imports are
+    executed).
 ``docs-digest``
     A digest quoted in the docs (full 32-hex or abbreviated
     ``36fffebd…`` form) is not pinned by any test.
@@ -21,13 +21,10 @@ rot in four ways this catches mechanically:
 
 from __future__ import annotations
 
+import ast
 import re
 
 from repro.statics.framework import Context, Finding, Pass, Severity
-from repro.statics.salts import (
-    RegistrationParseError,
-    parse_registrations,
-)
 
 #: Markdown files whose relative links must resolve.
 DOC_FILES = (
@@ -58,6 +55,22 @@ _DIGEST = re.compile(r"\b[0-9a-f]{32}\b")
 _SHORT_DIGEST = re.compile(r"\b([0-9a-f]{8})(?:…|\.\.\.)")
 
 
+def registered_names(ctx: Context) -> set[str]:
+    """Names registered in ``<package>.engine.experiments``, by parse."""
+    path = ctx.module_path(f"{ctx.package}.engine.experiments")
+    if path is None:
+        return set()
+    return {
+        keyword.value.value
+        for node in ast.walk(ctx.tree(path))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "Experiment"
+        for keyword in node.keywords
+        if keyword.arg == "name" and isinstance(keyword.value, ast.Constant)
+    }
+
+
 def check_docs(ctx: Context) -> list[Finding]:
     """All documentation-consistency findings for the repo."""
     findings: list[Finding] = []
@@ -82,18 +95,13 @@ def check_docs(ctx: Context) -> list[Finding]:
         docs[name] = path.read_text()
 
     # -- registry names, resolved statically ---------------------------
-    try:
-        registered = {
-            registration.name
-            for registration in parse_registrations(ctx)
-        }
-    except RegistrationParseError as exc:
-        registered = None
+    registered = registered_names(ctx) or None
+    if registered is None:
         error(
             "docs-experiment",
             "src/repro/engine/experiments.py",
             0,
-            f"cannot resolve registered experiment names: {exc}",
+            "cannot resolve registered experiment names",
         )
 
     # -- test-pinned digests -------------------------------------------

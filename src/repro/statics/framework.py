@@ -132,15 +132,9 @@ class Context:
     def modules(self) -> dict[str, Path]:
         """``{dotted module name: source path}`` for the package."""
         if self._modules is None:
-            table: dict[str, Path] = {}
-            pkg_root = self.src_root / self.package
-            for path in sorted(pkg_root.rglob("*.py")):
-                rel = path.relative_to(self.src_root).with_suffix("")
-                parts = list(rel.parts)
-                if parts[-1] == "__init__":
-                    parts = parts[:-1]
-                table[".".join(parts)] = path
-            self._modules = table
+            from repro.engine.salts import ImportGraph
+
+            self._modules = ImportGraph(self.src_root, self.package).paths
         return self._modules
 
     def module_path(self, module: str) -> Path | None:

@@ -129,19 +129,17 @@ def trace_cache_key(benchmark: str, config: TraceConfig):
     """The ``trace.columnar`` store address of one generated trace.
 
     Keyed by the benchmark and its :class:`TraceConfig`, salted with
-    the relaxed tape's module set
-    (:data:`repro.gpusim.vector_sim._TAPE_SALT_MODULES`), which covers
-    every module trace generation reaches.  The planner's
+    every module trace generation (this module) reaches.  The planner's
     ``TraceSpec`` and every consuming point use this one key, so
     Figs. 5b, 10 and 11 share each distinct trace.
     """
-    from repro.engine.cache import CacheKey, code_salt, param_digest
-    from repro.gpusim.vector_sim import _TAPE_SALT_MODULES
+    from repro.engine.cache import CacheKey, param_digest
+    from repro.engine.salts import code_salt
 
     digest = param_digest(
         "trace.columnar",
         {"benchmark": benchmark, "trace_config": config},
-        code_salt(_TAPE_SALT_MODULES),
+        code_salt((__name__,)),
     )
     return CacheKey("trace.columnar", digest)
 

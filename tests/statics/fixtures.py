@@ -20,75 +20,3 @@ def fixture_context(tmp_path: Path, files: dict[str, str], package: str = "fixpk
     write_tree(tmp_path, files)
     return Context(tmp_path, tmp_path / "src", package)
 
-
-#: A miniature experiment package with planted salt violations:
-#:
-#: * ``fixpkg.study`` / ``fixpkg.helper`` / ``fixpkg.planner_helper``
-#:   / ``fixpkg.sub.impl`` are reachable but undeclared (salt-missing;
-#:   ``planner_helper`` is reachable only through ``plan_point``);
-#: * ``fixpkg.unused`` is declared but unreachable (salt-dead);
-#: * ``fixpkg.ghost`` is declared but does not exist (salt-unknown);
-#: * ``fixpkg.sub`` is a re-export-only __init__ (transparent: its
-#:   re-export target is required, the __init__ itself is not);
-#: * ``fixpkg.engine.cache`` is imported by the study but exempt
-#:   infrastructure (no finding).
-SALT_FIXTURE = {
-    "src/fixpkg/__init__.py": '"""Fixture package."""\n',
-    "src/fixpkg/engine/__init__.py": "",
-    "src/fixpkg/engine/registry.py": (
-        "def register(experiment):\n    return experiment\n\n\n"
-        "class Experiment:\n"
-        "    def __init__(self, **kwargs):\n"
-        "        self.__dict__.update(kwargs)\n"
-    ),
-    "src/fixpkg/engine/cache.py": "CACHE_FORMAT_VERSION = 1\n",
-    "src/fixpkg/engine/experiments.py": (
-        "from fixpkg.engine.registry import Experiment, register\n"
-        "\n"
-        '_BASE = ("fixpkg.good", "fixpkg.ghost")\n'
-        "\n"
-        "\n"
-        "def _point(point):\n"
-        "    from fixpkg.study import run_row\n"
-        "\n"
-        "    return run_row(point)\n"
-        "\n"
-        "\n"
-        "def _plan(point):\n"
-        "    from fixpkg.planner_helper import plan_row\n"
-        "\n"
-        "    return plan_row(point)\n"
-        "\n"
-        "\n"
-        "register(\n"
-        "    Experiment(\n"
-        '        name="demo.fig1",\n'
-        "        run_point=_point,\n"
-        "        plan_point=_plan,\n"
-        '        salt_modules=_BASE + ("fixpkg.unused",),\n'
-        "    )\n"
-        ")\n"
-    ),
-    "src/fixpkg/study.py": (
-        "from fixpkg import helper\n"
-        "from fixpkg.engine.cache import CACHE_FORMAT_VERSION\n"
-        "from fixpkg.good import base_row\n"
-        "from fixpkg.sub import thing\n"
-        "\n"
-        "\n"
-        "def run_row(point):\n"
-        "    return helper.compute(base_row(point)) + thing + CACHE_FORMAT_VERSION\n"
-    ),
-    "src/fixpkg/helper.py": "def compute(row):\n    return row\n",
-    "src/fixpkg/good.py": "def base_row(point):\n    return point\n",
-    "src/fixpkg/planner_helper.py": "def plan_row(point):\n    return []\n",
-    "src/fixpkg/unused.py": "DEAD = True\n",
-    "src/fixpkg/sub/__init__.py": (
-        '"""Re-export-only package front door."""\n'
-        "\n"
-        "from fixpkg.sub.impl import thing\n"
-        "\n"
-        '__all__ = ["thing"]\n'
-    ),
-    "src/fixpkg/sub/impl.py": "thing = 1\n",
-}

@@ -24,7 +24,6 @@ def test_live_tree_is_clean_under_strict():
 def test_all_passes_covers_the_documented_set():
     names = [check.name for check in all_passes()]
     assert names == [
-        "salt-completeness",
         "determinism-lint",
         "c-twin-drift",
         "docs-sync",
@@ -36,7 +35,6 @@ def test_check_json_schema(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["version"] == 1
     assert {p["name"] for p in payload["passes"]} == {
-        "salt-completeness",
         "determinism-lint",
         "c-twin-drift",
         "docs-sync",

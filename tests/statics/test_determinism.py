@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.statics.determinism import (
-    EXTRA_SCOPE_EXEMPT,
-    EXTRA_SCOPE_PACKAGES,
+    CLOCK_SEAM,
     SANCTIONED_ENV,
     DeterminismLintPass,
     determinism_scope,
@@ -172,37 +171,17 @@ def test_retired_snapshot_memo_knob_is_flagged(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The serve-package scope extension: the whole advisor service is
-# linted (it answers digest-pinned requests from a long-running
-# process), with exactly the batching-clock module exempt.
+# The scope: every salt-relevant module of the package, reached by a
+# salt today or not, minus the advisor's batching-clock seam.
 # ---------------------------------------------------------------------------
-_SERVE_FIXTURE = {
+_SCOPE_FIXTURE = {
     "src/fixpkg/__init__.py": "",
     "src/fixpkg/engine/__init__.py": "",
-    "src/fixpkg/engine/registry.py": (
-        "def register(experiment):\n    return experiment\n\n\n"
-        "class Experiment:\n"
-        "    def __init__(self, **kwargs):\n"
-        "        self.__dict__.update(kwargs)\n"
-    ),
-    "src/fixpkg/engine/experiments.py": (
-        "from fixpkg.engine.registry import Experiment, register\n"
-        "\n"
-        "\n"
-        "def _point(point):\n"
-        "    return point\n"
-        "\n"
-        "\n"
-        "register(\n"
-        "    Experiment(\n"
-        '        name="demo.fig1",\n'
-        "        run_point=_point,\n"
-        "        salt_modules=(),\n"
-        "    )\n"
-        ")\n"
-    ),
+    # Exempt infrastructure: out of scope.
+    "src/fixpkg/engine/cache.py": "import time\n\nNOW = time.time()\n",
+    # Reached by no salt, yet salt-relevant: linted.
+    "src/fixpkg/orphan.py": "import time\n\nTHEN = time.time()\n",
     "src/fixpkg/serve/__init__.py": "",
-    # Planted violation: a wall-clock read OUTSIDE the clock module.
     "src/fixpkg/serve/service.py": (
         "import time\n\n\ndef window_deadline(delay):\n"
         "    return time.monotonic() + delay\n"
@@ -214,27 +193,26 @@ _SERVE_FIXTURE = {
 }
 
 
-def test_serve_package_is_linted_with_the_clock_exempt(tmp_path):
-    ctx = fixture_context(tmp_path, _SERVE_FIXTURE)
-    scope = determinism_scope(ctx)
-    assert "fixpkg.serve.service" in scope
-    assert "fixpkg.serve" in scope
-    assert "fixpkg.serve.clock" not in scope
+def test_scope_is_every_salt_relevant_module_but_the_clock(tmp_path):
+    ctx = fixture_context(tmp_path, _SCOPE_FIXTURE)
+    assert determinism_scope(ctx) == ["fixpkg.orphan", "fixpkg.serve.service"]
     findings = DeterminismLintPass().run(ctx)
     assert [(f.rule, f.path) for f in findings] == [
-        ("det-time", "src/fixpkg/serve/service.py")
+        ("det-time", "src/fixpkg/orphan.py"),
+        ("det-time", "src/fixpkg/serve/service.py"),
     ]
 
 
-def test_real_serve_package_scope_and_exemption():
+def test_real_scope_and_clock_seam():
     from repro.statics.framework import Context
 
-    assert EXTRA_SCOPE_PACKAGES == ("repro.serve",)
-    assert EXTRA_SCOPE_EXEMPT == ("repro.serve.clock",)
+    assert CLOCK_SEAM == "repro.serve.clock"
     scope = determinism_scope(Context.for_repo())
-    assert "repro.serve.service" in scope
-    assert "repro.serve.server" in scope
-    assert "repro.serve.clock" not in scope
-    # The experiment's declared salts stay in scope too.
-    assert "repro.serve.advisor" in scope
-    assert "repro.serve.protocol" in scope
+    assert CLOCK_SEAM not in scope
+    assert {
+        "repro.serve.advisor",
+        "repro.serve.protocol",
+        "repro.serve.server",
+        "repro.serve.service",
+    } <= set(scope)
+    assert not [m for m in scope if m.startswith(("repro.engine", "repro.statics"))]

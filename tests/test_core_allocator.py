@@ -1,17 +1,20 @@
-"""Tests for the split device/buddy allocator and translation."""
+"""Tests for the split device/buddy allocator and the metadata cache."""
 
 import pytest
 
+from repro.analysis import paper_reference as paper
 from repro.core.allocator import BuddyAllocator, OutOfMemoryError
 from repro.core.entry import TargetRatio
-from repro.core.metadata_cache import MetadataCache
-from repro.core.translation import (
+from repro.core.metadata_cache import LINE_BYTES, MetadataCache
+from repro.units import (
     ENTRIES_PER_METADATA_LINE,
-    MetadataStore,
-    PageTableEntryExtension,
-    TranslationUnit,
+    GIB,
+    KIB,
+    MEMORY_ENTRY_BYTES,
+    METADATA_BITS_PER_ENTRY,
+    METADATA_LINE_BYTES,
+    MIB,
 )
-from repro.units import GIB, KIB, MIB
 
 
 class TestBuddyAllocator:
@@ -84,77 +87,24 @@ class TestBuddyAllocator:
         assert allocator.effective_capacity_ratio() == pytest.approx(logical / device)
 
 
-class TestTranslation:
-    def test_pte_roundtrip(self):
-        for target in TargetRatio:
-            ext = PageTableEntryExtension(True, target, 12345)
-            assert PageTableEntryExtension.unpack(ext.pack()) == ext
-
-    def test_pte_is_24_bits(self):
-        ext = PageTableEntryExtension(True, TargetRatio.X16, (1 << 20) - 1)
-        assert ext.pack() < (1 << 24)
-        assert PageTableEntryExtension.BITS == 24
-
-    def test_pte_offset_overflow(self):
-        ext = PageTableEntryExtension(True, TargetRatio.X2, 1 << 20)
-        with pytest.raises(ValueError, match="20 bits"):
-            ext.pack()
-
-    def test_unpack_rejects_wide_values(self):
-        with pytest.raises(ValueError):
-            PageTableEntryExtension.unpack(1 << 24)
-
+class TestMetadataGeometry:
     def test_metadata_overhead_is_0_4_percent(self):
-        store = MetadataStore(12 * GIB)
-        assert store.overhead_fraction == pytest.approx(0.0039, abs=1e-4)
-        assert store.overhead_bytes == 12 * GIB // 128 // 2
-
-    def test_metadata_codes(self):
-        store = MetadataStore(1 * MIB)
-        store.write_sectors(0, 1, is_zero=True)
-        store.write_sectors(1, 3)
-        assert store.read(0) == 0
-        assert store.read(1) == 3
-        with pytest.raises(ValueError, match="4 bits"):
-            store.write(0, 16)
-
-    def test_metadata_line_covers_64_entries(self):
-        store = MetadataStore(1 * MIB)
-        assert ENTRIES_PER_METADATA_LINE == 64
-        assert store.metadata_address(0) == store.metadata_address(63)
-        assert store.metadata_address(64) == store.metadata_address(0) + 32
-
-    def test_metadata_line_geometry_is_defined_once(self):
-        """The cache line and the store's address arithmetic share one
-        constant (repro.units), tied to the per-entry metadata width."""
-        from repro.core.metadata_cache import LINE_BYTES
-        from repro.units import (
-            METADATA_BITS_PER_ENTRY,
-            METADATA_LINE_BYTES,
+        """Sec. 3.2: 4 bits of size metadata per 128 B memory-entry."""
+        overhead = METADATA_BITS_PER_ENTRY / (MEMORY_ENTRY_BYTES * 8)
+        assert overhead == pytest.approx(
+            paper.METADATA_OVERHEAD_FRACTION, abs=1e-4
         )
 
+    def test_metadata_line_geometry_is_defined_once(self):
+        """The metadata cache's line and the simulators' metadata
+        addressing share one constant (repro.units), tied to the
+        per-entry metadata width: one line covers 64 entries."""
         assert LINE_BYTES == METADATA_LINE_BYTES
         assert (
             ENTRIES_PER_METADATA_LINE
             == METADATA_LINE_BYTES * 8 // METADATA_BITS_PER_ENTRY
+            == 64
         )
-        store = MetadataStore(1 * MIB)
-        for entry in (0, 1, 63, 64, 1000):
-            assert store.metadata_address(entry) == (
-                entry // ENTRIES_PER_METADATA_LINE
-            ) * METADATA_LINE_BYTES
-
-    def test_buddy_address_via_gbbr(self):
-        unit = TranslationUnit(gbbr_base=1 << 40)
-        ext = PageTableEntryExtension(True, TargetRatio.X2, buddy_page_offset=2)
-        unit.map_page(7, ext)
-        base = (1 << 40) + 2 * 8192
-        assert unit.buddy_address(7, 0) == base
-        assert unit.buddy_address(7, 3) == base + 3 * 64
-        with pytest.raises(KeyError):
-            unit.lookup(8)
-        with pytest.raises(ValueError):
-            unit.buddy_address(7, 64)
 
 
 class TestMetadataCache:
