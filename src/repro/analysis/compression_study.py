@@ -21,13 +21,6 @@ from repro.workloads.catalog import get_benchmark
 from repro.workloads.snapshots import SnapshotConfig, generate_run, generate_snapshot
 
 
-def _default_runner():
-    """Serial, cache-free engine runner (library-call default)."""
-    from repro.engine.runner import default_runner
-
-    return default_runner()
-
-
 # ---------------------------------------------------------------------------
 # Fig. 3 — free-size compression ratio per benchmark over its run.
 # ---------------------------------------------------------------------------
@@ -103,17 +96,6 @@ def fig3_plan(point: dict) -> list:
     from repro.engine.planner import SnapshotsSpec
 
     return [SnapshotsSpec(point["benchmark"], point["config"])]
-
-
-def fig3_compression_ratios(
-    benchmarks=None, config: SnapshotConfig | None = None, runner=None
-) -> list[Fig3Row]:
-    """Fig. 3: optimistic (free-size) BPC ratios, ten dumps per run."""
-    runner = runner or _default_runner()
-    return runner.run(
-        "compression.fig3",
-        {"benchmarks": tuple(benchmarks) if benchmarks else None, "config": config},
-    )
 
 
 def suite_gmean(rows: list[Fig3Row], hpc: bool) -> float:
@@ -211,43 +193,12 @@ def buddy_pipeline_plan(point: dict) -> list:
     ]
 
 
-def fig7_design_points(
-    benchmarks=None,
-    config: SnapshotConfig | None = None,
-    designs: tuple[DesignPoint, ...] = (NAIVE, PER_ALLOCATION, FINAL),
-    runner=None,
-) -> DesignPointStudy:
-    """Fig. 7: the three design points on every benchmark."""
-    runner = runner or _default_runner()
-    return runner.run(
-        "compression.fig7",
-        {
-            "benchmarks": tuple(benchmarks) if benchmarks else None,
-            "config": config,
-            "designs": tuple(designs),
-        },
-    )
-
-
 def fig8_benchmark(
     benchmark: str, config: SnapshotConfig | None = None
 ) -> EvaluationResult:
     """One benchmark's Fig. 8 run under the final design."""
     engine = BuddyCompressor(config or SnapshotConfig())
     return engine.run(benchmark, FINAL)
-
-
-def fig8_temporal_stability(
-    benchmarks=("ResNet50", "SqueezeNet"),
-    config: SnapshotConfig | None = None,
-    runner=None,
-) -> dict[str, EvaluationResult]:
-    """Fig. 8: per-snapshot buddy traffic under the final design."""
-    runner = runner or _default_runner()
-    return runner.run(
-        "compression.fig8",
-        {"benchmarks": tuple(benchmarks), "config": config},
-    )
 
 
 def fig9_benchmark(
@@ -272,29 +223,3 @@ def fig9_benchmark(
     names = [f"threshold-{threshold:.2f}" for threshold in thresholds]
     results = engine.evaluate_many(benchmark, selections, names)
     return dict(zip(thresholds, results))
-
-
-def fig9_threshold_sweep(
-    benchmarks=None,
-    thresholds=(0.10, 0.20, 0.30, 0.40),
-    config: SnapshotConfig | None = None,
-    runner=None,
-) -> dict[str, dict[float, EvaluationResult]]:
-    """Fig. 9: per-allocation design across Buddy Thresholds."""
-    runner = runner or _default_runner()
-    return runner.run(
-        "compression.fig9",
-        {
-            "benchmarks": tuple(benchmarks) if benchmarks else None,
-            "thresholds": tuple(thresholds),
-            "config": config,
-        },
-    )
-
-
-def best_achievable_ratio(
-    benchmark: str, config: SnapshotConfig | None = None, runner=None
-) -> float:
-    """Fig. 9's marker: unconstrained free-size compression ratio."""
-    row = fig3_compression_ratios([benchmark], config, runner=runner)[0]
-    return row.mean_ratio

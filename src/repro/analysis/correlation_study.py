@@ -152,29 +152,3 @@ def fig10_plan(point: dict) -> list:
         ),
         TraceSpec(point["benchmark"], trace_config),
     ]
-
-
-def run_correlation_study(
-    benchmarks=DEFAULT_BENCHMARKS,
-    instruction_scales=(6, 18),
-    runner=None,
-    engine_spec=None,
-) -> CorrelationResult:
-    """Run both simulators across benchmarks and trace lengths.
-
-    ``engine_spec`` (an :class:`repro.gpusim.engine_spec.EngineSpec`
-    or its string form) selects the fast simulator's core.
-    """
-    from repro.engine.runner import ExperimentRunner
-    from repro.gpusim.engine_spec import EngineSpec
-
-    spec = EngineSpec.coerce(engine_spec)
-    runner = runner or ExperimentRunner()
-    return runner.run(
-        "correlation.fig10",
-        {
-            "benchmarks": tuple(benchmarks),
-            "instruction_scales": tuple(instruction_scales),
-            **spec.study_params(),
-        },
-    )

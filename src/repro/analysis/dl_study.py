@@ -33,11 +33,9 @@ class DLStudyResult:
         return mean_speedup(self.case_study)
 
 
-def network_ratio(
-    network: str, config: SnapshotConfig | None = None
-) -> float:
+def network_ratio(network: str, config: SnapshotConfig) -> float:
     """One network's buddy ratio (the engine's point unit)."""
-    engine = BuddyCompressor(config or SnapshotConfig(scale=1.0 / 65536))
+    engine = BuddyCompressor(config)
     return engine.run(network, FINAL).compression_ratio
 
 
@@ -57,23 +55,6 @@ def network_ratio_plan(point: dict) -> list:
         SnapshotsSpec(network, profile_config),
         SnapshotsSpec(network, config),
     ]
-
-
-def run_dl_study(
-    compression_ratios: dict[str, float] | None = None,
-    batches=BATCH_SWEEP,
-    epochs: int = 100,
-    runner=None,
-) -> DLStudyResult:
-    """Produce all four Fig. 13 panels."""
-    if compression_ratios is None:
-        from repro.engine.runner import default_runner
-
-        runner = runner or default_runner()
-        return runner.run(
-            "dl.fig13", {"batches": tuple(batches), "epochs": epochs}
-        )
-    return assemble_dl_study(compression_ratios, batches, epochs)
 
 
 def assemble_dl_study(

@@ -24,7 +24,6 @@ import numpy as np
 from repro.core.metadata_cache import MetadataCache
 from repro.gpusim.trace import Op
 from repro.units import ENTRIES_PER_METADATA_LINE, KIB, MEMORY_ENTRY_BYTES
-from repro.workloads.snapshots import SnapshotConfig
 from repro.workloads.traces import TraceConfig, stored_trace
 
 #: Cache sizes swept (total bytes across slices).
@@ -101,14 +100,9 @@ def two_way_hit_rates(lines: np.ndarray, sizes) -> dict[int, float]:
 
 
 def metadata_row(
-    benchmark: str,
-    sizes=DEFAULT_SIZES,
-    trace_config: TraceConfig | None = None,
+    benchmark: str, sizes, trace_config: TraceConfig
 ) -> MetadataStudyRow:
     """One benchmark's cache-size sweep (the engine's point unit)."""
-    trace_config = trace_config or TraceConfig(
-        snapshot_config=SnapshotConfig(scale=1.0 / 2048)
-    )
     entries = metadata_access_stream(benchmark, trace_config)
     lines = entries // ENTRIES_PER_METADATA_LINE
     return MetadataStudyRow(benchmark, two_way_hit_rates(lines, sizes))
@@ -128,26 +122,6 @@ def fig5b_plan(point: dict) -> list:
         ),
         TraceSpec(point["benchmark"], trace_config),
     ]
-
-
-def run_metadata_study(
-    benchmarks=None,
-    sizes=DEFAULT_SIZES,
-    trace_config: TraceConfig | None = None,
-    runner=None,
-) -> list[MetadataStudyRow]:
-    """Sweep metadata cache sizes per benchmark (Fig. 5b)."""
-    from repro.engine.runner import default_runner
-
-    runner = runner or default_runner()
-    return runner.run(
-        "metadata.fig5b",
-        {
-            "benchmarks": tuple(benchmarks) if benchmarks else None,
-            "sizes": tuple(sizes),
-            "trace_config": trace_config,
-        },
-    )
 
 
 def format_metadata_table(rows: list[MetadataStudyRow]) -> str:

@@ -20,7 +20,7 @@ import numpy as np
 from repro.core.controller import BuddyCompressor
 from repro.core.targets import FINAL
 from repro.gpusim.compression import CompressionMode, CompressionState
-from repro.gpusim.config import GPUConfig, scaled_config
+from repro.gpusim.config import GPUConfig
 from repro.gpusim.simulator import DependencyDrivenSimulator
 from repro.gpusim.vector_sim import (
     REFERENCE_LINK_GBPS,
@@ -34,21 +34,6 @@ from repro.workloads.traces import TraceConfig, layout_state, stored_trace
 
 #: The paper's interconnect sweep (GB/s, unidirectional full-duplex).
 LINK_SWEEP = (50.0, 100.0, 150.0, 200.0)
-
-
-def _normalize_point_inputs(config, trace_config, profile_config):
-    """The defaults one Fig. 11 point resolves its inputs with.
-
-    Shared by :func:`perf_benchmark_row`, :func:`prepare_tape` and
-    :func:`fig11_plan` so the tape cache key computed at plan time is
-    byte-identical to the one the point computes at run time.
-    """
-    config = config or scaled_config()
-    trace_config = trace_config or TraceConfig(
-        sm_count=config.sm_count, warps_per_sm=config.warps_per_sm
-    )
-    profile_config = profile_config or SnapshotConfig(scale=1.0 / 65536)
-    return config, trace_config, profile_config
 
 
 @dataclass
@@ -91,10 +76,10 @@ class PerfStudyResult:
 
 def perf_benchmark_row(
     benchmark: str,
-    config: GPUConfig | None = None,
-    trace_config: TraceConfig | None = None,
-    link_sweep=LINK_SWEEP,
-    profile_config: SnapshotConfig | None = None,
+    config: GPUConfig,
+    trace_config: TraceConfig,
+    link_sweep,
+    profile_config: SnapshotConfig,
     engine: str = "vectorized",
     verify: float = 0.0,
 ) -> BenchmarkPerf:
@@ -112,9 +97,6 @@ def perf_benchmark_row(
     vectorized engine (a breach raises ``RelaxedVerificationError``);
     it must stay 0.0 for ``"vectorized"``.
     """
-    config, trace_config, profile_config = _normalize_point_inputs(
-        config, trace_config, profile_config
-    )
     compressor = BuddyCompressor(profile_config)
 
     trace = stored_trace(benchmark, trace_config)
@@ -185,9 +167,9 @@ def perf_benchmark_row(
 
 def prepare_tape(
     benchmark: str,
-    config: GPUConfig | None = None,
-    trace_config: TraceConfig | None = None,
-    profile_config: SnapshotConfig | None = None,
+    config: GPUConfig,
+    trace_config: TraceConfig,
+    profile_config: SnapshotConfig,
 ) -> tuple:
     """Record-or-load the relaxed tape for one Fig. 11 design point.
 
@@ -195,14 +177,10 @@ def prepare_tape(
     pair from the process artifact store under the key the point's
     :func:`~repro.gpusim.vector_sim.replay_links` call uses — a stored
     tape is loaded, never re-recorded.  Only a miss resolves the
-    inputs :func:`perf_benchmark_row` would (same defaults, the stored
-    trace, the same buddy selection) and records.
+    inputs :func:`perf_benchmark_row` would (the stored trace, the same
+    buddy selection) and records.
     """
     from repro.engine.store import process_store
-
-    config, trace_config, profile_config = _normalize_point_inputs(
-        config, trace_config, profile_config
-    )
 
     def record():
         compressor = BuddyCompressor(profile_config)
@@ -241,10 +219,8 @@ def fig11_plan(point: dict) -> list:
     )
 
     benchmark = point["benchmark"]
-    config, trace_config, norm_profile = _normalize_point_inputs(
-        point["config"], point["trace_config"], point["profile_config"]
-    )
-    profile_config = norm_profile.as_profile()
+    trace_config = point["trace_config"]
+    profile_config = point["profile_config"].as_profile()
     specs = [
         ProfileTensorSpec(benchmark, profile_config, BPCCompressor()),
         SnapshotsSpec(benchmark, profile_config),
@@ -256,58 +232,12 @@ def fig11_plan(point: dict) -> list:
     if point["engine"] == "relaxed" and any(
         float(link) != REFERENCE_LINK_GBPS for link in point["link_sweep"]
     ):
-        specs.append(TapeSpec(benchmark, trace_config, norm_profile, config))
-    return specs
-
-
-def run_perf_study(
-    benchmarks=None,
-    config: GPUConfig | None = None,
-    trace_config: TraceConfig | None = None,
-    link_sweep=LINK_SWEEP,
-    profile_config: SnapshotConfig | None = None,
-    runner=None,
-    engine_spec=None,
-) -> PerfStudyResult:
-    """Run the full Fig. 11 sweep.
-
-    Args:
-        benchmarks: Iterable of benchmark names (default: all 16).
-        config: Simulator machine (default: the scaled machine).
-        trace_config: Trace generation knobs.
-        link_sweep: Interconnect bandwidths for the buddy runs.
-        profile_config: Snapshot scaling for the profiling pass that
-            picks target ratios (smaller than the trace scale — it
-            only needs histograms).
-        runner: :class:`repro.engine.ExperimentRunner` controlling
-            parallelism and caching (default: serial, uncached).
-        engine_spec: :class:`repro.gpusim.engine_spec.EngineSpec` (or
-            its string form, e.g. ``"relaxed:verify=0.5"``) selecting
-            the simulator core; its name and verify fraction are cache
-            axes, so cached results never mix engines.
-    """
-    from repro.engine.runner import default_runner
-    from repro.gpusim.engine_spec import EngineSpec
-
-    spec = EngineSpec.coerce(engine_spec)
-    runner = runner or default_runner()
-    if trace_config is None and config is not None:
-        # Preserve the historical coupling: an explicit machine implies
-        # a trace shaped for that machine's SM/warp geometry.
-        trace_config = TraceConfig(
-            sm_count=config.sm_count, warps_per_sm=config.warps_per_sm
+        specs.append(
+            TapeSpec(
+                benchmark, trace_config, point["profile_config"], point["config"]
+            )
         )
-    return runner.run(
-        "perf.fig11",
-        {
-            "benchmarks": tuple(benchmarks) if benchmarks else None,
-            "config": config,
-            "trace_config": trace_config,
-            "link_sweep": tuple(link_sweep),
-            "profile_config": profile_config,
-            **spec.study_params(),
-        },
-    )
+    return specs
 
 
 def format_perf_table(result: PerfStudyResult, link_sweep=LINK_SWEEP) -> str:

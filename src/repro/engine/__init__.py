@@ -44,7 +44,6 @@ from repro.engine.runner import (
     ExperimentRunner,
     RunReport,
     add_runner_options,
-    default_runner,
     example_runner,
     parse_size,
     runner_from_args,
@@ -69,7 +68,6 @@ __all__ = [
     "TraceSpec",
     "add_runner_options",
     "code_salt",
-    "default_runner",
     "example_runner",
     "execute_plan",
     "experiment_names",

@@ -280,9 +280,9 @@ class TapeSpec(ArtifactSpec):
     by the ``sim.tape`` content digest across every relaxed point of
     every co-submitted sweep — one exact-order recording per
     ``(trace, state, geometry)``, loaded from the persistent cache
-    when a previous session already recorded it.  All configs are the
-    *normalized* values the point resolves at run time, so the
-    plan-time digest matches the run-time lookup.
+    when a previous session already recorded it.  Its configs are the
+    point's own resolved values, the ones the point passes at run
+    time, so the plan-time digest matches the run-time lookup.
     """
 
     benchmark: str

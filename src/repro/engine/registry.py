@@ -56,9 +56,8 @@ class Experiment:
     def resolve_params(self, overrides: dict[str, Any] | None) -> dict[str, Any]:
         """Merge caller overrides into the declared defaults.
 
-        ``None`` overrides are treated as "use the default", matching
-        the study functions' keyword conventions; unknown keys raise so
-        typos never silently miss the cache.
+        ``None`` overrides are treated as "use the default"; unknown
+        keys raise so typos never silently miss the cache.
         """
         params = self.defaults()
         for key, value in (overrides or {}).items():

@@ -190,11 +190,6 @@ class ExperimentRunner:
 # ---------------------------------------------------------------------------
 # Construction helpers.
 # ---------------------------------------------------------------------------
-def default_runner() -> ExperimentRunner:
-    """Serial, cache-free runner — the library-call default."""
-    return ExperimentRunner()
-
-
 def add_runner_options(parser) -> None:
     """Add the standard engine flags to an ``argparse`` parser.
 

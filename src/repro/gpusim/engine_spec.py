@@ -1,11 +1,8 @@
 """The unified engine-selection surface: :class:`EngineSpec`.
 
-Engine selection used to be a pair of ad-hoc keyword arguments
-(``engine="relaxed", verify=0.5``) copied across
-:func:`~repro.analysis.perf_study.run_perf_study`,
-:func:`~repro.analysis.correlation_study.run_correlation_study` and
-the CLI, each with its own validation.  :class:`EngineSpec` is the one
-place those knobs are parsed and validated:
+:class:`EngineSpec` is the one place the engine knobs are parsed and
+validated, for the CLI's ``--engine``, the timing experiments
+(``perf.fig11``, ``correlation.fig10``) and direct simulation alike:
 
 * ``name`` — the simulator core (one of :data:`ENGINES`);
 * ``verify`` — the relaxed engine's sampled cross-check fraction
@@ -14,9 +11,10 @@ place those knobs are parsed and validated:
   verification tolerances (see :func:`check_relaxed_contract`).
 
 The string form (``"relaxed"``, ``"relaxed:verify=0.5"``,
-``"relaxed:verify=1.0,tolerance=0.02"``) is accepted everywhere an
-:class:`EngineSpec` is, so CLI flags and config files need no extra
-plumbing.
+``"relaxed:verify=1.0,tolerance=0.02"``) is :meth:`EngineSpec.parse`'s
+input, and :meth:`EngineSpec.study_params` turns a spec into the
+timing experiments' parameters, e.g.
+``repro.run("perf.fig11", EngineSpec.parse(s).study_params())``.
 
 ``tolerance`` is deliberately *not* an experiment parameter: it only
 changes when a verified run raises, never the simulated result, so
@@ -95,14 +93,6 @@ class EngineSpec:
                     f"bad engine spec value {value!r} for {key} in {text!r}"
                 ) from None
         return cls(name, **kwargs)
-
-    @classmethod
-    def coerce(cls, spec: EngineSpec | str | None = None) -> EngineSpec:
-        """An :class:`EngineSpec`, its string form or ``None`` (the
-        default spec) as an :class:`EngineSpec`."""
-        if spec is None:
-            return cls()
-        return spec if isinstance(spec, EngineSpec) else cls.parse(spec)
 
     # ------------------------------------------------------------------
     def __str__(self) -> str:

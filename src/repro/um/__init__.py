@@ -12,7 +12,6 @@ than host-pinned access.
 from repro.um.oversubscription import (
     UMConfig,
     UMResult,
-    run_um_study,
     pinned_slowdown,
     um_slowdown,
 )
@@ -20,7 +19,6 @@ from repro.um.oversubscription import (
 __all__ = [
     "UMConfig",
     "UMResult",
-    "run_um_study",
     "pinned_slowdown",
     "um_slowdown",
 ]

@@ -172,16 +172,3 @@ def pinned_slowdown(benchmark: str, config: UMConfig | None = None) -> float:
     # Memory-bound share of runtime: high-intensity kernels hide more.
     memory_share = 1.0 / (1.0 + character.compute_per_memory / 12.0)
     return 1.0 + (bandwidth_ratio - 1.0) * memory_share
-
-
-def run_um_study(
-    benchmarks=("360.ilbdc", "356.sp", "351.palm"),
-    oversubscriptions=(0.0, 0.1, 0.2, 0.3, 0.4),
-    config: UMConfig | None = None,
-) -> list[UMResult]:
-    """The Fig. 12 sweep."""
-    return [
-        row
-        for benchmark in benchmarks
-        for row in um_curve(benchmark, oversubscriptions, config)
-    ]

@@ -6,13 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.compression_study import (
-    fig3_compression_ratios,
     fig6_heatmap,
     render_heatmap,
     suite_gmean,
 )
-from repro.analysis.metadata_study import run_metadata_study, two_way_hit_rates
-from repro.analysis.perf_study import run_perf_study
+from repro.analysis.metadata_study import two_way_hit_rates
 from repro.cli import main
 from repro.core.metadata_cache import MetadataCache
 from repro.engine.cache import result_digest
@@ -24,9 +22,28 @@ from repro.workloads.traces import TraceConfig
 TINY = SnapshotConfig(scale=1.0 / 262144, min_footprint_bytes=256 * 1024)
 
 
+def test_analysis_modules_never_import_the_runner():
+    """A figure is computed only by running its registered experiment:
+    no analysis module reaches for a runner of its own (function-level
+    imports included)."""
+    from repro.engine.salts import package_graph
+
+    graph = package_graph()
+    runners = {"repro.engine.runner", "repro.api"}
+    offenders = [
+        module
+        for module in graph.paths
+        if module.startswith("repro.analysis.")
+        and runners & set(graph.imports(module))
+    ]
+    assert offenders == []
+
+
 class TestCompressionStudy:
     def test_fig3_subset(self):
-        rows = fig3_compression_ratios(["356.sp", "354.cg"], TINY)
+        rows = ExperimentRunner().run(
+            "compression.fig3", {"benchmarks": ("356.sp", "354.cg"), "config": TINY}
+        )
         by_name = {r.benchmark: r for r in rows}
         assert by_name["356.sp"].mean_ratio > by_name["354.cg"].mean_ratio
         assert len(by_name["356.sp"].per_snapshot) == 10
@@ -94,8 +111,13 @@ class TestMetadataStudy:
             memory_instructions_per_warp=24,
             snapshot_config=SnapshotConfig(scale=1.0 / 8192),
         )
-        rows = run_metadata_study(
-            ["VGG16"], sizes=(1 * KIB, 8 * KIB), trace_config=trace_config
+        rows = ExperimentRunner().run(
+            "metadata.fig5b",
+            {
+                "benchmarks": ("VGG16",),
+                "sizes": (1 * KIB, 8 * KIB),
+                "trace_config": trace_config,
+            },
         )
         rates = rows[0].hit_rates
         assert rates[8 * KIB] >= rates[1 * KIB]
@@ -153,12 +175,15 @@ class TestPerfStudySmall:
         )
         from repro.gpusim import scaled_config
 
-        result = run_perf_study(
-            benchmarks=["370.bt"],
-            config=scaled_config(sm_count=4, warps_per_sm=8),
-            trace_config=trace_config,
-            link_sweep=(150.0,),
-            profile_config=TINY,
+        result = ExperimentRunner().run(
+            "perf.fig11",
+            {
+                "benchmarks": ("370.bt",),
+                "config": scaled_config(sm_count=4, warps_per_sm=8),
+                "trace_config": trace_config,
+                "link_sweep": (150.0,),
+                "profile_config": TINY,
+            },
         )
         row = result.per_benchmark[0]
         assert row.benchmark == "370.bt"

@@ -92,20 +92,6 @@ class TestValidation:
             EngineSpec("relaxed", tolerance=0.0)
 
 
-class TestCoerce:
-    def test_spec_object_passes_through(self):
-        spec = EngineSpec("relaxed", 0.5)
-        assert EngineSpec.coerce(spec) is spec
-
-    def test_string_spec_is_parsed(self):
-        assert EngineSpec.coerce("relaxed:verify=1.0") == EngineSpec(
-            "relaxed", 1.0
-        )
-
-    def test_default(self):
-        assert EngineSpec.coerce() == EngineSpec()
-
-
 class TestStudyParams:
     def test_name_and_verify_are_the_cache_axes(self):
         assert EngineSpec("relaxed", 0.5).study_params() == {

@@ -4,9 +4,13 @@ One test per paper artefact (Figs. 3, 5b, 6-13, Table 2) plus the
 ablations beyond the paper.  Every numeric band comes from the claims
 ledger, :data:`repro.analysis.paper_reference.CLAIMS`, next to the
 paper value it brackets; orderings and monotonicity checks are plain
-asserts.  Studies run through the same uncached
-:class:`~repro.engine.ExperimentRunner` the CLI uses; ``repro run
-NAME`` prints the same studies paper-vs-measured.
+asserts.  Every figure is read from its registered experiment
+(``repro run NAME`` prints the same value paper-vs-measured) through
+one uncached :class:`~repro.engine.ExperimentRunner` and the
+module-scoped ``study`` fixture, which computes each distinct
+``(experiment, parameters)`` value once: Fig. 11's vectorized value
+also serves Sec. 4.3, and Fig. 3's serves Fig. 9's best-achievable
+marker.
 """
 
 import statistics
@@ -15,21 +19,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.analysis.compression_study import (
-    best_achievable_ratio,
-    fig3_compression_ratios,
-    fig6_heatmap,
-    fig7_design_points,
-    fig8_temporal_stability,
-    fig9_threshold_sweep,
-    suite_gmean,
-)
-from repro.analysis.correlation_study import run_correlation_study
-from repro.analysis.dl_study import run_dl_study
-from repro.analysis.metadata_study import run_metadata_study
+from repro.analysis.compression_study import suite_gmean
 from repro.analysis.paper_reference import CLAIMS
-from repro.analysis.perf_study import run_perf_study
-from repro.analysis.um_study import buddy_vs_um, fig12_curves
+from repro.analysis.um_study import BUDDY_VS_UM_LEVEL, FIG12_BENCHMARKS
 from repro.compression import (
     BDICompressor,
     BPCCompressor,
@@ -41,7 +33,7 @@ from repro.compression import (
 from repro.compression.zeroblock import zero_mask
 from repro.core.entry import TargetRatio
 from repro.dlmodel.memory import TITAN_XP_BYTES, footprint_bytes, transition_batch
-from repro.engine import ExperimentRunner
+from repro.engine import ExperimentRunner, get_experiment, param_digest
 from repro.gpusim import (
     CompressionMode,
     CompressionState,
@@ -65,13 +57,32 @@ def high(name):
     return CLAIMS[name].high
 
 
-@pytest.fixture
-def runner():
-    return ExperimentRunner()
+def fig11_params(engine):
+    return {
+        "trace_config": TraceConfig(memory_instructions_per_warp=64),
+        "engine": engine,
+    }
 
 
-def test_fig3_compression_ratios(runner):
-    rows = fig3_compression_ratios(config=STATIC, runner=runner)
+@pytest.fixture(scope="module")
+def study():
+    """``study(name, params)``: a registered experiment's value,
+    memoised on ``(name, param digest)`` of the resolved parameters."""
+    runner = ExperimentRunner()
+    values = {}
+
+    def run(name, params=None):
+        resolved = get_experiment(name).resolve_params(params)
+        key = (name, param_digest(name, resolved))
+        if key not in values:
+            values[key] = runner.run(name, params)
+        return values[key]
+
+    return run
+
+
+def test_fig3_compression_ratios(study):
+    rows = study("compression.fig3", {"config": STATIC})
     hpc = suite_gmean(rows, True)
     dl = suite_gmean(rows, False)
     assert low("fig3.hpc_gmean") <= hpc <= high("fig3.hpc_gmean")
@@ -87,17 +98,19 @@ def test_fig3_compression_ratios(runner):
     assert by_name["370.bt"].mean_ratio < high("fig3.bt_mean")
 
 
-def test_fig5b_metadata_cache_sweep(runner):
-    rows = run_metadata_study(
-        benchmarks=(
-            "351.palm", "355.seismic", "356.sp", "354.cg", "VGG16", "ResNet50",
-            "FF_Lulesh",
-        ),
-        trace_config=TraceConfig(
-            memory_instructions_per_warp=48,
-            snapshot_config=SnapshotConfig(scale=1.0 / 2048),
-        ),
-        runner=runner,
+def test_fig5b_metadata_cache_sweep(study):
+    rows = study(
+        "metadata.fig5b",
+        {
+            "benchmarks": (
+                "351.palm", "355.seismic", "356.sp", "354.cg", "VGG16",
+                "ResNet50", "FF_Lulesh",
+            ),
+            "trace_config": TraceConfig(
+                memory_instructions_per_warp=48,
+                snapshot_config=SnapshotConfig(scale=1.0 / 2048),
+            ),
+        },
     )
     by_name = {row.benchmark: row for row in rows}
     for row in rows:
@@ -114,11 +127,11 @@ def test_fig5b_metadata_cache_sweep(runner):
     assert all(row.hit_rates[64 * KIB] > low("fig5b.hit_64kib") for row in rows)
 
 
-def test_fig6_spatial_patterns():
-    maps = {
-        n: fig6_heatmap(n, config=STATIC)
-        for n in ("356.sp", "FF_HPGMG", "ResNet50", "354.cg")
-    }
+def test_fig6_spatial_patterns(study):
+    maps = study(
+        "compression.fig6",
+        {"benchmarks": ("356.sp", "FF_HPGMG", "ResNet50", "354.cg"), "config": STATIC},
+    )
     # HPC: homogeneous regions -> low within-page variance for most pages
     page_variance = maps["356.sp"].var(axis=1)
     assert float((page_variance < 0.5).mean()) > low("fig6.sp_flat_pages")
@@ -134,10 +147,10 @@ def test_fig6_spatial_patterns():
     assert float((maps["354.cg"] == 4).mean()) > low("fig6.cg_4_sectors")
 
 
-def test_fig7_design_points(runner):
-    study = fig7_design_points(config=STATIC, runner=runner)
+def test_fig7_design_points(study):
+    designs = study("compression.fig7", {"config": STATIC})
     summary = {
-        (design, hpc): study.suite_summary(design, hpc)
+        (design, hpc): designs.suite_summary(design, hpc)
         for design in ("naive", "per-allocation", "final")
         for hpc in (True, False)
     }
@@ -158,7 +171,7 @@ def test_fig7_design_points(runner):
         assert naive[1] > final[1]
 
     # the per-benchmark stories the paper highlights
-    results = study.results
+    results = designs.results
     cg = results["354.cg"]
     assert cg["naive"].compression_ratio == 1.0  # incompressible program-wide
     assert cg["final"].compression_ratio > low("fig7.cg_final_ratio")
@@ -167,8 +180,8 @@ def test_fig7_design_points(runner):
     assert ep["final"].compression_ratio > ep["per-allocation"].compression_ratio
 
 
-def test_fig8_temporal_stability(runner):
-    results = fig8_temporal_stability(config=STATIC, runner=runner)
+def test_fig8_temporal_stability(study):
+    results = study("compression.fig8", {"config": STATIC})
     squeeze = results["SqueezeNet"].compression_ratio
     resnet = results["ResNet50"].compression_ratio
     assert low("fig8.squeezenet_ratio") < squeeze < high("fig8.squeezenet_ratio")
@@ -179,16 +192,18 @@ def test_fig8_temporal_stability(runner):
         assert max(fractions) - min(fractions) < high("fig8.buddy_spread")
 
 
-def test_fig9_threshold_sweep(runner):
+def test_fig9_threshold_sweep(study):
     thresholds = (0.10, 0.20, 0.30, 0.40)
-    sweep = fig9_threshold_sweep(
-        benchmarks=(
-            "351.palm", "354.cg", "356.sp", "FF_HPGMG", "AlexNet", "ResNet50",
-            "VGG16",
-        ),
-        thresholds=thresholds,
-        config=STATIC,
-        runner=runner,
+    sweep = study(
+        "compression.fig9",
+        {
+            "benchmarks": (
+                "351.palm", "354.cg", "356.sp", "FF_HPGMG", "AlexNet",
+                "ResNet50", "VGG16",
+            ),
+            "thresholds": thresholds,
+            "config": STATIC,
+        },
     )
     for runs in sweep.values():
         ratios = [runs[t].compression_ratio for t in thresholds]
@@ -205,16 +220,18 @@ def test_fig9_threshold_sweep(runner):
     assert sweep["356.sp"][0.30].buddy_access_fraction < high("fig9.sp_buddy_30")
     assert sweep["AlexNet"][0.30].buddy_access_fraction > low("fig9.alexnet_buddy_30")
     # FF_HPGMG's striped structs leave it far from its best-achievable
-    # compression at any swept threshold (the paper: needs >80%)
-    hpgmg_best = best_achievable_ratio("FF_HPGMG", STATIC)
+    # compression at any swept threshold (the paper: needs >80%); its
+    # best achievable ratio is its Fig. 3 free-size ratio
+    fig3 = {row.benchmark: row for row in study("compression.fig3", {"config": STATIC})}
+    hpgmg_best = fig3["FF_HPGMG"].mean_ratio
     assert (
         sweep["FF_HPGMG"][0.40].compression_ratio
         < high("fig9.hpgmg_share_of_best_40") * hpgmg_best
     )
 
 
-def test_fig10_correlation(runner):
-    result = run_correlation_study(runner=runner)
+def test_fig10_correlation(study):
+    result = study("correlation.fig10")
     # Fig. 10 left: the fast simulator tracks the reference machine
     assert result.correlation > low("fig10.correlation")
     # Fig. 10 right: and is far faster (the gap widens with trace
@@ -237,12 +254,8 @@ def test_fig10_correlation(runner):
         pytest.param("relaxed", marks=pytest.mark.slow),
     ],
 )
-def test_fig11_performance(runner, engine):
-    result = run_perf_study(
-        trace_config=TraceConfig(memory_instructions_per_warp=64),
-        runner=runner,
-        engine_spec=engine,
-    )
+def test_fig11_performance(study, engine):
+    result = study("perf.fig11", fig11_params(engine))
     rows = {r.benchmark: r for r in result.per_benchmark}
 
     # bandwidth-only compression: modest overall gain, led by DL
@@ -271,8 +284,8 @@ def test_fig11_performance(runner, engine):
     assert low("fig11.buddy150_hpc_gmean") < hpc150 < high("fig11.buddy150_hpc_gmean")
 
 
-def test_fig12_um_oversubscription(runner):
-    rows = fig12_curves(runner=runner)
+def test_fig12_um_oversubscription(study):
+    rows = study("um.fig12")
     by_key = {(r.benchmark, round(r.oversubscription, 2)): r for r in rows}
 
     # slowdown grows with oversubscription for every benchmark
@@ -290,16 +303,23 @@ def test_fig12_um_oversubscription(runner):
     assert by_key[("351.palm", 0.4)].um_slowdown < high("fig12.palm_um_40")
     assert by_key[("356.sp", 0.4)].um_slowdown < high("fig12.sp_um_40")
 
-    # Sec. 4.3: Buddy at a conservative 50 GB/s stays under 1.67x even
-    # at 50 % oversubscription, far below UM's collapse
-    comparison = buddy_vs_um({"360.ilbdc": 0.94, "356.sp": 1.02, "351.palm": 1.06})
-    for row in comparison:
-        assert row.buddy_slowdown < high("fig12.buddy_50pct")
-        assert row.buddy_slowdown < row.um_slowdown
+
+def test_sec43_buddy_vs_um(study):
+    """Sec. 4.3: Buddy at a conservative 50 GB/s stays under 1.67x
+    where UM at 50 % oversubscription collapses.  Buddy's slowdown is
+    the inverse of its measured Fig. 11 speedup at 50 GB/s."""
+    perf = study("perf.fig11", fig11_params("vectorized"))
+    speedups = {row.benchmark: row.buddy[50.0] for row in perf.per_benchmark}
+    um = study("um.fig12", {"levels": (BUDDY_VS_UM_LEVEL,)})
+    assert [row.benchmark for row in um] == list(FIG12_BENCHMARKS)
+    for row in um:
+        buddy_slowdown = 1.0 / speedups[row.benchmark]
+        assert buddy_slowdown < high("fig12.buddy_50pct")
+        assert buddy_slowdown < row.um_slowdown
 
 
-def test_fig13_dl_case_study(runner):
-    result = run_dl_study(runner=runner)
+def test_fig13_dl_case_study(study):
+    result = study("dl.fig13")
 
     # 13a: footprints grow monotonically; AlexNet transitions late
     for row in result.footprints.values():

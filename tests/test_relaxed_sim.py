@@ -459,22 +459,24 @@ class TestVerifyEscapeHatch:
         assert [repr(value) for value in seen] == [repr(link)]
 
     def test_verify_plumbs_through_the_perf_study(self):
-        """`run_perf_study(..., engine_spec="relaxed:verify=1.0")` really
-        cross-checks: the sweep completes (contract holds) and the
-        parameter is a registered cache axis rather than a silent
+        """`perf.fig11` under `EngineSpec.parse("relaxed:verify=1.0")`
+        really cross-checks: the sweep completes (contract holds) and
+        the parameter is a registered cache axis rather than a silent
         no-op."""
-        from repro.analysis.perf_study import run_perf_study
         from repro.engine import get_experiment
+        from repro.gpusim import EngineSpec
 
         assert "verify" in get_experiment("perf.fig11").defaults()
         assert "verify" in get_experiment("correlation.fig10").defaults()
-        result = run_perf_study(
-            benchmarks=("VGG16",),
-            trace_config=SMALL_TRACE,
-            link_sweep=(50.0, 150.0),
-            profile_config=SnapshotConfig(scale=1.0 / 65536),
-            runner=ExperimentRunner(),
-            engine_spec="relaxed:verify=1.0",
+        result = ExperimentRunner().run(
+            "perf.fig11",
+            {
+                "benchmarks": ("VGG16",),
+                "trace_config": SMALL_TRACE,
+                "link_sweep": (50.0, 150.0),
+                "profile_config": SnapshotConfig(scale=1.0 / 65536),
+                **EngineSpec.parse("relaxed:verify=1.0").study_params(),
+            },
         )
         assert result.per_benchmark[0].benchmark == "VGG16"
 
@@ -614,14 +616,14 @@ class TestGoldenRelaxedDigest:
     GOLDEN = "282a94e822ba19de8b89ec2fa3fcd779"
 
     def test_fig11_subset_digest(self):
-        from repro.analysis.perf_study import run_perf_study
-
-        result = run_perf_study(
-            benchmarks=("VGG16", "354.cg"),
-            trace_config=SMALL_TRACE,
-            link_sweep=(50.0, 150.0),
-            profile_config=SnapshotConfig(scale=1.0 / 65536),
-            runner=ExperimentRunner(),
-            engine_spec="relaxed",
+        result = ExperimentRunner().run(
+            "perf.fig11",
+            {
+                "benchmarks": ("VGG16", "354.cg"),
+                "trace_config": SMALL_TRACE,
+                "link_sweep": (50.0, 150.0),
+                "profile_config": SnapshotConfig(scale=1.0 / 65536),
+                "engine": "relaxed",
+            },
         )
         assert result_digest(result) == self.GOLDEN

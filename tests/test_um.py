@@ -7,14 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.um_study import (
-    BUDDY_VS_UM_LEVEL,
-    FIG12_BENCHMARKS,
-    FIG12_LEVELS,
-    buddy_vs_um,
-)
-from repro.um import UMConfig, pinned_slowdown, run_um_study, um_slowdown
-from repro.um.oversubscription import PAGE_BYTES, _page_stream
+from repro.analysis.um_study import BUDDY_VS_UM_LEVEL, FIG12_BENCHMARKS, FIG12_LEVELS
+from repro.um import UMConfig, pinned_slowdown, um_slowdown
+from repro.um.oversubscription import PAGE_BYTES, _page_stream, um_curve
 from repro.um.pages import lru_faults, lru_stack_distances
 
 FAST = UMConfig(footprint_pages=256, accesses_per_page=8, sweeps=10)
@@ -165,24 +160,13 @@ class TestOneStackDistancePass:
     @pytest.mark.parametrize("name", FIG12_BENCHMARKS)
     def test_curve_equals_lru_walks(self, name):
         levels = (*FIG12_LEVELS, BUDDY_VS_UM_LEVEL)
-        rows = run_um_study((name,), levels, FAST)
+        rows = um_curve(name, levels, FAST)
         for row, level in zip(rows, levels):
             slowdown, fault_rate = oracle_slowdown(name, level, FAST)
             assert row.um_slowdown == slowdown
             assert row.fault_rate == fault_rate
             assert type(row.um_slowdown) is float
             assert type(row.fault_rate) is float
-
-    def test_buddy_vs_um_equals_lru_walks(self):
-        buddy_performance = {"360.ilbdc": 0.8, "356.sp": 0.95}
-        rows = buddy_vs_um(buddy_performance, FAST)
-        assert [row.benchmark for row in rows] == list(FIG12_BENCHMARKS)
-        for row in rows:
-            slowdown, _ = oracle_slowdown(row.benchmark, BUDDY_VS_UM_LEVEL, FAST)
-            assert row.um_slowdown == slowdown
-            assert row.buddy_slowdown == 1.0 / buddy_performance.get(
-                row.benchmark, 1.0
-            )
 
 
 class TestUMModel:
@@ -227,6 +211,6 @@ class TestUMModel:
             um_slowdown("356.sp", 1.0, FAST)
 
     def test_study_shape(self):
-        rows = run_um_study(("356.sp",), (0.0, 0.2), FAST)
+        rows = um_curve("356.sp", (0.0, 0.2), FAST)
         assert len(rows) == 2
         assert {r.oversubscription for r in rows} == {0.0, 0.2}

@@ -371,7 +371,6 @@ class TestGoldenDigest:
     @pytest.mark.parametrize("engine", ["vectorized", "oracle"])
     def test_fig11_subset_digest(self, engine, monkeypatch):
         from repro.analysis import perf_study
-        from repro.analysis.perf_study import run_perf_study
 
         oracle_runs = []
 
@@ -391,12 +390,14 @@ class TestGoldenDigest:
             monkeypatch.setattr(
                 perf_study, "DependencyDrivenSimulator", OracleSimulator
             )
-        result = run_perf_study(
-            benchmarks=("VGG16", "354.cg"),
-            trace_config=SMALL_TRACE,
-            link_sweep=(50.0, 150.0),
-            profile_config=SnapshotConfig(scale=1.0 / 65536),
-            runner=ExperimentRunner(),
+        result = ExperimentRunner().run(
+            "perf.fig11",
+            {
+                "benchmarks": ("VGG16", "354.cg"),
+                "trace_config": SMALL_TRACE,
+                "link_sweep": (50.0, 150.0),
+                "profile_config": SnapshotConfig(scale=1.0 / 65536),
+            },
         )
         assert result_digest(result) == self.GOLDEN
         # ideal + bandwidth-only + two links, per benchmark
