@@ -55,6 +55,21 @@ class TestParse:
         )
 
     @pytest.mark.parametrize(
+        "text, spec",
+        [
+            (" relaxed:verify=0.5 ", EngineSpec("relaxed", 0.5)),
+            ("relaxed: verify=0.5", EngineSpec("relaxed", 0.5)),
+            ("relaxed:verify=0.5,", EngineSpec("relaxed", 0.5)),
+            ("relaxed:", EngineSpec("relaxed")),
+        ],
+    )
+    def test_lenient_spellings(self, text, spec):
+        """Hand-typed ``--engine`` values: surrounding blanks, blanks
+        before a key, a trailing comma and an empty option list parse
+        to the spec they spell."""
+        assert EngineSpec.parse(text) == spec
+
+    @pytest.mark.parametrize(
         "text",
         [
             "warp-speed",  # unknown engine

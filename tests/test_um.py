@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.um_study import BUDDY_VS_UM_LEVEL, FIG12_BENCHMARKS, FIG12_LEVELS
+from repro.engine.runner import ExperimentRunner
 from repro.um import UMConfig, pinned_slowdown, um_slowdown
 from repro.um.oversubscription import PAGE_BYTES, _page_stream, um_curve
 from repro.um.pages import lru_faults, lru_stack_distances
@@ -167,6 +168,22 @@ class TestOneStackDistancePass:
             assert row.fault_rate == fault_rate
             assert type(row.um_slowdown) is float
             assert type(row.fault_rate) is float
+
+    def test_fig12_experiment_at_buddy_vs_um_level_equals_lru_walks(self):
+        """Sec. 4.3 reads UM's 50 %-oversubscription slowdowns from the
+        registered ``um.fig12`` experiment: one row per benchmark, each
+        priced exactly as the per-access LRU walk."""
+        rows = ExperimentRunner().run(
+            "um.fig12", {"levels": (BUDDY_VS_UM_LEVEL,), "config": FAST}
+        )
+        assert [row.benchmark for row in rows] == list(FIG12_BENCHMARKS)
+        for row in rows:
+            slowdown, fault_rate = oracle_slowdown(
+                row.benchmark, BUDDY_VS_UM_LEVEL, FAST
+            )
+            assert row.oversubscription == BUDDY_VS_UM_LEVEL
+            assert row.um_slowdown == slowdown
+            assert row.fault_rate == fault_rate
 
 
 class TestUMModel:
