@@ -10,7 +10,6 @@ Everything routes through the :mod:`repro.engine` subsystem::
     repro cache                    # cache entries/bytes/evictions
     repro cache --clear            # drop every cached result
     repro doctor                   # active event core + environment
-    repro check --strict           # static invariant analyzer
 
 ``run`` and ``sweep`` memoise every design point in the
 content-addressed cache (``.repro-cache/`` by default, overridable
@@ -258,9 +257,9 @@ def _cmd_doctor(args) -> int:
     fallback are digest-identical but far apart in wall-clock.  A
     compiled extension whose ABI does not match the Python layout is
     never used (the runtime falls back to pure Python), but it means
-    the build is out of date; ``--strict`` turns that — and any
-    ``repro check`` error — into a non-zero exit so CI fails loudly
-    instead of silently benchmarking the fallback.
+    the build is out of date; ``--strict`` turns that into a non-zero
+    exit so CI fails loudly instead of silently benchmarking the
+    fallback.
     """
     import platform
 
@@ -268,12 +267,10 @@ def _cmd_doctor(args) -> int:
 
     from repro.gpusim import _event_core
     from repro.gpusim.vector_sim import TAPE_FORMAT_VERSION
-    from repro.statics import check_repo
 
     cache = ResultCache(args.cache_dir)
     usage = cache.usage()
     tape_entries, tape_bytes = usage.per_experiment.get("sim.tape", (0, 0))
-    check_summary = check_repo().summary()
     info = {
         "event_core": _event_core.describe(),
         "python": platform.python_version(),
@@ -289,11 +286,10 @@ def _cmd_doctor(args) -> int:
             "entries": tape_entries,
             "bytes": tape_bytes,
         },
-        "check": check_summary,
     }
     core = info["event_core"]
     stale = bool(core.get("extension_stale"))
-    failed = args.strict and (stale or check_summary["errors"] > 0)
+    failed = args.strict and stale
     if args.json:
         print(json.dumps(info, indent=2))
         return 1 if failed else 0
@@ -317,50 +313,15 @@ def _cmd_doctor(args) -> int:
         f"{tape_entries} entr{'y' if tape_entries == 1 else 'ies'}, "
         f"{tape_bytes:,d} bytes"
     )
-    print(
-        f"check:       {check_summary['errors']} error(s), "
-        f"{check_summary['warnings']} warning(s), "
-        f"{check_summary['suppressed']} suppressed "
-        "(see 'repro check')"
-    )
     if failed:
-        if stale:
-            print(
-                "error: compiled extension is present but ABI-stale; "
-                "rebuild it (python setup.py build_ext --inplace) or "
-                "set REPRO_NO_EXT=1",
-                file=sys.stderr,
-            )
-        if check_summary["errors"]:
-            print(
-                "error: 'repro check' reports errors; run it for details",
-                file=sys.stderr,
-            )
+        print(
+            "error: compiled extension is present but ABI-stale; "
+            "rebuild it (python setup.py build_ext --inplace) or "
+            "set REPRO_NO_EXT=1",
+            file=sys.stderr,
+        )
         return 1
     return 0
-
-
-def _cmd_check(args) -> int:
-    """Run the static invariant analyzer (:mod:`repro.statics`).
-
-    Exit status is 0 when no unsuppressed errors were found (under
-    ``--strict``, warnings fail too — the CI gate).
-    """
-    from repro.statics import check_repo
-
-    report = check_repo()
-    if args.json:
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        for finding in report.findings:
-            print(finding.render())
-        summary = report.summary()
-        print(
-            f"repro check: {summary['errors']} error(s), "
-            f"{summary['warnings']} warning(s), "
-            f"{summary['suppressed']} suppressed"
-        )
-    return 0 if report.ok(strict=args.strict) else 1
 
 
 def _serve_components(args):
@@ -665,27 +626,9 @@ def build_parser() -> argparse.ArgumentParser:
     doctor.add_argument(
         "--strict",
         action="store_true",
-        help="exit non-zero when the compiled extension is ABI-stale "
-        "or 'repro check' reports errors",
+        help="exit non-zero when the compiled extension is ABI-stale",
     )
     doctor.set_defaults(func=_cmd_doctor)
-
-    check = commands.add_parser(
-        "check",
-        help="static invariant analyzer: determinism hazards, C-twin "
-        "ABI drift, docs sync",
-    )
-    check.add_argument(
-        "--json",
-        action="store_true",
-        help="machine-readable findings report",
-    )
-    check.add_argument(
-        "--strict",
-        action="store_true",
-        help="treat warnings as failures (the CI gate)",
-    )
-    check.set_defaults(func=_cmd_check)
 
     serve = commands.add_parser(
         "serve",

@@ -19,8 +19,6 @@ from repro.units import (
     FREE_COMPRESSED_SIZES,
     MEMORY_ENTRY_BYTES,
     SECTOR_BYTES,
-    SECTORS_PER_ENTRY,
-    ZERO_CLASS_BYTES,
 )
 
 _FREE_SIZES = np.array(FREE_COMPRESSED_SIZES, dtype=np.int64)
@@ -63,20 +61,3 @@ def free_sizes_for_sizes(sizes: np.ndarray, zero_mask: np.ndarray) -> np.ndarray
     indices = np.searchsorted(_FREE_SIZES, np.maximum(sizes, 1))
     quantized = _FREE_SIZES[indices]
     return np.where(np.asarray(zero_mask, dtype=bool), 0, quantized)
-
-
-def fits_zero_class(size_bytes: int) -> bool:
-    """Whether an entry qualifies for the 16x mostly-zero class slot."""
-    return size_bytes <= ZERO_CLASS_BYTES
-
-
-def device_bytes_for_target(target_sectors: int) -> int:
-    """Device-resident bytes per entry for a sector-count target.
-
-    ``target_sectors`` of 0 denotes the 16x zero class (8 B resident).
-    """
-    if target_sectors == 0:
-        return ZERO_CLASS_BYTES
-    if not 1 <= target_sectors <= SECTORS_PER_ENTRY:
-        raise ValueError(f"bad target sector count {target_sectors}")
-    return target_sectors * SECTOR_BYTES

@@ -14,7 +14,6 @@ import enum
 from repro.units import (
     MEMORY_ENTRY_BYTES,
     SECTOR_BYTES,
-    SECTORS_PER_ENTRY,
     ZERO_CLASS_BYTES,
 )
 
@@ -78,27 +77,3 @@ ALLOWED_TARGETS: tuple[TargetRatio, ...] = (
     TargetRatio.X1_33,
     TargetRatio.X1,
 )
-
-
-def buddy_sectors_needed(
-    entry_sectors: int, target: TargetRatio, fits_zero_slot: bool = False
-) -> int:
-    """Sectors of an entry that must be fetched from buddy-memory.
-
-    Args:
-        entry_sectors: Compressed size of the entry in sectors (1–4).
-        target: The owning allocation's target ratio.
-        fits_zero_slot: Whether the entry compresses into the 8 B slot
-            (only meaningful for the 16x class).
-
-    Returns:
-        0 when the entry fits its device-resident budget, otherwise
-        the number of overflow sectors read over the interconnect.
-    """
-    if not 1 <= entry_sectors <= SECTORS_PER_ENTRY:
-        raise ValueError(f"entry sectors {entry_sectors} outside 1..4")
-    if target is TargetRatio.X16:
-        # The 8 B slot only fits zero-class entries; anything larger
-        # sources its compressed sectors entirely from buddy storage.
-        return 0 if fits_zero_slot else entry_sectors
-    return max(0, entry_sectors - target.device_sectors)

@@ -59,7 +59,6 @@ DEFAULT_EXEMPT: dict[str, str] = {
     "repro.api": "facade over repro.engine; same machinery boundary",
     "repro.cli": "command-line front door; never imported by a study",
     "repro.__main__": "module runner shim",
-    "repro.statics": "the static analyzer; never imported by a study",
     "repro.gpusim._event_core_ext": (
         "the compiled event-core twin is deliberately not a salt axis: "
         "it is bit-identical to the salted pure-Python core by "

@@ -1,10 +1,10 @@
 """Batching-window clocks: the service's ONLY wall-clock read point.
 
-The determinism-lint statics pass lints the entire ``repro.serve``
-package (see :data:`repro.statics.determinism.EXTRA_SCOPE_PACKAGES`)
-but exempts exactly this module: the admission queue's micro-batching
-window genuinely needs a monotonic clock, and confining every read to
-one injectable seam means
+The determinism lint (the tier-1 test
+``tests/statics/test_determinism.py::test_live_tree_is_deterministic``)
+covers the entire ``repro.serve`` package but exempts exactly this
+module: the admission queue's micro-batching window genuinely needs a
+monotonic clock, and confining every read to one injectable seam means
 
 * the rest of the service is statically provable wall-clock-free, and
 * tests drive the window with :class:`ManualClock` virtual time — no

@@ -23,8 +23,8 @@ long-running server component:
 
 All waiting goes through the injectable
 :class:`~repro.serve.clock.Clock` — this module performs no direct
-wall-clock reads, and the determinism-lint statics pass enforces
-that.
+wall-clock reads, and the tier-1 determinism lint
+(``tests/statics/test_determinism.py``) enforces that.
 """
 
 from __future__ import annotations

@@ -61,8 +61,3 @@ def bytes_to_human(num_bytes: float) -> str:
     if num_bytes >= KB:
         return f"{num_bytes / KB:.2f}KB"
     return f"{num_bytes:.0f}B"
-
-
-def gbps_to_bytes_per_cycle(gbps: float, clock_hz: float) -> float:
-    """Convert a link bandwidth in GB/s to bytes per clock cycle."""
-    return gbps * 1e9 / clock_hz

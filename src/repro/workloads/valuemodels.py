@@ -67,10 +67,6 @@ _DELTA_BITS = {
     EntryClass.SECTOR3: 19,
 }
 
-#: Number of classes (used for vectorised mixing).
-NUM_CLASSES = len(EntryClass)
-
-
 def generate_entries(
     classes: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:

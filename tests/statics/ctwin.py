@@ -1,10 +1,11 @@
-"""The ``c-twin-drift`` pass.
+"""The C-twin drift check (``ctwin-*`` rules).
 
 ``_event_core_ext.c`` is a hand-written, line-for-line transcription
 of ``_event_core.py``; the two communicate over a packed
-struct-of-arrays ABI.  A layout edit that forgets one twin is only
-caught dynamically today — *if* a digest happens to change.  This
-pass fails CI before any simulation runs by cross-checking, statically:
+struct-of-arrays ABI.  A layout edit that forgets one twin would
+otherwise be caught dynamically — *if* a digest happens to change.
+This check fails before any simulation runs by cross-checking,
+statically:
 
 ``ctwin-abi``
     ``EXT_ABI = N`` in the Python module against ``#define EXT_ABI N``
@@ -42,7 +43,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.statics.framework import Context, Finding, Pass, Severity
+from .pragmas import Finding
 
 #: The three twin-contract source files, package-relative.
 PY_CORE = "gpusim/_event_core.py"
@@ -190,15 +191,7 @@ def compare_twins(
     findings: list[Finding] = []
 
     def error(rule: str, path: str, line: int, message: str) -> None:
-        findings.append(
-            Finding(
-                rule=rule,
-                severity=Severity.ERROR,
-                path=path,
-                line=line,
-                message=message,
-            )
-        )
+        findings.append(Finding(path, line, rule, message))
 
     # -- ABI -----------------------------------------------------------
     if py.abi is None:
@@ -318,38 +311,18 @@ def compare_twins(
     return findings
 
 
-class CTwinDriftPass(Pass):
-    name = "c-twin-drift"
-    description = (
-        "_event_core_ext.c agrees with _event_core.py on EXT_ABI, the "
-        "event-kind codes and the array-pack layout"
+def check_twins(root: Path, package: str = "repro") -> list[Finding]:
+    """Drift findings for the twins under ``root/src/<package>``."""
+    package_root = Path(root) / "src" / package
+    paths = [package_root / name for name in (PY_CORE, C_CORE, VECTOR_SIM)]
+    rel = [path.relative_to(root).as_posix() for path in paths]
+    missing = [
+        Finding(name, 0, "ctwin-missing", "event-core twin source file is missing")
+        for path, name in zip(paths, rel)
+        if not path.is_file()
+    ]
+    if missing:
+        return missing
+    return compare_twins(
+        *(path.read_text() for path in paths), py_path=rel[0], c_path=rel[1]
     )
-    rules = ("ctwin-abi", "ctwin-layout", "ctwin-kinds", "ctwin-missing")
-
-    def run(self, ctx: Context) -> list[Finding]:
-        package_root = ctx.src_root / ctx.package
-        paths = {
-            name: package_root / name
-            for name in (PY_CORE, C_CORE, VECTOR_SIM)
-        }
-        missing = [
-            ctx.rel(path) for path in paths.values() if not path.is_file()
-        ]
-        if missing:
-            return [
-                Finding(
-                    rule="ctwin-missing",
-                    severity=Severity.ERROR,
-                    path=path,
-                    line=0,
-                    message="event-core twin source file is missing",
-                )
-                for path in missing
-            ]
-        return compare_twins(
-            ctx.source(paths[PY_CORE]),
-            Path(paths[C_CORE]).read_text(),
-            ctx.source(paths[VECTOR_SIM]),
-            py_path=ctx.rel(paths[PY_CORE]),
-            c_path=ctx.rel(paths[C_CORE]),
-        )

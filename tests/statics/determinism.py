@@ -1,9 +1,9 @@
-"""The ``determinism-lint`` pass.
+"""The determinism lint (``det-*`` rules).
 
 Every salt-relevant module can feed digest-pinned results: the golden
 Fig. 7/9/11 digests, the canonical sweep digest and the relaxed-engine
 pins all assume a design point's bytes depend only on its parameters.
-This pass flags the constructs that historically break that promise:
+This lint flags the constructs that historically break that promise:
 
 ``det-set-iter``
     Iterating (or materialising) a ``set``/``frozenset`` — element
@@ -39,9 +39,11 @@ Deliberate uses carry ``# repro: allow[rule] reason`` pragmas.
 from __future__ import annotations
 
 import ast
+from pathlib import Path
 
 from repro.engine.salts import DEFAULT_EXEMPT, ImportGraph
-from repro.statics.framework import Context, Finding, Pass, Severity
+
+from .pragmas import Finding
 
 #: Environment variables salt-relevant modules may read: they select
 #: *equivalent implementations or capacities*, never values.
@@ -74,11 +76,9 @@ _DIR_METHODS = {"iterdir", "glob", "rglob"}
 CLOCK_SEAM = "repro.serve.clock"
 
 
-def _rebased(name: str, ctx: Context) -> str:
+def _rebased(name: str, package: str) -> str:
     """Rebase a ``repro.``-rooted dotted name onto a fixture package."""
-    if ctx.package == "repro":
-        return name
-    return ctx.package + name[len("repro"):]
+    return package + name[len("repro"):]
 
 
 def _import_aliases(tree: ast.Module) -> dict[str, str]:
@@ -151,41 +151,27 @@ def _key_uses_id(key: ast.expr) -> bool:
     return False
 
 
-def lint_module(
-    ctx: Context,
-    module: str,
-    sanctioned_env: tuple[str, ...] = SANCTIONED_ENV,
-) -> list[Finding]:
-    """All determinism findings of one module."""
-    path = ctx.module_path(module)
-    if path is None:
-        return []
-    tree = ctx.tree(path)
+def lint_source(source: str, rel: str) -> list[Finding]:
+    """All determinism findings of one module's source text."""
+    tree = ast.parse(source, filename=rel)
     aliases = _import_aliases(tree)
     parents = _parents(tree)
-    rel = ctx.rel(path)
     findings: list[Finding] = []
 
     def emit(rule: str, node: ast.AST, message: str) -> None:
         findings.append(
-            Finding(
-                rule=rule,
-                severity=Severity.ERROR,
-                path=rel,
-                line=getattr(node, "lineno", 0),
-                message=message,
-            )
+            Finding(rel, getattr(node, "lineno", 0), rule, message)
         )
 
     def check_env_key(node: ast.AST, key: ast.expr | None, how: str) -> None:
         if isinstance(key, ast.Constant) and isinstance(key.value, str):
-            if key.value not in sanctioned_env:
+            if key.value not in SANCTIONED_ENV:
                 emit(
                     "det-env",
                     node,
                     f"{how} reads {key.value!r}, which is not in the "
                     "sanctioned list "
-                    f"({', '.join(sanctioned_env)}); an env var that "
+                    f"({', '.join(SANCTIONED_ENV)}); an env var that "
                     "changes results is an invisible cache axis",
                 )
         else:
@@ -318,14 +304,15 @@ def lint_module(
     return findings
 
 
-def determinism_scope(ctx: Context) -> list[str]:
+def _graph(root: Path, package: str) -> ImportGraph:
+    exempt = tuple(_rebased(prefix, package) for prefix in DEFAULT_EXEMPT)
+    return ImportGraph(Path(root) / "src", package, exempt)
+
+
+def determinism_scope(root: Path, package: str = "repro") -> list[str]:
     """Every salt-relevant module of the package but the clock seam."""
-    graph = ImportGraph(
-        ctx.src_root,
-        ctx.package,
-        tuple(_rebased(prefix, ctx) for prefix in DEFAULT_EXEMPT),
-    )
-    clock = _rebased(CLOCK_SEAM, ctx)
+    graph = _graph(root, package)
+    clock = _rebased(CLOCK_SEAM, package)
     return [
         module
         for module in graph.paths
@@ -333,34 +320,19 @@ def determinism_scope(ctx: Context) -> list[str]:
     ]
 
 
-class DeterminismLintPass(Pass):
-    name = "determinism-lint"
-    description = (
-        "salt-relevant modules are free of nondeterminism hazards that "
-        "would break golden digests"
-    )
-    rules = (
-        "det-set-iter",
-        "det-unsorted-dir",
-        "det-time",
-        "det-random",
-        "det-id-order",
-        "det-env",
-    )
-
-    def __init__(
-        self,
-        modules: list[str] | None = None,
-        sanctioned_env: tuple[str, ...] = SANCTIONED_ENV,
-    ):
-        self.modules = modules
-        self.sanctioned_env = sanctioned_env
-
-    def run(self, ctx: Context) -> list[Finding]:
-        modules = self.modules
-        if modules is None:
-            modules = determinism_scope(ctx)
-        findings: list[Finding] = []
-        for module in modules:
-            findings.extend(lint_module(ctx, module, self.sanctioned_env))
-        return findings
+def lint_tree(
+    root: Path, package: str = "repro", modules: list[str] | None = None
+) -> list[Finding]:
+    """Lint ``modules`` (default: :func:`determinism_scope`) of the
+    package under ``root/src``; paths are relative to ``root``."""
+    paths = _graph(root, package).paths
+    if modules is None:
+        modules = determinism_scope(root, package)
+    return [
+        finding
+        for module in modules
+        for finding in lint_source(
+            paths[module].read_text(),
+            paths[module].relative_to(root).as_posix(),
+        )
+    ]

@@ -1,8 +1,7 @@
-"""The ``docs-sync`` pass.
+"""Docs sync (``docs-*`` rules).
 
-The documentation checker, run by ``repro check`` (the CI ``statics``
-job) and by ``tests/test_docs.py`` through :func:`check_docs`.  Docs
-rot in four ways this catches mechanically:
+The documentation checker behind ``tests/statics/test_docs_sync.py``.
+Docs rot in five ways this catches mechanically:
 
 ``docs-link``
     A relative markdown link in a tracked doc stops resolving (file
@@ -17,14 +16,21 @@ rot in four ways this catches mechanically:
 ``docs-digest``
     A digest quoted in the docs (full 32-hex or abbreviated
     ``36fffebd…`` form) is not pinned by any test.
+``docs-xref``
+    A Sphinx-role cross-reference in a source docstring
+    (``:func:`~repro.core.targets.select```) names something that no
+    longer exists: the longest importable module prefix of the dotted
+    name, then ``getattr`` for the rest, must resolve.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import re
+from pathlib import Path
 
-from repro.statics.framework import Context, Finding, Pass, Severity
+from .pragmas import Finding
 
 #: Markdown files whose relative links must resolve.
 DOC_FILES = (
@@ -53,16 +59,17 @@ _RUN_NAME = re.compile(r"repro run ([a-z_]+\.[a-z0-9_]+)")
 _DIGEST = re.compile(r"\b[0-9a-f]{32}\b")
 #: Abbreviated digests in prose, e.g. "36fffebd…" / "282a94e8...".
 _SHORT_DIGEST = re.compile(r"\b([0-9a-f]{8})(?:…|\.\.\.)")
+#: A Sphinx-role cross-reference, e.g. ``:func:`~repro.rng.stream```.
+_XREF = re.compile(r":(?:mod|func|class|data|meth|attr|obj):`~?([\w.]+)`")
 
 
-def registered_names(ctx: Context) -> set[str]:
-    """Names registered in ``<package>.engine.experiments``, by parse."""
-    path = ctx.module_path(f"{ctx.package}.engine.experiments")
-    if path is None:
+def registered_names(path: Path) -> set[str]:
+    """Names registered by an experiments module, by parse."""
+    if not path.is_file():
         return set()
     return {
         keyword.value.value
-        for node in ast.walk(ctx.tree(path))
+        for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
         and node.func.id == "Experiment"
@@ -71,35 +78,28 @@ def registered_names(ctx: Context) -> set[str]:
     }
 
 
-def check_docs(ctx: Context) -> list[Finding]:
-    """All documentation-consistency findings for the repo."""
+def check_docs(root: Path, package: str = "repro") -> list[Finding]:
+    """All documentation-consistency findings for the checkout at ``root``."""
     findings: list[Finding] = []
 
     def error(rule: str, path: str, line: int, message: str) -> None:
-        findings.append(
-            Finding(
-                rule=rule,
-                severity=Severity.ERROR,
-                path=path,
-                line=line,
-                message=message,
-            )
-        )
+        findings.append(Finding(path, line, rule, message))
 
     docs: dict[str, str] = {}
     for name in DOC_FILES:
-        path = ctx.repo_root / name
+        path = root / name
         if not path.is_file():
             error("docs-link", name, 0, "tracked documentation file is missing")
             continue
         docs[name] = path.read_text()
 
     # -- registry names, resolved statically ---------------------------
-    registered = registered_names(ctx) or None
+    experiments = f"src/{package}/engine/experiments.py"
+    registered = registered_names(root / experiments) or None
     if registered is None:
         error(
             "docs-experiment",
-            "src/repro/engine/experiments.py",
+            experiments,
             0,
             "cannot resolve registered experiment names",
         )
@@ -107,12 +107,12 @@ def check_docs(ctx: Context) -> list[Finding]:
     # -- test-pinned digests -------------------------------------------
     pinned: set[str] = set()
     for test_file in DIGEST_TEST_FILES:
-        path = ctx.repo_root / test_file
+        path = root / test_file
         if path.is_file():
             pinned.update(_DIGEST.findall(path.read_text()))
 
     for name, text in docs.items():
-        doc_dir = (ctx.repo_root / name).parent
+        doc_dir = (root / name).parent
         for lineno, line in enumerate(text.splitlines(), start=1):
             for target in _LINK.findall(line):
                 if "://" in target:  # external URL, not checked offline
@@ -164,13 +164,41 @@ def check_docs(ctx: Context) -> list[Finding]:
     return findings
 
 
-class DocsSyncPass(Pass):
-    name = "docs-sync"
-    description = (
-        "markdown links resolve, README links the doc front doors, and "
-        "documented experiment names and digests match the code"
-    )
-    rules = ("docs-link", "docs-readme", "docs-experiment", "docs-digest")
+def resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names a module or an attribute chain off one."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
 
-    def run(self, ctx: Context) -> list[Finding]:
-        return check_docs(ctx)
+
+def check_xrefs(root: Path, package: str = "repro") -> list[Finding]:
+    """``docs-xref``: every docstring reference into ``package`` resolves."""
+    findings = []
+    for path in sorted((root / "src" / package).rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+            for target in _XREF.findall(line):
+                # The compiled event core is optional: its C source
+                # stands for it in a checkout that never built it.
+                c_source = root / "src" / f"{target.replace('.', '/')}.c"
+                if c_source.is_file() or target.split(".")[0] != package:
+                    continue
+                if not resolves(target):
+                    findings.append(
+                        Finding(
+                            rel,
+                            lineno,
+                            "docs-xref",
+                            f"cross-reference {target} does not resolve",
+                        )
+                    )
+    return findings

@@ -1,7 +1,7 @@
-"""c-twin-drift: the live twins agree, and every drift class is caught.
+"""C-twin drift: the live twins agree, and every drift class is caught.
 
 The mutation tests run :func:`compare_twins` over the *real* source
-files with one planted edit, so they prove the pass would catch the
+files with one planted edit, so they prove the check would catch the
 corresponding real-world mistake (editing one twin and forgetting the
 other).
 """
@@ -9,21 +9,19 @@ other).
 from __future__ import annotations
 
 import re
-from pathlib import Path
 
 import pytest
 
-import repro
-from repro.statics.ctwin import (
-    CTwinDriftPass,
+from .ctwin import (
+    check_twins,
     compare_twins,
     parse_c_core,
     parse_py_core,
     parse_t_constants,
 )
-from repro.statics.framework import Context
+from .pragmas import REPO_ROOT, render, unsuppressed
 
-_GPUSIM = Path(repro.__file__).parent / "gpusim"
+_GPUSIM = REPO_ROOT / "src" / "repro" / "gpusim"
 
 
 @pytest.fixture(scope="module")
@@ -134,13 +132,17 @@ def test_dropped_t_constant_is_caught(sources):
     )
 
 
-def test_pass_reports_missing_twin_files(tmp_path):
-    ctx = Context(tmp_path, tmp_path / "src", "fixpkg")
+def test_missing_twin_files_are_reported(tmp_path):
     (tmp_path / "src/fixpkg/gpusim").mkdir(parents=True)
-    findings = CTwinDriftPass().run(ctx)
-    assert findings
+    findings = check_twins(tmp_path, "fixpkg")
+    assert [f.path for f in findings] == [
+        "src/fixpkg/gpusim/_event_core.py",
+        "src/fixpkg/gpusim/_event_core_ext.c",
+        "src/fixpkg/gpusim/vector_sim.py",
+    ]
     assert {f.rule for f in findings} == {"ctwin-missing"}
 
 
-def test_pass_runs_clean_on_the_live_tree():
-    assert CTwinDriftPass().run(Context.for_repo()) == []
+def test_live_tree_twins_are_in_sync():
+    findings = unsuppressed(REPO_ROOT, check_twins(REPO_ROOT))
+    assert not findings, render(findings)

@@ -1,17 +1,25 @@
-"""determinism-lint: planted hazards in fixture modules."""
+"""The determinism lint: the live tree is clean, and planted hazards
+in fixture modules are caught."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.statics.determinism import (
+from .determinism import (
     CLOCK_SEAM,
     SANCTIONED_ENV,
-    DeterminismLintPass,
     determinism_scope,
-    lint_module,
+    lint_source,
+    lint_tree,
 )
-from tests.statics.fixtures import fixture_context
+from .fixtures import write_tree
+from .pragmas import REPO_ROOT, render, unsuppressed
+
+
+def test_live_tree_is_deterministic():
+    findings = unsuppressed(REPO_ROOT, lint_tree(REPO_ROOT))
+    assert not findings, render(findings)
+
 
 _HAZARDS = """\
 import glob
@@ -82,20 +90,13 @@ def sanctioned_env():
 """
 
 
-def _lint(tmp_path, source):
-    ctx = fixture_context(
-        tmp_path,
-        {
-            "src/fixpkg/__init__.py": "",
-            "src/fixpkg/hazard.py": source,
-        },
-    )
-    return lint_module(ctx, "fixpkg.hazard")
+def _lint(source):
+    return lint_source(source, "src/fixpkg/hazard.py")
 
 
 @pytest.fixture()
-def findings(tmp_path):
-    return _lint(tmp_path, _HAZARDS)
+def findings():
+    return _lint(_HAZARDS)
 
 
 def _rules(findings):
@@ -134,12 +135,12 @@ def test_findings_point_at_real_lines(findings):
     assert len(lines) > 5  # spread over the file, not one anchor
 
 
-def test_clean_module_has_no_findings(tmp_path):
-    assert _lint(tmp_path, _CLEAN) == []
+def test_clean_module_has_no_findings():
+    assert _lint(_CLEAN) == []
 
 
-def test_pass_scopes_to_configured_modules(tmp_path):
-    ctx = fixture_context(
+def test_lint_scopes_to_configured_modules(tmp_path):
+    write_tree(
         tmp_path,
         {
             "src/fixpkg/__init__.py": "",
@@ -147,8 +148,7 @@ def test_pass_scopes_to_configured_modules(tmp_path):
             "src/fixpkg/other.py": "import time\n\nTHEN = time.time()\n",
         },
     )
-    check = DeterminismLintPass(modules=["fixpkg.hazard"])
-    findings = check.run(ctx)
+    findings = lint_tree(tmp_path, "fixpkg", modules=["fixpkg.hazard"])
     assert [f.rule for f in findings] == ["det-time"]
     assert findings[0].path == "src/fixpkg/hazard.py"
 
@@ -158,11 +158,10 @@ def test_sanctioned_list_is_the_documented_one():
     assert "REPRO_CACHE_DIR" in SANCTIONED_ENV
 
 
-def test_retired_snapshot_memo_knob_is_flagged(tmp_path):
+def test_retired_snapshot_memo_knob_is_flagged():
     """The per-process snapshot memo is gone; a salted module that
     reads its old size knob again is an unsanctioned env read."""
     findings = _lint(
-        tmp_path,
         "import os\n\n"
         'SIZE = int(os.environ.get("REPRO_SNAPSHOT_CACHE", "64"))\n',
     )
@@ -194,9 +193,12 @@ _SCOPE_FIXTURE = {
 
 
 def test_scope_is_every_salt_relevant_module_but_the_clock(tmp_path):
-    ctx = fixture_context(tmp_path, _SCOPE_FIXTURE)
-    assert determinism_scope(ctx) == ["fixpkg.orphan", "fixpkg.serve.service"]
-    findings = DeterminismLintPass().run(ctx)
+    write_tree(tmp_path, _SCOPE_FIXTURE)
+    assert determinism_scope(tmp_path, "fixpkg") == [
+        "fixpkg.orphan",
+        "fixpkg.serve.service",
+    ]
+    findings = lint_tree(tmp_path, "fixpkg")
     assert [(f.rule, f.path) for f in findings] == [
         ("det-time", "src/fixpkg/orphan.py"),
         ("det-time", "src/fixpkg/serve/service.py"),
@@ -204,10 +206,8 @@ def test_scope_is_every_salt_relevant_module_but_the_clock(tmp_path):
 
 
 def test_real_scope_and_clock_seam():
-    from repro.statics.framework import Context
-
     assert CLOCK_SEAM == "repro.serve.clock"
-    scope = determinism_scope(Context.for_repo())
+    scope = determinism_scope(REPO_ROOT)
     assert CLOCK_SEAM not in scope
     assert {
         "repro.serve.advisor",
@@ -215,4 +215,24 @@ def test_real_scope_and_clock_seam():
         "repro.serve.server",
         "repro.serve.service",
     } <= set(scope)
-    assert not [m for m in scope if m.startswith(("repro.engine", "repro.statics"))]
+    assert not [m for m in scope if m.startswith("repro.engine")]
+
+
+def test_pragma_suppresses_a_planted_hazard(tmp_path):
+    write_tree(
+        tmp_path,
+        {
+            "src/fixpkg/__init__.py": "",
+            "src/fixpkg/hazard.py": (
+                "import time\n\n"
+                "NOW = time.time()  # repro: allow[det-time] log stamp only\n"
+                "\n"
+                "THEN = time.time()\n"
+            ),
+        },
+    )
+    live = unsuppressed(tmp_path, lint_tree(tmp_path, "fixpkg"))
+    assert [str(f) for f in live] == [
+        "src/fixpkg/hazard.py:5: det-time: time.time() makes results "
+        "depend on when they were computed"
+    ]

@@ -75,7 +75,6 @@ class TestDoctorJson:
         report = json.loads(capsys.readouterr().out)
         assert sorted(report) == [
             "cache",
-            "check",
             "event_core",
             "numpy",
             "platform",
@@ -92,19 +91,11 @@ class TestDoctorJson:
         ]
         assert sorted(report["cache"]) == ["bytes", "entries", "root"]
         assert sorted(report["tape"]) == ["bytes", "entries", "format_version"]
-        assert sorted(report["check"]) == [
-            "errors",
-            "ok",
-            "strict_ok",
-            "suppressed",
-            "warnings",
-        ]
 
     def test_values_are_json_scalars(self, tmp_path, capsys):
         main(["doctor", "--json", "--cache-dir", str(tmp_path)])
         report = json.loads(capsys.readouterr().out)
         assert report["event_core"]["event_core"] in ("compiled", "python")
-        assert isinstance(report["check"]["ok"], bool)
         assert report["cache"]["root"] == str(tmp_path)
 
 

@@ -2,13 +2,18 @@
 
 Every registered experiment runs and formats itself through ``repro
 run``; the exact paper-style text of the subset runs is pinned so a
-formatter that moves or changes shows up here.
+formatter that moves or changes shows up here.  ``repro doctor``
+reports the active event core and, under ``--strict``, fails on an
+ABI-stale build.
 """
+
+import json
 
 import pytest
 
 from repro.cli import main
 from repro.engine import experiment_names, get_experiment
+from repro.gpusim import _event_core
 
 #: The smallest snapshot scale the CI smoke runs use.
 SCALE = "3.0517578125e-05"
@@ -66,3 +71,58 @@ def test_legacy_engine_is_a_usage_error(capsys):
         main(["run", "perf.fig11", "--engine", "legacy", "--no-cache"])
     assert excinfo.value.code == 2
     assert "unknown engine 'legacy'" in capsys.readouterr().err
+
+
+def test_check_is_not_a_subcommand(capsys):
+    """Static invariants are tier-1 tests (``tests/statics``), not a CLI."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["check"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'check'" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# repro doctor: the event core and its ABI-staleness gate.
+# ---------------------------------------------------------------------------
+def test_doctor_json_reports_staleness(tmp_path, capsys):
+    code = main(["doctor", "--json", "--cache-dir", str(tmp_path)])
+    assert code == 0
+    info = json.loads(capsys.readouterr().out)
+    assert "check" not in info
+    assert "extension_stale" in info["event_core"]
+
+
+def test_doctor_text_mode_keeps_the_event_core_line(tmp_path, capsys):
+    assert main(["doctor", "--cache-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("event core:")
+    assert "check:" not in out
+
+
+@pytest.fixture()
+def stale_extension(monkeypatch):
+    """Simulate a present-but-ABI-stale compiled extension."""
+    monkeypatch.setattr(_event_core, "_ext_stale", True)
+
+
+def test_doctor_strict_fails_on_stale_extension(
+    stale_extension, tmp_path, capsys
+):
+    code = main(["doctor", "--strict", "--cache-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "ABI-stale" in err
+    assert "build_ext" in err
+
+
+def test_doctor_without_strict_only_reports_staleness(
+    stale_extension, tmp_path, capsys
+):
+    code = main(["doctor", "--cache-dir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "extension stale:     True" in out
+
+
+def test_describe_reports_staleness(stale_extension):
+    assert _event_core.describe()["extension_stale"] is True

@@ -15,9 +15,29 @@ from repro.compression import (
     sectors_for_sizes,
     free_sizes_for_sizes,
 )
-from repro.compression.sectors import device_bytes_for_target, fits_zero_class
 from repro.compression.zeroblock import zero_fraction, zero_mask
-from repro.units import MEMORY_ENTRY_BYTES, WORDS_PER_ENTRY
+from repro.units import (
+    MEMORY_ENTRY_BYTES,
+    SECTOR_BYTES,
+    SECTORS_PER_ENTRY,
+    WORDS_PER_ENTRY,
+    ZERO_CLASS_BYTES,
+)
+
+
+def fits_zero_class(size_bytes: int) -> bool:
+    """Whether an entry qualifies for the 16x mostly-zero class slot."""
+    return size_bytes <= ZERO_CLASS_BYTES
+
+
+def device_bytes_for_target(target_sectors: int) -> int:
+    """Device-resident bytes per entry; 0 sectors is the 16x class."""
+    if target_sectors == 0:
+        return ZERO_CLASS_BYTES
+    if not 1 <= target_sectors <= SECTORS_PER_ENTRY:
+        raise ValueError(f"bad target sector count {target_sectors}")
+    return target_sectors * SECTOR_BYTES
+
 
 BDI = BDICompressor()
 FPC = FPCCompressor()

