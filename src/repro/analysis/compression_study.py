@@ -6,19 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compression import BPCCompressor, free_sizes_for_sizes, sectors_for_sizes
-from repro.compression.zeroblock import zero_mask
+from repro.compression import BPCCompressor, sectors_for_sizes
 from repro.core.controller import BuddyCompressor, EvaluationResult
-from repro.core.targets import (
-    FINAL,
-    NAIVE,
-    PER_ALLOCATION,
-    DesignPoint,
-    select_per_allocation_indices,
-)
+from repro.core.profiler import free_bytes, profile_tensor
+from repro.core.targets import FINAL, DesignPoint, select_per_allocation_indices
 from repro.units import ENTRIES_PER_PAGE, MEMORY_ENTRY_BYTES
 from repro.workloads.catalog import get_benchmark
-from repro.workloads.snapshots import SnapshotConfig, generate_run, generate_snapshot
+from repro.workloads.snapshots import SnapshotConfig, generate_snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -35,67 +29,32 @@ class Fig3Row:
         return float(np.mean(self.per_snapshot))
 
 
-def free_size_study(
-    benchmark: str,
-    config: SnapshotConfig | None = None,
-    algorithms=None,
-) -> dict[str, Fig3Row]:
-    """Free-size ratios of one benchmark run under several codecs.
+def fig3_row(benchmark: str, config: SnapshotConfig) -> Fig3Row:
+    """One benchmark's Fig. 3 row (the engine's design-point unit).
 
-    The run's ten dumps are generated once and their entries stacked
-    into a single ``(N, 32)`` block array; every codec then sizes that
-    one array with a single bulk ``compressed_sizes`` call (recorded
-    against :func:`repro.core.profiler.bulk_compression_call_count`),
-    and per-snapshot ratios are slice reductions over the shared size
-    vector.  Entries compress independently, so the stacked pass is
-    element-wise identical to the historical per-snapshot loop — the
-    equivalence tests pin this — while generating each benchmark's
-    blocks once instead of once per ``(benchmark, algorithm)``.
+    Each dump's ratio is its raw bytes over its free bytes, both read
+    from the stage-0 profile pass: the entry count from the
+    reference-role BPC tensor, the free bytes from
+    :func:`repro.core.profiler.free_bytes`.  Integer sums, one
+    division, so the ratios are Python floats.
     """
-    from repro.core.profiler import record_bulk_compression_call
-
-    config = config or SnapshotConfig()
-    algorithms = (
-        (BPCCompressor(),) if algorithms is None else tuple(algorithms)
-    )
-    blocks = []
-    bounds = [0]
-    for snapshot in generate_run(benchmark, config):
-        data = snapshot.stacked_data()
-        blocks.append(data)
-        bounds.append(bounds[-1] + data.shape[0])
-    stacked = np.concatenate(blocks, axis=0)
-    zeros = zero_mask(stacked)
-    is_hpc = get_benchmark(benchmark).is_hpc
-
-    rows: dict[str, Fig3Row] = {}
-    for algorithm in algorithms:
-        sizes = algorithm.compressed_sizes(stacked)
-        record_bulk_compression_call()
-        free = free_sizes_for_sizes(sizes, zeros)
-        ratios = [
-            (hi - lo) * MEMORY_ENTRY_BYTES / max(int(free[lo:hi].sum()), 1)
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
-        rows[algorithm.name] = Fig3Row(benchmark, is_hpc, ratios)
-    return rows
-
-
-def fig3_row(benchmark: str, config: SnapshotConfig | None = None) -> Fig3Row:
-    """One benchmark's Fig. 3 row (the engine's design-point unit)."""
-    return free_size_study(benchmark, config)[BPCCompressor().name]
+    algorithm = BPCCompressor()
+    free = free_bytes(benchmark, config, algorithm).sum(axis=0)
+    entries = profile_tensor(benchmark, config, algorithm).counts.sum(axis=(0, 2))
+    ratios = [
+        int(count) * MEMORY_ENTRY_BYTES / max(int(freed), 1)
+        for count, freed in zip(entries, free)
+    ]
+    return Fig3Row(benchmark, get_benchmark(benchmark).is_hpc, ratios)
 
 
 def fig3_plan(point: dict) -> list:
-    """Fig. 3 dependency graph: the point consumes one snapshot run.
+    """Fig. 3 dependency graph: the reference-role BPC tensor, whose
+    build also stores the free bytes the point reads — the same node
+    Figs. 7, 8 and 9 declare."""
+    from repro.engine.planner import ProfileTensorSpec
 
-    Free-size ratios compress raw snapshot data (no tensor reduction),
-    so the run is declared for sharing statistics only — there is no
-    shared executable artifact to build ahead of the point.
-    """
-    from repro.engine.planner import SnapshotsSpec
-
-    return [SnapshotsSpec(point["benchmark"], point["config"])]
+    return [ProfileTensorSpec(point["benchmark"], point["config"], BPCCompressor())]
 
 
 def suite_gmean(rows: list[Fig3Row], hpc: bool) -> float:
@@ -107,12 +66,9 @@ def suite_gmean(rows: list[Fig3Row], hpc: bool) -> float:
 # Fig. 6 — spatial compressibility heatmap.
 # ---------------------------------------------------------------------------
 def fig6_heatmap(
-    benchmark: str,
-    snapshot_index: int = 5,
-    config: SnapshotConfig | None = None,
+    benchmark: str, snapshot_index: int, config: SnapshotConfig
 ) -> np.ndarray:
     """Sectors-per-entry heatmap: one row per 8 KB page (Fig. 6)."""
-    config = config or SnapshotConfig()
     snapshot = generate_snapshot(benchmark, snapshot_index, config)
     sizes = BPCCompressor().compressed_sizes(snapshot.stacked_data())
     sectors = sectors_for_sizes(sizes)
@@ -153,16 +109,14 @@ class DesignPointStudy:
 
 
 def fig7_benchmark(
-    benchmark: str,
-    config: SnapshotConfig | None = None,
-    designs: tuple[DesignPoint, ...] = (NAIVE, PER_ALLOCATION, FINAL),
+    benchmark: str, config: SnapshotConfig, designs: tuple[DesignPoint, ...]
 ) -> dict[str, EvaluationResult]:
     """One benchmark across the Fig. 7 designs.
 
     One profiling pass selects for every design; one reference pass
     evaluates the whole batch (:meth:`BuddyCompressor.evaluate_many`).
     """
-    engine = BuddyCompressor(config or SnapshotConfig())
+    engine = BuddyCompressor(config)
     tensor = engine.profile(benchmark)
     selections = [engine.select(tensor, design) for design in designs]
     names = [design.name for design in designs]
@@ -179,32 +133,24 @@ def buddy_pipeline_plan(point: dict) -> list:
     executable nodes every benchmark's points share across all three
     figures (and, config permitting, across sweeps planned together).
     """
-    from repro.engine.planner import ProfileTensorSpec, SnapshotsSpec
+    from repro.engine.planner import ProfileTensorSpec
 
     benchmark = point["benchmark"]
     config = point["config"]
-    profile_config = config.as_profile()
     algorithm = BPCCompressor()
     return [
-        ProfileTensorSpec(benchmark, profile_config, algorithm),
+        ProfileTensorSpec(benchmark, config.as_profile(), algorithm),
         ProfileTensorSpec(benchmark, config, algorithm),
-        SnapshotsSpec(benchmark, profile_config),
-        SnapshotsSpec(benchmark, config),
     ]
 
 
-def fig8_benchmark(
-    benchmark: str, config: SnapshotConfig | None = None
-) -> EvaluationResult:
+def fig8_benchmark(benchmark: str, config: SnapshotConfig) -> EvaluationResult:
     """One benchmark's Fig. 8 run under the final design."""
-    engine = BuddyCompressor(config or SnapshotConfig())
-    return engine.run(benchmark, FINAL)
+    return BuddyCompressor(config).run(benchmark, FINAL)
 
 
 def fig9_benchmark(
-    benchmark: str,
-    thresholds=(0.10, 0.20, 0.30, 0.40),
-    config: SnapshotConfig | None = None,
+    benchmark: str, thresholds, config: SnapshotConfig
 ) -> dict[float, EvaluationResult]:
     """One benchmark's Fig. 9 threshold sweep.
 
@@ -216,7 +162,7 @@ def fig9_benchmark(
     call.
     """
     thresholds = tuple(thresholds)
-    engine = BuddyCompressor(config or SnapshotConfig())
+    engine = BuddyCompressor(config)
     tensor = engine.profile(benchmark)
     batch = select_per_allocation_indices(tensor, thresholds)
     selections = [tensor.selection_from_indices(row) for row in batch]

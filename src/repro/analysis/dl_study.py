@@ -43,17 +43,14 @@ def network_ratio_plan(point: dict) -> list:
     """Shared dependency graph of one DL-ratio point: the network's
     profile- and reference-role tensors under the Buddy pipeline."""
     from repro.compression.bpc import BPCCompressor
-    from repro.engine.planner import ProfileTensorSpec, SnapshotsSpec
+    from repro.engine.planner import ProfileTensorSpec
 
     network = point["network"]
     config = point["config"]
-    profile_config = config.as_profile()
     algorithm = BPCCompressor()
     return [
-        ProfileTensorSpec(network, profile_config, algorithm),
+        ProfileTensorSpec(network, config.as_profile(), algorithm),
         ProfileTensorSpec(network, config, algorithm),
-        SnapshotsSpec(network, profile_config),
-        SnapshotsSpec(network, config),
     ]
 
 

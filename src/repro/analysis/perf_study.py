@@ -213,7 +213,6 @@ def fig11_plan(point: dict) -> list:
     from repro.engine.planner import (
         EntryStateSpec,
         ProfileTensorSpec,
-        SnapshotsSpec,
         TapeSpec,
         TraceSpec,
     )
@@ -223,7 +222,6 @@ def fig11_plan(point: dict) -> list:
     profile_config = point["profile_config"].as_profile()
     specs = [
         ProfileTensorSpec(benchmark, profile_config, BPCCompressor()),
-        SnapshotsSpec(benchmark, profile_config),
         EntryStateSpec(
             benchmark, trace_config.snapshot_config, trace_config.snapshot_index
         ),

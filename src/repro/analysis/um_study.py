@@ -16,9 +16,7 @@ BUDDY_VS_UM_LEVEL = 0.49
 
 
 def um_benchmark_curve(
-    benchmark: str,
-    levels=FIG12_LEVELS,
-    config: UMConfig | None = None,
+    benchmark: str, levels, config: UMConfig
 ) -> list[UMResult]:
     """One benchmark's oversubscription curve (the engine's point unit):
     one stack-distance pass prices every level."""

@@ -15,9 +15,11 @@ Tensors resolve through the process artifact store
 (:mod:`repro.engine.store`): a bounded memory tier over the result
 cache the experiment engine installs via :func:`set_tensor_cache`, so
 a sweep profiles each (benchmark, config, algorithm) combination
-exactly once no matter how many design points it evaluates.
-:func:`entry_state_tensor` stores the per-entry state the timing
-simulators consume the same way.
+exactly once no matter how many design points it evaluates.  The same
+pass stores each run's free bytes (sizes quantized to the free-size
+set) per (allocation, snapshot) cell (:func:`free_bytes`, the
+``profile.free`` namespace), which is all Fig. 3 reads.  :func:`entry_state_tensor` stores the
+per-entry state the timing simulators consume the same way.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ import numpy as np
 
 from repro.compression.base import CompressionAlgorithm, as_blocks
 from repro.compression.bpc import BPCCompressor
-from repro.compression.sectors import sectors_for_sizes
+from repro.compression.sectors import free_sizes_for_sizes, sectors_for_sizes
+from repro.compression.zeroblock import zero_mask
 from repro.core.profile_tensor import EntryStateTensor, ProfileTensor
 from repro.units import SECTORS_PER_ENTRY, ZERO_CLASS_BYTES
 from repro.workloads.snapshots import (
@@ -130,6 +133,26 @@ def _scatter_tensor(gathered: _GatheredRun, sizes: np.ndarray) -> ProfileTensor:
     )
 
 
+def _scatter_free(gathered: _GatheredRun, free: np.ndarray) -> np.ndarray:
+    """Sum one run's slice of per-entry free bytes per cell.
+
+    Each cell's rows are contiguous in the stacked order, so a cell's
+    total is a difference of prefix sums (integer-exact).
+    """
+    cells = np.array(gathered.cells, dtype=np.int64).reshape(-1, 3)
+    ends = np.cumsum(cells[:, 2])
+    prefix = np.concatenate(([0], np.cumsum(free, dtype=np.int64)))
+    matrix = np.zeros(
+        (len(gathered.names), gathered.snapshot_count), dtype=np.int64
+    )
+    np.add.at(
+        matrix,
+        (cells[:, 0], cells[:, 1]),
+        prefix[ends] - prefix[ends - cells[:, 2]],
+    )
+    return matrix
+
+
 def tensor_from_snapshots(
     benchmark: str,
     snapshots,
@@ -186,22 +209,15 @@ def bulk_compression_call_count() -> int:
     The stacked-profiling contract is asserted against this counter:
     a sweep must compress each (benchmark, config, algorithm)
     combination in exactly one bulk call, however many snapshots,
-    allocations and design points it spans.  The Fig. 3 free-size
-    study (:func:`repro.analysis.compression_study.free_size_study`)
-    records its per-codec bulk calls here too, extending the pinning
-    to the multi-codec path.
+    allocations and design points it spans.
     """
     return _BULK_COMPRESSION_CALLS
 
 
 def record_bulk_compression_call() -> None:
-    """Record a stacked bulk ``compressed_sizes`` call.
-
-    Called by every code path honouring the stacked-pass contract
-    (the profile-tensor build below, the Fig. 3 free-size study), so
-    tests can pin "exactly one bulk call per (benchmark, config,
-    algorithm)" across all of them.
-    """
+    """Record a stacked bulk ``compressed_sizes`` call (the tensor
+    builds below), so tests can pin "exactly one bulk call per
+    (benchmark, config, algorithm)"."""
     global _BULK_COMPRESSION_CALLS
     _BULK_COMPRESSION_CALLS += 1
 
@@ -238,6 +254,28 @@ def _algorithm_key(algorithm: CompressionAlgorithm) -> str:
     return f"{type(algorithm).__module__}.{type(algorithm).__qualname__}"
 
 
+def _run_key(
+    namespace: str,
+    benchmark: str,
+    config: SnapshotConfig,
+    algorithm: CompressionAlgorithm,
+):
+    from repro.engine.cache import CacheKey, param_digest
+    from repro.engine.salts import code_salt
+    from repro.workloads.catalog import get_benchmark
+
+    digest = param_digest(
+        namespace,
+        {
+            "benchmark": get_benchmark(benchmark).name,
+            "config": config,
+            "algorithm": _algorithm_key(algorithm),
+        },
+        code_salt((__name__, type(algorithm).__module__)),
+    )
+    return CacheKey(namespace, digest)
+
+
 def tensor_cache_key(
     benchmark: str,
     config: SnapshotConfig,
@@ -252,20 +290,17 @@ def tensor_cache_key(
     and the algorithm's module reach, so editing a compressor
     invalidates exactly the tensors built with it.
     """
-    from repro.engine.cache import CacheKey, param_digest
-    from repro.engine.salts import code_salt
-    from repro.workloads.catalog import get_benchmark
+    return _run_key("profile.tensor", benchmark, config, algorithm)
 
-    digest = param_digest(
-        "profile.tensor",
-        {
-            "benchmark": get_benchmark(benchmark).name,
-            "config": config,
-            "algorithm": _algorithm_key(algorithm),
-        },
-        code_salt((__name__, type(algorithm).__module__)),
-    )
-    return CacheKey("profile.tensor", digest)
+
+def free_cache_key(
+    benchmark: str,
+    config: SnapshotConfig,
+    algorithm: CompressionAlgorithm,
+):
+    """Store address of one run's free bytes (:func:`free_bytes`),
+    keyed and salted like :func:`tensor_cache_key`."""
+    return _run_key("profile.free", benchmark, config, algorithm)
 
 
 def entry_state_cache_key(benchmark: str, config: SnapshotConfig, index: int):
@@ -286,6 +321,36 @@ def entry_state_cache_key(benchmark: str, config: SnapshotConfig, index: int):
     return CacheKey("profile.entries", digest)
 
 
+def _build_runs(names, config, algorithm, store) -> dict:
+    """Generate ``names``' runs and size them in ONE bulk call.
+
+    Stores each run's profile tensor and its free bytes (one
+    ``free_sizes_for_sizes`` over the same sizes and the stacked
+    blocks' zero mask), and returns ``{name: (tensor, free)}``.
+    """
+    global _PROFILE_PASSES
+    gathered = [_gather_run(name, generate_run(name, config)) for name in names]
+    blocks = [block for run in gathered for block in run.blocks]
+    sizes = free = np.zeros(0, dtype=np.int64)
+    if blocks:
+        stacked = np.concatenate(blocks, axis=0)
+        sizes = algorithm.compressed_sizes(stacked)
+        record_bulk_compression_call()
+        free = free_sizes_for_sizes(sizes, zero_mask(stacked))
+    runs = {}
+    offset = 0
+    for run in gathered:
+        rows = slice(offset, offset + run.rows)
+        offset = rows.stop
+        tensor = _scatter_tensor(run, sizes[rows])
+        run_free = _scatter_free(run, free[rows])
+        _PROFILE_PASSES += 1
+        store.put(tensor_cache_key(run.benchmark, config, algorithm), tensor)
+        store.put(free_cache_key(run.benchmark, config, algorithm), run_free)
+        runs[run.benchmark] = (tensor, run_free)
+    return runs
+
+
 def profile_tensors_bulk(
     benchmarks,
     config: SnapshotConfig | None = None,
@@ -298,18 +363,19 @@ def profile_tensors_bulk(
     then its disk tier when installed) has its run gathered, all
     gathered block arrays are concatenated, and a single
     ``compressed_sizes`` call sizes the whole batch before per-run
-    scatter; each result is stored.  Entries compress independently,
-    so each resulting tensor is bit-identical to a solo build — but a
-    planned Fig. 7+9 sweep issues one bulk call where the unplanned
-    path issues one per benchmark.  ``_PROFILE_PASSES`` advances once
-    per tensor actually built, and :func:`record_bulk_compression_call`
-    once per stacked call.
+    scatter; each result is stored, with its :func:`free_bytes`.
+    Entries compress independently, so each resulting tensor is
+    bit-identical to a solo build — but a planned Fig. 7+9 sweep
+    issues one bulk call where the unplanned path issues one per
+    benchmark.  ``_PROFILE_PASSES`` advances once per tensor actually
+    built, and :func:`record_bulk_compression_call` once per stacked
+    call.  A tensor hit reads nothing else: the free bytes are checked
+    by their one reader, :func:`free_bytes`.
 
     When ``built`` is a list, the names of the benchmarks whose
     tensors were actually built (store hits excluded) are appended to
     it — the planner's generation accounting.
     """
-    global _PROFILE_PASSES
     from repro.engine.cache import CacheMiss
     from repro.engine.store import process_store
     from repro.workloads.catalog import get_benchmark
@@ -317,41 +383,57 @@ def profile_tensors_bulk(
     config = config or SnapshotConfig()
     algorithm = algorithm or BPCCompressor()
     store = process_store()
-    keys = {}
     tensors: dict[str, ProfileTensor] = {}
     missing: list[str] = []
     for benchmark in benchmarks:
         name = get_benchmark(benchmark).name
-        if name in keys:
+        if name in tensors or name in missing:
             continue
-        keys[name] = tensor_cache_key(name, config, algorithm)
         try:
-            tensors[name] = store.get(keys[name])
+            tensors[name] = store.get(tensor_cache_key(name, config, algorithm))
         except CacheMiss:
             missing.append(name)
     if missing:
-        gathered = [
-            _gather_run(name, generate_run(name, config)) for name in missing
-        ]
-        blocks = [block for run in gathered for block in run.blocks]
-        sizes = np.zeros(0, dtype=np.int64)
-        if blocks:
-            sizes = algorithm.compressed_sizes(np.concatenate(blocks, axis=0))
-            record_bulk_compression_call()
-        offset = 0
-        for run in gathered:
-            rows = run.rows
-            tensor = _scatter_tensor(run, sizes[offset : offset + rows])
-            offset += rows
-            _PROFILE_PASSES += 1
-            if built is not None:
-                built.append(run.benchmark)
-            store.put(keys[run.benchmark], tensor)
-            tensors[run.benchmark] = tensor
+        for name, (tensor, _) in _build_runs(
+            missing, config, algorithm, store
+        ).items():
+            tensors[name] = tensor
+        if built is not None:
+            built.extend(missing)
     return {
         benchmark: tensors[get_benchmark(benchmark).name]
         for benchmark in benchmarks
     }
+
+
+def free_bytes(
+    benchmark: str,
+    config: SnapshotConfig,
+    algorithm: CompressionAlgorithm,
+) -> np.ndarray:
+    """A run's free bytes per (allocation, snapshot), int64.
+
+    Each cell sums its entries' compressed sizes quantized to Fig. 3's
+    free-size set
+    (:func:`~repro.compression.sectors.free_sizes_for_sizes`; an
+    all-zero entry takes 0 B), as stored under ``profile.free`` by the
+    bulk pass that builds the run's profile tensor.  A stored
+    tensor does not imply stored free bytes — a resident value reaches
+    a newly installed disk tier only when it is read, and the two are
+    evicted independently — so a miss rebuilds the run through that
+    same pass, which stores both again.
+    """
+    from repro.engine.cache import CacheMiss
+    from repro.engine.store import process_store
+    from repro.workloads.catalog import get_benchmark
+
+    store = process_store()
+    name = get_benchmark(benchmark).name
+    try:
+        return store.get(free_cache_key(name, config, algorithm))
+    except CacheMiss:
+        pass
+    return _build_runs([name], config, algorithm, store)[name][1]
 
 
 def profile_tensor(

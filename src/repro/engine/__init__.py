@@ -28,7 +28,6 @@ from repro.engine.planner import (
     PlanNode,
     PlanStats,
     ProfileTensorSpec,
-    SnapshotsSpec,
     SweepResult,
     TraceSpec,
     execute_plan,
@@ -63,7 +62,6 @@ __all__ = [
     "ProfileTensorSpec",
     "ResultCache",
     "RunReport",
-    "SnapshotsSpec",
     "SweepResult",
     "TraceSpec",
     "add_runner_options",

@@ -15,8 +15,8 @@ sweep, so single runs and sweeps share one pool, one cache lookup and
 one offline ``CacheMiss``.  Each registered experiment may declare the
 dependency graph of a design point (its ``plan_point`` hook returns
 typed specs — :class:`ProfileTensorSpec`, :class:`EntryStateSpec`,
-:class:`SnapshotsSpec`, :class:`TraceSpec`, :class:`TapeSpec` — that
-all implement the :class:`ArtifactSpec` protocol), and :func:`plan`
+:class:`TraceSpec`, :class:`TapeSpec` — that all implement the
+:class:`ArtifactSpec` protocol), and :func:`plan`
 assembles the requests of a whole session into one DAG of typed
 :class:`PlanNode` objects, treating every kind alike:
 
@@ -192,31 +192,6 @@ class EntryStateSpec(ArtifactSpec):
             ),
             profiler.entry_state_build_count,
         )
-
-
-@dataclass(frozen=True)
-class SnapshotsSpec(ArtifactSpec):
-    """A benchmark's snapshot run at one config (statistics only).
-
-    Dumps are too large to ship or cache; they are generated inside
-    the tensor builds (or the point) that consume them.  Declaring the
-    run still lets ``--explain`` show which points share it.
-    """
-
-    benchmark: str
-    config: Any  # SnapshotConfig
-
-    kind = "snapshots"
-
-    def cache_key(self) -> CacheKey:
-        # A statistics-only address: nothing is stored under it.
-        fields = {"benchmark": self.benchmark, "config": self.config}
-        return CacheKey(
-            "plan.snapshots", param_digest("plan.snapshots", fields)
-        )
-
-    def label(self) -> str:
-        return f"{self.benchmark} [{_config_label(self.config)}]"
 
 
 @dataclass(frozen=True)

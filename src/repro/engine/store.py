@@ -1,10 +1,11 @@
 """The process's one artifact store: a memory LRU over the result cache.
 
 Every reusable artifact resolves through one :class:`ArtifactStore` —
-profile tensors (``profile.tensor``), per-entry states
-(``profile.entries``), generated kernel traces (``trace.columnar``),
-the relaxed engine's recorded tapes (``sim.tape``) and the advisor's
-answers (``serve.advice``).  A store is a bounded in-memory LRU over
+profile tensors (``profile.tensor``) and the free bytes their builds
+store (``profile.free``), per-entry states (``profile.entries``),
+generated kernel traces (``trace.columnar``), the relaxed engine's
+recorded tapes (``sim.tape``) and the advisor's answers
+(``serve.advice``).  A store is a bounded in-memory LRU over
 an optional on-disk :class:`~repro.engine.cache.ResultCache` tier,
 speaking the cache's ``get``/``put``/
 :class:`~repro.engine.cache.CacheMiss` protocol plus

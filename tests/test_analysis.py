@@ -51,53 +51,85 @@ class TestCompressionStudy:
     def test_suite_gmean_empty(self):
         assert suite_gmean([], True) == 0.0
 
-    def test_free_size_study_one_bulk_call_per_codec(self):
-        """The Fig. 3 stacked pass: each benchmark's blocks stack once
-        and every codec sizes that one array with one bulk call."""
-        from repro.analysis.compression_study import free_size_study
-        from repro.compression import BDICompressor, BPCCompressor
-        from repro.core.profiler import bulk_compression_call_count
-        from repro.workloads.snapshots import generation_count
-
-        calls = bulk_compression_call_count()
-        generations = generation_count()
-        rows = free_size_study(
-            "356.sp", TINY, (BPCCompressor(), BDICompressor())
-        )
-        assert bulk_compression_call_count() - calls == 2
-        # Each dump is generated once and stacked, not once per codec.
-        assert generation_count() - generations == TINY.snapshots
-        assert set(rows) == {"bpc", "bdi"}
-
-    def test_free_size_study_matches_per_snapshot_path(self):
-        """Stacked sizing is element-wise identical to sizing each
-        dump separately (entries compress independently)."""
-        from repro.analysis.compression_study import free_size_study
+    def test_fig3_experiment_matches_per_dump_oracle(self):
+        """The registered Fig. 3 at TINY equals sizing each dump on its
+        own, float for float, and every ratio is a Python float (an
+        equal np.float64 would change the result digest)."""
         from repro.compression import BPCCompressor, free_sizes_for_sizes
         from repro.compression.zeroblock import zero_mask
         from repro.units import MEMORY_ENTRY_BYTES
         from repro.workloads.snapshots import generate_run
 
-        stacked = free_size_study("354.cg", TINY)["bpc"]
+        names = ("354.cg", "AlexNet")
+        rows = ExperimentRunner().run(
+            "compression.fig3", {"benchmarks": names, "config": TINY}
+        )
         bpc = BPCCompressor()
-        expected = []
-        for snapshot in generate_run("354.cg", TINY):
-            data = snapshot.stacked_data()
-            free = free_sizes_for_sizes(
-                bpc.compressed_sizes(data), zero_mask(data)
-            )
-            expected.append(
-                data.shape[0] * MEMORY_ENTRY_BYTES / max(int(free.sum()), 1)
-            )
-        assert stacked.per_snapshot == expected
+        for name, row in zip(names, rows):
+            expected = []
+            for snapshot in generate_run(name, TINY):
+                data = snapshot.stacked_data()
+                free = free_sizes_for_sizes(
+                    bpc.compressed_sizes(data), zero_mask(data)
+                )
+                expected.append(
+                    data.shape[0] * MEMORY_ENTRY_BYTES / max(int(free.sum()), 1)
+                )
+            assert row.per_snapshot == expected
+            assert all(type(ratio) is float for ratio in row.per_snapshot)
+
+    def test_fig3_and_fig7_generate_each_dump_once(self, tmp_path):
+        """A cold serial Fig. 3 + Fig. 7 sweep generates each dump of
+        both roles once (Fig. 3 reads the reference-role pass Fig. 7
+        builds), and a warm rerun generates nothing."""
+        from repro.core.profiler import clear_profile_cache
+        from repro.engine.cache import ResultCache
+        from repro.workloads.snapshots import generation_count
+
+        names = ("356.sp", "354.cg", "VGG16")
+        requests = [
+            (name, {"benchmarks": names, "config": TINY})
+            for name in ("compression.fig3", "compression.fig7")
+        ]
+        runner = ExperimentRunner(cache=ResultCache(tmp_path))
+        clear_profile_cache()
+        before = generation_count()
+        runner.run_sweep(requests)
+        per_run = TINY.snapshots + TINY.as_profile().snapshots
+        assert generation_count() - before == per_run * len(names)
+
+        clear_profile_cache()
+        before = generation_count()
+        runner.run_sweep(requests)
+        assert generation_count() == before
+
+    def test_fig3_recomputes_missing_free_bytes(self, tmp_path):
+        """With only the ``profile.free`` entries gone from a warm
+        cache, Fig. 3 rebuilds them through the bulk pass and gives the
+        same answer."""
+        from repro.core.profiler import clear_profile_cache
+        from repro.engine.cache import ResultCache
+
+        cache = ResultCache(tmp_path)
+        params = {"benchmarks": ("356.sp", "BigLSTM"), "config": TINY}
+        warm = ExperimentRunner(cache=cache).run("compression.fig3", params)
+        assert cache.clear("profile.free") == 2
+        clear_profile_cache()
+        # Another seed misses the point cache (Fig. 3 does not read the
+        # seed), so the points run against the stored tensors alone.
+        rerun = ExperimentRunner(cache=cache, seed=7).run(
+            "compression.fig3", params
+        )
+        assert result_digest(rerun) == result_digest(warm)
+        assert cache.usage().per_experiment["profile.free"][0] == 2
 
     def test_fig6_heatmap_shape(self):
-        heatmap = fig6_heatmap("356.sp", config=TINY)
+        heatmap = fig6_heatmap("356.sp", snapshot_index=5, config=TINY)
         assert heatmap.shape[1] == ENTRIES_PER_PAGE
         assert set(np.unique(heatmap)) <= {1, 2, 3, 4}
 
     def test_render_heatmap(self):
-        heatmap = fig6_heatmap("354.cg", config=TINY)
+        heatmap = fig6_heatmap("354.cg", snapshot_index=5, config=TINY)
         text = render_heatmap(heatmap, max_rows=4)
         assert len(text.splitlines()) <= 4
         assert "#" in text  # cg is mostly incompressible

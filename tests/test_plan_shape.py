@@ -22,9 +22,9 @@ STATS = {
     "experiments": 3,
     "points": 48,
     "predicted_point_hits": 0,
-    "shared_nodes": 112,
-    "shared_references": 208,
-    "deduped_references": 96,
+    "shared_nodes": 80,
+    "shared_references": 128,
+    "deduped_references": 48,
     "predicted_shared_hits": 0,
     "merge_groups": 2,
     "merged_nodes": 32,
@@ -36,68 +36,36 @@ STATS = {
 NODES = [
     ("profile_tensor", "351.palm [profile:scale=1/32768]", 3, True, True),
     ("profile_tensor", "351.palm [reference:scale=1/32768]", 2, True, True),
-    ("snapshots", "351.palm [profile:scale=1/32768]", 3, False, True),
-    ("snapshots", "351.palm [reference:scale=1/32768]", 2, False, True),
     ("profile_tensor", "352.ep [profile:scale=1/32768]", 3, True, True),
     ("profile_tensor", "352.ep [reference:scale=1/32768]", 2, True, True),
-    ("snapshots", "352.ep [profile:scale=1/32768]", 3, False, True),
-    ("snapshots", "352.ep [reference:scale=1/32768]", 2, False, True),
     ("profile_tensor", "354.cg [profile:scale=1/32768]", 3, True, True),
     ("profile_tensor", "354.cg [reference:scale=1/32768]", 2, True, True),
-    ("snapshots", "354.cg [profile:scale=1/32768]", 3, False, True),
-    ("snapshots", "354.cg [reference:scale=1/32768]", 2, False, True),
     ("profile_tensor", "355.seismic [profile:scale=1/32768]", 3, True, True),
     ("profile_tensor", "355.seismic [reference:scale=1/32768]", 2, True, True),
-    ("snapshots", "355.seismic [profile:scale=1/32768]", 3, False, True),
-    ("snapshots", "355.seismic [reference:scale=1/32768]", 2, False, True),
     ("profile_tensor", "356.sp [profile:scale=1/32768]", 3, True, True),
     ("profile_tensor", "356.sp [reference:scale=1/32768]", 2, True, True),
-    ("snapshots", "356.sp [profile:scale=1/32768]", 3, False, True),
-    ("snapshots", "356.sp [reference:scale=1/32768]", 2, False, True),
     ("profile_tensor", "357.csp [profile:scale=1/32768]", 3, True, True),
     ("profile_tensor", "357.csp [reference:scale=1/32768]", 2, True, True),
-    ("snapshots", "357.csp [profile:scale=1/32768]", 3, False, True),
-    ("snapshots", "357.csp [reference:scale=1/32768]", 2, False, True),
     ("profile_tensor", "360.ilbdc [profile:scale=1/32768]", 3, True, True),
     ("profile_tensor", "360.ilbdc [reference:scale=1/32768]", 2, True, True),
-    ("snapshots", "360.ilbdc [profile:scale=1/32768]", 3, False, True),
-    ("snapshots", "360.ilbdc [reference:scale=1/32768]", 2, False, True),
     ("profile_tensor", "370.bt [profile:scale=1/32768]", 3, True, True),
     ("profile_tensor", "370.bt [reference:scale=1/32768]", 2, True, True),
-    ("snapshots", "370.bt [profile:scale=1/32768]", 3, False, True),
-    ("snapshots", "370.bt [reference:scale=1/32768]", 2, False, True),
     ("profile_tensor", "FF_HPGMG [profile:scale=1/32768]", 3, True, True),
     ("profile_tensor", "FF_HPGMG [reference:scale=1/32768]", 2, True, True),
-    ("snapshots", "FF_HPGMG [profile:scale=1/32768]", 3, False, True),
-    ("snapshots", "FF_HPGMG [reference:scale=1/32768]", 2, False, True),
     ("profile_tensor", "FF_Lulesh [profile:scale=1/32768]", 3, True, True),
     ("profile_tensor", "FF_Lulesh [reference:scale=1/32768]", 2, True, True),
-    ("snapshots", "FF_Lulesh [profile:scale=1/32768]", 3, False, True),
-    ("snapshots", "FF_Lulesh [reference:scale=1/32768]", 2, False, True),
     ("profile_tensor", "BigLSTM [profile:scale=1/32768]", 3, True, True),
     ("profile_tensor", "BigLSTM [reference:scale=1/32768]", 2, True, True),
-    ("snapshots", "BigLSTM [profile:scale=1/32768]", 3, False, True),
-    ("snapshots", "BigLSTM [reference:scale=1/32768]", 2, False, True),
     ("profile_tensor", "AlexNet [profile:scale=1/32768]", 3, True, True),
     ("profile_tensor", "AlexNet [reference:scale=1/32768]", 2, True, True),
-    ("snapshots", "AlexNet [profile:scale=1/32768]", 3, False, True),
-    ("snapshots", "AlexNet [reference:scale=1/32768]", 2, False, True),
     ("profile_tensor", "Inception_V2 [profile:scale=1/32768]", 3, True, True),
     ("profile_tensor", "Inception_V2 [reference:scale=1/32768]", 2, True, True),
-    ("snapshots", "Inception_V2 [profile:scale=1/32768]", 3, False, True),
-    ("snapshots", "Inception_V2 [reference:scale=1/32768]", 2, False, True),
     ("profile_tensor", "SqueezeNet [profile:scale=1/32768]", 3, True, True),
     ("profile_tensor", "SqueezeNet [reference:scale=1/32768]", 2, True, True),
-    ("snapshots", "SqueezeNet [profile:scale=1/32768]", 3, False, True),
-    ("snapshots", "SqueezeNet [reference:scale=1/32768]", 2, False, True),
     ("profile_tensor", "VGG16 [profile:scale=1/32768]", 3, True, True),
     ("profile_tensor", "VGG16 [reference:scale=1/32768]", 2, True, True),
-    ("snapshots", "VGG16 [profile:scale=1/32768]", 3, False, True),
-    ("snapshots", "VGG16 [reference:scale=1/32768]", 2, False, True),
     ("profile_tensor", "ResNet50 [profile:scale=1/32768]", 3, True, True),
     ("profile_tensor", "ResNet50 [reference:scale=1/32768]", 2, True, True),
-    ("snapshots", "ResNet50 [profile:scale=1/32768]", 3, False, True),
-    ("snapshots", "ResNet50 [reference:scale=1/32768]", 2, False, True),
     ("entry_state", "351.palm dump 5 [reference:scale=1/32768]", 1, True, True),
     ("trace", "351.palm", 1, True, True),
     ("tape", "351.palm tape", 1, True, True),

@@ -492,6 +492,9 @@ class TestApiFacade:
         repro.run(*self.REQUEST, runner=runner)
         stats = repro.cache_stats(tmp_path)
         assert stats.root == str(tmp_path)
-        assert stats.entries == 1
+        # The point, and the stage-0 tensor build with its free bytes.
+        assert stats.entries == 3
         assert stats.bytes > 0
-        assert "compression.fig3" in stats.per_experiment
+        assert set(stats.per_experiment) == {
+            "compression.fig3", "profile.tensor", "profile.free"
+        }

@@ -203,6 +203,11 @@ if name == "profile.tensor":
     from repro.core.profiler import profile_tensor
 
     profile_tensor("VGG16", config)
+elif name == "profile.free":
+    from repro.compression.bpc import BPCCompressor
+    from repro.core.profiler import free_bytes
+
+    free_bytes("VGG16", config, BPCCompressor())
 elif name == "profile.entries":
     from repro.core.profiler import entry_state_tensor
 
@@ -245,6 +250,7 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 #: The roots each artifact kind's cache key salts with.
 ARTIFACT_ROOTS = {
     "profile.tensor": ("repro.core.profiler", "repro.compression.bpc"),
+    "profile.free": ("repro.core.profiler", "repro.compression.bpc"),
     "profile.entries": ("repro.core.profiler",),
     "trace.columnar": ("repro.workloads.traces",),
     "sim.tape": ("repro.gpusim.vector_sim", "repro.analysis.perf_study"),
@@ -322,7 +328,11 @@ _SALTS = """
 import json
 import repro
 from repro.compression.bpc import BPCCompressor
-from repro.core.profiler import entry_state_cache_key, tensor_cache_key
+from repro.core.profiler import (
+    entry_state_cache_key,
+    free_cache_key,
+    tensor_cache_key,
+)
 from repro.engine.registry import experiment_names, get_experiment
 from repro.engine.salts import experiment_salt
 from repro.gpusim.config import scaled_config
@@ -333,6 +343,7 @@ from repro.workloads.traces import TraceConfig, trace_cache_key
 config = SnapshotConfig()
 salts = {name: experiment_salt(get_experiment(name)) for name in experiment_names()}
 salts["profile.tensor"] = tensor_cache_key("VGG16", config, BPCCompressor()).digest
+salts["profile.free"] = free_cache_key("VGG16", config, BPCCompressor()).digest
 salts["profile.entries"] = entry_state_cache_key("VGG16", config, 0).digest
 salts["trace.columnar"] = trace_cache_key("VGG16", TraceConfig()).digest
 salts["sim.tape"] = tape_cache_key("VGG16", TraceConfig(), config, scaled_config()).digest
