@@ -11,12 +11,10 @@ import sys
 
 import numpy as np
 
-from repro.compression import (
-    BDICompressor,
-    BPCCompressor,
-    FPCCompressor,
-    sectors_for_sizes,
-)
+from repro.compression.bdi import BDICompressor
+from repro.compression.bpc import BPCCompressor
+from repro.compression.fpc import FPCCompressor
+from repro.compression.sectors import sectors_for_sizes
 from repro.compression.base import as_blocks
 from repro.compression.zeroblock import zero_fraction
 from repro.units import MEMORY_ENTRY_BYTES, ZERO_CLASS_BYTES

@@ -13,8 +13,8 @@ with ``repro run dl.ratios`` and ``repro run dl.fig13``.
 """
 
 import repro
-from repro.dlmodel import buddy_batch_speedups, footprint_bytes
-from repro.dlmodel.casestudy import mean_speedup
+from repro.dlmodel.casestudy import buddy_batch_speedups, mean_speedup
+from repro.dlmodel.memory import footprint_bytes
 from repro.engine import example_runner
 from repro.units import GIB
 

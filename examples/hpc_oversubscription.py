@@ -14,13 +14,10 @@ with ``repro run um.fig12``.
 import repro
 from repro.analysis.um_study import FIG12_BENCHMARKS
 from repro.engine import example_runner
-from repro.gpusim import (
-    CompressionMode,
-    CompressionState,
-    DependencyDrivenSimulator,
-    scaled_config,
-)
-from repro.core import BuddyCompressor
+from repro.gpusim.compression import CompressionMode, CompressionState
+from repro.gpusim.config import scaled_config
+from repro.gpusim.simulator import DependencyDrivenSimulator
+from repro.core.controller import BuddyCompressor
 from repro.core.targets import FINAL
 from repro.workloads.snapshots import SnapshotConfig
 from repro.workloads.traces import TraceConfig, generate_trace, layout_snapshot

@@ -15,7 +15,7 @@ from the same shared result cache as ``repro run`` and
 """
 
 import repro
-from repro.core import BuddyCompressor
+from repro.core.controller import BuddyCompressor
 from repro.core.targets import FINAL, NAIVE
 from repro.engine import example_runner
 from repro.units import GIB, bytes_to_human

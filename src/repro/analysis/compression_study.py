@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compression import BPCCompressor, sectors_for_sizes
+from repro.compression.bpc import BPCCompressor
+from repro.compression.sectors import sectors_for_sizes
 from repro.core.controller import BuddyCompressor, EvaluationResult
 from repro.core.profiler import free_bytes, profile_tensor
 from repro.core.targets import FINAL, DesignPoint, select_per_allocation_indices

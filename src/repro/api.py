@@ -182,7 +182,7 @@ def advise(
     The answer is digest-identical to what a running service returns
     for the same request, and to the per-benchmark payload of
     ``repro run serve.advice``.  Malformed fields raise
-    :class:`repro.serve.InvalidRequest` (typed, with a stable
+    :class:`repro.serve.protocol.InvalidRequest` (typed, with a stable
     ``code``), never bare ``ValueError``.
     """
     from repro.serve.advisor import advise_one

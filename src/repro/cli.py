@@ -36,18 +36,15 @@ import json
 import sys
 from dataclasses import replace
 
-from repro.engine import (
-    CacheMiss,
+from repro import rng as rng_lib
+from repro.engine.cache import CacheMiss, ResultCache, result_digest
+from repro.engine.registry import experiment_names, get_experiment
+from repro.engine.runner import (
     ExperimentRunner,
-    ResultCache,
     add_runner_options,
-    experiment_names,
-    get_experiment,
     parse_size,
-    result_digest,
     runner_from_args,
 )
-from repro import rng as rng_lib
 
 #: ``repro sweep`` default: the Fig. 7 design-point sweep.
 DEFAULT_SWEEP = ("compression.fig7",)

@@ -14,32 +14,3 @@ several algorithms.  This package provides:
   to the paper's free-size set (Fig. 3) and to 32 B sectors (Buddy
   placement).
 """
-
-from repro.compression.base import CompressionAlgorithm, CompressedBlock
-from repro.compression.bdi import BDICompressor
-from repro.compression.bpc import BPCCompressor
-from repro.compression.cpack import CPackCompressor
-from repro.compression.fpc import FPCCompressor
-from repro.compression.zeroblock import ZeroBlockCompressor, zero_fraction, zero_mask
-from repro.compression.sectors import (
-    quantize_free_size,
-    quantize_to_sectors,
-    sectors_for_sizes,
-    free_sizes_for_sizes,
-)
-
-__all__ = [
-    "CompressionAlgorithm",
-    "CompressedBlock",
-    "BPCCompressor",
-    "BDICompressor",
-    "FPCCompressor",
-    "CPackCompressor",
-    "ZeroBlockCompressor",
-    "zero_fraction",
-    "zero_mask",
-    "quantize_free_size",
-    "quantize_to_sectors",
-    "sectors_for_sizes",
-    "free_sizes_for_sizes",
-]

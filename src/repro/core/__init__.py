@@ -20,21 +20,3 @@ The engine follows the paper's flow end to end:
    place → measure compression ratio and buddy traffic on the
    reference run (Figs. 7, 8, 9).
 """
-
-from repro.core.entry import TargetRatio, ALLOWED_TARGETS
-from repro.core.profile_tensor import EntryStateTensor, ProfileTensor
-from repro.core.profiler import entry_state_tensor, profile_tensor
-from repro.core.targets import DesignPoint
-from repro.core.controller import BuddyCompressor, EvaluationResult
-
-__all__ = [
-    "TargetRatio",
-    "ALLOWED_TARGETS",
-    "ProfileTensor",
-    "EntryStateTensor",
-    "entry_state_tensor",
-    "profile_tensor",
-    "DesignPoint",
-    "BuddyCompressor",
-    "EvaluationResult",
-]

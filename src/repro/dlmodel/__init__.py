@@ -11,27 +11,3 @@ Layer-level models of the six Table 1 training workloads, plus:
 * :mod:`repro.dlmodel.convergence` — an SGD noise-scale accuracy
   model for the ResNet50/CIFAR100 experiment (Fig. 13d).
 """
-
-from repro.dlmodel.layers import Conv2D, Dense, LSTMStack, Pool2D
-from repro.dlmodel.networks import NETWORK_BUILDERS, Network, build_network
-from repro.dlmodel.memory import footprint_bytes, max_batch_size
-from repro.dlmodel.throughput import images_per_second, speedup_vs_batch
-from repro.dlmodel.casestudy import buddy_batch_speedups
-from repro.dlmodel.convergence import accuracy_curve, final_accuracy
-
-__all__ = [
-    "Conv2D",
-    "Dense",
-    "LSTMStack",
-    "Pool2D",
-    "NETWORK_BUILDERS",
-    "Network",
-    "build_network",
-    "footprint_bytes",
-    "max_batch_size",
-    "images_per_second",
-    "speedup_vs_batch",
-    "buddy_batch_speedups",
-    "accuracy_curve",
-    "final_accuracy",
-]

@@ -73,12 +73,10 @@ class ArtifactSpec:
     stores a tuple of same-kind specs' artifacts and says, per spec,
     whether it was freshly built rather than a store hit; specs with
     one non-``None`` :meth:`merge_key` share a call, and :meth:`deps`
-    (the specs a build consumes) orders the stage-0 waves.  A kind
-    with ``build = None`` is statistics-only: the points make it.
+    (the specs a build consumes) orders the stage-0 waves.
     """
 
     kind = ""
-    build = None
 
     def cache_key(self) -> CacheKey:
         raise NotImplementedError
@@ -315,7 +313,6 @@ class PlanNode:
     label: str
     spec: Any = None
     references: int = 0  # how many consumers named this node
-    executable: bool = False  # stage-0 buildable (vs statistics-only)
     predicted_cached: bool = False  # disk cache already holds it
     needed: bool = False  # some non-cached point consumes it
 
@@ -326,7 +323,7 @@ class PlanNode:
     @property
     def scheduled(self) -> bool:
         """Stage 0 builds this node."""
-        return self.executable and self.needed and not self.predicted_cached
+        return self.needed and not self.predicted_cached
 
 
 @dataclass
@@ -363,8 +360,6 @@ class PlanStats:
     shared_nodes: int
     shared_references: int
     deduped_references: int
-    executable_nodes: int
-    needed_nodes: int
     predicted_shared_hits: int
     merge_groups: int
     merged_nodes: int
@@ -383,7 +378,6 @@ class Plan:
 
     def stats(self) -> PlanStats:
         nodes = list(self.shared.values())
-        executable = [n for n in nodes if n.executable]
         merged = sum(len(g.node_ids) for g in self.merge_groups)
         return PlanStats(
             experiments=len(self.requests),
@@ -394,9 +388,7 @@ class Plan:
             shared_nodes=len(nodes),
             shared_references=sum(n.references for n in nodes),
             deduped_references=sum(n.references for n in nodes) - len(nodes),
-            executable_nodes=len(executable),
-            needed_nodes=sum(n.needed for n in executable),
-            predicted_shared_hits=sum(n.predicted_cached for n in executable),
+            predicted_shared_hits=sum(n.predicted_cached for n in nodes),
             merge_groups=len(self.merge_groups),
             merged_nodes=merged,
             planned_bulk_calls=len(self.merge_groups),
@@ -440,26 +432,20 @@ class Plan:
             lines.append("nodes:")
             for node in self.shared.values():
                 flags = []
-                if node.executable:
-                    flags.append("exec")
                 if node.predicted_cached:
                     flags.append("cached")
                 if node.needed:
                     flags.append("needed")
                 lines.append(
                     f"  {node.kind:15s} {node.digest[:12]} refs={node.references}"
-                    f" {' '.join(flags):17s} {node.label}"
+                    f" {' '.join(flags):13s} {node.label}"
                 )
         return "\n".join(lines)
 
     def to_json(self) -> dict:
         """Machine-readable plan description (``repro plan --json``)."""
         return {
-            "stats": {
-                name: value
-                for name, value in asdict(self.stats()).items()
-                if name not in ("executable_nodes", "needed_nodes")
-            },
+            "stats": asdict(self.stats()),
             "requests": [
                 {
                     "experiment": request.experiment.name,
@@ -485,8 +471,7 @@ class Plan:
 
 
 _NODE_JSON_FIELDS = (
-    "kind", "digest", "label", "references", "executable",
-    "predicted_cached", "needed",
+    "kind", "digest", "label", "references", "predicted_cached", "needed",
 )
 
 
@@ -536,15 +521,12 @@ def plan(requests, runner=None) -> Plan:
                     node_id = f"{spec.kind}/{key.digest}"
                     node = shared.get(node_id)
                     if node is None:
-                        executable = spec.build is not None
                         shared[node_id] = node = PlanNode(
                             kind=spec.kind,
                             digest=key.digest,
                             label=spec.label(),
                             spec=spec,
-                            executable=executable,
-                            predicted_cached=executable
-                            and runner.cache is not None
+                            predicted_cached=runner.cache is not None
                             and runner.cache.contains(key),
                         )
                     node.references += 1

@@ -16,20 +16,20 @@ closure of a few *roots* in the static import graph:
 Edges are module-level and function-level imports alike (studies
 import lazily inside functions), and every module has an edge to its
 package, because importing it runs the package's ``__init__`` first.
-Two policies shape a closure:
+One policy shapes a closure: **exempt modules are boundaries**
+(:data:`DEFAULT_EXEMPT`).  The engine, the CLI and the analyzer
+address results without computing them, and their own imports reach
+the whole package, so they are neither hashed nor traversed.  Every
+other module a walk reaches is hashed, package ``__init__`` files
+included.  Those re-export nothing (each is a docstring; the root adds
+a lazy facade that maps names to modules by string), so importing a
+name from the module that defines it is the only way to reach it, and
+the graph sees exactly that module.
 
-* **exempt modules are boundaries** (:data:`DEFAULT_EXEMPT`): the
-  engine, the CLI and the analyzer address results without computing
-  them, and their own imports reach the whole package.  They are
-  neither hashed nor traversed;
-* **re-export-only package ``__init__`` files are transparent**: a
-  file of only a docstring, imports and dunder metadata cannot affect
-  a result, so it is traversed but not hashed.
-
-A closure over-approximates: importing a package's front door pulls in
-everything it re-exports, and an import in a docstring example counts
-as an edge.  That errs in the safe direction — an extra module can
-only cause a spurious cache miss, never a stale result.
+A closure over-approximates: an import in a docstring example counts
+as an edge, and an ``__init__``'s docstring is hashed.  That errs in
+the safe direction — an extra module can only cause a spurious cache
+miss, never a stale result.
 
 The graph is cheap to build and keeps no syntax trees: a line scan
 finds the import statements, each is parsed alone, and only a file
@@ -131,24 +131,12 @@ class ImportGraph:
                 parts = parts[:-1]
             self.paths[".".join(parts)] = path
         self._imports: dict[str, tuple[str, ...]] = {}
-        self._relevant: dict[str, bool] = {}
 
     def is_exempt(self, module: str) -> bool:
         return any(
             module == prefix or module.startswith(prefix + ".")
             for prefix in self.exempt
         )
-
-    def is_relevant(self, module: str) -> bool:
-        """Whether ``module``'s source belongs in a salt: not exempt and
-        not a re-export-only package ``__init__``."""
-        if module not in self._relevant:
-            path = self.paths[module]
-            self._relevant[module] = not self.is_exempt(module) and not (
-                path.name == "__init__.py"
-                and all(map(_is_reexport, ast.parse(path.read_text()).body))
-            )
-        return self._relevant[module]
 
     def imports(self, module: str) -> tuple[str, ...]:
         """In-package modules ``module`` imports anywhere in its file."""
@@ -169,6 +157,18 @@ class ImportGraph:
             function.__module__, _import_nodes(source, self.package)
         )
 
+    def from_base(self, module: str, node: ast.ImportFrom) -> str:
+        """The absolute module a ``from`` import inside ``module`` names."""
+        if not node.level:
+            return node.module or ""
+        # Level 1 in a package __init__ is the package itself;
+        # elsewhere it is the parent package.
+        parts = module.split(".")
+        if self.paths.get(module, Path()).name != "__init__.py":
+            parts = parts[:-1]
+        parts = parts[: len(parts) - node.level + 1]
+        return ".".join(parts + ([node.module] if node.module else []))
+
     def _resolve(self, module: str, nodes) -> tuple[str, ...]:
         """The in-package modules a list of import nodes binds."""
         out: list[str] = []
@@ -186,15 +186,7 @@ class ImportGraph:
                     if alias.name.split(".")[0] == self.package:
                         add(alias.name)
             elif isinstance(node, ast.ImportFrom):
-                base = node.module or ""
-                if node.level:
-                    # Level 1 in a package __init__ is the package
-                    # itself; elsewhere it is the parent package.
-                    parts = module.split(".")
-                    if self.paths.get(module, Path()).name != "__init__.py":
-                        parts = parts[:-1]
-                    parts = parts[: len(parts) - node.level + 1]
-                    base = ".".join(parts + ([base] if base else []))
+                base = self.from_base(module, node)
                 if base.split(".")[0] != self.package:
                     continue
                 submodules = [
@@ -229,22 +221,7 @@ class ImportGraph:
                 stack.append(package)
             if not self.is_exempt(module):
                 stack.extend(self.imports(module))
-        return tuple(sorted(m for m in seen if self.is_relevant(m)))
-
-
-def _is_reexport(node: ast.stmt) -> bool:
-    """A statement a transparent ``__init__`` may hold."""
-    if isinstance(node, (ast.Import, ast.ImportFrom)):
-        return True
-    if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
-        return True  # docstring
-    return (
-        isinstance(node, ast.Assign)
-        and len(node.targets) == 1
-        and isinstance(node.targets[0], ast.Name)
-        and node.targets[0].id.startswith("__")
-        and isinstance(node.value, (ast.Constant, ast.List, ast.Tuple))
-    )  # __all__, __version__ and similar metadata
+        return tuple(sorted(m for m in seen if not self.is_exempt(m)))
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,7 @@ three memory-system modes of Fig. 11:
   overflow sectors over the interconnect, decompression latency.
 
 The simulator ships two engines behind one front door
-(:class:`DependencyDrivenSimulator`): the default ``"vectorized"``
+(:class:`~repro.gpusim.simulator.DependencyDrivenSimulator`): the default ``"vectorized"``
 batched-event core (:mod:`repro.gpusim.vector_sim`) and the
 ``"relaxed"`` frozen-order tape engine
 (:class:`~repro.gpusim.vector_sim.RelaxedSimulator`, whose ``verify=``
@@ -22,39 +22,3 @@ documented in ``docs/engines.md``.  :mod:`repro.gpusim.reference`
 provides a cycle-stepped reference machine used as the silicon proxy
 for the Fig. 10 correlation study.
 """
-
-from repro.gpusim.config import GPUConfig, LinkConfig, scaled_config
-from repro.gpusim.compression import CompressionMode, CompressionState
-from repro.gpusim.engine_spec import ENGINES, EngineSpec
-from repro.gpusim.simulator import DependencyDrivenSimulator, SimResult
-from repro.gpusim.trace import ColumnarTrace, KernelTrace
-from repro.gpusim.vector_sim import (
-    REFERENCE_LINK_GBPS,
-    RELAXED_COUNTER_TOLERANCE,
-    RELAXED_CYCLE_TOLERANCE,
-    RelaxedSimulator,
-    RelaxedVerificationError,
-    VectorizedSimulator,
-    check_relaxed_contract,
-)
-
-__all__ = [
-    "GPUConfig",
-    "LinkConfig",
-    "scaled_config",
-    "CompressionMode",
-    "CompressionState",
-    "DependencyDrivenSimulator",
-    "EngineSpec",
-    "VectorizedSimulator",
-    "RelaxedSimulator",
-    "RelaxedVerificationError",
-    "check_relaxed_contract",
-    "REFERENCE_LINK_GBPS",
-    "RELAXED_COUNTER_TOLERANCE",
-    "RELAXED_CYCLE_TOLERANCE",
-    "ENGINES",
-    "SimResult",
-    "ColumnarTrace",
-    "KernelTrace",
-]

@@ -8,17 +8,3 @@ we reproduce the mechanism — fault-serialised migration collapsing
 once the hot set exceeds device memory, frequently performing worse
 than host-pinned access.
 """
-
-from repro.um.oversubscription import (
-    UMConfig,
-    UMResult,
-    pinned_slowdown,
-    um_slowdown,
-)
-
-__all__ = [
-    "UMConfig",
-    "UMResult",
-    "pinned_slowdown",
-    "um_slowdown",
-]

@@ -16,33 +16,3 @@ package provides the synthetic equivalents described in DESIGN.md:
 * :mod:`repro.workloads.traces` — warp-instruction trace generator for
   the GPU performance simulator.
 """
-
-from repro.workloads.catalog import (
-    ALL_BENCHMARKS,
-    DL_BENCHMARKS,
-    HPC_BENCHMARKS,
-    Benchmark,
-    Suite,
-    get_benchmark,
-)
-from repro.workloads.snapshots import (
-    MemorySnapshot,
-    AllocationSnapshot,
-    SnapshotConfig,
-    generate_snapshot,
-    generate_run,
-)
-
-__all__ = [
-    "ALL_BENCHMARKS",
-    "DL_BENCHMARKS",
-    "HPC_BENCHMARKS",
-    "Benchmark",
-    "Suite",
-    "get_benchmark",
-    "MemorySnapshot",
-    "AllocationSnapshot",
-    "SnapshotConfig",
-    "generate_snapshot",
-    "generate_run",
-]

@@ -30,8 +30,8 @@ This lint flags the constructs that historically break that promise:
     invisible cache axis.
 
 Scope: every salt-relevant module of the package, whether or not a
-salt reaches it today: all but exempt infrastructure and re-export-only
-``__init__`` files (:class:`repro.engine.salts.ImportGraph`).  The
+salt reaches it today: all but exempt infrastructure
+(:class:`repro.engine.salts.ImportGraph`).  The
 advisor's wall-clock seam (:data:`CLOCK_SEAM`) is left out.
 Deliberate uses carry ``# repro: allow[rule] reason`` pragmas.
 """
@@ -316,7 +316,7 @@ def determinism_scope(root: Path, package: str = "repro") -> list[str]:
     return [
         module
         for module in graph.paths
-        if module != clock and graph.is_relevant(module)
+        if module != clock and not graph.is_exempt(module)
     ]
 
 

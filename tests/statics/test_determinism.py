@@ -170,8 +170,9 @@ def test_retired_snapshot_memo_knob_is_flagged():
 
 
 # ---------------------------------------------------------------------------
-# The scope: every salt-relevant module of the package, reached by a
-# salt today or not, minus the advisor's batching-clock seam.
+# The scope: every salt-relevant module of the package (package
+# __init__ files included), reached by a salt today or not, minus the
+# advisor's batching-clock seam.
 # ---------------------------------------------------------------------------
 _SCOPE_FIXTURE = {
     "src/fixpkg/__init__.py": "",
@@ -195,7 +196,9 @@ _SCOPE_FIXTURE = {
 def test_scope_is_every_salt_relevant_module_but_the_clock(tmp_path):
     write_tree(tmp_path, _SCOPE_FIXTURE)
     assert determinism_scope(tmp_path, "fixpkg") == [
+        "fixpkg",
         "fixpkg.orphan",
+        "fixpkg.serve",
         "fixpkg.serve.service",
     ]
     findings = lint_tree(tmp_path, "fixpkg")

@@ -55,7 +55,8 @@ class TestCompressionStudy:
         """The registered Fig. 3 at TINY equals sizing each dump on its
         own, float for float, and every ratio is a Python float (an
         equal np.float64 would change the result digest)."""
-        from repro.compression import BPCCompressor, free_sizes_for_sizes
+        from repro.compression.bpc import BPCCompressor
+        from repro.compression.sectors import free_sizes_for_sizes
         from repro.compression.zeroblock import zero_mask
         from repro.units import MEMORY_ENTRY_BYTES
         from repro.workloads.snapshots import generate_run
@@ -205,7 +206,7 @@ class TestPerfStudySmall:
             memory_instructions_per_warp=24,
             snapshot_config=SnapshotConfig(scale=1.0 / 8192),
         )
-        from repro.gpusim import scaled_config
+        from repro.gpusim.config import scaled_config
 
         result = ExperimentRunner().run(
             "perf.fig11",

@@ -3,28 +3,60 @@
 Pins the parts of the public surface the other suites only graze:
 
 * :func:`repro.api.advise` — the advisor's library form — answers
-  digest-identically to :func:`repro.serve.advise_one` and turns
-  misuse into typed :class:`repro.serve.InvalidRequest` errors;
+  digest-identically to :func:`repro.serve.advisor.advise_one` and turns
+  misuse into typed :class:`repro.serve.protocol.InvalidRequest` errors;
 * ``repro doctor --json`` and ``repro cache --json`` emit exactly the
   documented key sets (machine consumers parse these — a silently
   added or renamed key is an interface break);
 * the CLI's user-error path exits 2 with a message, never a
-  traceback.
+  traceback;
+* ``import repro`` loads nothing else, yet its facade names resolve.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro
 from repro.cli import main
 from repro.engine import ExperimentRunner, ResultCache
-from repro.serve import InvalidRequest
+from repro.serve.protocol import InvalidRequest, AdviceRequest
 from repro.serve.advisor import advise_one
-from repro.serve.protocol import AdviceRequest
 from repro.workloads.snapshots import SnapshotConfig
 
 TINY = SnapshotConfig(scale=1.0 / 262144, min_footprint_bytes=256 * 1024)
+
+
+_LEAN_IMPORT = """
+import json, sys
+import repro
+loaded = sorted(m for m in sys.modules if m.startswith(("repro", "asyncio")))
+resolved = [repro.run.__module__, repro.BuddyCompressor.__module__]
+print(json.dumps([loaded, resolved, repro.__version__]))
+"""
+
+
+def test_import_repro_loads_nothing_else():
+    """``import repro`` loads no other ``repro`` module (so neither the
+    advisor server nor asyncio); the facade names resolve on use."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _LEAN_IMPORT],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        check=True,
+    )
+    loaded, resolved, version = json.loads(proc.stdout)
+    assert loaded == ["repro"]
+    assert resolved == ["repro.api", "repro.core.controller"]
+    assert version == repro.__version__
+    with pytest.raises(AttributeError):
+        repro.no_such_name
 
 
 class TestAdviseFacade:

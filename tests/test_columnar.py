@@ -354,13 +354,11 @@ ALL_ALGORITHMS = ("bpc", "bdi", "fpc", "cpack", "zeroblock")
 
 
 def _algorithm(name):
-    from repro.compression import (
-        BDICompressor,
-        BPCCompressor,
-        CPackCompressor,
-        FPCCompressor,
-        ZeroBlockCompressor,
-    )
+    from repro.compression.bdi import BDICompressor
+    from repro.compression.bpc import BPCCompressor
+    from repro.compression.cpack import CPackCompressor
+    from repro.compression.fpc import FPCCompressor
+    from repro.compression.zeroblock import ZeroBlockCompressor
 
     return {
         "bpc": BPCCompressor,

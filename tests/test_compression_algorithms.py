@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.compression import (
-    BDICompressor,
-    CPackCompressor,
-    FPCCompressor,
+from repro.compression.bdi import BDICompressor
+from repro.compression.cpack import CPackCompressor
+from repro.compression.fpc import FPCCompressor
+from repro.compression.sectors import (
     quantize_free_size,
     quantize_to_sectors,
     sectors_for_sizes,
@@ -255,7 +255,8 @@ class TestCompressionRatio:
         assert algorithm.compression_ratio(np.zeros(0, dtype=np.uint8)) == 1.0
 
     def test_empty_input_is_neutral_for_bpc_and_zeroblock(self):
-        from repro.compression import BPCCompressor, ZeroBlockCompressor
+        from repro.compression.bpc import BPCCompressor
+        from repro.compression.zeroblock import ZeroBlockCompressor
 
         empty = np.zeros((0, WORDS_PER_ENTRY), dtype=np.uint32)
         assert BPCCompressor().compression_ratio(empty) == 1.0
@@ -264,7 +265,7 @@ class TestCompressionRatio:
     def test_all_zero_blocks_still_report_infinite_ratio(self):
         """Non-empty input that compresses to nothing keeps the inf
         semantics (free-size zero entries genuinely store 0 bytes)."""
-        from repro.compression import ZeroBlockCompressor
+        from repro.compression.zeroblock import ZeroBlockCompressor
 
         blocks = np.zeros((4, WORDS_PER_ENTRY), dtype=np.uint32)
         assert ZeroBlockCompressor().compression_ratio(blocks) == float("inf")
@@ -292,7 +293,7 @@ class TestZeroBlock:
         assert zero_fraction(np.zeros((0, 32), dtype=np.uint32)) == 0.0
 
     def test_compressor_scalar(self):
-        from repro.compression import ZeroBlockCompressor
+        from repro.compression.zeroblock import ZeroBlockCompressor
 
         zb = ZeroBlockCompressor()
         assert zb.compressed_size(np.zeros(32, dtype=np.uint32)) == 0
@@ -304,7 +305,7 @@ class TestZeroBlock:
             zb.compressed_size(np.zeros((4, 32), dtype=np.uint32))
 
     def test_compressor_bulk_matches_mask(self):
-        from repro.compression import ZeroBlockCompressor
+        from repro.compression.zeroblock import ZeroBlockCompressor
 
         zb = ZeroBlockCompressor()
         blocks = np.zeros((6, 32), dtype=np.uint32)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import BuddyCompressor
+from repro.core.controller import BuddyCompressor
 from repro.core.entry import TargetRatio
 from repro.core.profile_tensor import TARGET_INDEX
 from repro.core.targets import (

@@ -5,19 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dlmodel import (
-    NETWORK_BUILDERS,
-    accuracy_curve,
-    build_network,
-    buddy_batch_speedups,
-    final_accuracy,
+from repro.dlmodel.casestudy import buddy_batch_speedups
+from repro.dlmodel.convergence import accuracy_curve, final_accuracy
+from repro.dlmodel.memory import (
     footprint_bytes,
-    images_per_second,
     max_batch_size,
-    speedup_vs_batch,
+    TITAN_XP_BYTES,
+    transition_batch,
 )
+from repro.dlmodel.networks import NETWORK_BUILDERS, build_network
+from repro.dlmodel.throughput import images_per_second, speedup_vs_batch
 from repro.dlmodel.layers import Conv2D, Dense, Pool2D
-from repro.dlmodel.memory import TITAN_XP_BYTES, transition_batch
 
 
 class TestLayers:

@@ -8,7 +8,8 @@ cache axis.
 
 import pytest
 
-from repro.gpusim import EngineSpec, scaled_config
+from repro.gpusim.config import scaled_config
+from repro.gpusim.engine_spec import EngineSpec
 from repro.gpusim.simulator import DependencyDrivenSimulator, SimResult
 from repro.gpusim.vector_sim import (
     RELAXED_CYCLE_TOLERANCE,

@@ -23,23 +23,20 @@ import pytest
 
 from repro.cli import main
 from repro.core.entry import TargetRatio
-from repro.gpusim import (
-    REFERENCE_LINK_GBPS,
-    CompressionMode,
-    CompressionState,
-    DependencyDrivenSimulator,
-    VectorizedSimulator,
-    scaled_config,
-)
-from repro.gpusim import _event_core
-from repro.gpusim.trace import Op
+from repro.gpusim.compression import CompressionMode, CompressionState
+from repro.gpusim.config import scaled_config
+from repro.gpusim.simulator import DependencyDrivenSimulator
 from repro.gpusim.vector_sim import (
+    REFERENCE_LINK_GBPS,
+    VectorizedSimulator,
     _replay_cycles,
     _replay_pack,
     _resolve_tape,
     _TAPE_MEMO,
     replay_links,
 )
+from repro.gpusim import _event_core
+from repro.gpusim.trace import Op
 from repro.workloads.snapshots import SnapshotConfig
 from repro.workloads.traces import TraceConfig, generate_trace, layout_snapshot
 from sim_oracle import Warp, kernel_trace, run_oracle

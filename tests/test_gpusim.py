@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.entry import TargetRatio
-from repro.gpusim import (
-    CompressionMode,
-    CompressionState,
-    DependencyDrivenSimulator,
-    scaled_config,
-)
+from repro.gpusim.compression import CompressionMode, CompressionState
+from repro.gpusim.config import scaled_config
+from repro.gpusim.simulator import DependencyDrivenSimulator
 from repro.gpusim.cache import SectoredCache, sector_mask
 from repro.gpusim.dram import ChannelSet
 from repro.gpusim.interconnect import Interconnect

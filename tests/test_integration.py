@@ -9,18 +9,15 @@ must hold the paper's headline invariants end to end.
 import numpy as np
 import pytest
 
-from repro.core import BuddyCompressor
+from repro.core.controller import BuddyCompressor
 from repro.core.allocator import BuddyAllocator
 from repro.core.entry import TargetRatio
 from repro.core.targets import FINAL, NAIVE
-from repro.gpusim import (
-    CompressionMode,
-    CompressionState,
-    DependencyDrivenSimulator,
-    scaled_config,
-)
+from repro.gpusim.compression import CompressionMode, CompressionState
+from repro.gpusim.config import scaled_config
+from repro.gpusim.simulator import DependencyDrivenSimulator
 from repro.units import GIB, MEMORY_ENTRY_BYTES
-from repro.workloads import ALL_BENCHMARKS
+from repro.workloads.catalog import ALL_BENCHMARKS
 from repro.workloads.snapshots import SnapshotConfig, generate_snapshot
 from repro.workloads.traces import TraceConfig, generate_trace, layout_snapshot
 
@@ -44,7 +41,7 @@ class TestStaticVsSimulatorConsistency:
             snapshot, selection, CompressionMode.BUDDY
         )
 
-        from repro.compression import BPCCompressor
+        from repro.compression.bpc import BPCCompressor
         from profile_oracle import SectorHistogram
 
         bpc = BPCCompressor()

@@ -23,25 +23,18 @@ import pytest
 from repro.analysis.compression_study import suite_gmean
 from repro.analysis.paper_reference import CLAIMS
 from repro.analysis.um_study import BUDDY_VS_UM_LEVEL, FIG12_BENCHMARKS
-from repro.compression import (
-    BDICompressor,
-    BPCCompressor,
-    CPackCompressor,
-    FPCCompressor,
-    free_sizes_for_sizes,
-    sectors_for_sizes,
-)
+from repro.compression.bdi import BDICompressor
+from repro.compression.bpc import BPCCompressor
+from repro.compression.cpack import CPackCompressor
+from repro.compression.fpc import FPCCompressor
+from repro.compression.sectors import free_sizes_for_sizes, sectors_for_sizes
 from repro.compression.zeroblock import zero_mask
 from repro.core.entry import TargetRatio
 from repro.dlmodel.memory import TITAN_XP_BYTES, footprint_bytes, transition_batch
 from repro.engine import ExperimentRunner, get_experiment, param_digest
-from repro.gpusim import (
-    CompressionMode,
-    CompressionState,
-    DependencyDrivenSimulator,
-    GPUConfig,
-    scaled_config,
-)
+from repro.gpusim.compression import CompressionMode, CompressionState
+from repro.gpusim.config import GPUConfig, scaled_config
+from repro.gpusim.simulator import DependencyDrivenSimulator
 from repro.units import KIB, MEMORY_ENTRY_BYTES, MIB, SECTOR_BYTES
 from repro.workloads.snapshots import SnapshotConfig, generate_snapshot
 from repro.workloads.traces import TraceConfig, generate_trace, layout_snapshot

@@ -227,7 +227,6 @@ class TestExecutionCounters:
         distinct = {
             (node.spec.benchmark, repr(node.spec.config))
             for node in sweep_plan.shared.values()
-            if node.executable
         }
         assert execution.snapshot_generations <= len(distinct)
         assert len(distinct) < execution.points * 2  # sharing actually bites

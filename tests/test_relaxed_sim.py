@@ -25,27 +25,24 @@ import pytest
 
 from repro.core.entry import TargetRatio
 from repro.engine import ExperimentRunner, result_digest
-from repro.gpusim import (
-    ENGINES,
+from repro.gpusim.compression import CompressionMode, CompressionState
+from repro.gpusim.config import scaled_config
+from repro.gpusim.engine_spec import ENGINES
+from repro.gpusim.simulator import DependencyDrivenSimulator
+from repro.gpusim.vector_sim import (
     REFERENCE_LINK_GBPS,
     RELAXED_COUNTER_TOLERANCE,
     RELAXED_CYCLE_TOLERANCE,
-    CompressionMode,
-    CompressionState,
-    DependencyDrivenSimulator,
     RelaxedSimulator,
     RelaxedVerificationError,
     check_relaxed_contract,
-    scaled_config,
-)
-from repro.gpusim.reference import CycleSteppedReference
-from repro.gpusim.trace import Op
-from repro.gpusim.vector_sim import (
     _replay_cycles,
     _resolve_tape,
     _TAPE_MEMO,
     _verify_selected,
 )
+from repro.gpusim.reference import CycleSteppedReference
+from repro.gpusim.trace import Op
 from repro.workloads.snapshots import SnapshotConfig
 from repro.workloads.traces import TraceConfig, generate_trace, layout_snapshot
 from sim_oracle import Warp, decode, kernel_trace, run_oracle
@@ -464,7 +461,7 @@ class TestVerifyEscapeHatch:
         the parameter is a registered cache axis rather than a silent
         no-op."""
         from repro.engine import get_experiment
-        from repro.gpusim import EngineSpec
+        from repro.gpusim.engine_spec import EngineSpec
 
         assert "verify" in get_experiment("perf.fig11").defaults()
         assert "verify" in get_experiment("correlation.fig10").defaults()
@@ -505,7 +502,7 @@ class TestVerifyEscapeHatch:
         point, and a custom tolerance is no cache axis: both are usage
         errors carrying EngineSpec's own message."""
         from repro.cli import main
-        from repro.gpusim import EngineSpec
+        from repro.gpusim.engine_spec import EngineSpec
 
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "perf.fig11", "--engine", spec, "--no-cache"])

@@ -126,20 +126,17 @@ def test_a_statement_cut_short_falls_back_to_a_whole_file_parse(graph):
     assert graph.imports("fixpkg.cut") == ("fixpkg.helper",)
 
 
-def test_transparent_init_detection(graph):
-    assert not graph.is_relevant("fixpkg.sub")
-    assert not graph.is_relevant("fixpkg")
-    assert graph.is_relevant("fixpkg.good")
-    # An empty file is not an __init__: it is hashed.
-    assert graph.is_relevant("fixpkg.helper")
+def test_package_inits_are_hashed(graph):
+    # An __init__ is a module like any other: the docstring-only root
+    # is hashed.
+    assert graph.closure(["fixpkg.helper"]) == ("fixpkg", "fixpkg.helper")
 
 
-def test_reachability_traverses_through_transparent_inits(graph):
-    # Importing fixpkg.sub.lazy runs fixpkg.sub's __init__, which is
-    # walked through (reaching impl) but not hashed.
-    closure = graph.closure(["fixpkg.study"])
-    assert "fixpkg.sub.impl" in closure
-    assert "fixpkg.sub" not in closure
+def test_reachability_follows_an_init_s_imports(graph):
+    # Importing fixpkg.sub.lazy runs fixpkg.sub's __init__, whose own
+    # import reaches impl.
+    closure = graph.closure(["fixpkg.sub.lazy"])
+    assert closure == ("fixpkg", "fixpkg.sub", "fixpkg.sub.impl", "fixpkg.sub.lazy")
 
 
 def test_exempt_modules_are_boundaries(graph):
@@ -147,13 +144,16 @@ def test_exempt_modules_are_boundaries(graph):
     # reached only through it, stays out.  Roots outside the package
     # are ignored.
     assert graph.closure(["fixpkg.study", "elsewhere.module"]) == (
+        "fixpkg",
         "fixpkg.good",
         "fixpkg.helper",
         "fixpkg.study",
+        "fixpkg.sub",
         "fixpkg.sub.impl",
         "fixpkg.sub.lazy",
     )
-    assert graph.closure(["fixpkg.engine.cache"]) == ()
+    # An exempt root still runs the package root's __init__.
+    assert graph.closure(["fixpkg.engine.cache"]) == ("fixpkg",)
 
 
 def test_function_imports_sees_lazy_study_imports():
@@ -164,6 +164,17 @@ def test_function_imports_sees_lazy_study_imports():
         get_experiment("perf.fig11")
     )
     assert graph.function_imports(len) == ()
+
+
+def test_a_closure_holds_only_the_code_its_result_runs():
+    """The Fig. 12 UM model calls no codec, profiler or simulator, so
+    editing one cannot invalidate its cached results."""
+    closure = package_graph().closure(experiment_roots(get_experiment("um.fig12")))
+    assert not [
+        module
+        for module in closure
+        if module.startswith(("repro.compression", "repro.gpusim", "repro.core"))
+    ], closure
 
 
 def test_a_root_outside_the_package_adds_nothing_to_a_salt():
@@ -184,9 +195,21 @@ def test_line_scan_sees_every_edge_a_whole_file_parse_sees():
 
 # ---------------------------------------------------------------------------
 # Runtime cross-check.  Limit: a fresh interpreter has already imported
-# the engine's eager imports (26 salt-relevant modules today) before
-# the sys.modules snapshot, so those are not seen.
+# what registering the experiments imports (PRELOADED salt-relevant
+# modules: the root, ``repro.rng``, and the claims ledger with its
+# package) before the sys.modules snapshot, so those are not seen.
 # ---------------------------------------------------------------------------
+#: Salt-relevant modules the registry import loads, measured.
+PRELOADED = 4
+
+_PRELOAD = """
+import json, sys
+from repro.engine.registry import experiment_names
+
+experiment_names()
+print(json.dumps(sorted(sys.modules)))
+"""
+
 _RUN = """
 import json, sys
 from dataclasses import replace
@@ -288,6 +311,25 @@ def _closure_representatives() -> dict[str, tuple[str, ...]]:
 _REPRESENTATIVES = _closure_representatives()
 
 
+def test_the_registry_import_hides_few_modules_from_the_cross_check(tmp_path):
+    """The blind spot of the runtime cross-check cannot grow silently."""
+    graph = package_graph()
+    proc = subprocess.run(
+        [sys.executable, "-c", _PRELOAD],
+        capture_output=True,
+        text=True,
+        env=_env(tmp_path),
+        cwd=tmp_path,
+        check=True,
+    )
+    preloaded = [
+        module
+        for module in json.loads(proc.stdout)
+        if module in graph.paths and not graph.is_exempt(module)
+    ]
+    assert len(preloaded) <= PRELOADED, preloaded
+
+
 def test_there_are_seven_experiment_closures():
     assert len(_REPRESENTATIVES) == 7 + len(ARTIFACT_ROOTS)
 
@@ -315,7 +357,7 @@ def test_every_module_a_run_imports_is_in_its_closure(tmp_path, name):
         module
         for module in imported
         if module in graph.paths
-        and graph.is_relevant(module)
+        and not graph.is_exempt(module)
         and module not in closure
     ]
     assert unsalted == [], f"{name} imports modules outside its salt"

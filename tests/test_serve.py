@@ -1,7 +1,7 @@
 """Advisor-service concurrency suite.
 
 Pins the ISSUE's serving guarantees, all without wall-clock sleeps
-(the batching window runs on :class:`repro.serve.ManualClock` virtual
+(the batching window runs on :class:`repro.serve.clock.ManualClock` virtual
 time):
 
 * the batching window holds requests until ``max_delay`` elapses or
@@ -10,11 +10,11 @@ time):
 * N concurrent requests coalesce into at most ``ceil(N / max_batch)``
   bulk profile/evaluate calls (counter-pinned);
 * a full admission queue rejects with
-  :class:`~repro.serve.ServiceOverloaded` (retry-after hint) while
+  :class:`~repro.serve.protocol.ServiceOverloaded` (retry-after hint) while
   admitted requests still complete, and shutdown drains everything
   already admitted;
 * concurrent clients over TCP get answers digest-identical to
-  one-shot :func:`repro.serve.advise_one` AND to ``repro run
+  one-shot :func:`repro.serve.advisor.advise_one` AND to ``repro run
   serve.advice`` — the service is a serving skin, never a second
   math path;
 * the service's :class:`~repro.engine.store.ArtifactStore` is
@@ -32,18 +32,16 @@ from repro.core import profiler as profiler_mod
 from repro.core.profile_tensor import ProfileTensor
 from repro.engine import ExperimentRunner, result_digest
 from repro.engine.store import ArtifactStore, process_store
-from repro.serve import (
+from repro.serve.clock import ManualClock
+from repro.serve.protocol import (
     AdviceRequest,
-    AdvisorClient,
-    AdvisorServer,
-    AdvisorService,
     InvalidRequest,
-    ManualClock,
     ServiceClosed,
-    ServiceConfig,
     ServiceOverloaded,
     build_histogram,
 )
+from repro.serve.server import AdvisorClient, AdvisorServer
+from repro.serve.service import AdvisorService, ServiceConfig
 from repro.serve.advisor import advise_batch, advise_one
 from repro.workloads.snapshots import SnapshotConfig
 

@@ -10,7 +10,7 @@ Two contracts, Hypothesis-driven:
   of that set;
 * **robustness** — malformed requests (NaN histograms, negative
   counts, unknown codecs, arbitrary JSON junk) surface as
-  :class:`repro.serve.InvalidRequest` with a stable code, never as a
+  :class:`repro.serve.protocol.InvalidRequest` with a stable code, never as a
   bare ``TypeError``/``ValueError``/500-style internal error.
 """
 
@@ -24,15 +24,14 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core import targets as targets_mod
 from repro.core.controller import evaluate_selections_batch
-from repro.serve import (
+from repro.serve.clock import ManualClock
+from repro.serve.protocol import (
     AdviceRequest,
-    AdvisorService,
     InvalidRequest,
-    ManualClock,
-    ServiceConfig,
     build_histogram,
+    DESIGNS,
 )
-from repro.serve.protocol import DESIGNS
+from repro.serve.service import AdvisorService, ServiceConfig
 
 #: Sector buckets per entry (counts' last axis).
 BUCKETS = 4

@@ -32,24 +32,20 @@ from repro.analysis.perf_study import LINK_SWEEP
 from repro.core.controller import BuddyCompressor
 from repro.core.targets import FINAL
 from repro.engine import ExperimentRunner, result_digest
-from repro.gpusim import (
+from repro.gpusim.compression import CompressionMode, CompressionState
+from repro.gpusim.config import scaled_config
+from repro.gpusim.simulator import DependencyDrivenSimulator
+from repro.gpusim.vector_sim import (
     REFERENCE_LINK_GBPS,
-    CompressionMode,
-    CompressionState,
-    DependencyDrivenSimulator,
     check_relaxed_contract,
-    scaled_config,
+    _TAPE_MEMO,
+    _replay_pack,
+    _resolve_tape,
 )
 from repro.gpusim import _event_core
-from repro.gpusim.vector_sim import _TAPE_MEMO, _replay_pack, _resolve_tape
-from repro.serve import (
-    AdviceRequest,
-    AdvisorClient,
-    AdvisorServer,
-    AdvisorService,
-    ServiceConfig,
-    build_histogram,
-)
+from repro.serve.protocol import AdviceRequest, build_histogram
+from repro.serve.server import AdvisorClient, AdvisorServer
+from repro.serve.service import AdvisorService, ServiceConfig
 from repro.workloads.snapshots import SnapshotConfig
 from repro.workloads.traces import TraceConfig, generate_trace, layout_state
 from sim_oracle import run_oracle

@@ -24,13 +24,10 @@ from repro.engine.cache import (
     result_digest,
 )
 from repro.engine.store import process_store
-from repro.gpusim import (
-    REFERENCE_LINK_GBPS,
-    CompressionMode,
-    CompressionState,
-    scaled_config,
-)
+from repro.gpusim.compression import CompressionMode, CompressionState
+from repro.gpusim.config import scaled_config
 from repro.gpusim.vector_sim import (
+    REFERENCE_LINK_GBPS,
     _replay_cycles,
     _resolve_tape,
     _TAPE_HEADER,

@@ -9,8 +9,14 @@ from hypothesis import strategies as st
 
 from repro.analysis.um_study import BUDDY_VS_UM_LEVEL, FIG12_BENCHMARKS, FIG12_LEVELS
 from repro.engine.runner import ExperimentRunner
-from repro.um import UMConfig, pinned_slowdown, um_slowdown
-from repro.um.oversubscription import PAGE_BYTES, _page_stream, um_curve
+from repro.um.oversubscription import (
+    UMConfig,
+    pinned_slowdown,
+    um_slowdown,
+    PAGE_BYTES,
+    _page_stream,
+    um_curve,
+)
 from repro.um.pages import lru_faults, lru_stack_distances
 
 FAST = UMConfig(footprint_pages=256, accesses_per_page=8, sweeps=10)

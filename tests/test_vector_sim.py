@@ -19,17 +19,13 @@ import pytest
 
 from repro.core.entry import TargetRatio
 from repro.engine import ExperimentRunner, result_digest
-from repro.gpusim import (
-    CompressionMode,
-    CompressionState,
-    DependencyDrivenSimulator,
-    VectorizedSimulator,
-    scaled_config,
-)
+from repro.gpusim.compression import CompressionMode, CompressionState
+from repro.gpusim.config import scaled_config
+from repro.gpusim.simulator import DependencyDrivenSimulator
+from repro.gpusim.vector_sim import VectorizedSimulator, _geometry_columns
 from repro.gpusim.cache import SectoredCache
 from repro.gpusim.dram import ChannelSet
 from repro.gpusim.trace import KernelTrace, Op
-from repro.gpusim.vector_sim import _geometry_columns
 from repro.workloads.snapshots import SnapshotConfig
 from repro.workloads.traces import TraceConfig, generate_trace, layout_snapshot
 from sim_oracle import Warp, decode, kernel_trace, run_oracle

@@ -6,16 +6,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.analysis.paper_reference import CLAIMS
-from repro.compression import BPCCompressor, sectors_for_sizes
+from repro.compression.bpc import BPCCompressor
+from repro.compression.sectors import sectors_for_sizes
 from repro.units import GB, MB
-from repro.workloads import (
+from repro.workloads.catalog import (
     ALL_BENCHMARKS,
     DL_BENCHMARKS,
     HPC_BENCHMARKS,
+    get_benchmark,
+)
+from repro.workloads.snapshots import (
     SnapshotConfig,
     generate_run,
     generate_snapshot,
-    get_benchmark,
 )
 from repro.workloads.calibration import (
     AllocationSpec,
@@ -194,7 +197,7 @@ class TestCalibrationQuality:
 
     def test_fig3_suite_gmeans(self):
         """Measured free-size ratios (HPC ~2.4, DL ~1.7) sit in the Fig. 3 bands."""
-        from repro.compression import free_sizes_for_sizes
+        from repro.compression.sectors import free_sizes_for_sizes
         from repro.compression.zeroblock import zero_mask
 
         gmeans = {}
