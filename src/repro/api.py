@@ -15,9 +15,9 @@ commands one for one:
 * :func:`cache_stats` — a typed :class:`CacheStats` snapshot of the
   shared on-disk result cache;
 * :func:`advise` — one advisor answer, in-process (``repro serve``'s
-  one-shot form).  For a *running* ``repro serve`` instance, use the
-  re-exported :class:`AdvisorClient`
-  (``await AdvisorClient.connect(host, port)``).
+  one-shot form).  For a *running* ``repro serve`` instance, use
+  :class:`AdvisorClient` (``await AdvisorClient.connect(host, port)``),
+  which resolves on first use so the facade loads no asyncio server.
 
 Every verb takes the same optional ``runner`` — an
 :class:`repro.engine.ExperimentRunner` controlling parallelism,
@@ -37,7 +37,6 @@ from repro.engine.planner import ExecutionReport, Plan
 from repro.engine.planner import plan as _plan
 from repro.engine.runner import ExperimentRunner, RunReport
 from repro.serve.protocol import Advice, AdviceRequest
-from repro.serve.server import AdvisorClient
 
 __all__ = [
     "Advice",
@@ -53,6 +52,16 @@ __all__ = [
     "run",
     "sweep",
 ]
+
+
+def __getattr__(name: str):
+    """PEP 562: resolve :class:`AdvisorClient` (and with it the asyncio
+    server) on first access only."""
+    if name == "AdvisorClient":
+        from repro.serve.server import AdvisorClient
+
+        return AdvisorClient
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _default_runner(offline: bool = False) -> ExperimentRunner:

@@ -24,7 +24,10 @@ Two paths are provided:
   of DBX plane ``b`` (the top plane passes through).  Bitwise
   reductions over the 31 rows give per-block masks, one bit per plane,
   whose popcounts price every plane and zero run.  Blocks go through
-  in fixed chunks of ``_CHUNK_BLOCKS``, which bounds the temporaries.
+  in fixed chunks of ``_CHUNK_BLOCKS`` = 4,096: a chunk's word-major
+  int64 copy is 1 MiB and its delta and DBX rows about as much, so
+  the working set stays near a core's L2 and the temporaries are a
+  few MiB whatever the input size.
 
 Code table for DBX planes (prefix-free):
 
@@ -56,7 +59,7 @@ _NUM_DELTAS = WORDS_PER_ENTRY - 1  # 31
 _NUM_PLANES = 33  # 33-bit deltas -> 33 bit-planes
 _PLANE_MASK = (1 << _NUM_DELTAS) - 1  # 31-bit planes
 _DELTA_MASK = (1 << _NUM_PLANES) - 1  # 33-bit two's-complement deltas
-_CHUNK_BLOCKS = 1 << 16  # blocks per pass of the vectorised size kernel
+_CHUNK_BLOCKS = 1 << 12  # blocks per pass of the vectorised size kernel
 _RAW_BITS = MEMORY_ENTRY_BYTES * 8  # 1024
 
 # Base-word payload widths for the sign-extended classes.
@@ -179,9 +182,10 @@ class BPCCompressor(CompressionAlgorithm):
         blocks = as_blocks(blocks)
         if blocks.shape[0] == 0:
             return np.zeros(0, dtype=np.int64)
-        bits = self._stream_bits_vectorised(blocks)
-        sizes = (bits + 7) // 8
-        return np.minimum(sizes, MEMORY_ENTRY_BYTES).astype(np.int64)
+        sizes = self._stream_bits_vectorised(blocks)
+        sizes += 7
+        sizes //= 8
+        return np.minimum(sizes, MEMORY_ENTRY_BYTES, out=sizes)
 
     # -- scalar helpers -------------------------------------------------
     def _encode_base(self, writer: BitWriter, word: int) -> None:
@@ -293,12 +297,12 @@ class BPCCompressor(CompressionAlgorithm):
             # Saturating per-plane counts of set symbols (>= 1, >= 2, >= 3)
             # and whether any two adjacent symbols are both set.
             ge1 = dbx[0].copy()
-            ge2, ge3, adjacent = (np.zeros_like(ge1) for _ in range(3))
+            ge2, ge3, adjacent, term = (np.zeros_like(ge1) for _ in range(4))
             for below, row in zip(dbx[:-1], dbx[1:]):
-                ge3 |= ge2 & row
-                ge2 |= ge1 & row
+                ge3 |= np.bitwise_and(ge2, row, out=term)
+                ge2 |= np.bitwise_and(ge1, row, out=term)
                 ge1 |= row
-                adjacent |= below & row
+                adjacent |= np.bitwise_and(below, row, out=term)
             zero = ~ge1 & _DELTA_MASK
             five = np.bitwise_and.reduce(dbx, axis=0)  # all-ones planes
             five |= ge1 & ~np.bitwise_or.reduce(deltas, axis=0)  # DBP == 0

@@ -8,18 +8,20 @@ selection in :mod:`repro.core.targets`.
 
 The profile is the columnar
 :class:`~repro.core.profile_tensor.ProfileTensor`.  A tensor build is
-one *stacked* pass: all allocations of all snapshots are compressed by
-a single bulk ``compressed_sizes`` call (see
+one *stacked* pass: each dump's allocations are copied into one
+preallocated ``(rows, 32)`` block buffer as the dump is generated, and
+a single bulk ``compressed_sizes`` call sizes all of it (see
 :func:`tensor_from_snapshots` and :func:`bulk_compression_call_count`).
 Tensors resolve through the process artifact store
 (:mod:`repro.engine.store`): a bounded memory tier over the result
 cache the experiment engine installs via :func:`set_tensor_cache`, so
 a sweep profiles each (benchmark, config, algorithm) combination
-exactly once no matter how many design points it evaluates.  The same
-pass stores each run's free bytes (sizes quantized to the free-size
-set) per (allocation, snapshot) cell (:func:`free_bytes`, the
-``profile.free`` namespace), which is all Fig. 3 reads.  :func:`entry_state_tensor` stores the
-per-entry state the timing simulators consume the same way.
+exactly once no matter how many design points it evaluates.  For a
+reference-role run the same pass stores the free bytes (sizes
+quantized to the free-size set) per (allocation, snapshot) cell
+(:func:`free_bytes`, the ``profile.free`` namespace), which is all
+Fig. 3 reads.  :func:`entry_state_tensor` stores the per-entry state
+the timing simulators consume the same way.
 """
 
 from __future__ import annotations
@@ -33,9 +35,16 @@ from repro.compression.bpc import BPCCompressor
 from repro.compression.sectors import free_sizes_for_sizes, sectors_for_sizes
 from repro.compression.zeroblock import zero_mask
 from repro.core.profile_tensor import EntryStateTensor, ProfileTensor
-from repro.units import SECTORS_PER_ENTRY, ZERO_CLASS_BYTES
+from repro.units import (
+    MEMORY_ENTRY_BYTES,
+    SECTORS_PER_ENTRY,
+    WORDS_PER_ENTRY,
+    ZERO_CLASS_BYTES,
+)
 from repro.workloads.snapshots import (
+    ROLE_PROFILE,
     SnapshotConfig,
+    dump_entries,
     generate_run,
 )
 
@@ -45,11 +54,11 @@ from repro.workloads.snapshots import (
 # ---------------------------------------------------------------------------
 @dataclass
 class _GatheredRun:
-    """One benchmark run gathered for a stacked compression pass.
+    """One benchmark run gathered into a stacked compression pass.
 
     Splitting the gather from the scatter lets
-    :func:`profile_tensors_bulk` concatenate several runs' block
-    arrays into a *single* ``compressed_sizes`` call — entries
+    :func:`profile_tensors_bulk` stack several runs' blocks into one
+    buffer sized by a *single* ``compressed_sizes`` call — entries
     compress independently, so the merged call's sizes are
     element-wise identical to per-run calls.
     """
@@ -58,7 +67,6 @@ class _GatheredRun:
     names: tuple[str, ...]
     fractions: np.ndarray
     cells: list[tuple[int, int, int]]  # (position, snapshot, rows)
-    blocks: list[np.ndarray]
     snapshot_count: int
 
     @property
@@ -66,14 +74,19 @@ class _GatheredRun:
         return sum(rows for _, _, rows in self.cells)
 
 
-def _gather_run(benchmark: str, snapshots) -> _GatheredRun:
-    """Gather a snapshot sequence's blocks and cell map for stacking."""
+def _gather_run(benchmark: str, snapshots, out: np.ndarray) -> _GatheredRun:
+    """Copy a snapshot sequence's blocks into ``out``, and map its cells.
+
+    ``out`` is this run's ``(rows, 32)`` uint32 slice of the stacked
+    buffer; each dump is copied in as it arrives, so a generated run
+    is never held whole a second time.
+    """
     order: dict[str, int] = {}
     fractions: dict[str, float] = {}
-    blocks: list[np.ndarray] = []
     #: Cell map: (allocation position, snapshot index, entry rows).
     cells: list[tuple[int, int, int]] = []
     snapshot_count = 0
+    filled = 0
     for snapshot in snapshots:
         for alloc in snapshot.allocations:
             position = order.setdefault(alloc.name, len(order))
@@ -81,10 +94,16 @@ def _gather_run(benchmark: str, snapshots) -> _GatheredRun:
             # tails) must match what a per-cell compressed_sizes call
             # would have seen, so cells are normalised before stacking.
             cell_blocks = as_blocks(alloc.data)
-            blocks.append(cell_blocks)
-            cells.append((position, snapshot_count, cell_blocks.shape[0]))
+            rows = cell_blocks.shape[0]
+            out[filled : filled + rows] = cell_blocks
+            filled += rows
+            cells.append((position, snapshot_count, rows))
             fractions[alloc.name] = alloc.spec.fraction
         snapshot_count += 1
+    if filled != out.shape[0]:
+        raise ValueError(
+            f"{benchmark}: gathered {filled} blocks into a {out.shape[0]}-row buffer"
+        )
     names = tuple(order)
     appearances = [0] * len(names)
     for position, _, _ in cells:
@@ -100,9 +119,35 @@ def _gather_run(benchmark: str, snapshots) -> _GatheredRun:
         names=names,
         fractions=np.array([fractions[name] for name in names]),
         cells=cells,
-        blocks=blocks,
         snapshot_count=snapshot_count,
     )
+
+
+def _size_runs(runs, algorithm: CompressionAlgorithm, free: bool):
+    """Gather ``(benchmark, snapshots, rows)`` runs and size them in ONE call.
+
+    The runs' blocks go into one preallocated ``(rows, 32)`` uint32
+    buffer, which a single bulk ``compressed_sizes`` call sizes.
+    Returns the gathered runs, the per-entry sizes and, when ``free``
+    is set, the per-entry free bytes (one ``free_sizes_for_sizes``
+    over the same sizes and the buffer's zero mask).
+    """
+    stacked = np.empty(
+        (sum(rows for _, _, rows in runs), WORDS_PER_ENTRY), dtype=np.uint32
+    )
+    gathered = []
+    offset = 0
+    for benchmark, snapshots, rows in runs:
+        out = stacked[offset : offset + rows]
+        gathered.append(_gather_run(benchmark, snapshots, out))
+        offset += rows
+    sizes = free_sizes = np.zeros(0, dtype=np.int64)
+    if stacked.shape[0]:
+        sizes = algorithm.compressed_sizes(stacked)
+        record_bulk_compression_call()
+        if free:
+            free_sizes = free_sizes_for_sizes(sizes, zero_mask(stacked))
+    return gathered, sizes, free_sizes
 
 
 def _scatter_tensor(gathered: _GatheredRun, sizes: np.ndarray) -> ProfileTensor:
@@ -161,8 +206,8 @@ def tensor_from_snapshots(
     """Build the columnar profile of an explicit snapshot sequence.
 
     The whole run is compressed in one stacked pass: every allocation
-    of every snapshot is gathered into a single ``(N, 32)`` uint32
-    block array alongside an (allocation, snapshot) cell map, one bulk
+    of every snapshot is copied into a single ``(N, 32)`` uint32
+    block buffer alongside an (allocation, snapshot) cell map, one bulk
     :meth:`~repro.compression.base.CompressionAlgorithm.compressed_sizes`
     call sizes all of it, and the results are scattered back into the
     tensor's columns.  Per-cell ``compressed_sizes`` calls would give
@@ -173,12 +218,15 @@ def tensor_from_snapshots(
     paper's offline profiler.
     """
     algorithm = algorithm or BPCCompressor()
-    gathered = _gather_run(benchmark, snapshots)
-    if not gathered.cells:
-        return _scatter_tensor(gathered, np.zeros(0, dtype=np.int64))
-    stacked = np.concatenate(gathered.blocks, axis=0)
-    sizes = algorithm.compressed_sizes(stacked)
-    record_bulk_compression_call()
+    snapshots = list(snapshots)
+    rows = sum(
+        -(-alloc.data.nbytes // MEMORY_ENTRY_BYTES)
+        for snapshot in snapshots
+        for alloc in snapshot.allocations
+    )
+    [gathered], sizes, _ = _size_runs(
+        [(benchmark, snapshots, rows)], algorithm, free=False
+    )
     return _scatter_tensor(gathered, sizes)
 
 
@@ -321,32 +369,33 @@ def entry_state_cache_key(benchmark: str, config: SnapshotConfig, index: int):
     return CacheKey("profile.entries", digest)
 
 
-def _build_runs(names, config, algorithm, store) -> dict:
+def _build_runs(names, config, algorithm, store, free: bool) -> dict:
     """Generate ``names``' runs and size them in ONE bulk call.
 
-    Stores each run's profile tensor and its free bytes (one
-    ``free_sizes_for_sizes`` over the same sizes and the stacked
-    blocks' zero mask), and returns ``{name: (tensor, free)}``.
+    Each dump is copied into the stacked buffer as it is generated
+    (:func:`_size_runs`, with rows from
+    :func:`~repro.workloads.snapshots.dump_entries`).  Stores each
+    run's profile tensor and, when ``free`` is set, its free bytes,
+    and returns ``{name: (tensor, free bytes or None)}``.
     """
     global _PROFILE_PASSES
-    gathered = [_gather_run(name, generate_run(name, config)) for name in names]
-    blocks = [block for run in gathered for block in run.blocks]
-    sizes = free = np.zeros(0, dtype=np.int64)
-    if blocks:
-        stacked = np.concatenate(blocks, axis=0)
-        sizes = algorithm.compressed_sizes(stacked)
-        record_bulk_compression_call()
-        free = free_sizes_for_sizes(sizes, zero_mask(stacked))
+    sources = [
+        (name, generate_run(name, config), dump_entries(name, config) * config.snapshots)
+        for name in names
+    ]
+    gathered, sizes, free_sizes = _size_runs(sources, algorithm, free)
     runs = {}
     offset = 0
     for run in gathered:
         rows = slice(offset, offset + run.rows)
         offset = rows.stop
         tensor = _scatter_tensor(run, sizes[rows])
-        run_free = _scatter_free(run, free[rows])
         _PROFILE_PASSES += 1
         store.put(tensor_cache_key(run.benchmark, config, algorithm), tensor)
-        store.put(free_cache_key(run.benchmark, config, algorithm), run_free)
+        run_free = None
+        if free:
+            run_free = _scatter_free(run, free_sizes[rows])
+            store.put(free_cache_key(run.benchmark, config, algorithm), run_free)
         runs[run.benchmark] = (tensor, run_free)
     return runs
 
@@ -360,10 +409,11 @@ def profile_tensors_bulk(
     """Profile several benchmarks through ONE bulk compression call.
 
     Every benchmark missing from the process artifact store (memory,
-    then its disk tier when installed) has its run gathered, all
-    gathered block arrays are concatenated, and a single
+    then its disk tier when installed) has its run generated dump by
+    dump into one stacked block buffer, and a single
     ``compressed_sizes`` call sizes the whole batch before per-run
-    scatter; each result is stored, with its :func:`free_bytes`.
+    scatter; each result is stored, a reference-role run's with its
+    :func:`free_bytes` (Fig. 3 reads no profile-role run's).
     Entries compress independently, so each resulting tensor is
     bit-identical to a solo build — but a planned Fig. 7+9 sweep
     issues one bulk call where the unplanned path issues one per
@@ -395,7 +445,7 @@ def profile_tensors_bulk(
             missing.append(name)
     if missing:
         for name, (tensor, _) in _build_runs(
-            missing, config, algorithm, store
+            missing, config, algorithm, store, free=config.role != ROLE_PROFILE
         ).items():
             tensors[name] = tensor
         if built is not None:
@@ -417,11 +467,12 @@ def free_bytes(
     free-size set
     (:func:`~repro.compression.sectors.free_sizes_for_sizes`; an
     all-zero entry takes 0 B), as stored under ``profile.free`` by the
-    bulk pass that builds the run's profile tensor.  A stored
-    tensor does not imply stored free bytes — a resident value reaches
-    a newly installed disk tier only when it is read, and the two are
-    evicted independently — so a miss rebuilds the run through that
-    same pass, which stores both again.
+    bulk pass that builds a reference-role run's profile tensor.  A
+    stored tensor does not imply stored free bytes — a profile-role
+    build stores none, a resident value reaches a newly installed disk
+    tier only when it is read, and the two are evicted independently —
+    so a miss rebuilds the run through that same pass, which stores
+    both again.
     """
     from repro.engine.cache import CacheMiss
     from repro.engine.store import process_store
@@ -433,7 +484,7 @@ def free_bytes(
         return store.get(free_cache_key(name, config, algorithm))
     except CacheMiss:
         pass
-    return _build_runs([name], config, algorithm, store)[name][1]
+    return _build_runs([name], config, algorithm, store, free=True)[name][1]
 
 
 def profile_tensor(

@@ -89,6 +89,7 @@ class AllocationSnapshot:
     spec: AllocationSpec
     classes: np.ndarray  # (n,) EntryClass values
     data: np.ndarray  # (n, 32) uint32 memory-entry words
+    latents: np.ndarray  # (n,) latents after this dump's churn steps
 
     @property
     def name(self) -> str:
@@ -184,6 +185,17 @@ def _entry_counts(spec: BenchmarkDataSpec, config: SnapshotConfig) -> list[int]:
     return [max(64, int(round(alloc.fraction * total))) for alloc in spec.allocations]
 
 
+def dump_entries(benchmark: str, config: SnapshotConfig | None = None) -> int:
+    """Memory-entries in each dump of a benchmark run under ``config``.
+
+    Every dump of a run has the same allocations and sizes, so a run's
+    stacked blocks are ``dump_entries * config.snapshots`` rows; the
+    profiler preallocates its bulk buffer from this count.
+    """
+    config = config or SnapshotConfig()
+    return sum(_entry_counts(data_spec(get_benchmark(benchmark).name), config))
+
+
 def _effective_mix(
     alloc: AllocationSpec, spec: BenchmarkDataSpec, config: SnapshotConfig
 ) -> AllocationSpec:
@@ -243,25 +255,17 @@ def _base_latents(
     raise ValueError(f"unknown layout {alloc.layout!r}")
 
 
-def _latents_at(
-    alloc: AllocationSpec,
-    n: int,
-    index: int,
-    benchmark: str,
-    config: SnapshotConfig,
-) -> np.ndarray:
-    """Latents after ``index`` churn steps."""
-    stream = f"{benchmark}/{alloc.name}/{config.role}"
-    latents = _base_latents(alloc, n, f"{stream}/base", config.seed)
+def _churn(
+    latents: np.ndarray, alloc: AllocationSpec, stream: str, step: int, seed: int
+) -> None:
+    """Re-roll churn step ``step``'s share of ``latents`` in place."""
     if alloc.churn <= 0:
-        return latents
-    for step in range(1, index + 1):
-        rng = rng_lib.generator(f"{stream}/churn/{step}", config.seed)
-        mask = rng.random(n) < alloc.churn
-        count = int(mask.sum())
-        if count:
-            latents[mask] = rng.random(count)
-    return latents
+        return
+    rng = rng_lib.generator(f"{stream}/churn/{step}", seed)
+    mask = rng.random(latents.size) < alloc.churn
+    count = int(mask.sum())
+    if count:
+        latents[mask] = rng.random(count)
 
 
 def _classes_from_latents(latents: np.ndarray, mix: ClassMix) -> np.ndarray:
@@ -272,7 +276,10 @@ def _classes_from_latents(latents: np.ndarray, mix: ClassMix) -> np.ndarray:
 
 
 def generate_snapshot(
-    benchmark: str, index: int, config: SnapshotConfig | None = None
+    benchmark: str,
+    index: int,
+    config: SnapshotConfig | None = None,
+    previous: MemorySnapshot | None = None,
 ) -> MemorySnapshot:
     """Generate dump ``index`` (0-based) of a benchmark's run.
 
@@ -281,26 +288,46 @@ def generate_snapshot(
     level up: the sweep planner's stage 0 reduces each dump once into
     the stored profile and entry-state tensors
     (:mod:`repro.core.profiler`), which later stages read instead.
+
+    Each dump's latents are the previous dump's after one churn step.
+    Given ``previous`` (dump ``index - 1`` of the same run and
+    ``config``, as :func:`generate_run` passes it), the latents carry
+    forward from it; otherwise every step is replayed from the base
+    latents.  Both give the same dump.
     """
     global _GENERATION_COUNT
     config = config or SnapshotConfig()
     if not 0 <= index < config.snapshots:
         raise ValueError(f"snapshot index {index} outside 0..{config.snapshots - 1}")
-    _GENERATION_COUNT += 1
     spec = data_spec(get_benchmark(benchmark).name)
+    if previous is not None and (previous.benchmark, previous.index) != (
+        spec.benchmark,
+        index - 1,
+    ):
+        raise ValueError(
+            f"dump {index} of {spec.benchmark} cannot continue dump "
+            f"{previous.index} of {previous.benchmark}"
+        )
+    _GENERATION_COUNT += 1
     counts = _entry_counts(spec, config)
     progress = index / max(config.snapshots - 1, 1)
 
     allocations = []
-    for alloc, n in zip(spec.allocations, counts):
+    for position, (alloc, n) in enumerate(zip(spec.allocations, counts)):
         effective = _effective_mix(alloc, spec, config)
-        latents = _latents_at(effective, n, index, spec.benchmark, config)
+        stream = f"{spec.benchmark}/{alloc.name}/{config.role}"
+        if previous is None:
+            latents = _base_latents(effective, n, f"{stream}/base", config.seed)
+            steps = range(1, index + 1)
+        else:
+            latents = previous.allocations[position].latents.copy()
+            steps = (index,)
+        for step in steps:
+            _churn(latents, effective, stream, step, config.seed)
         classes = _classes_from_latents(latents, effective.mix_at(progress))
-        data_rng = rng_lib.generator(
-            f"{spec.benchmark}/{alloc.name}/{config.role}/data/{index}", config.seed
-        )
+        data_rng = rng_lib.generator(f"{stream}/data/{index}", config.seed)
         data = generate_entries(classes, data_rng)
-        allocations.append(AllocationSnapshot(effective, classes, data))
+        allocations.append(AllocationSnapshot(effective, classes, data, latents))
     return MemorySnapshot(spec.benchmark, index, progress, allocations)
 
 
@@ -321,7 +348,13 @@ def generation_count() -> int:
 def generate_run(
     benchmark: str, config: SnapshotConfig | None = None
 ):
-    """Yield all dumps of a benchmark run, in order."""
+    """Yield all dumps of a benchmark run, in order.
+
+    Each dump continues the previous one's latents (one churn step
+    each) instead of replaying every step from the base latents.
+    """
     config = config or SnapshotConfig()
+    snapshot = None
     for index in range(config.snapshots):
-        yield generate_snapshot(benchmark, index, config)
+        snapshot = generate_snapshot(benchmark, index, config, snapshot)
+        yield snapshot

@@ -10,7 +10,9 @@ Pins the parts of the public surface the other suites only graze:
   added or renamed key is an interface break);
 * the CLI's user-error path exits 2 with a message, never a
   traceback;
-* ``import repro`` loads nothing else, yet its facade names resolve.
+* ``import repro`` loads nothing else, yet its facade names resolve;
+* ``import repro.api`` loads no asyncio server until
+  ``repro.api.AdvisorClient`` is used.
 """
 
 import json
@@ -57,6 +59,35 @@ def test_import_repro_loads_nothing_else():
     assert version == repro.__version__
     with pytest.raises(AttributeError):
         repro.no_such_name
+
+
+_FACADE_IMPORT = """
+import json, sys
+import repro.api
+before = sorted({"asyncio", "repro.serve.server"} & set(sys.modules))
+client = repro.api.AdvisorClient
+print(json.dumps([before, client.__module__, "asyncio" in sys.modules]))
+"""
+
+
+def test_facade_import_leaves_the_advisor_server_unloaded():
+    """``import repro.api`` (what the first ``repro.run`` does) loads
+    neither asyncio nor the advisor server; ``AdvisorClient`` still
+    resolves from the facade on first use."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _FACADE_IMPORT],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        check=True,
+    )
+    before, module, asyncio_loaded = json.loads(proc.stdout)
+    assert before == []
+    assert module == "repro.serve.server"
+    assert asyncio_loaded
+    with pytest.raises(AttributeError):
+        repro.api.no_such_name
 
 
 class TestAdviseFacade:

@@ -141,7 +141,9 @@ class TestVectorisedSizes:
         assert BPC.compressed_sizes(np.zeros((0, 32), dtype=np.uint32)).size == 0
 
     def test_sizing_memory_is_bounded(self):
-        """Chunking caps the kernel's temporaries, whatever the input size."""
+        """Chunking caps the kernel's temporaries, whatever the input size:
+        4,096-block chunks make a few MiB of them, and the one int64 size
+        vector is 2 MiB here."""
         blocks = np.random.default_rng(18).integers(0, 1 << 12, (1 << 18, 32), dtype=np.uint32)
         tracemalloc.start()
         try:
@@ -149,7 +151,7 @@ class TestVectorisedSizes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 128 * 2**20
+        assert peak < 16 * 2**20
 
     def test_accepts_flat_bytes(self):
         data = np.zeros(256, dtype=np.uint8)

@@ -156,6 +156,23 @@ class TestSnapshots:
         assert ratios[0] > 2 * ratios[-1]
         assert ratios[-1] > 1.5
 
+    def test_run_carries_churn_like_a_replay(self):
+        """A run's dumps continue the previous dump's latents; each
+        equals the dump generated alone, which replays every step."""
+        for role in (SMALL, SMALL.as_profile()):
+            for index, carried in enumerate(generate_run("ResNet50", role)):
+                alone = generate_snapshot("ResNet50", index, role)
+                for a, b in zip(carried.allocations, alone.allocations):
+                    np.testing.assert_array_equal(a.latents, b.latents)
+                    np.testing.assert_array_equal(a.data, b.data)
+
+    def test_previous_must_be_the_dump_before(self):
+        first = generate_snapshot("ResNet50", 0, SMALL)
+        with pytest.raises(ValueError, match="cannot continue"):
+            generate_snapshot("ResNet50", 2, SMALL, first)
+        with pytest.raises(ValueError, match="cannot continue"):
+            generate_snapshot("VGG16", 1, SMALL, first)
+
     def test_dl_churn_changes_entries_but_not_mix(self):
         """Fig. 8's observation: entries churn, the aggregate stays put."""
         snaps = [generate_snapshot("ResNet50", i, SMALL) for i in (0, 5)]
