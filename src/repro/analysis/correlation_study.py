@@ -75,17 +75,16 @@ def correlation_point(
     memory_instructions: int,
     sm_count: int = 4,
     warps_per_sm: int = 6,
-    engine: str = "vectorized",
-    verify: float = 0.0,
 ) -> CorrelationPoint:
     """Both simulators on one (benchmark, trace length) design point.
 
-    Cycle counts are deterministic (and identical across the fast
-    simulator's engines — the correlation points run IDEAL-mode
-    traces without host traffic, where even the relaxed engine is
-    provably exact); the wall-clock fields are measured fresh on
-    every execution (a cached point keeps the timings of the run that
-    produced it).
+    The fast simulator runs its default (vectorized) engine: the
+    points are IDEAL-mode traces without host traffic at the reference
+    interconnect, where the relaxed engine is provably the same exact
+    engine, so an engine choice would only fork cache keys.  Cycle
+    counts are deterministic; the wall-clock fields are measured fresh
+    on every execution (a cached point keeps the timings of the run
+    that produced it).
     """
     config = scaled_config(sm_count=sm_count, warps_per_sm=warps_per_sm)
     trace_config = TraceConfig(
@@ -101,7 +100,7 @@ def correlation_point(
     # (the speed-ratio column of Fig. 10's table); the correlated
     # cycle counts above them stay fully deterministic.
     start = time.perf_counter()  # repro: allow[det-time] informational timing, not a result
-    fast = DependencyDrivenSimulator(config, engine, verify).run(trace, state)
+    fast = DependencyDrivenSimulator(config).run(trace, state)
     fast_seconds = time.perf_counter() - start  # repro: allow[det-time] informational timing, not a result
 
     start = time.perf_counter()  # repro: allow[det-time] informational timing, not a result
@@ -126,12 +125,10 @@ def fig10_plan(point: dict) -> list:
     planner builds each benchmark's entry-state tensor once for the
     whole grid.
 
-    Grouping by tape key is *degenerate* here: the correlation points
-    run IDEAL-mode states at the machine's default (reference)
-    interconnect only, where the relaxed engine is the exact engine
-    and never records a tape — so no :class:`TapeSpec` is declared,
-    and a co-submitted fig10+fig11 sweep's tape count is exactly the
-    fig11 relaxed benchmarks'.
+    The points run the exact engine only and never record a tape — so
+    no :class:`~repro.engine.planner.TapeSpec` is declared, and a
+    co-submitted fig10+fig11 sweep's tape count is exactly the fig11
+    relaxed benchmarks'.
     """
     from repro.engine.planner import EntryStateSpec, TraceSpec
 

@@ -24,9 +24,10 @@ cache hits — without executing anything.
 
 The CLI knows no experiment by name: every paper figure (Fig. 6
 included, as ``compression.fig6``) is a registered experiment that
-formats its own result.  ``--engine SPEC`` selects the simulator core
-of the timing studies in :class:`~repro.gpusim.engine_spec.EngineSpec`
-form, e.g. ``relaxed`` or ``relaxed:verify=0.5``.
+formats its own result.  ``--engine NAME[:verify=FRACTION]`` selects
+``perf.fig11``'s simulator core, e.g. ``relaxed`` or
+``relaxed:verify=0.5``; :func:`repro.gpusim.simulator.check_engine`
+validates it.
 """
 
 from __future__ import annotations
@@ -60,18 +61,35 @@ def _build_runner(args, offline: bool = False) -> ExperimentRunner:
 
 
 def _engine_params(text: str) -> dict:
-    """``--engine SPEC`` as experiment parameters (argparse ``type=``).
+    """``--engine NAME[:verify=FRACTION]`` as experiment parameters.
 
-    A malformed spec, or a ``tolerance=`` that cached studies cannot
-    take, is a usage error: argparse prints EngineSpec's message and
-    exits 2.
+    The argparse ``type=``: blanks around the text or an option and a
+    trailing comma are allowed.  A malformed spec or a selection
+    :func:`~repro.gpusim.simulator.check_engine` rejects is a usage
+    error: argparse prints the message and exits 2.
     """
-    from repro.gpusim.engine_spec import EngineSpec
+    from repro.gpusim.simulator import check_engine
 
+    name, _, options = text.strip().partition(":")
+    verify = 0.0
     try:
-        return EngineSpec.parse(text).study_params()
+        for item in filter(None, options.split(",")):
+            key, sep, value = item.partition("=")
+            if not sep or key.strip() != "verify":
+                raise ValueError(
+                    f"bad engine spec option {item!r} in {text!r}; "
+                    "expected verify=FRACTION"
+                )
+            try:
+                verify = float(value)
+            except ValueError:
+                raise ValueError(
+                    f"bad engine spec value {value!r} for verify in {text!r}"
+                ) from None
+        check_engine(name, verify)
     except ValueError as err:
         raise argparse.ArgumentTypeError(str(err)) from None
+    return {"engine": name, "verify": verify}
 
 
 def _experiment_params(name: str, args) -> dict:
@@ -363,108 +381,10 @@ async def _serve_forever(args) -> int:
     return 0
 
 
-async def _serve_check(args) -> int:
-    """In-process self-test: boot, load, assert parity + coalescing.
-
-    Fires a burst of concurrent client requests over TCP, then checks
-    (1) zero below-capacity drops, (2) the batcher coalesced them into
-    at most ceil(N / max_batch) bulk profile/evaluate calls, and
-    (3) every answer's digest equals the one-shot ``repro run
-    serve.advice`` digest for the same question.  Exit 1 on any
-    failure — the CI serve job's gate.
-    """
-    import asyncio
-    import math
-
-    from repro.serve.protocol import DEFAULT_THRESHOLDS, DESIGNS, AdviceRequest
-    from repro.serve.server import AdvisorClient
-    from repro.workloads.snapshots import SnapshotConfig
-
-    benchmarks = tuple(args.benchmarks) or ("VGG16", "356.sp")
-    config = SnapshotConfig(scale=args.scale) if args.scale else SnapshotConfig()
-    #: Per benchmark: the default grid plus trimmed variants, so the
-    #: burst carries distinct requests that still share one tensor.
-    threshold_sets = (
-        DEFAULT_THRESHOLDS,
-        DEFAULT_THRESHOLDS[:3],
-        DEFAULT_THRESHOLDS[:2],
-    )
-    requests = [
-        AdviceRequest(benchmark=name, thresholds=thresholds)
-        for name in benchmarks
-        for thresholds in threshold_sets
-    ]
-
-    service, server = _serve_components(args)
-    failures = []
-    async with service:
-        async with server:
-            client = await AdvisorClient.connect(server.host, server.port)
-            try:
-                advices = await asyncio.gather(
-                    *(client.advise(request) for request in requests)
-                )
-            finally:
-                await client.aclose()
-    stats = service.stats_json()
-
-    if stats["service"]["rejected"]:
-        failures.append(
-            f"{stats['service']['rejected']} below-capacity rejection(s)"
-        )
-    ceiling = math.ceil(len(requests) / service.config.max_batch)
-    for kind in ("profile", "evaluate"):
-        calls = stats["bulk_calls"][kind]
-        if calls > ceiling:
-            failures.append(
-                f"{calls} bulk {kind} calls for {len(requests)} requests "
-                f"(allowed {ceiling})"
-            )
-
-    # Digest parity with the one-shot engine path, per benchmark.
-    runner = ExperimentRunner(cache=None)
-    for name in benchmarks:
-        value, _ = runner.run_report(
-            "serve.advice",
-            {
-                "benchmarks": (name,),
-                "codec": "bpc",
-                "thresholds": DEFAULT_THRESHOLDS,
-                "designs": DESIGNS,
-                "config": config,
-            },
-        )
-        oneshot = result_digest(value[name])
-        served = next(
-            advice
-            for request, advice in zip(requests, advices)
-            if request.benchmark == name
-            and request.thresholds == DEFAULT_THRESHOLDS
-        )
-        status = "ok" if served.digest == oneshot else "MISMATCH"
-        print(f"{name:14s} served {served.digest} one-shot {oneshot} {status}")
-        if served.digest != oneshot:
-            failures.append(f"digest mismatch for {name}")
-
-    print(
-        f"serve check: {len(requests)} requests, "
-        f"{stats['service']['batches']} batch(es), "
-        f"largest {stats['service']['largest_batch']}, "
-        f"{stats['bulk_calls']['profile']} bulk profile / "
-        f"{stats['bulk_calls']['evaluate']} bulk evaluate call(s), "
-        f"hot hits {stats['hot_cache']['hits']}"
-    )
-    for failure in failures:
-        print(f"error: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
 def _cmd_serve(args) -> int:
-    """Boot the always-on advisor service (or its --check self-test)."""
+    """Boot the always-on advisor service."""
     import asyncio
 
-    if args.check:
-        return asyncio.run(_serve_check(args))
     try:
         return asyncio.run(_serve_forever(args))
     except KeyboardInterrupt:
@@ -497,7 +417,7 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SPEC",
         help=(
-            "simulator core of the timing studies (fig10/fig11) as "
+            "simulator core of perf.fig11 as "
             "NAME[:verify=FRACTION]: vectorized (default, exact) "
             "or relaxed (frozen-order tape engine, fastest across link "
             "sweeps; verify= cross-checks that fraction of runs "
@@ -678,17 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="snapshot subsampling fraction for benchmark-backed "
         "requests (default: the paper's 1/16384)",
-    )
-    serve.add_argument(
-        "--check",
-        action="store_true",
-        help="self-test instead of serving: fire a concurrent burst, "
-        "assert coalescing and digest parity with 'repro run', exit 0/1",
-    )
-    serve.add_argument(
-        "benchmarks",
-        nargs="*",
-        help="benchmarks exercised by --check (default: VGG16, 356.sp)",
     )
     serve.set_defaults(func=_cmd_serve)
 

@@ -23,12 +23,13 @@ Registered experiments::
     dl.fig13           the four DL case-study panels (Fig. 13)
     serve.advice       the advisor service's answer, one-shot form
 
-The two timing studies carry an ``engine`` parameter
-("vectorized" / "relaxed", see docs/engines.md) and a ``verify``
-fraction (the relaxed engine's sampled cross-check against the
-vectorized engine); both are ordinary cache-key axes, so results
-produced by different simulator cores are addressed separately and
-never mix.
+``perf.fig11`` carries an ``engine`` parameter ("vectorized" /
+"relaxed", see docs/engines.md) and a ``verify`` fraction (the relaxed
+engine's sampled cross-check against the vectorized engine); both are
+ordinary cache-key axes, so results produced by different simulator
+cores are addressed separately and never mix.  ``correlation.fig10``
+has neither: its points run IDEAL-mode traces at the reference
+interconnect, where the two engines are the same exact engine.
 """
 
 from __future__ import annotations
@@ -356,8 +357,6 @@ def _fig10_defaults() -> dict:
         "instruction_scales": (6, 18),
         "sm_count": 4,
         "warps_per_sm": 6,
-        "engine": "vectorized",
-        "verify": 0.0,
     }
 
 
@@ -368,8 +367,6 @@ def _fig10_expand(params: dict) -> list[dict]:
             "memory_instructions": scale,
             "sm_count": params["sm_count"],
             "warps_per_sm": params["warps_per_sm"],
-            "engine": params["engine"],
-            "verify": params["verify"],
         }
         for name in params["benchmarks"]
         for scale in params["instruction_scales"]
@@ -384,8 +381,6 @@ def _fig10_point(point: dict):
         point["memory_instructions"],
         point["sm_count"],
         point["warps_per_sm"],
-        point["engine"],
-        point["verify"],
     )
 
 

@@ -13,9 +13,9 @@ three memory-system modes of Fig. 11:
 
 The simulator ships two engines behind one front door
 (:class:`~repro.gpusim.simulator.DependencyDrivenSimulator`): the default ``"vectorized"``
-batched-event core (:mod:`repro.gpusim.vector_sim`) and the
+batched-event core (:func:`~repro.gpusim.vector_sim.run_vectorized`) and the
 ``"relaxed"`` frozen-order tape engine
-(:class:`~repro.gpusim.vector_sim.RelaxedSimulator`, whose ``verify=``
+(:func:`~repro.gpusim.vector_sim.replay_links`, whose ``verify=``
 cross-checks sampled runs against the vectorized engine).  The tests
 pin both against a per-access oracle kept with them; the contract is
 documented in ``docs/engines.md``.  :mod:`repro.gpusim.reference`

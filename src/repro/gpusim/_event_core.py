@@ -2,9 +2,9 @@
 
 This module is the extraction point of the hot loops of
 :mod:`repro.gpusim.vector_sim`: the exact ``(ready, sequence)``
-event scheduler of :class:`~repro.gpusim.vector_sim.VectorizedSimulator`
+event scheduler of :func:`~repro.gpusim.vector_sim.run_vectorized`
 (:func:`run_exact`) and the frozen-order tape replay of
-:class:`~repro.gpusim.vector_sim.RelaxedSimulator`
+:func:`~repro.gpusim.vector_sim.replay_links`
 (:func:`replay_tape_many`).  Both operate on **flat arrays only** —
 the caller hands over a fixed tuple of C-contiguous
 ``int64``/``float64`` NumPy columns plus scalar tuples, and gets back
@@ -297,7 +297,7 @@ def _run_exact_py(arrays, iscalars, fscalars, record, geo_cache,
     """The always-available pure-Python event core.
 
     A verbatim port of the historical inline loop of
-    ``VectorizedSimulator.run``; the compiled extension transcribes
+    ``run_vectorized``; the compiled extension transcribes
     *this* function.  Derived row tuples (zips of the input columns)
     are memoised in the caller-owned caches so repeated runs over the
     same geometry pay the conversion once, matching the old

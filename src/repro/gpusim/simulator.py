@@ -17,7 +17,8 @@ The memory pipeline implements the three Fig.-11 modes:
   buddy fetches cannot start until the metadata arrives) and sources
   overflow sectors over the interconnect.
 
-:class:`DependencyDrivenSimulator` dispatches to the engines in
+:class:`DependencyDrivenSimulator` selects between the two engines
+(:data:`ENGINES`), both module functions of
 :mod:`repro.gpusim.vector_sim`.  :class:`_MemorySystem` is the same
 pipeline as scalar per-access calls; the cycle-stepped reference
 (:mod:`repro.gpusim.reference`) drives it.
@@ -32,7 +33,6 @@ from repro.gpusim.cache import FULL_MASK, SectoredCache, sector_mask
 from repro.gpusim.compression import CompressionMode, CompressionState
 from repro.gpusim.config import GPUConfig
 from repro.gpusim.dram import ChannelSet
-from repro.gpusim.engine_spec import EngineSpec
 from repro.gpusim.interconnect import Interconnect
 from repro.gpusim.trace import KernelTrace
 from repro.units import (
@@ -41,6 +41,27 @@ from repro.units import (
     METADATA_LINE_BYTES,
     SECTOR_BYTES,
 )
+
+#: Engines selectable on :class:`DependencyDrivenSimulator`.
+ENGINES = ("vectorized", "relaxed")
+
+
+def check_engine(engine: str, verify: float) -> None:
+    """Raise ``ValueError`` unless ``(engine, verify)`` is a selection
+    :class:`DependencyDrivenSimulator` can run."""
+    if engine not in ENGINES:
+        raise ValueError(
+            f"unknown engine {engine!r}; expected one of {ENGINES}"
+        )
+    if not 0.0 <= verify <= 1.0:
+        raise ValueError(
+            f"verify must be a fraction in [0, 1], got {verify!r}"
+        )
+    if verify and engine != "relaxed":
+        raise ValueError(
+            "verify= cross-checking is the relaxed engine's escape "
+            f"hatch; engine {engine!r} is already exact"
+        )
 
 
 @dataclass
@@ -212,24 +233,24 @@ class DependencyDrivenSimulator:
     """The fast simulator (Fig. 10's subject; Fig. 11's instrument).
 
     Two engines implement the same machine (the contract is
-    documented in ``docs/engines.md``); the selection is validated by
-    :class:`~repro.gpusim.engine_spec.EngineSpec`:
+    documented in ``docs/engines.md``); :func:`check_engine` validates
+    the selection:
 
-    * ``"vectorized"`` (default) — the batched-event core in
-      :mod:`repro.gpusim.vector_sim`: per-access quantities resolve as
-      whole-trace array operations, events advance in exact
-      ``(ready, sequence)`` order over prepared columns.  Identical
-      counters and bit-identical cycles to the oracle, everywhere.
-    * ``"relaxed"`` — the frozen-order tape engine
-      (:class:`repro.gpusim.vector_sim.RelaxedSimulator`): traffic is
+    * ``"vectorized"`` (default) —
+      :func:`repro.gpusim.vector_sim.run_vectorized`: per-access
+      quantities resolve as whole-trace array operations, events
+      advance in exact ``(ready, sequence)`` order over prepared
+      columns.  Identical counters and bit-identical cycles to the
+      oracle, everywhere.
+    * ``"relaxed"`` — the frozen-order tape engine, a one-link
+      :func:`repro.gpusim.vector_sim.replay_links` call: traffic is
       resolved once, in the exact event order of the reference
       interconnect, and every other link bandwidth replays the frozen
       tape.  Exact at the reference interconnect; counters and cycles
       within the pinned tolerances elsewhere.  ``verify`` selects the
       fraction of runs cross-checked against the vectorized engine
       (``verify=1.0`` checks every run; the sample is deterministic
-      per design point), and ``tolerance`` optionally overrides the
-      pinned verification tolerances for those cross-checks.
+      per design point).
 
     Both engines are pinned against a per-access oracle kept with the
     tests (``tests/sim_oracle.py``) by ``tests/test_vector_sim.py``
@@ -241,25 +262,22 @@ class DependencyDrivenSimulator:
         config: GPUConfig,
         engine: str = "vectorized",
         verify: float = 0.0,
-        tolerance: float | None = None,
     ) -> None:
-        EngineSpec(engine, verify, tolerance)  # raises on a bad selection
+        check_engine(engine, verify)
         self.config = config
         self.engine = engine
         self.verify = verify
-        self.tolerance = tolerance
 
     def run(self, trace: KernelTrace, state: CompressionState) -> SimResult:
         """Simulate a kernel trace under a compression state."""
+        from repro.gpusim.vector_sim import replay_links, run_vectorized
+
+        config = self.config
         if self.engine == "relaxed":
-            from repro.gpusim.vector_sim import RelaxedSimulator
-
-            return RelaxedSimulator(
-                self.config, self.verify, self.tolerance
-            ).run(trace, state)
-        from repro.gpusim.vector_sim import VectorizedSimulator
-
-        return VectorizedSimulator(self.config).run(trace, state)
+            return replay_links(
+                trace, state, config, [config.link.bandwidth_gbps], self.verify
+            )[0]
+        return run_vectorized(trace, state, config)
 
 
 def _aggregate_hit_rate(caches) -> float:

@@ -73,7 +73,7 @@ bandwidth of the sweep.
 The relaxed engine
 ------------------
 
-``engine="relaxed"`` (:class:`RelaxedSimulator`) trades exact
+``engine="relaxed"`` (:func:`replay_links`) trades exact
 scheduling for wall-clock by *freezing the event order*.  One
 exact-order pass at the canonical reference interconnect
 (:data:`REFERENCE_LINK_GBPS`, the paper's six-brick NVLink2 point that
@@ -477,109 +477,102 @@ _T_HOST_STORE = 7   # i0=hnum
 _T_WARP_END = 8     # (no payload)
 
 
-class VectorizedSimulator:
-    """The batched-event engine behind ``engine="vectorized"``."""
+def run_vectorized(
+    trace: KernelTrace, state: CompressionState, config: GPUConfig, tape=None
+):
+    """The exact engine (``engine="vectorized"``): one simulated run.
 
-    def __init__(self, config: GPUConfig) -> None:
-        self.config = config
+    Returns a :class:`repro.gpusim.simulator.SimResult` whose traffic
+    counters are identical to the per-access oracle's and whose cycle
+    count is bit-identical.  ``tape`` is a :class:`_Tape` to record
+    the event stream into while running (:func:`record_tape`'s).
+    """
+    from repro.gpusim.simulator import SimResult
 
-    def run(self, trace: KernelTrace, state: CompressionState, _tape=None):
-        """Simulate a kernel trace under a compression state.
+    geometry, columns = _state_columns(trace, state, config)
+    ideal = columns.ideal
+    use_meta = columns.use_meta
+    record = tape is not None
 
-        Returns a :class:`repro.gpusim.simulator.SimResult` whose
-        traffic counters are identical to the per-access oracle's and
-        whose cycle count is bit-identical.
+    chan_bpc = config.dram_bytes_per_cycle_per_channel
+    fill_tail = (
+        0 if ideal else config.decompression_latency
+    ) + config.l2_latency
+    meta_serv = METADATA_LINE_BYTES / chan_bpc
+    warp_count = geometry.warp_sm.shape[0]
 
-        ``_tape`` (internal, used by :class:`RelaxedSimulator`) is a
-        :class:`_Tape` to record the event stream into while running.
-        """
-        from repro.gpusim.simulator import SimResult
+    arrays = (
+        columns.codes, geometry.busy,
+        geometry.lid, geometry.mask, geometry.l1flat, geometry.l2set,
+        geometry.chan, geometry.row, geometry.bank,
+        columns.dev, columns.serv_hit, columns.serv_miss,
+        columns.bud, columns.bnum,
+        geometry.hbytes, geometry.hnum,
+        geometry.mtag, geometry.mslot,
+        geometry.mchan, geometry.mrow, geometry.mbank,
+        columns.wb_dev, columns.wb_serv,
+        columns.wb_bud, columns.wb_bnum,
+        columns.wb_ideal_bytes, columns.wb_ideal_serv,
+        geometry.warp_start, geometry.warp_sm, geometry.warp_mlp,
+    )
+    iscalars = (
+        warp_count, config.sm_count,
+        config.dram_channels, BANKS_PER_CHANNEL,
+        config.line_bytes, ROW_BYTES, columns.entries,
+        geometry.l1_sets_total, geometry.l1_ways,
+        geometry.l2_sets, geometry.l2_ways,
+        geometry.meta_slots, geometry.meta_ways,
+        int(ideal), int(use_meta), _FULL, METADATA_LINE_BYTES,
+    )
+    fscalars = (
+        config.issue_interval,
+        float(config.l1_latency),
+        float(config.l2_latency),
+        float(config.dram_latency),
+        config.link.bytes_per_cycle(config.clock_hz),
+        float(config.link.latency_cycles),
+        float(fill_tail),
+        meta_serv + ROW_HIT_OVERHEAD,
+        meta_serv + ROW_MISS_OVERHEAD,
+        ROW_HIT_OVERHEAD,
+        ROW_MISS_OVERHEAD,
+    )
 
-        config = self.config
-        geometry, columns = _state_columns(trace, state, config)
-        ideal = columns.ideal
-        use_meta = columns.use_meta
-        record = _tape is not None
+    counters, tape_cols = _event_core.run_exact(
+        arrays, iscalars, fscalars, record,
+        geo_cache=geometry.rows_cache,
+        state_cache=columns.rows_cache,
+    )
+    (
+        cycles, l1_hits, l1_misses, l2_hits, l2_misses, dram_bytes,
+        link_read_bytes, link_write_bytes, meta_hits, meta_misses,
+        buddy_fills, demand_fills,
+    ) = counters
 
-        chan_bpc = config.dram_bytes_per_cycle_per_channel
-        fill_tail = (
-            0 if ideal else config.decompression_latency
-        ) + config.l2_latency
-        meta_serv = METADATA_LINE_BYTES / chan_bpc
-        warp_count = geometry.warp_sm.shape[0]
+    if record:
+        tape.cols = tape_cols
+        tape.warp_mlp = geometry.warp_mlp
+        tape.warp_count = warp_count
+        tape.sm_count = config.sm_count
+        tape.channels = config.dram_channels
+        tape.fill_tail = float(fill_tail)
 
-        arrays = (
-            columns.codes, geometry.busy,
-            geometry.lid, geometry.mask, geometry.l1flat, geometry.l2set,
-            geometry.chan, geometry.row, geometry.bank,
-            columns.dev, columns.serv_hit, columns.serv_miss,
-            columns.bud, columns.bnum,
-            geometry.hbytes, geometry.hnum,
-            geometry.mtag, geometry.mslot,
-            geometry.mchan, geometry.mrow, geometry.mbank,
-            columns.wb_dev, columns.wb_serv,
-            columns.wb_bud, columns.wb_bnum,
-            columns.wb_ideal_bytes, columns.wb_ideal_serv,
-            geometry.warp_start, geometry.warp_sm, geometry.warp_mlp,
-        )
-        iscalars = (
-            warp_count, config.sm_count,
-            config.dram_channels, BANKS_PER_CHANNEL,
-            config.line_bytes, ROW_BYTES, columns.entries,
-            geometry.l1_sets_total, geometry.l1_ways,
-            geometry.l2_sets, geometry.l2_ways,
-            geometry.meta_slots, geometry.meta_ways,
-            int(ideal), int(use_meta), _FULL, METADATA_LINE_BYTES,
-        )
-        fscalars = (
-            config.issue_interval,
-            float(config.l1_latency),
-            float(config.l2_latency),
-            float(config.dram_latency),
-            config.link.bytes_per_cycle(config.clock_hz),
-            float(config.link.latency_cycles),
-            float(fill_tail),
-            meta_serv + ROW_HIT_OVERHEAD,
-            meta_serv + ROW_MISS_OVERHEAD,
-            ROW_HIT_OVERHEAD,
-            ROW_MISS_OVERHEAD,
-        )
-
-        counters, tape_cols = _event_core.run_exact(
-            arrays, iscalars, fscalars, record,
-            geo_cache=geometry.rows_cache,
-            state_cache=columns.rows_cache,
-        )
-        (
-            cycles, l1_hits, l1_misses, l2_hits, l2_misses, dram_bytes,
-            link_read_bytes, link_write_bytes, meta_hits, meta_misses,
-            buddy_fills, demand_fills,
-        ) = counters
-
-        if record:
-            _tape.cols = tape_cols
-            _tape.warp_mlp = geometry.warp_mlp
-            _tape.warp_count = warp_count
-            _tape.sm_count = config.sm_count
-            _tape.channels = config.dram_channels
-            _tape.fill_tail = float(fill_tail)
-
-        l1_total = l1_hits + l1_misses
-        l2_total = l2_hits + l2_misses
-        meta_total = meta_hits + meta_misses
-        return SimResult(
-            benchmark=trace.benchmark,
-            mode=state.mode.value,
-            cycles=cycles,
-            instructions=trace.instruction_count,
-            l1_hit_rate=l1_hits / l1_total if l1_total else 0.0,
-            l2_hit_rate=l2_hits / l2_total if l2_total else 0.0,
-            dram_bytes=dram_bytes,
-            link_bytes=link_read_bytes + link_write_bytes,
-            metadata_hit_rate=meta_hits / meta_total if meta_total else 0.0,
-            buddy_fills=buddy_fills,
-            demand_fills=demand_fills,
-        )
+    l1_total = l1_hits + l1_misses
+    l2_total = l2_hits + l2_misses
+    meta_total = meta_hits + meta_misses
+    return SimResult(
+        benchmark=trace.benchmark,
+        mode=state.mode.value,
+        cycles=cycles,
+        instructions=trace.instruction_count,
+        l1_hit_rate=l1_hits / l1_total if l1_total else 0.0,
+        l2_hit_rate=l2_hits / l2_total if l2_total else 0.0,
+        dram_bytes=dram_bytes,
+        link_bytes=link_read_bytes + link_write_bytes,
+        metadata_hit_rate=meta_hits / meta_total if meta_total else 0.0,
+        buddy_fills=buddy_fills,
+        demand_fills=demand_fills,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +601,7 @@ def record_tape(
     tape = _Tape() if need_tape else None
     if need_tape:
         _TAPE_RECORDINGS += 1
-    reference = VectorizedSimulator(ref_config).run(trace, state, _tape=tape)
+    reference = run_vectorized(trace, state, ref_config, tape)
     return tape, reference
 
 
@@ -826,13 +819,12 @@ def replay_links(
     config,
     links,
     verify: float = 0.0,
-    tolerance: float | None = None,
     cache_key=None,
 ):
     """Run the relaxed engine at several link bandwidths in one pass.
 
-    This is the relaxed engine: :class:`RelaxedSimulator` is a
-    one-link call.  Every non-reference link replays the same frozen
+    This is the relaxed engine: ``DependencyDrivenSimulator(config,
+    "relaxed")`` is a one-link call.  Every non-reference link replays the same frozen
     tape in one :func:`repro.gpusim._event_core.replay_tape_many`
     call, whose per-link result does not depend on the other links,
     so the batch equals a loop of one-link calls bit for bit.
@@ -875,10 +867,8 @@ def replay_links(
         else:
             result = replace(reference, cycles=next(replayed))
         if verify and _verify_selected(trace, state, link_config, verify):
-            oracle = VectorizedSimulator(link_config).run(trace, state)
-            check_relaxed_contract(
-                result, oracle, exact=at_reference, tolerance=tolerance
-            )
+            oracle = run_vectorized(trace, state, link_config)
+            check_relaxed_contract(result, oracle, exact=at_reference)
         results.append(result)
     return results
 
@@ -895,9 +885,7 @@ _CONTRACT_COUNTERS = (
 _CONTRACT_RATES = ("l1_hit_rate", "l2_hit_rate", "metadata_hit_rate")
 
 
-def check_relaxed_contract(
-    relaxed, oracle, exact: bool, tolerance: float | None = None
-) -> None:
+def check_relaxed_contract(relaxed, oracle, exact: bool) -> None:
     """Assert a relaxed result against an exact-order oracle's.
 
     ``exact`` (reference interconnect, single-warp traces, provably
@@ -906,18 +894,9 @@ def check_relaxed_contract(
     relative — with an absolute floor of
     :data:`RELAXED_COUNTER_FLOOR_EVENTS` transfer events, the scale
     of the oracle's own link-to-link ordering noise — and cycles
-    within :data:`RELAXED_CYCLE_TOLERANCE`.  A non-``None``
-    ``tolerance`` (from :class:`repro.gpusim.engine_spec.EngineSpec`)
-    replaces the pinned pair at its pinned ratio: cycles within
-    ``tolerance``, counters within ``2 * tolerance``.  Raises
+    within :data:`RELAXED_CYCLE_TOLERANCE`.  Raises
     :class:`RelaxedVerificationError` on the first violation.
     """
-    cycle_tolerance = (
-        RELAXED_CYCLE_TOLERANCE if tolerance is None else tolerance
-    )
-    counter_tolerance = (
-        RELAXED_COUNTER_TOLERANCE if tolerance is None else 2.0 * tolerance
-    )
     if exact:
         for field in (
             ("benchmark", "mode", "cycles", "instructions")
@@ -940,33 +919,33 @@ def check_relaxed_contract(
             f"the oracle: {relaxed!r} vs {oracle!r}"
         )
     deviation = abs(relaxed.cycles - oracle.cycles) / oracle.cycles
-    if deviation > cycle_tolerance:
+    if deviation > RELAXED_CYCLE_TOLERANCE:
         raise RelaxedVerificationError(
             f"relaxed cycles {relaxed.cycles} deviate from oracle "
             f"{oracle.cycles} by {deviation:.2%} "
-            f"(> {cycle_tolerance:.2%})"
+            f"(> {RELAXED_CYCLE_TOLERANCE:.2%})"
         )
     for field, quantum in _CONTRACT_COUNTERS:
         got = getattr(relaxed, field)
         want = getattr(oracle, field)
         slack = max(
             RELAXED_COUNTER_FLOOR_EVENTS * quantum,
-            counter_tolerance * want,
+            RELAXED_COUNTER_TOLERANCE * want,
         )
         if abs(got - want) > slack:
             raise RelaxedVerificationError(
                 f"relaxed {field} {got} deviates from oracle {want} "
-                f"by more than {counter_tolerance:.2%} "
+                f"by more than {RELAXED_COUNTER_TOLERANCE:.2%} "
                 f"(+{RELAXED_COUNTER_FLOOR_EVENTS}-event floor)"
             )
     for field in _CONTRACT_RATES:
         got = getattr(relaxed, field)
         want = getattr(oracle, field)
-        if abs(got - want) > counter_tolerance:
+        if abs(got - want) > RELAXED_COUNTER_TOLERANCE:
             raise RelaxedVerificationError(
                 f"relaxed {field} {got:.4f} deviates from oracle "
                 f"{want:.4f} by more than "
-                f"{counter_tolerance:.2%} absolute"
+                f"{RELAXED_COUNTER_TOLERANCE:.2%} absolute"
             )
 
 
@@ -990,37 +969,3 @@ def _verify_selected(trace, state, config, fraction: float) -> bool:
     )
     digest = hashlib.blake2b(repr(key).encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big") / 2.0**64 < fraction
-
-
-class RelaxedSimulator:
-    """The relaxed-order engine behind ``engine="relaxed"``.
-
-    One exact-order recording at :data:`REFERENCE_LINK_GBPS` per
-    ``(trace, state, machine geometry)``; every other interconnect
-    bandwidth replays the frozen tape.  ``verify`` is the sampled
-    escape hatch: the fraction of runs (deterministically chosen per
-    design point) that are cross-checked against the vectorized engine
-    via :func:`check_relaxed_contract`; ``tolerance`` optionally
-    overrides that contract's pinned tolerances.
-    """
-
-    def __init__(
-        self,
-        config: GPUConfig,
-        verify: float = 0.0,
-        tolerance: float | None = None,
-    ) -> None:
-        self.config = config
-        self.verify = verify
-        self.tolerance = tolerance
-
-    def run(self, trace: KernelTrace, state: CompressionState):
-        config = self.config
-        return replay_links(
-            trace,
-            state,
-            config,
-            [config.link.bandwidth_gbps],
-            self.verify,
-            self.tolerance,
-        )[0]

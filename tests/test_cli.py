@@ -7,13 +7,16 @@ reports the active event core and, under ``--strict``, fails on an
 ABI-stale build.
 """
 
+import argparse
 import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _engine_params, main
 from repro.engine import experiment_names, get_experiment
 from repro.gpusim import _event_core
+from repro.gpusim.config import scaled_config
+from repro.gpusim.simulator import DependencyDrivenSimulator
 
 #: The smallest snapshot scale the CI smoke runs use.
 SCALE = "3.0517578125e-05"
@@ -71,6 +74,97 @@ def test_legacy_engine_is_a_usage_error(capsys):
         main(["run", "perf.fig11", "--engine", "legacy", "--no-cache"])
     assert excinfo.value.code == 2
     assert "unknown engine 'legacy'" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# --engine NAME[:verify=FRACTION]: the CLI's one engine option.
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "text, params",
+    [
+        (" relaxed:verify=0.5 ", {"engine": "relaxed", "verify": 0.5}),
+        ("relaxed: verify=0.5", {"engine": "relaxed", "verify": 0.5}),
+        ("relaxed:verify=0.5,", {"engine": "relaxed", "verify": 0.5}),
+        ("relaxed:", {"engine": "relaxed", "verify": 0.0}),
+    ],
+)
+def test_engine_lenient_spellings(text, params):
+    """Hand-typed ``--engine`` values: surrounding blanks, blanks
+    before a key, a trailing comma and an empty option list parse to
+    the selection they spell."""
+    assert _engine_params(text) == params
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "warp-speed",  # unknown engine
+        "relaxed:bogus=1",  # unknown option
+        "relaxed:verify",  # missing value
+        "relaxed:verify=fast",  # non-numeric
+        "relaxed:verify=1.5",  # not a fraction
+        "vectorized:verify=0.5",  # only the relaxed engine verifies
+    ],
+)
+def test_engine_bad_strings_are_usage_errors(text):
+    with pytest.raises(argparse.ArgumentTypeError):
+        _engine_params(text)
+
+
+@pytest.mark.parametrize(
+    "text, params",
+    [
+        ("vectorized", {"engine": "vectorized", "verify": 0.0}),
+        ("relaxed", {"engine": "relaxed", "verify": 0.0}),
+        ("relaxed:verify=0.5", {"engine": "relaxed", "verify": 0.5}),
+        ("relaxed:verify=1", {"engine": "relaxed", "verify": 1.0}),
+    ],
+)
+def test_engine_name_and_verify_are_the_cache_axes(text, params):
+    """Each canonical spelling becomes exactly the ``engine`` and
+    ``verify`` parameters of the study it selects, nothing more."""
+    assert _engine_params(text) == params
+
+
+@pytest.mark.parametrize("text", ["vectorized", "relaxed:verify=0.25"])
+def test_engine_params_thread_into_the_simulator(text):
+    """The parsed selection constructs the simulator it names."""
+    params = _engine_params(text)
+    simulator = DependencyDrivenSimulator(scaled_config(), **params)
+    assert (simulator.engine, simulator.verify) == (
+        params["engine"],
+        params["verify"],
+    )
+
+
+def test_engine_defaults_match_the_perf_study():
+    """The ``--engine`` type and the simulator default to perf.fig11's
+    engine parameters, so choosing the default forks no cache key."""
+    defaults = get_experiment("perf.fig11").resolve_params(None)
+    expected = {"engine": defaults["engine"], "verify": defaults["verify"]}
+    assert _engine_params("vectorized") == expected
+    simulator = DependencyDrivenSimulator(scaled_config())
+    assert {"engine": simulator.engine, "verify": simulator.verify} == expected
+
+
+def test_fig10_warns_that_it_has_no_engine_axis(capsys):
+    """Fig. 10 runs the exact engine only: an engine selection warns,
+    is ignored and leaves the result digest unchanged."""
+    argv = ["run", "correlation.fig10", "--no-cache"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main([*argv, "--engine", "relaxed:verify=1.0"]) == 0
+    selected = capsys.readouterr()
+    assert (
+        "warning: correlation.fig10 has no simulator engine axis"
+        in selected.err
+    )
+    assert "warning" not in plain.err
+
+    def digest(out):
+        return [line for line in out.splitlines() if "result digest" in line]
+
+    assert digest(selected.out) == digest(plain.out) != []
 
 
 def test_check_is_not_a_subcommand(capsys):

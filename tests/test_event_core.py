@@ -28,12 +28,12 @@ from repro.gpusim.config import scaled_config
 from repro.gpusim.simulator import DependencyDrivenSimulator
 from repro.gpusim.vector_sim import (
     REFERENCE_LINK_GBPS,
-    VectorizedSimulator,
     _replay_cycles,
     _replay_pack,
     _resolve_tape,
     _TAPE_MEMO,
     replay_links,
+    run_vectorized,
 )
 from repro.gpusim import _event_core
 from repro.gpusim.trace import Op
@@ -111,9 +111,9 @@ def fuzz_state(mode, rng, trace, n=1024):
 
 def run_both_cores(trace, state, config):
     """One vectorized run per core; returns (compiled, python) results."""
-    compiled = VectorizedSimulator(config).run(trace, state)
+    compiled = run_vectorized(trace, state, config)
     with _event_core.force_python():
-        fallback = VectorizedSimulator(config).run(trace, state)
+        fallback = run_vectorized(trace, state, config)
     return compiled, fallback
 
 
@@ -389,7 +389,7 @@ class TestBatchedReplay:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_replay_links_matches_serial_relaxed_loop(self, seed):
         """The batched engine front end is bit-identical to looping
-        RelaxedSimulator over ``config.with_link(link)``."""
+        the one-link relaxed engine over ``config.with_link(link)``."""
         trace, rng = fuzz_trace(seed)
         state = fuzz_state(CompressionMode.BUDDY, rng, trace)
         config = scaled_config(sm_count=2, warps_per_sm=4)

@@ -293,8 +293,6 @@ class TestTapePlanning:
                 {
                     "benchmarks": tuple(benchmarks[:1]),
                     "instruction_scales": (6,),
-                    "engine": "relaxed",
-                    "verify": 0.0,
                 },
             ),
         ]
@@ -306,9 +304,9 @@ class TestTapePlanning:
         runner = ExperimentRunner(cache=ResultCache(tmp_path))
         requests = self._requests()
         sweep_plan = plan(requests, runner)
-        # fig10's relaxed points run at the reference interconnect
-        # only (exact, tape-free), so the co-submitted sweep plans
-        # exactly one tape node per fig11 relaxed benchmark.
+        # fig10's points run the exact engine (tape-free), so the
+        # co-submitted sweep plans exactly one tape node per fig11
+        # relaxed benchmark.
         tapes = [
             node for node in sweep_plan.shared.values()
             if node.kind == "tape" and node.scheduled

@@ -27,13 +27,11 @@ from repro.core.entry import TargetRatio
 from repro.engine import ExperimentRunner, result_digest
 from repro.gpusim.compression import CompressionMode, CompressionState
 from repro.gpusim.config import scaled_config
-from repro.gpusim.engine_spec import ENGINES
-from repro.gpusim.simulator import DependencyDrivenSimulator
+from repro.gpusim.simulator import ENGINES, DependencyDrivenSimulator, SimResult
 from repro.gpusim.vector_sim import (
     REFERENCE_LINK_GBPS,
     RELAXED_COUNTER_TOLERANCE,
     RELAXED_CYCLE_TOLERANCE,
-    RelaxedSimulator,
     RelaxedVerificationError,
     check_relaxed_contract,
     _replay_cycles,
@@ -98,9 +96,72 @@ class TestEngineSelection:
         assert relaxed.cycles == oracle.cycles
 
     def test_verify_requires_relaxed_engine(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="already exact"):
             DependencyDrivenSimulator(SMALL_GPU, "vectorized", verify=0.5)
         DependencyDrivenSimulator(SMALL_GPU, "relaxed", verify=1.0)
+
+    @pytest.mark.parametrize("verify", [-0.5, 1.5])
+    def test_verify_must_be_a_fraction(self, verify):
+        with pytest.raises(ValueError, match="fraction"):
+            DependencyDrivenSimulator(SMALL_GPU, "relaxed", verify=verify)
+
+    def test_legacy_is_no_engine(self):
+        """The per-access oracle lives with the tests, not behind an
+        engine name; the error names the two engines there are."""
+        with pytest.raises(ValueError, match="'vectorized', 'relaxed'"):
+            DependencyDrivenSimulator(SMALL_GPU, "legacy")
+
+
+# ---------------------------------------------------------------------------
+# The pinned tolerances are the only contract an off-reference relaxed
+# result is checked against.
+# ---------------------------------------------------------------------------
+def synthetic_result(**fields):
+    values = dict(
+        benchmark="VGG16",
+        mode="buddy",
+        cycles=10000.0,
+        instructions=1000,
+        l1_hit_rate=0.5,
+        l2_hit_rate=0.5,
+        dram_bytes=10**6,
+        link_bytes=10**6,
+        metadata_hit_rate=0.9,
+        buddy_fills=10**5,
+        demand_fills=10**5,
+    )
+    values.update(fields)
+    return SimResult(**values)
+
+
+class TestPinnedTolerances:
+    def test_cycle_tolerance_binds(self):
+        oracle = synthetic_result()
+        inside = 1 + RELAXED_CYCLE_TOLERANCE / 2
+        outside = 1 + 5 * RELAXED_CYCLE_TOLERANCE
+        check_relaxed_contract(
+            synthetic_result(cycles=oracle.cycles * inside), oracle, exact=False
+        )
+        with pytest.raises(RelaxedVerificationError, match="cycles"):
+            check_relaxed_contract(
+                synthetic_result(cycles=oracle.cycles * outside),
+                oracle,
+                exact=False,
+            )
+
+    @pytest.mark.parametrize("field", COUNTER_FIELDS)
+    def test_counter_tolerance_binds(self, field):
+        oracle = synthetic_result()
+        want = getattr(oracle, field)
+        inside = round(want * (1 + RELAXED_COUNTER_TOLERANCE / 2))
+        outside = round(want * (1 + 5 * RELAXED_COUNTER_TOLERANCE))
+        check_relaxed_contract(
+            synthetic_result(**{field: inside}), oracle, exact=False
+        )
+        with pytest.raises(RelaxedVerificationError, match=field):
+            check_relaxed_contract(
+                synthetic_result(**{field: outside}), oracle, exact=False
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +493,9 @@ class TestVerifyEscapeHatch:
         monkeypatch.setattr(vector_sim, "RELAXED_CYCLE_TOLERANCE", 0.0)
         monkeypatch.setattr(vector_sim, "RELAXED_COUNTER_TOLERANCE", 0.0)
         with pytest.raises(RelaxedVerificationError):
-            RelaxedSimulator(config, verify=1.0).run(trace, state)
+            DependencyDrivenSimulator(config, "relaxed", 1.0).run(
+                trace, state
+            )
 
     @pytest.mark.parametrize("link", [50, 50.0])
     def test_sampling_keys_on_the_link_as_spelled(self, monkeypatch, link):
@@ -450,21 +513,20 @@ class TestVerifyEscapeHatch:
         monkeypatch.setattr(vector_sim, "_verify_selected", spy)
         trace = generate_trace("354.cg", SMALL_TRACE)
         state = small_state("354.cg", CompressionMode.BUDDY, trace)
-        RelaxedSimulator(SMALL_GPU.with_link(link), verify=0.5).run(
-            trace, state
-        )
+        DependencyDrivenSimulator(
+            SMALL_GPU.with_link(link), "relaxed", 0.5
+        ).run(trace, state)
         assert [repr(value) for value in seen] == [repr(link)]
 
     def test_verify_plumbs_through_the_perf_study(self):
-        """`perf.fig11` under `EngineSpec.parse("relaxed:verify=1.0")`
-        really cross-checks: the sweep completes (contract holds) and
-        the parameter is a registered cache axis rather than a silent
+        """`perf.fig11` under `--engine relaxed:verify=1.0` really
+        cross-checks: the sweep completes (contract holds) and the
+        parameter is a registered cache axis rather than a silent
         no-op."""
+        from repro.cli import _engine_params
         from repro.engine import get_experiment
-        from repro.gpusim.engine_spec import EngineSpec
 
         assert "verify" in get_experiment("perf.fig11").defaults()
-        assert "verify" in get_experiment("correlation.fig10").defaults()
         result = ExperimentRunner().run(
             "perf.fig11",
             {
@@ -472,7 +534,7 @@ class TestVerifyEscapeHatch:
                 "trace_config": SMALL_TRACE,
                 "link_sweep": (50.0, 150.0),
                 "profile_config": SnapshotConfig(scale=1.0 / 65536),
-                **EngineSpec.parse("relaxed:verify=1.0").study_params(),
+                **_engine_params("relaxed:verify=1.0"),
             },
         )
         assert result.per_benchmark[0].benchmark == "VGG16"
@@ -498,17 +560,18 @@ class TestVerifyEscapeHatch:
         "spec", ["vectorized:verify=1", "relaxed:tolerance=0.02", "warp"]
     )
     def test_cli_rejects_specs_cached_studies_cannot_take(self, spec, capsys):
-        """The exact engines would reject verify deep inside every
-        point, and a custom tolerance is no cache axis: both are usage
-        errors carrying EngineSpec's own message."""
-        from repro.cli import main
-        from repro.gpusim.engine_spec import EngineSpec
+        """The exact engine would reject verify deep inside every
+        point, tolerance is no option and ``warp`` no engine: all are
+        usage errors carrying the ``--engine`` type's own message."""
+        import argparse
+
+        from repro.cli import _engine_params, main
 
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "perf.fig11", "--engine", spec, "--no-cache"])
         assert excinfo.value.code == 2
-        with pytest.raises(ValueError) as expected:
-            EngineSpec.parse(spec).study_params()
+        with pytest.raises(argparse.ArgumentTypeError) as expected:
+            _engine_params(spec)
         assert str(expected.value) in capsys.readouterr().err
 
     def test_contract_checker_rejects_divergence(self):

@@ -34,6 +34,7 @@ from repro.engine import ExperimentRunner, result_digest
 from repro.engine.store import ArtifactStore, process_store
 from repro.serve.clock import ManualClock
 from repro.serve.protocol import (
+    DEFAULT_THRESHOLDS,
     AdviceRequest,
     InvalidRequest,
     ServiceClosed,
@@ -361,8 +362,16 @@ class TestShutdown:
 class TestDigestParity:
     """Service answers == one-shot answers == engine-run answers."""
 
-    def test_concurrent_tcp_clients_match_one_shot_and_engine_run(self):
-        request = AdviceRequest(benchmark="VGG16")
+    @pytest.mark.parametrize(
+        "thresholds",
+        [DEFAULT_THRESHOLDS, DEFAULT_THRESHOLDS[:3], DEFAULT_THRESHOLDS[:2]],
+        ids=["all", "first3", "first2"],
+    )
+    @pytest.mark.parametrize("name", ["VGG16", "356.sp"])
+    def test_concurrent_tcp_clients_match_one_shot_and_engine_run(
+        self, name, thresholds
+    ):
+        request = AdviceRequest(benchmark=name, thresholds=thresholds)
 
         async def scenario():
             service = AdvisorService(
@@ -397,9 +406,14 @@ class TestDigestParity:
         assert digests == {one_shot.digest}
 
         value, _ = ExperimentRunner(cache=None).run_report(
-            "serve.advice", {"benchmarks": ("VGG16",), "config": TINY}
+            "serve.advice",
+            {
+                "benchmarks": (name,),
+                "thresholds": thresholds,
+                "config": TINY,
+            },
         )
-        assert result_digest(value["VGG16"]) == one_shot.digest
+        assert result_digest(value[name]) == one_shot.digest
         assert stats["service"]["completed"] == 6
         assert stats["service"]["rejected"] == 0
 
@@ -456,24 +470,3 @@ class TestValidateOnce:
         with pytest.raises(InvalidRequest) as excinfo:
             AdviceRequest.from_json(body)
         assert excinfo.value.code == "bad-histogram"
-
-
-# ---------------------------------------------------------------------------
-class TestServeCLI:
-    def test_serve_check_self_test_passes(self, capsys):
-        from repro.cli import main
-
-        code = main(
-            [
-                "serve",
-                "--check",
-                "--no-cache",
-                "--scale",
-                str(1.0 / 262144),
-                "VGG16",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "serve check:" in out
-        assert "MISMATCH" not in out

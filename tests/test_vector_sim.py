@@ -22,7 +22,7 @@ from repro.engine import ExperimentRunner, result_digest
 from repro.gpusim.compression import CompressionMode, CompressionState
 from repro.gpusim.config import scaled_config
 from repro.gpusim.simulator import DependencyDrivenSimulator
-from repro.gpusim.vector_sim import VectorizedSimulator, _geometry_columns
+from repro.gpusim.vector_sim import _geometry_columns, run_vectorized
 from repro.gpusim.cache import SectoredCache
 from repro.gpusim.dram import ChannelSet
 from repro.gpusim.trace import KernelTrace, Op
@@ -58,7 +58,7 @@ RESULT_FIELDS = (
 
 def assert_equivalent(trace, state, config):
     oracle = run_oracle(config, trace, state)
-    vector = VectorizedSimulator(config).run(trace, state)
+    vector = run_vectorized(trace, state, config)
     for field in RESULT_FIELDS:
         assert getattr(oracle, field) == getattr(vector, field), field
     return oracle, vector
