@@ -16,7 +16,7 @@ from repro.compression.bpc import BPCCompressor
 from repro.compression.fpc import FPCCompressor
 from repro.compression.sectors import sectors_for_sizes
 from repro.compression.base import as_blocks
-from repro.compression.zeroblock import zero_fraction
+from repro.compression.zeroblock import zero_mask
 from repro.units import MEMORY_ENTRY_BYTES, ZERO_CLASS_BYTES
 
 
@@ -27,25 +27,13 @@ def describe(label: str, data: np.ndarray) -> None:
         sizes = algorithm.compressed_sizes(blocks)
         sectors = sectors_for_sizes(sizes)
         zero_ok = float((sizes <= ZERO_CLASS_BYTES).mean())
+        ratio = MEMORY_ENTRY_BYTES / sizes.mean()
         print(
-            f"  {algorithm.name:4s} ratio {algorithm.compression_ratio(blocks):5.2f}x  "
+            f"  {algorithm.name:4s} ratio {ratio:5.2f}x  "
             f"mean {sizes.mean():6.1f} B  sectors {sectors.mean():4.2f}  "
             f"16x-eligible {zero_ok:5.1%}"
         )
-    print(f"  all-zero entries: {zero_fraction(blocks):.1%}")
-
-
-def roundtrip_demo() -> None:
-    """Show the exact codec reconstructing a block bit-for-bit."""
-    bpc = BPCCompressor()
-    field = np.cumsum(np.full(32, 3, dtype=np.uint32)).astype(np.uint32)
-    encoded = bpc.encode(field)
-    decoded = bpc.decode(encoded)
-    assert (decoded == field).all()
-    print(
-        f"\nroundtrip: 128 B ramp entry -> {encoded.size_bytes} B "
-        f"({MEMORY_ENTRY_BYTES / encoded.size_bytes:.0f}x), decoded losslessly"
-    )
+    print(f"  all-zero entries: {zero_mask(blocks).mean():.1%}")
 
 
 def main() -> None:
@@ -59,8 +47,6 @@ def main() -> None:
     if len(sys.argv) > 1:
         raw = np.fromfile(sys.argv[1], dtype=np.uint8)
         describe(sys.argv[1], raw)
-
-    roundtrip_demo()
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ FIG8_SQUEEZENET_RATIO = 1.49
 FIG8_RESNET50_RATIO = 1.64
 
 # --- Fig. 9: buddy-threshold sweep --------------------------------------
-FIG9_THRESHOLDS = (0.10, 0.20, 0.30, 0.40)
 FIG9_CHOSEN_THRESHOLD = 0.30
 
 # --- Metadata (Sec. 3.2) -------------------------------------------------
@@ -46,10 +45,8 @@ FIG11_BUDDY_150_DL = 0.978  # "within 2.2% of ideal"
 FIG11_ALEXNET_150 = 0.935  # 6.5% slowdown
 FIG11_ALEXNET_50 = 0.65  # 35% slowdown
 FIG11_BUDDY_50_MEAN_SLOWDOWN = 0.80  # "more than 20% average slowdown"
-FIG11_DECOMPRESSION_DRAM_CYCLES = 11
 
 # --- Sec. 4.3: UM comparison ----------------------------------------------
-UM_LINK_GBPS = 75.0  # 3 NVLink2 bricks on the Power9 box
 BUDDY_MAX_SLOWDOWN_AT_50PCT_OVERSUB = 1.67
 
 # --- Fig. 13: DL case study ------------------------------------------------

@@ -1,41 +1,19 @@
 """Common interface for block-compression algorithms.
 
-All algorithms operate on one 128 B *memory-entry* — the paper's
-compression granularity — presented as 32 little-endian ``uint32``
-words.  Implementations report compressed sizes in bytes; codecs that
-support decompression also return a :class:`CompressedBlock` wrapping
-the encoded bitstream.
+All algorithms size 128 B *memory-entries* — the paper's compression
+granularity — presented as 32 little-endian ``uint32`` words.  Buddy
+Compression places an entry by its compressed size alone, so a codec
+here is one bulk size function; the per-entry reference each is
+checked against is test code (``tests/codec_oracle.py``).
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.units import MEMORY_ENTRY_BYTES, WORDS_PER_ENTRY
-
-
-@dataclass(frozen=True)
-class CompressedBlock:
-    """An encoded memory-entry.
-
-    Attributes:
-        algorithm: Name of the producing algorithm.
-        bits: The encoded bitstream (as a Python ``bytes`` of 0/1 flags
-            is wasteful; we store packed bytes plus a bit length).
-        bit_length: Number of valid bits in ``bits``.
-    """
-
-    algorithm: str
-    bits: bytes
-    bit_length: int
-
-    @property
-    def size_bytes(self) -> int:
-        """Compressed size in whole bytes (what the hardware stores)."""
-        return (self.bit_length + 7) // 8
 
 
 class CompressionAlgorithm(abc.ABC):
@@ -45,62 +23,17 @@ class CompressionAlgorithm(abc.ABC):
     name: str = "abstract"
 
     @abc.abstractmethod
-    def compressed_size(self, words: np.ndarray) -> int:
-        """Compressed size in bytes of one entry (32 ``uint32`` words).
-
-        Sizes are capped at 128: an entry that does not compress is
-        stored raw.
-        """
-
     def compressed_sizes(self, blocks: np.ndarray) -> np.ndarray:
-        """Compressed sizes for many entries at once.
+        """Compressed sizes in bytes of many entries at once.
 
         Args:
-            blocks: ``(n, 32)`` array of ``uint32`` words.
+            blocks: ``(n, 32)`` array of ``uint32`` words (or anything
+                :func:`as_blocks` accepts).
 
         Returns:
-            ``(n,)`` ``int64`` array of sizes in bytes.
-
-        The base implementation loops; vectorisable algorithms override
-        this with a bulk path.
+            ``(n,)`` ``int64`` array of sizes, capped at 128: an entry
+            that does not compress is stored raw.
         """
-        blocks = as_blocks(blocks)
-        return np.array(
-            [self.compressed_size(block) for block in blocks], dtype=np.int64
-        )
-
-    def compression_ratio(self, blocks: np.ndarray) -> float:
-        """Aggregate ratio (original bytes / compressed bytes) over blocks.
-
-        Empty input compresses nothing, so its ratio is the neutral
-        1.0 — not the ``0 / 0 = inf`` the division would produce.
-        """
-        blocks = as_blocks(blocks)
-        if blocks.shape[0] == 0:
-            return 1.0
-        sizes = self.compressed_sizes(blocks)
-        compressed = int(sizes.sum())
-        if compressed == 0:
-            return float("inf")
-        return blocks.shape[0] * MEMORY_ENTRY_BYTES / compressed
-
-
-def as_entry(words: np.ndarray) -> np.ndarray:
-    """View input as exactly one memory-entry of 32 ``uint32`` words.
-
-    Scalar ``compressed_size`` implementations use this to reject bulk
-    ``(n, 32)`` input instead of silently flattening it: a dictionary
-    codec fed n concatenated entries would share match state across
-    entry boundaries and report one meaningless size.  Bulk input
-    belongs to :meth:`CompressionAlgorithm.compressed_sizes`.
-    """
-    entry = np.asarray(words, dtype=np.uint32).reshape(-1)
-    if entry.size != WORDS_PER_ENTRY:
-        raise ValueError(
-            f"compressed_size expects one {WORDS_PER_ENTRY}-word entry, got "
-            f"{entry.size} words; use compressed_sizes for bulk (n, 32) input"
-        )
-    return entry
 
 
 def as_blocks(data: np.ndarray) -> np.ndarray:

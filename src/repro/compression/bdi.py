@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compression.base import CompressionAlgorithm, as_blocks, as_entry
+from repro.compression.base import CompressionAlgorithm, as_blocks
 from repro.units import MEMORY_ENTRY_BYTES
 
 _HEADER_BYTES = 1
@@ -67,30 +67,10 @@ def _deltas_fit(values: np.ndarray, width_bits: int, delta_bytes: int) -> np.nda
     return (shifted < np.uint64(1 << (8 * delta_bytes))).all(axis=1)
 
 
-def _fits(block_bytes: np.ndarray, cls: _BdiClass) -> bool:
-    """Whether one block fits the given class (scalar convenience)."""
-    dtype = {2: np.uint16, 4: np.uint32, 8: np.uint64}[cls.base_bytes]
-    values = block_bytes.view(dtype).astype(np.uint64).reshape(1, -1)
-    return bool(_deltas_fit(values, 8 * cls.base_bytes, cls.delta_bytes)[0])
-
-
 class BDICompressor(CompressionAlgorithm):
     """Base-Delta-Immediate compressor for 128 B entries."""
 
     name = "bdi"
-
-    def compressed_size(self, words: np.ndarray) -> int:
-        block = as_entry(words)
-        raw = block.view(np.uint8)
-        if not block.any():
-            return _HEADER_BYTES  # all-zero class
-        qwords = raw.view(np.uint64)
-        if (qwords == qwords[0]).all():
-            return _HEADER_BYTES + 8  # repeated-value class
-        for cls in BDI_CLASSES:
-            if _fits(raw, cls):
-                return min(cls.compressed_bytes, MEMORY_ENTRY_BYTES)
-        return MEMORY_ENTRY_BYTES
 
     def compressed_sizes(self, blocks: np.ndarray) -> np.ndarray:
         """Vectorised sizes for ``(n, 32)`` uint32 blocks."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.base import CompressionAlgorithm, as_blocks, as_entry
+from repro.compression.base import CompressionAlgorithm, as_blocks
 from repro.units import MEMORY_ENTRY_BYTES, WORDS_PER_ENTRY
 
 _DICT_ENTRIES = 16
@@ -36,49 +36,11 @@ class CPackCompressor(CompressionAlgorithm):
     an ``(n, 16)`` array advanced once per position.  Each entry's
     FIFO dictionary is independent — it resets at every entry
     boundary, as entries are independently addressable in hardware —
-    and the bulk path is element-wise identical to
-    :meth:`compressed_size` (pinned by property tests).
+    and the bulk path is element-wise identical to the word-by-word
+    C-PACK of ``tests/codec_oracle.py`` (pinned by property tests).
     """
 
     name = "cpack"
-
-    def compressed_size(self, words: np.ndarray) -> int:
-        words = as_entry(words)
-        dictionary: list[int] = []
-        bits = 0
-        for raw in words:
-            word = int(raw)
-            if word == 0:
-                bits += 2
-                continue
-            if word <= 0xFF:
-                bits += 4 + 8  # zzzx: only the low byte is non-zero
-                continue
-            # All dictionary comparators fire in parallel in hardware;
-            # the best match wins: full > 3-byte > 2-byte > none.
-            best = 0
-            for entry in dictionary:
-                if entry == word:
-                    best = 3
-                    break
-                if entry >> 8 == word >> 8:
-                    best = max(best, 2)
-                elif entry >> 16 == word >> 16:
-                    best = max(best, 1)
-            if best == 3:
-                bits += 2 + 4
-            elif best == 2:
-                bits += 4 + 4 + 8
-            elif best == 1:
-                bits += 4 + 4 + 16
-            else:
-                bits += 2 + 32
-            if best != 3:
-                # Unmatched and partially matched words enter the FIFO.
-                dictionary.append(word)
-                if len(dictionary) > _DICT_ENTRIES:
-                    dictionary.pop(0)
-        return min((bits + 7) // 8, MEMORY_ENTRY_BYTES)
 
     def compressed_sizes(self, blocks: np.ndarray) -> np.ndarray:
         """Vectorised bulk sizing: all entries advance in lockstep.

@@ -24,60 +24,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.base import CompressionAlgorithm, as_blocks, as_entry
+from repro.compression.base import CompressionAlgorithm, as_blocks
 from repro.units import MEMORY_ENTRY_BYTES
 
 _PREFIX_BITS = 3
 _MAX_ZERO_RUN = 8
 
 
-def _word_payload_bits(word: int) -> int:
-    """Payload bits for one non-zero-run word."""
-    signed = word - (1 << 32) if word >> 31 else word
-    if -8 <= signed < 8:
-        return 4
-    if -128 <= signed < 128:
-        return 8
-    if -32768 <= signed < 32768:
-        return 16
-    if word & 0xFFFF == 0:
-        return 16  # halfword padded with zeros
-    low, high = word & 0xFFFF, word >> 16
-    low_signed = low - (1 << 16) if low >> 15 else low
-    high_signed = high - (1 << 16) if high >> 15 else high
-    if -128 <= low_signed < 128 and -128 <= high_signed < 128:
-        return 16  # two sign-extended halfwords
-    bytes_ = word.to_bytes(4, "little")
-    if len(set(bytes_)) == 1:
-        return 8  # repeated bytes
-    return 32
-
-
 class FPCCompressor(CompressionAlgorithm):
     """Frequent Pattern Compression for 128 B entries."""
 
     name = "fpc"
-
-    def compressed_size(self, words: np.ndarray) -> int:
-        words = as_entry(words)
-        bits = 0
-        index = 0
-        while index < words.size:
-            word = int(words[index])
-            if word == 0:
-                run = 1
-                while (
-                    index + run < words.size
-                    and run < _MAX_ZERO_RUN
-                    and int(words[index + run]) == 0
-                ):
-                    run += 1
-                bits += _PREFIX_BITS + 3
-                index += run
-                continue
-            bits += _PREFIX_BITS + _word_payload_bits(word)
-            index += 1
-        return min((bits + 7) // 8, MEMORY_ENTRY_BYTES)
 
     def compressed_sizes(self, blocks: np.ndarray) -> np.ndarray:
         """Vectorised sizes for ``(n, 32)`` uint32 blocks."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.base import CompressionAlgorithm, as_blocks, as_entry
+from repro.compression.base import CompressionAlgorithm, as_blocks
 from repro.units import MEMORY_ENTRY_BYTES
 
 
@@ -18,15 +18,11 @@ class ZeroBlockCompressor(CompressionAlgorithm):
 
     All-zero entries store nothing (the metadata already encodes the
     class); anything else is stored raw.  Exists so the zero-entry
-    special case honours the same scalar/bulk interface as the other
-    algorithms — the bulk path takes the ``(n, 32)`` contract and is
-    fully vectorised.
+    special case is a codec like the others: one vectorised
+    ``compressed_sizes`` over ``(n, 32)`` blocks.
     """
 
     name = "zeroblock"
-
-    def compressed_size(self, words: np.ndarray) -> int:
-        return 0 if not as_entry(words).any() else MEMORY_ENTRY_BYTES
 
     def compressed_sizes(self, blocks: np.ndarray) -> np.ndarray:
         blocks = as_blocks(blocks)
@@ -45,10 +41,3 @@ def zero_mask(blocks: np.ndarray) -> np.ndarray:
     blocks = as_blocks(blocks)
     return ~blocks.any(axis=1)
 
-
-def zero_fraction(blocks: np.ndarray) -> float:
-    """Fraction of entries that are entirely zero."""
-    mask = zero_mask(blocks)
-    if mask.size == 0:
-        return 0.0
-    return float(mask.mean())

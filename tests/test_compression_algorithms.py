@@ -1,4 +1,11 @@
-"""Tests for the BDI / FPC / C-PACK comparison codecs and quantisation."""
+"""Tests for the BDI / FPC / C-PACK / zero-block codecs and quantisation.
+
+Each bulk kernel is checked element-wise against the word-by-word
+sizes of ``codec_oracle``.
+"""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from codec_oracle import bdi_size, cpack_size, fpc_size, zeroblock_size
 from repro.compression.bdi import BDICompressor
 from repro.compression.cpack import CPackCompressor
 from repro.compression.fpc import FPCCompressor
@@ -15,7 +23,7 @@ from repro.compression.sectors import (
     sectors_for_sizes,
     free_sizes_for_sizes,
 )
-from repro.compression.zeroblock import zero_fraction, zero_mask
+from repro.compression.zeroblock import ZeroBlockCompressor, zero_mask
 from repro.units import (
     MEMORY_ENTRY_BYTES,
     SECTOR_BYTES,
@@ -42,6 +50,26 @@ def device_bytes_for_target(target_sectors: int) -> int:
 BDI = BDICompressor()
 FPC = FPCCompressor()
 CPACK = CPackCompressor()
+ZB = ZeroBlockCompressor()
+
+
+def _one(codec, block) -> int:
+    """The bulk kernel's size for one entry."""
+    return int(codec.compressed_sizes(np.asarray(block, dtype=np.uint32)[None])[0])
+
+
+def test_codec_oracle_is_independent():
+    """The oracle imports none of the code it checks."""
+    tree = ast.parse((Path(__file__).parent / "codec_oracle.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert "repro.units" in imported
+    assert not [name for name in imported if name.startswith("repro.compression")]
 
 blocks_strategy = hnp.arrays(
     np.uint32, (WORDS_PER_ENTRY,), elements=st.integers(0, 2**32 - 1)
@@ -66,86 +94,79 @@ dict_heavy_blocks = hnp.arrays(
 
 class TestBDI:
     def test_zero_block(self):
-        assert BDI.compressed_size(np.zeros(32, dtype=np.uint32)) == 1
-
-    def test_scalar_rejects_bulk_input(self):
-        with pytest.raises(ValueError, match="compressed_sizes"):
-            BDI.compressed_size(np.ones((4, 32), dtype=np.uint32))
+        block = np.zeros(32, dtype=np.uint32)
+        assert _one(BDI, block) == bdi_size(block) == 1
 
     def test_repeated_block(self):
         block = np.full(32, 0xCAFEBABE, dtype=np.uint32)
-        assert BDI.compressed_size(block) == 9
+        assert _one(BDI, block) == bdi_size(block) == 9
 
     def test_base8_delta1(self):
         base = np.uint64(0x1234_5678_9ABC_DEF0)
         qwords = base + np.arange(16, dtype=np.uint64)
         block = qwords.view(np.uint32)
         # 1 header + 8 base + 16 deltas = 25
-        assert BDI.compressed_size(block) == 25
+        assert _one(BDI, block) == bdi_size(block) == 25
 
     def test_incompressible(self):
         rng = np.random.default_rng(5)
         block = rng.integers(0, 2**32, 32, dtype=np.uint32)
-        assert BDI.compressed_size(block) == MEMORY_ENTRY_BYTES
+        assert _one(BDI, block) == bdi_size(block) == MEMORY_ENTRY_BYTES
 
     @given(st.lists(st.one_of(blocks_strategy, small_blocks), min_size=1, max_size=12))
     @settings(max_examples=100, deadline=None)
-    def test_vectorised_matches_scalar(self, blocks):
+    def test_vectorised_matches_oracle(self, blocks):
         stacked = np.stack(blocks)
-        expected = np.array([BDI.compressed_size(b) for b in blocks])
+        expected = np.array([bdi_size(b) for b in blocks])
         np.testing.assert_array_equal(BDI.compressed_sizes(stacked), expected)
 
     @given(blocks_strategy)
     @settings(max_examples=100, deadline=None)
     def test_size_bounds(self, block):
-        size = BDI.compressed_size(block)
-        assert 1 <= size <= MEMORY_ENTRY_BYTES
+        assert 1 <= _one(BDI, block) <= MEMORY_ENTRY_BYTES
 
 
 class TestFPC:
-    def test_scalar_rejects_bulk_input(self):
-        with pytest.raises(ValueError, match="compressed_sizes"):
-            FPC.compressed_size(np.ones((4, 32), dtype=np.uint32))
-
     def test_zero_block_uses_runs(self):
         # 32 zero words -> 4 run codes of 8 -> 24 bits -> 3 bytes
-        assert FPC.compressed_size(np.zeros(32, dtype=np.uint32)) == 3
+        block = np.zeros(32, dtype=np.uint32)
+        assert _one(FPC, block) == fpc_size(block) == 3
 
     def test_small_values(self):
         block = np.arange(1, 33, dtype=np.uint32)  # 4-bit / 8-bit payloads
         # 7 words fit 4-bit payloads (7 bits each), 25 need 8-bit (11 bits):
         # 7*7 + 25*11 = 324 bits -> 41 bytes.
-        assert FPC.compressed_size(block) == 41
+        assert _one(FPC, block) == fpc_size(block) == 41
 
     def test_incompressible(self):
         rng = np.random.default_rng(6)
         block = rng.integers(2**28, 2**32, 32, dtype=np.uint32)
         # prefix overhead can exceed 128 B; size is capped
-        assert FPC.compressed_size(block) == MEMORY_ENTRY_BYTES
+        assert _one(FPC, block) == fpc_size(block) == MEMORY_ENTRY_BYTES
 
     @given(st.lists(st.one_of(blocks_strategy, small_blocks), min_size=1, max_size=12))
     @settings(max_examples=100, deadline=None)
-    def test_vectorised_matches_scalar(self, blocks):
+    def test_vectorised_matches_oracle(self, blocks):
         stacked = np.stack(blocks)
-        expected = np.array([FPC.compressed_size(b) for b in blocks])
+        expected = np.array([fpc_size(b) for b in blocks])
         np.testing.assert_array_equal(FPC.compressed_sizes(stacked), expected)
 
 
 class TestCPack:
     def test_zero_block(self):
-        assert CPACK.compressed_size(np.zeros(32, dtype=np.uint32)) == 8
+        block = np.zeros(32, dtype=np.uint32)
+        assert _one(CPACK, block) == cpack_size(block) == 8
 
     def test_repeated_word_hits_dictionary(self):
         block = np.full(32, 0x11223344, dtype=np.uint32)
         # first word unmatched (34 bits), the rest full matches (6 bits)
-        size = CPACK.compressed_size(block)
-        assert size == (34 + 31 * 6 + 7) // 8
+        assert _one(CPACK, block) == cpack_size(block) == (34 + 31 * 6 + 7) // 8
 
     def test_low_byte_words(self):
         block = np.full(32, 0x7F, dtype=np.uint32)
-        assert CPACK.compressed_size(block) == (32 * 12 + 7) // 8
+        assert _one(CPACK, block) == cpack_size(block) == (32 * 12 + 7) // 8
 
-    def test_bulk_sizes_match_scalar(self):
+    def test_bulk_sizes_match_oracle(self):
         # Regression: bulk (n, 32) input must yield one size per entry
         # with the FIFO dictionary reset at entry boundaries, exactly
         # as if each entry were compressed alone.
@@ -155,7 +176,7 @@ class TestCPack:
         blocks[7] = 0x11223344
         sizes = CPACK.compressed_sizes(blocks)
         assert sizes.shape == (16,) and sizes.dtype == np.int64
-        expected = [CPACK.compressed_size(b) for b in blocks]
+        expected = [cpack_size(b) for b in blocks]
         np.testing.assert_array_equal(sizes, expected)
 
     def test_bulk_sizes_accepts_raw_bytes_view(self):
@@ -167,18 +188,10 @@ class TestCPack:
             np.zeros((0, 32), dtype=np.uint32)
         ).shape == (0,)
 
-    def test_scalar_rejects_bulk_input(self):
-        # Regression: compressed_size used to silently flatten (n, 32)
-        # input into one cross-entry dictionary stream and return a
-        # single capped size.
-        blocks = np.ones((4, 32), dtype=np.uint32)
-        with pytest.raises(ValueError, match="compressed_sizes"):
-            CPACK.compressed_size(blocks)
-
     @given(blocks_strategy)
     @settings(max_examples=100, deadline=None)
     def test_size_bounds(self, block):
-        assert 1 <= CPACK.compressed_size(block) <= MEMORY_ENTRY_BYTES
+        assert 1 <= _one(CPACK, block) <= MEMORY_ENTRY_BYTES
 
     @given(
         st.lists(
@@ -188,9 +201,9 @@ class TestCPack:
         )
     )
     @settings(max_examples=100, deadline=None)
-    def test_vectorised_matches_scalar(self, blocks):
+    def test_vectorised_matches_oracle(self, blocks):
         stacked = np.stack(blocks)
-        expected = np.array([CPACK.compressed_size(b) for b in blocks])
+        expected = np.array([cpack_size(b) for b in blocks])
         np.testing.assert_array_equal(CPACK.compressed_sizes(stacked), expected)
 
 
@@ -245,76 +258,24 @@ class TestQuantisation:
             device_bytes_for_target(5)
 
 
-class TestCompressionRatio:
-    @pytest.mark.parametrize("algorithm", [BDI, FPC, CPACK])
-    def test_empty_input_is_neutral(self, algorithm):
-        """Regression: 0 blocks / 0 compressed bytes is 1.0, not inf."""
-        assert algorithm.compression_ratio(
-            np.zeros((0, WORDS_PER_ENTRY), dtype=np.uint32)
-        ) == 1.0
-        assert algorithm.compression_ratio(np.zeros(0, dtype=np.uint8)) == 1.0
-
-    def test_empty_input_is_neutral_for_bpc_and_zeroblock(self):
-        from repro.compression.bpc import BPCCompressor
-        from repro.compression.zeroblock import ZeroBlockCompressor
-
-        empty = np.zeros((0, WORDS_PER_ENTRY), dtype=np.uint32)
-        assert BPCCompressor().compression_ratio(empty) == 1.0
-        assert ZeroBlockCompressor().compression_ratio(empty) == 1.0
-
-    def test_all_zero_blocks_still_report_infinite_ratio(self):
-        """Non-empty input that compresses to nothing keeps the inf
-        semantics (free-size zero entries genuinely store 0 bytes)."""
-        from repro.compression.zeroblock import ZeroBlockCompressor
-
-        blocks = np.zeros((4, WORDS_PER_ENTRY), dtype=np.uint32)
-        assert ZeroBlockCompressor().compression_ratio(blocks) == float("inf")
-
-    def test_nonempty_ratio_unchanged(self):
-        blocks = np.zeros((2, WORDS_PER_ENTRY), dtype=np.uint32)
-        blocks[1] = np.arange(WORDS_PER_ENTRY, dtype=np.uint32) * 977_351
-        ratio = BDI.compression_ratio(blocks)
-        sizes = BDI.compressed_sizes(blocks)
-        assert ratio == 2 * MEMORY_ENTRY_BYTES / int(sizes.sum())
-
-
 class TestZeroBlock:
     def test_zero_mask(self):
         blocks = np.zeros((4, 32), dtype=np.uint32)
         blocks[2, 5] = 1
         np.testing.assert_array_equal(zero_mask(blocks), [True, True, False, True])
 
-    def test_zero_fraction(self):
-        blocks = np.zeros((4, 32), dtype=np.uint32)
-        blocks[0, 0] = 9
-        assert zero_fraction(blocks) == pytest.approx(0.75)
-
-    def test_zero_fraction_empty(self):
-        assert zero_fraction(np.zeros((0, 32), dtype=np.uint32)) == 0.0
-
-    def test_compressor_scalar(self):
-        from repro.compression.zeroblock import ZeroBlockCompressor
-
-        zb = ZeroBlockCompressor()
-        assert zb.compressed_size(np.zeros(32, dtype=np.uint32)) == 0
-        assert (
-            zb.compressed_size(np.ones(32, dtype=np.uint32))
-            == MEMORY_ENTRY_BYTES
-        )
-        with pytest.raises(ValueError, match="compressed_sizes"):
-            zb.compressed_size(np.zeros((4, 32), dtype=np.uint32))
+    def test_per_entry_sizes(self):
+        zeros, ones = np.zeros(32, dtype=np.uint32), np.ones(32, dtype=np.uint32)
+        assert _one(ZB, zeros) == zeroblock_size(zeros) == 0
+        assert _one(ZB, ones) == zeroblock_size(ones) == MEMORY_ENTRY_BYTES
 
     def test_compressor_bulk_matches_mask(self):
-        from repro.compression.zeroblock import ZeroBlockCompressor
-
-        zb = ZeroBlockCompressor()
         blocks = np.zeros((6, 32), dtype=np.uint32)
         blocks[1, 31] = 1
         blocks[4, 0] = 2
-        sizes = zb.compressed_sizes(blocks)
+        sizes = ZB.compressed_sizes(blocks)
         np.testing.assert_array_equal(
             sizes, np.where(zero_mask(blocks), 0, MEMORY_ENTRY_BYTES)
         )
-        scalar = [zb.compressed_size(b) for b in blocks]
-        np.testing.assert_array_equal(sizes, scalar)
-        assert zb.compressed_sizes(np.zeros((0, 32), np.uint32)).shape == (0,)
+        np.testing.assert_array_equal(sizes, [zeroblock_size(b) for b in blocks])
+        assert ZB.compressed_sizes(np.zeros((0, 32), np.uint32)).shape == (0,)
