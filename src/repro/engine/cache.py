@@ -53,11 +53,19 @@ def canonical(value):
     dataclasses, numpy arrays and scalars, and lists/tuples/dicts of
     the above.  Anything else raises ``TypeError`` — silent fallback
     reprs would make cache keys unstable across processes.
+
+    Values of the exact builtin types dispatch through
+    :data:`_EXACT`; subclasses (an ``IntEnum`` member is an ``int``
+    and stays itself), dataclasses and numpy values take the
+    ``isinstance`` chain below, so both routes give the same form.
     """
-    if value is None or isinstance(value, (bool, int, str)):
+    handler = _EXACT.get(type(value))
+    if handler is not None:
+        return handler(value)
+    if isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
-        return ("float", repr(value))
+        return _canonical_float(value)
     if isinstance(value, bytes):
         return ("bytes", hashlib.sha256(value).hexdigest())
     if isinstance(value, Enum):
@@ -86,13 +94,43 @@ def canonical(value):
     if isinstance(value, np.generic):
         return canonical(value.item())
     if isinstance(value, (list, tuple)):
-        return ("seq", tuple(canonical(v) for v in value))
+        return _canonical_seq(value)
     if isinstance(value, dict):
-        items = sorted(value.items(), key=lambda kv: str(kv[0]))
-        return ("map", tuple((str(k), canonical(v)) for k, v in items))
+        return _canonical_map(value)
     raise TypeError(
         f"cannot canonicalise {type(value).__qualname__} for cache keying"
     )
+
+
+def _canonical_float(value):
+    return ("float", repr(value))
+
+
+def _canonical_seq(value):
+    return ("seq", tuple([canonical(v) for v in value]))
+
+
+def _canonical_map(value):
+    items = sorted(value.items(), key=lambda kv: str(kv[0]))
+    return ("map", tuple([(str(k), canonical(v)) for k, v in items]))
+
+
+def _itself(value):
+    return value
+
+
+#: :func:`canonical` of the exact builtin types, looked up by
+#: ``type(value)`` before the ``isinstance`` chain.
+_EXACT = {
+    type(None): _itself,
+    bool: _itself,
+    int: _itself,
+    str: _itself,
+    float: _canonical_float,
+    list: _canonical_seq,
+    tuple: _canonical_seq,
+    dict: _canonical_map,
+}
 
 
 def param_digest(experiment: str, params: dict, salt: str = "") -> str:

@@ -19,6 +19,15 @@ values, and a resident value is written to a newly installed disk
 tier the first time it is used there — so the disk tier holds every
 artifact used under it, which is how pool workers share them.
 
+A resident entry is its value, its pickled size — the size of its
+disk-tier file when there is a disk tier, so admission does not
+pickle the value a second time — and a content digest
+(:func:`~repro.engine.cache.result_digest`) computed the first time
+:meth:`ArtifactStore.digest` asks for it.  A ``put`` that replaces the
+value resets the digest; eviction drops it with the entry.  The
+advisor answers every request with its answer's digest, so a hot
+answer is digested once while it stays resident, not once per hit.
+
 Policy:
 
 * **admission** — writes and disk-tier reads enter memory, except in
@@ -40,7 +49,13 @@ from __future__ import annotations
 import pickle
 from collections import OrderedDict
 
-from repro.engine.cache import CacheKey, CacheMiss, CacheStats, ResultCache
+from repro.engine.cache import (
+    CacheKey,
+    CacheMiss,
+    CacheStats,
+    ResultCache,
+    result_digest,
+)
 
 #: Byte budget of the process store's memory tier (pickled size).
 #: A Fig. 11 tape pickles to ~5.5 MB, so a handful stay resident;
@@ -76,7 +91,8 @@ class ArtifactStore:
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self.stats = CacheStats()
-        # key -> [value, pickled size, the backing it is known to be in]
+        # key -> [value, pickled size, the backing it is known to be in,
+        #         result_digest(value) or None until first asked for]
         self._entries: OrderedDict[CacheKey, list] = OrderedDict()
         self._bytes = 0
 
@@ -125,6 +141,22 @@ class ArtifactStore:
         self.stats.bump(key.experiment, 2)
         self._admit(key, value)
 
+    def digest(self, key: CacheKey, value) -> str:
+        """:func:`~repro.engine.cache.result_digest` of ``value``,
+        computed once per resident entry of ``key`` holding it.
+
+        A ``value`` that is not what ``key``'s entry holds (evicted,
+        replaced or never admitted) is digested afresh and nothing is
+        kept.  Recency and ``stats`` are untouched: the lookup that
+        returned ``value`` counted already.
+        """
+        entry = self._entries.get(key)
+        if entry is None or entry[0] is not value:
+            return result_digest(value)
+        if entry[3] is None:
+            entry[3] = result_digest(value)
+        return entry[3]
+
     def get_or_build(self, key: CacheKey, build):
         """The stored value of ``key``, calling ``build()`` (and
         storing its result) only when neither tier holds it."""
@@ -145,23 +177,29 @@ class ArtifactStore:
     def _admit(self, key: CacheKey, value) -> None:
         if key.experiment in DISK_ONLY:
             return
-        size = self._sizeof(value)
+        size = self._sizeof(key, value)
         old = self._entries.pop(key, None)
         if old is not None:
             self._bytes -= old[1]
-        self._entries[key] = [value, size, self.backing]
+        self._entries[key] = [value, size, self.backing, None]
         self._bytes += size
         while len(self._entries) > self.max_entries or (
             self.max_bytes is not None
             and self._bytes > self.max_bytes
             and len(self._entries) > 1
         ):
-            _, (_, evicted_size, _) = self._entries.popitem(last=False)
-            self._bytes -= evicted_size
+            _, evicted = self._entries.popitem(last=False)
+            self._bytes -= evicted[1]
             self.stats.evictions += 1
 
-    @staticmethod
-    def _sizeof(value) -> int:
+    def _sizeof(self, key: CacheKey, value) -> int:
+        # The disk tier just wrote or read ``key`` as this very pickle,
+        # so its file size is the value's size; pickle only without one.
+        if self.backing is not None:
+            try:
+                return self.backing.path_for(key).stat().st_size
+            except OSError:
+                pass  # evicted by a concurrent writer: measure it here
         try:
             return len(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
         except Exception:

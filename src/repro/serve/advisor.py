@@ -19,6 +19,12 @@ so N coalesced requests advance the two bulk-call counters at most
 Answers are memoised under the ``serve.advice`` cache namespace keyed
 by the request's parameter digest (same salt discipline as every
 experiment), which is what the service's shared hot cache stores.
+Every answer resolves through one
+:class:`~repro.engine.store.ArtifactStore` — the service's hot store,
+or a private one over the given result cache (or none) for one-shot
+calls — and takes its digest from the store, which computes it once
+per resident answer.  So a hot hit costs a store lookup: no profile,
+no evaluate and no digest.
 """
 
 from __future__ import annotations
@@ -131,10 +137,12 @@ def advise_batch(
 ) -> list[Advice]:
     """Answer a batch of requests through one coalesced pipeline pass.
 
-    ``cache`` is any object with the
-    :class:`~repro.engine.cache.ResultCache` get/put protocol (the
-    service passes its hot cache); answered payloads are stored under
-    the ``serve.advice`` namespace.  ``config`` is the base snapshot
+    ``cache`` is the service's hot
+    :class:`~repro.engine.store.ArtifactStore`, a
+    :class:`~repro.engine.cache.ResultCache` or ``None``; the latter
+    two are wrapped in a private store for this call.  Answered
+    payloads are stored under the ``serve.advice`` namespace, once per
+    distinct request in the batch.  ``config`` is the base snapshot
     configuration benchmark-backed requests profile under (requests
     carrying ``scale`` override it per request).
     """
@@ -144,18 +152,30 @@ def advise_batch(
     base_config = config or SnapshotConfig()
     salt_key = [request_cache_key(request) for request in requests]
 
-    from repro.engine.cache import CacheMiss, result_digest
+    from repro.engine.cache import CacheMiss
+    from repro.engine.store import ArtifactStore
 
+    store = cache
+    if not isinstance(store, ArtifactStore):
+        store = ArtifactStore(backing=cache)
     payloads: dict[int, dict] = {}
-    if cache is not None:
-        for position, key in enumerate(salt_key):
-            try:
-                payloads[position] = cache.get(key)
-            except CacheMiss:
-                pass
+    for position, key in enumerate(salt_key):
+        try:
+            payloads[position] = store.get(key)
+        except CacheMiss:
+            pass
 
     # -- resolve profile tensors for the misses ------------------------
-    misses = [i for i in range(len(requests)) if i not in payloads]
+    # A request repeated within the batch is answered once, by the
+    # first position that asks it.
+    first: dict = {}
+    for position, key in enumerate(salt_key):
+        first.setdefault(key, position)
+    misses = [
+        position
+        for position, key in enumerate(salt_key)
+        if first[key] == position and position not in payloads
+    ]
     tensors: dict[int, ProfileTensor] = {}
     profile_groups: dict[tuple, list[int]] = {}
     for position in misses:
@@ -230,17 +250,19 @@ def advise_batch(
             ),
         }
         payloads[position] = payload
-        if cache is not None:
-            cache.put(salt_key[position], payload)
+        store.put(salt_key[position], payload)
 
-    return [
-        Advice(
-            request_digest=salt_key[position].digest,
-            payload=payloads[position],
-            digest=result_digest(payloads[position]),
+    answers = []
+    for key in salt_key:
+        payload = payloads[first[key]]
+        answers.append(
+            Advice(
+                request_digest=key.digest,
+                payload=payload,
+                digest=store.digest(key, payload),
+            )
         )
-        for position in range(len(requests))
-    ]
+    return answers
 
 
 def advise_one(

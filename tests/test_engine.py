@@ -1,5 +1,8 @@
 """Tests for the experiment engine: cache, registry, runner."""
 
+from dataclasses import dataclass
+from enum import IntEnum
+
 import numpy as np
 import pytest
 
@@ -59,6 +62,31 @@ class TestCanonical:
         assert canonical(TINY) != canonical(SnapshotConfig())
         assert canonical(TargetRatio.X2) != canonical(TargetRatio.X4)
         assert canonical(FINAL)[0] == "dataclass"
+
+    def test_subclasses_keep_the_isinstance_semantics(self):
+        # Only the exact builtin types take the fast table; subclasses
+        # canonicalise exactly as the isinstance chain always has.
+        class Level(IntEnum):
+            LOW = 1
+
+        @dataclass
+        class Tagged(dict):
+            tag: str = "t"
+
+        assert canonical(Level.LOW) is Level.LOW
+        tagged = Tagged(tag="x")
+        tagged["ignored"] = 1
+        assert canonical(tagged) == (
+            "dataclass",
+            Tagged.__qualname__,
+            (("tag", "x"),),
+        )
+        assert canonical(True) is True
+        assert canonical(None) is None
+        assert canonical([1, (2.0, "s")]) == (
+            "seq",
+            (1, ("seq", (("float", "2.0"), "s"))),
+        )
 
     def test_ndarray_by_content(self):
         a = np.arange(8, dtype=np.int64)

@@ -28,9 +28,11 @@ import math
 import numpy as np
 import pytest
 
+from repro.core import controller as controller_mod
 from repro.core import profiler as profiler_mod
 from repro.core.profile_tensor import ProfileTensor
 from repro.engine import ExperimentRunner, result_digest
+from repro.engine import store as store_mod
 from repro.engine.store import ArtifactStore, process_store
 from repro.serve.clock import ManualClock
 from repro.serve.protocol import (
@@ -441,6 +443,53 @@ class TestDigestParity:
 
         advice = asyncio.run(scenario())
         assert advice.digest == advise_one(_histogram_request(0)).digest
+
+
+# ---------------------------------------------------------------------------
+class TestWorkBudget:
+    """The advisor's work per batch, pinned exactly: a cold batch makes
+    one bulk profile call, one evaluate call and one digest per
+    distinct answer; the same batch again is store lookups only."""
+
+    def test_hot_batch_makes_no_digest_profile_or_evaluate(
+        self, monkeypatch
+    ):
+        requests = [
+            _histogram_request(0),
+            _histogram_request(1),
+            _histogram_request(0),  # repeated within the batch
+            AdviceRequest(benchmark="VGG16", thresholds=(0.3,)),
+            AdviceRequest(benchmark="VGG16", thresholds=(0.2, 0.4)),
+        ]
+        expected = [advise_one(r, config=TINY).digest for r in requests]
+        digested = []
+
+        def counting(value):
+            digested.append(value)
+            return result_digest(value)
+
+        monkeypatch.setattr(store_mod, "result_digest", counting)
+        hot = ArtifactStore()
+        previous = profiler_mod.set_tensor_cache(hot)  # as the service does
+        try:
+            work = []
+            for _ in range(2):
+                profiles = profiler_mod.bulk_compression_call_count()
+                evaluates = controller_mod.evaluate_bulk_call_count()
+                del digested[:]
+                advices = advise_batch(requests, cache=hot, config=TINY)
+                assert [a.digest for a in advices] == expected
+                work.append(
+                    (
+                        len(digested),
+                        profiler_mod.bulk_compression_call_count() - profiles,
+                        controller_mod.evaluate_bulk_call_count() - evaluates,
+                    )
+                )
+        finally:
+            profiler_mod.set_tensor_cache(previous)
+        # (digests, bulk profile calls, evaluate calls) per pass.
+        assert work == [(4, 1, 1), (0, 0, 0)]
 
 
 # ---------------------------------------------------------------------------
