@@ -2,12 +2,13 @@
 
 The engine turns each analysis study into a named *experiment*: a
 declared parameter space that expands into independent design points,
-a pickle-safe per-point function, and an aggregator that assembles the
-study's result object.  :class:`~repro.engine.runner.ExperimentRunner`
-fans the points out across a ``ProcessPoolExecutor`` and memoises each
-point's result in a content-addressed on-disk cache keyed by
-``(experiment, parameter hash, code-version salt)``, so re-runs and
-partial sweeps are incremental.
+a ``"module:function"`` reference to the study function computing one
+point, and an aggregator that assembles the study's result object.
+:class:`~repro.engine.runner.ExperimentRunner` fans the points out
+across a ``ProcessPoolExecutor`` and memoises each point's result in
+a content-addressed on-disk cache keyed by ``(experiment, parameter
+hash, code-version salt)``, so re-runs and partial sweeps are
+incremental.
 
 Design points are embarrassingly parallel and every synthetic
 substrate draws from named :mod:`repro.rng` streams, so results are

@@ -7,8 +7,8 @@ code-version salt)``:
   point's parameters (dataclasses, enums, numpy arrays and plain
   containers all canonicalise deterministically);
 * the *code salt* (:mod:`repro.engine.salts`) hashes the source of
-  every module the experiment's point functions reach in the static
-  import graph, so editing the study code invalidates its cached
+  every module the experiment's referenced study modules reach in the
+  static import graph, so editing the study code invalidates its cached
   results without touching anyone else's.
 
 Values are stored as pickles under ``<root>/<experiment>/<digest>.pkl``

@@ -1,9 +1,11 @@
 """Built-in experiments: one per analysis study.
 
-Each study module owns its pickle-safe per-point function (named
-``*_point``); this module declares the parameter spaces, reducers and
-text formatters and registers everything.  Study modules are imported
-lazily inside the callables so importing the engine stays cheap and
+Each experiment names its study's point function and planner hook as
+``"module:function"`` references; the study signatures take the
+expanded point's keys.  This module declares the parameter spaces,
+reducers and text formatters and registers everything.  References
+resolve when first called and the callables here import lazily, so
+importing the engine or ``repro list`` loads no study module and stays
 cycle-free.  The formatters live here rather than in the study
 modules because the study modules are salted: a cosmetic change to a
 table must not invalidate cached results.
@@ -62,28 +64,10 @@ def _as_list(results: list, params: dict) -> list:
 # ---------------------------------------------------------------------------
 # compression.* (Figs. 3, 6, 7, 8, 9)
 # ---------------------------------------------------------------------------
-def _buddy_pipeline_plan(point: dict) -> list:
-    from repro.analysis.compression_study import buddy_pipeline_plan
-
-    return buddy_pipeline_plan(point)
-
-
 def _fig3_defaults() -> dict:
     from repro.workloads.snapshots import SnapshotConfig
 
     return {"benchmarks": _benchmark_names(), "config": SnapshotConfig()}
-
-
-def _fig3_point(point: dict):
-    from repro.analysis.compression_study import fig3_row
-
-    return fig3_row(point["benchmark"], point["config"])
-
-
-def _fig3_plan(point: dict) -> list:
-    from repro.analysis.compression_study import fig3_plan
-
-    return fig3_plan(point)
 
 
 def _fig3_format(rows) -> str:
@@ -109,10 +93,10 @@ register(
         title="Fig. 3: free-size BPC compression ratios",
         defaults=_fig3_defaults,
         expand=_per_benchmark_expand,
-        run_point=_fig3_point,
+        run_point="repro.analysis.compression_study:fig3_row",
         aggregate=_as_list,
         format=_fig3_format,
-        plan_point=_fig3_plan,
+        plan_point="repro.analysis.compression_study:fig3_plan",
     )
 )
 
@@ -125,14 +109,6 @@ def _fig6_defaults() -> dict:
         "snapshot_index": 5,
         "config": SnapshotConfig(),
     }
-
-
-def _fig6_point(point: dict):
-    from repro.analysis.compression_study import fig6_heatmap
-
-    return fig6_heatmap(
-        point["benchmark"], point["snapshot_index"], point["config"]
-    )
 
 
 def _fig6_format(heatmaps) -> str:
@@ -150,7 +126,7 @@ register(
         title="Fig. 6: per-page compressibility heatmaps",
         defaults=_fig6_defaults,
         expand=_per_benchmark_expand,
-        run_point=_fig6_point,
+        run_point="repro.analysis.compression_study:fig6_heatmap",
         aggregate=_keyed_by_benchmark,
         format=_fig6_format,
     )
@@ -166,12 +142,6 @@ def _fig7_defaults() -> dict:
         "config": SnapshotConfig(),
         "designs": (NAIVE, PER_ALLOCATION, FINAL),
     }
-
-
-def _fig7_point(point: dict):
-    from repro.analysis.compression_study import fig7_benchmark
-
-    return fig7_benchmark(point["benchmark"], point["config"], point["designs"])
 
 
 def _fig7_aggregate(results: list, params: dict):
@@ -207,10 +177,10 @@ register(
         title="Fig. 7: design points (naive / per-allocation / final)",
         defaults=_fig7_defaults,
         expand=_per_benchmark_expand,
-        run_point=_fig7_point,
+        run_point="repro.analysis.compression_study:fig7_benchmark",
         aggregate=_fig7_aggregate,
         format=_fig7_format,
-        plan_point=_buddy_pipeline_plan,
+        plan_point="repro.analysis.compression_study:buddy_pipeline_plan",
     )
 )
 
@@ -222,12 +192,6 @@ def _fig8_defaults() -> dict:
         "benchmarks": ("ResNet50", "SqueezeNet"),
         "config": SnapshotConfig(),
     }
-
-
-def _fig8_point(point: dict):
-    from repro.analysis.compression_study import fig8_benchmark
-
-    return fig8_benchmark(point["benchmark"], point["config"])
 
 
 def _fig8_format(results) -> str:
@@ -248,10 +212,10 @@ register(
         title="Fig. 8: temporal stability of buddy traffic",
         defaults=_fig8_defaults,
         expand=_per_benchmark_expand,
-        run_point=_fig8_point,
+        run_point="repro.analysis.compression_study:fig8_benchmark",
         aggregate=_keyed_by_benchmark,
         format=_fig8_format,
-        plan_point=_buddy_pipeline_plan,
+        plan_point="repro.analysis.compression_study:buddy_pipeline_plan",
     )
 )
 
@@ -264,14 +228,6 @@ def _fig9_defaults() -> dict:
         "thresholds": (0.10, 0.20, 0.30, 0.40),
         "config": SnapshotConfig(),
     }
-
-
-def _fig9_point(point: dict):
-    from repro.analysis.compression_study import fig9_benchmark
-
-    return fig9_benchmark(
-        point["benchmark"], point["thresholds"], point["config"]
-    )
 
 
 def _fig9_format(sweep) -> str:
@@ -289,10 +245,10 @@ register(
         title="Fig. 9: Buddy Threshold sweep",
         defaults=_fig9_defaults,
         expand=_per_benchmark_expand,
-        run_point=_fig9_point,
+        run_point="repro.analysis.compression_study:fig9_benchmark",
         aggregate=_keyed_by_benchmark,
         format=_fig9_format,
-        plan_point=_buddy_pipeline_plan,
+        plan_point="repro.analysis.compression_study:buddy_pipeline_plan",
     )
 )
 
@@ -314,18 +270,6 @@ def _fig5b_defaults() -> dict:
     }
 
 
-def _fig5b_point(point: dict):
-    from repro.analysis.metadata_study import metadata_row
-
-    return metadata_row(point["benchmark"], point["sizes"], point["trace_config"])
-
-
-def _fig5b_plan(point: dict) -> list:
-    from repro.analysis.metadata_study import fig5b_plan
-
-    return fig5b_plan(point)
-
-
 def _fig5b_format(rows) -> str:
     from repro.analysis.metadata_study import format_metadata_table
 
@@ -338,10 +282,10 @@ register(
         title="Fig. 5b: metadata-cache hit rate vs capacity",
         defaults=_fig5b_defaults,
         expand=_per_benchmark_expand,
-        run_point=_fig5b_point,
+        run_point="repro.analysis.metadata_study:metadata_row",
         aggregate=_as_list,
         format=_fig5b_format,
-        plan_point=_fig5b_plan,
+        plan_point="repro.analysis.metadata_study:fig5b_plan",
     )
 )
 
@@ -373,27 +317,10 @@ def _fig10_expand(params: dict) -> list[dict]:
     ]
 
 
-def _fig10_point(point: dict):
-    from repro.analysis.correlation_study import correlation_point
-
-    return correlation_point(
-        point["benchmark"],
-        point["memory_instructions"],
-        point["sm_count"],
-        point["warps_per_sm"],
-    )
-
-
 def _fig10_aggregate(results: list, params: dict):
     from repro.analysis.correlation_study import CorrelationResult
 
     return CorrelationResult(list(results))
-
-
-def _fig10_plan(point: dict) -> list:
-    from repro.analysis.correlation_study import fig10_plan
-
-    return fig10_plan(point)
 
 
 def _fig10_format(result) -> str:
@@ -410,10 +337,10 @@ register(
         title="Fig. 10: fast-vs-reference simulator correlation",
         defaults=_fig10_defaults,
         expand=_fig10_expand,
-        run_point=_fig10_point,
+        run_point="repro.analysis.correlation_study:correlation_point",
         aggregate=_fig10_aggregate,
         format=_fig10_format,
-        plan_point=_fig10_plan,
+        plan_point="repro.analysis.correlation_study:fig10_plan",
     )
 )
 
@@ -441,30 +368,10 @@ def _fig11_defaults() -> dict:
     }
 
 
-def _fig11_point(point: dict):
-    from repro.analysis.perf_study import perf_benchmark_row
-
-    return perf_benchmark_row(
-        point["benchmark"],
-        point["config"],
-        point["trace_config"],
-        point["link_sweep"],
-        point["profile_config"],
-        point["engine"],
-        point["verify"],
-    )
-
-
 def _fig11_aggregate(results: list, params: dict):
     from repro.analysis.perf_study import PerfStudyResult
 
     return PerfStudyResult(list(results))
-
-
-def _fig11_plan(point: dict) -> list:
-    from repro.analysis.perf_study import fig11_plan
-
-    return fig11_plan(point)
 
 
 def _fig11_format(result) -> str:
@@ -479,10 +386,10 @@ register(
         title="Fig. 11: performance vs ideal large-memory GPU",
         defaults=_fig11_defaults,
         expand=_per_benchmark_expand,
-        run_point=_fig11_point,
+        run_point="repro.analysis.perf_study:perf_benchmark_row",
         aggregate=_fig11_aggregate,
         format=_fig11_format,
-        plan_point=_fig11_plan,
+        plan_point="repro.analysis.perf_study:fig11_plan",
     )
 )
 
@@ -501,14 +408,6 @@ def _fig12_defaults() -> dict:
     }
 
 
-def _fig12_point(point: dict):
-    from repro.analysis.um_study import um_benchmark_curve
-
-    return um_benchmark_curve(
-        point["benchmark"], point["levels"], point["config"]
-    )
-
-
 def _fig12_aggregate(results: list, params: dict) -> list:
     return [row for curve in results for row in curve]
 
@@ -525,7 +424,7 @@ register(
         title="Fig. 12: UM oversubscription slowdowns",
         defaults=_fig12_defaults,
         expand=_per_benchmark_expand,
-        run_point=_fig12_point,
+        run_point="repro.analysis.um_study:um_benchmark_curve",
         aggregate=_fig12_aggregate,
         format=_fig12_format,
     )
@@ -557,20 +456,8 @@ def _dl_expand(params: dict) -> list[dict]:
     ]
 
 
-def _dl_ratio_point(point: dict):
-    from repro.analysis.dl_study import network_ratio
-
-    return network_ratio(point["network"], point["config"])
-
-
 def _dl_ratio_aggregate(results: list, params: dict) -> dict:
     return dict(zip(params["networks"], results))
-
-
-def _dl_ratio_plan(point: dict) -> list:
-    from repro.analysis.dl_study import network_ratio_plan
-
-    return network_ratio_plan(point)
 
 
 def _dl_ratio_format(ratios) -> str:
@@ -585,10 +472,10 @@ register(
         title="Per-network buddy compression ratios (Fig. 13 input)",
         defaults=_dl_ratio_defaults,
         expand=_dl_expand,
-        run_point=_dl_ratio_point,
+        run_point="repro.analysis.dl_study:network_ratio",
         aggregate=_dl_ratio_aggregate,
         format=_dl_ratio_format,
-        plan_point=_dl_ratio_plan,
+        plan_point="repro.analysis.dl_study:network_ratio_plan",
     )
 )
 
@@ -607,12 +494,6 @@ def _advice_defaults() -> dict:
         "designs": DESIGNS,
         "config": SnapshotConfig(),
     }
-
-
-def _advice_point(point: dict):
-    from repro.serve.advisor import advice_point
-
-    return advice_point(point)
 
 
 def _advice_format(results) -> str:
@@ -635,7 +516,7 @@ register(
         title="Advisor answer: codec/threshold/design per profile",
         defaults=_advice_defaults,
         expand=_per_benchmark_expand,
-        run_point=_advice_point,
+        run_point="repro.serve.advisor:advice_point",
         aggregate=_keyed_by_benchmark,
         format=_advice_format,
     )
@@ -669,9 +550,9 @@ register(
         title="Fig. 13: the DL-training case study",
         defaults=_fig13_defaults,
         expand=_dl_expand,
-        run_point=_dl_ratio_point,
+        run_point="repro.analysis.dl_study:network_ratio",
         aggregate=_fig13_aggregate,
         format=_fig13_format,
-        plan_point=_dl_ratio_plan,
+        plan_point="repro.analysis.dl_study:network_ratio_plan",
     )
 )

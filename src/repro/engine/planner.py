@@ -57,7 +57,7 @@ from typing import Any
 
 from repro import rng as rng_lib
 from repro.engine.cache import CacheKey, CacheMiss, ResultCache, param_digest
-from repro.engine.registry import Experiment, get_experiment
+from repro.engine.registry import Experiment, get_experiment, resolve
 
 _UNSET = object()
 
@@ -516,7 +516,7 @@ def plan(requests, runner=None) -> Plan:
         ]
         for point, hit in zip(points, predicted):
             if experiment.plan_point is not None:
-                for spec in experiment.plan_point(point):
+                for spec in resolve(experiment.plan_point)(point):
                     key = spec.cache_key()
                     node_id = f"{spec.kind}/{key.digest}"
                     node = shared.get(node_id)

@@ -6,18 +6,20 @@ a study as a cached, parallel sweep:
 * ``defaults`` — the study's full parameter dictionary (every value
   concrete, so parameter hashes are stable);
 * ``expand`` — parameters → ordered list of design-point dictionaries;
-* ``run_point`` — a **module-level, pickle-safe** callable executing
-  one design point (workers import it by reference);
+* ``run_point`` — a ``"module:function"`` reference to the study
+  function executing one design point, called as ``fn(**point)``
+  (workers receive the string and :func:`resolve` it themselves);
 * ``aggregate`` — point results (in expansion order) + parameters →
   the study's result object;
 * ``format`` — the study's result object → the paper-style text that
   ``repro run`` / ``repro sweep`` print;
-* ``plan_point`` (optional) — design point → the typed dependency
-  specs (:mod:`repro.engine.planner`) the point shares with its
-  neighbours, so the sweep planner can dedupe and merge them.
+* ``plan_point`` (optional) — a reference to the hook mapping a design
+  point dict to the typed dependency specs
+  (:mod:`repro.engine.planner`) the point shares with its neighbours,
+  so the sweep planner can dedupe and merge them.
 
-The cache's code-version salt is not declared: it hashes every module
-``run_point`` and ``plan_point`` import, closed over the static import
+The cache's code-version salt is not declared: it hashes the modules
+``run_point`` and ``plan_point`` name, closed over the static import
 graph (:func:`repro.engine.salts.experiment_salt`).
 
 The built-in experiments (one per analysis study) live in
@@ -45,13 +47,14 @@ class Experiment:
     title: str
     defaults: Callable[[], dict[str, Any]]
     expand: Callable[[dict[str, Any]], list[dict[str, Any]]]
-    run_point: Callable[[dict[str, Any]], Any]
+    #: ``"module:function"`` of the study function, called ``fn(**point)``.
+    run_point: str
     aggregate: Callable[[list[Any], dict[str, Any]], Any]
     format: Callable[[Any], str]
-    #: Optional dependency-graph declaration: point -> list of typed
-    #: planner specs (ProfileTensorSpec & co.).  ``None`` = the point
-    #: is opaque; the planner runs it unoptimized.
-    plan_point: Callable[[dict[str, Any]], list] | None = None
+    #: Optional ``"module:function"`` of the dependency-graph hook:
+    #: point -> list of typed planner specs (ProfileTensorSpec & co.).
+    #: ``None`` = the point is opaque; the planner runs it unoptimized.
+    plan_point: str | None = None
 
     def resolve_params(self, overrides: dict[str, Any] | None) -> dict[str, Any]:
         """Merge caller overrides into the declared defaults.
@@ -69,6 +72,16 @@ class Experiment:
             if value is not None:
                 params[key] = value
         return params
+
+
+def resolve(reference: str) -> Callable:
+    """The function a ``"module:function"`` reference names.
+
+    Imports the module on first use; afterwards the lookup is a
+    ``sys.modules`` hit and one attribute read.
+    """
+    module, _, name = reference.partition(":")
+    return getattr(importlib.import_module(module), name)
 
 
 def register(experiment: Experiment) -> Experiment:

@@ -23,14 +23,15 @@ byte-identical to serial runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
 from repro import rng as rng_lib
 from repro.engine.cache import ResultCache, param_digest
-from repro.engine.registry import Experiment
+from repro.engine.registry import Experiment, resolve
 from repro.engine.salts import experiment_salt
 
 
@@ -56,7 +57,7 @@ def point_digests(
 
 
 def run_point_seeded(
-    run_point: Callable[[dict], Any],
+    run_point: str,
     point: dict,
     seed: int,
     cache_root: str | None = None,
@@ -64,8 +65,9 @@ def run_point_seeded(
 ) -> Any:
     """Execute one design point with deterministic global-RNG state.
 
-    Module-level so ``ProcessPoolExecutor`` can pickle it by reference
-    together with the experiment's (also module-level) point function.
+    Module-level so ``ProcessPoolExecutor`` can pickle it by reference;
+    ``run_point`` is the experiment's ``"module:function"`` reference,
+    resolved here (in the worker) and called as ``fn(**point)``.
     The caller's global-RNG state is restored afterwards so inline
     (serial) execution does not clobber library users' ``np.random``
     streams as a side effect.
@@ -90,7 +92,7 @@ def run_point_seeded(
     state = np.random.get_state()
     try:
         np.random.seed(seed & 0xFFFF_FFFF)
-        return run_point(point)
+        return resolve(run_point)(**point)
     finally:
         np.random.set_state(state)
         if cache_root is not None:
@@ -258,13 +260,20 @@ def example_runner(argv=None, description: str | None = None) -> ExperimentRunne
 
 
 def parse_size(text: str) -> int:
-    """Parse a byte size with an optional K/M/G/T suffix (``"256M"``)."""
+    """Parse a byte size with an optional K/M/G/T suffix (``"256M"``).
+
+    Negative and non-finite sizes raise :class:`ValueError`, as
+    unparsable text does; ``0`` is a valid size.
+    """
     cleaned = str(text).strip().upper().removesuffix("IB").removesuffix("B")
     scale = 1
     if cleaned and cleaned[-1] in "KMGT":
         scale = 1024 ** (1 + "KMGT".index(cleaned[-1]))
         cleaned = cleaned[:-1]
     try:
-        return int(float(cleaned) * scale)
+        size = float(cleaned) * scale
     except ValueError:
         raise ValueError(f"cannot parse size {text!r}") from None
+    if not 0 <= size < math.inf:
+        raise ValueError(f"size {text!r} is not a finite, non-negative byte count")
+    return int(size)

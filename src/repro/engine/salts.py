@@ -6,8 +6,8 @@ source bytes of every module whose code can shape the cached value.
 That module set is not declared anywhere.  It is the salt-relevant
 closure of a few *roots* in the static import graph:
 
-* an experiment's roots are the in-package modules imported inside its
-  ``run_point`` and ``plan_point`` (:func:`experiment_salt`);
+* an experiment's roots are the modules its ``run_point`` and
+  ``plan_point`` references name (:func:`experiment_salt`);
 * an artifact's roots are the modules of its build: the profiler and
   the codec's module for a profile tensor, the profiler for an entry
   state, ``workloads.traces`` for a trace, ``vector_sim`` and
@@ -42,9 +42,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
-import inspect
 import re
-import textwrap
 from functools import lru_cache
 from pathlib import Path
 
@@ -106,7 +104,7 @@ def _import_nodes(text: str, package: str) -> list[ast.AST]:
             for node in ast.parse(statement).body
         ]
     except SyntaxError:  # a statement the line scan cut short
-        return list(ast.walk(ast.parse(textwrap.dedent(text))))
+        return list(ast.walk(ast.parse(text)))
 
 
 class ImportGraph:
@@ -146,16 +144,6 @@ class ImportGraph:
                 module, _import_nodes(text, self.package)
             )
         return self._imports[module]
-
-    def function_imports(self, function) -> tuple[str, ...]:
-        """In-package modules imported inside one function's body."""
-        try:
-            source = inspect.getsource(function)
-        except (OSError, TypeError):  # no source: nothing to hash either
-            return ()
-        return self._resolve(
-            function.__module__, _import_nodes(source, self.package)
-        )
 
     def from_base(self, module: str, node: ast.ImportFrom) -> str:
         """The absolute module a ``from`` import inside ``module`` names."""
@@ -251,17 +239,14 @@ def code_salt(roots: tuple[str, ...]) -> str:
     return digest.hexdigest()[:16]
 
 
-@lru_cache(maxsize=None)
 def experiment_roots(experiment) -> tuple[str, ...]:
-    """The modules an experiment's ``run_point``/``plan_point`` import."""
-    graph = package_graph()
+    """The modules an experiment's ``run_point``/``plan_point`` name."""
     return tuple(
         sorted(
             {
-                module
-                for function in (experiment.run_point, experiment.plan_point)
-                if function is not None
-                for module in graph.function_imports(function)
+                reference.partition(":")[0]
+                for reference in (experiment.run_point, experiment.plan_point)
+                if reference is not None
             }
         )
     )

@@ -181,7 +181,7 @@ def advise_batch(
     for position in misses:
         request = requests[position]
         if request.histogram is not None:
-            tensors[position] = request.histogram.tensor
+            tensors[position] = request.histogram
             continue
         cfg = base_config
         if request.scale is not None:
@@ -274,7 +274,13 @@ def advise_one(
     return advise_batch([request], cache=cache, config=config)[0]
 
 
-def advice_point(point: dict) -> dict:
+def advice_point(
+    benchmark: str,
+    codec: str,
+    thresholds,
+    designs,
+    config: SnapshotConfig,
+) -> dict:
     """``serve.advice`` experiment run point (one benchmark's answer).
 
     Returns the same payload dict the service answers with, so
@@ -282,9 +288,9 @@ def advice_point(point: dict) -> dict:
     this point's value — the digest-parity contract.
     """
     request = AdviceRequest(
-        benchmark=point["benchmark"],
-        codec=point["codec"],
-        thresholds=tuple(point["thresholds"]),
-        designs=tuple(point["designs"]),
+        benchmark=benchmark,
+        codec=codec,
+        thresholds=tuple(thresholds),
+        designs=tuple(designs),
     )
-    return advise_one(request, config=point["config"]).payload
+    return advise_one(request, config=config).payload

@@ -80,24 +80,12 @@ class ServiceClosed(AdviceError):
 
 
 @dataclass(frozen=True)
-class Histogram:
-    """A client-supplied raw profile, validated once.
-
-    :func:`build_histogram` validates the raw arrays into ``tensor``,
-    which the advisor evaluates as is.  Its arrays follow
-    :class:`~repro.core.profile_tensor.ProfileTensor` layout:
-    ``counts`` is ``(A, S, 4)``, ``zero_fit`` ``(A, S)``,
-    ``fractions`` ``(A,)``.
-    """
-
-    tensor: ProfileTensor
-
-
-@dataclass(frozen=True)
 class AdviceRequest:
     """One advisor question.
 
-    Exactly one of ``benchmark`` / ``histogram`` must be given.
+    Exactly one of ``benchmark`` / ``histogram`` must be given;
+    ``histogram`` is a client-supplied profile that
+    :func:`build_histogram` validated, evaluated as is.
     ``thresholds`` are the Buddy Threshold candidates swept for the
     per-allocation and final designs; ``max_buddy_fraction`` bounds
     the recommendation's buddy-entry traffic (requests exceeding it
@@ -106,7 +94,7 @@ class AdviceRequest:
     """
 
     benchmark: str | None = None
-    histogram: Histogram | None = None
+    histogram: ProfileTensor | None = None
     codec: str = "bpc"
     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
     designs: tuple[str, ...] = DESIGNS
@@ -212,8 +200,8 @@ class AdviceRequest:
     def payload(self) -> dict:
         """Canonical parameter payload (request digests hash this)."""
         histogram = None
-        if self.histogram is not None:
-            tensor = self.histogram.tensor
+        tensor = self.histogram
+        if tensor is not None:
             histogram = {
                 "label": tensor.benchmark,
                 "names": tensor.names,
@@ -238,8 +226,8 @@ class AdviceRequest:
     def to_json(self) -> dict:
         """Wire (JSON-lines) form of the request."""
         body = self.payload()
-        if body["histogram"] is not None:
-            tensor = self.histogram.tensor
+        tensor = self.histogram
+        if tensor is not None:
             body["histogram"] = {
                 "label": tensor.benchmark,
                 "names": list(tensor.names),
@@ -309,8 +297,11 @@ class AdviceRequest:
 
 def build_histogram(
     label: str, names, fractions, counts, zero_fit
-) -> Histogram:
-    """Validate raw profile arrays into a :class:`Histogram`.
+) -> ProfileTensor:
+    """Validate raw profile arrays into a client :class:`ProfileTensor`.
+
+    The arrays follow its layout: ``counts`` is ``(A, S, 4)``,
+    ``zero_fit`` ``(A, S)``, ``fractions`` ``(A,)``.
 
     Validation is delegated to
     :meth:`~repro.core.profile_tensor.ProfileTensor.from_payload` (the
@@ -318,12 +309,11 @@ def build_histogram(
     :class:`InvalidRequest` with code ``bad-histogram``.
     """
     try:
-        tensor = ProfileTensor.from_payload(
+        return ProfileTensor.from_payload(
             str(label), names, fractions, counts, zero_fit
         )
     except ValueError as err:
         raise InvalidRequest("bad-histogram", str(err)) from None
-    return Histogram(tensor)
 
 
 @dataclass(frozen=True)

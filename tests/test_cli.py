@@ -25,7 +25,7 @@ SCALE = "3.0517578125e-05"
 BUILTINS = [
     name
     for name in experiment_names()
-    if get_experiment(name).run_point.__module__ == "repro.engine.experiments"
+    if get_experiment(name).run_point.startswith("repro.")
 ]
 
 
@@ -66,6 +66,38 @@ def test_fig7_skips_a_suite_the_subset_left_empty(capsys):
         "per-allocation   HPC: 1.10x, 0.00% buddy accesses\n"
         "final            HPC: 1.10x, 0.00% buddy accesses\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cache", "--evict-to=-1G"],
+        ["cache", "--evict-to", "inf"],
+        ["run", "um.fig12", "--cache-max-bytes", "1e400"],
+        ["run", "um.fig12", "--cache-max-bytes", "nan"],
+    ],
+)
+def test_bad_sizes_are_usage_errors(argv, tmp_path, capsys):
+    """A negative or non-finite size is argparse's exit 2, not a
+    traceback and not an evict-everything bound."""
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--cache-dir", str(tmp_path)])
+    assert excinfo.value.code == 2
+    assert "invalid parse_size value" in capsys.readouterr().err
+
+
+def test_negative_evict_to_keeps_every_entry(tmp_path, capsys):
+    cache_dir = ["--cache-dir", str(tmp_path)]
+    assert main(["run", "um.fig12", "--quiet", "--scale", SCALE, *cache_dir]) == 0
+    capsys.readouterr()
+    assert main(["cache", "--json", *cache_dir]) == 0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert entries > 0
+    with pytest.raises(SystemExit):
+        main(["cache", "--evict-to=-1G", *cache_dir])
+    capsys.readouterr()
+    assert main(["cache", "--json", *cache_dir]) == 0
+    assert json.loads(capsys.readouterr().out)["entries"] == entries
 
 
 def test_legacy_engine_is_a_usage_error(capsys):

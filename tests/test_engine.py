@@ -1,5 +1,6 @@
 """Tests for the experiment engine: cache, registry, runner."""
 
+import inspect
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -13,12 +14,15 @@ from repro.engine import (
     ExperimentRunner,
     ResultCache,
     code_salt,
+    experiment_names,
     get_experiment,
     param_digest,
     register,
     result_digest,
 )
 from repro.engine.cache import CacheKey, canonical
+from repro.engine.planner import ArtifactSpec
+from repro.engine.registry import resolve
 from repro.workloads.snapshots import SnapshotConfig
 
 TINY = SnapshotConfig(scale=1.0 / 262144, min_footprint_bytes=256 * 1024)
@@ -28,10 +32,10 @@ TINY = SnapshotConfig(scale=1.0 / 262144, min_footprint_bytes=256 * 1024)
 # A minimal experiment for runner-behaviour tests (module-level point
 # function so worker processes can import it by reference).
 # ---------------------------------------------------------------------------
-def _double_point(point):
-    if point["value"] == "boom":
+def _double_point(value):
+    if value == "boom":
         raise RuntimeError("boom")
-    return point["value"] * 2
+    return value * 2
 
 
 register(
@@ -40,11 +44,37 @@ register(
         title="doubles values (test fixture)",
         defaults=lambda: {"values": (1, 2, 3)},
         expand=lambda p: [{"value": v} for v in p["values"]],
-        run_point=_double_point,
+        run_point=f"{__name__}:_double_point",
         aggregate=lambda results, p: list(results),
         format=str,
     )
 )
+
+
+def _study_function(reference: str):
+    function = resolve(reference)
+    assert inspect.isfunction(function), reference
+    assert function.__module__ == reference.partition(":")[0], reference
+    return function
+
+
+@pytest.mark.parametrize(
+    "name",
+    [n for n in experiment_names() if get_experiment(n).run_point.startswith("repro.")],
+)
+def test_builtin_references_fit_their_points(name):
+    """Each reference names a function defined in its ``repro`` module,
+    every default point binds to the run point's signature and the plan
+    hook returns planner specs: a renamed study parameter fails here,
+    not as a ``TypeError`` inside a pool worker."""
+    experiment = get_experiment(name)
+    signature = inspect.signature(_study_function(experiment.run_point))
+    plan_point = experiment.plan_point and _study_function(experiment.plan_point)
+    for point in experiment.expand(experiment.defaults()):
+        signature.bind(**point)
+        if plan_point:
+            specs = plan_point(point)
+            assert specs and all(isinstance(s, ArtifactSpec) for s in specs)
 
 
 class TestCanonical:
@@ -206,8 +236,10 @@ class TestResultCache:
         assert parse_size("1.5M") == int(1.5 * 1024 * 1024)
         assert parse_size("2G") == 2 * 1024**3
         assert parse_size("2GiB") == 2 * 1024**3
-        with pytest.raises(ValueError):
-            parse_size("banana")
+        assert parse_size("0") == 0
+        for bad in ("banana", "-1G", "inf", "1e400", "nan"):
+            with pytest.raises(ValueError):
+                parse_size(bad)
 
 
 class TestRunner:

@@ -156,19 +156,13 @@ def test_exempt_modules_are_boundaries(graph):
     assert graph.closure(["fixpkg.engine.cache"]) == ("fixpkg",)
 
 
-def test_function_imports_sees_lazy_study_imports():
-    """Studies import lazily inside ``run_point``; a function without
-    source contributes nothing."""
-    graph = package_graph()
-    assert "repro.analysis.perf_study" in experiment_roots(
-        get_experiment("perf.fig11")
-    )
-    assert graph.function_imports(len) == ()
-
-
 def test_a_closure_holds_only_the_code_its_result_runs():
-    """The Fig. 12 UM model calls no codec, profiler or simulator, so
-    editing one cannot invalidate its cached results."""
+    """An experiment's roots are the modules its references name.  The
+    Fig. 12 UM model calls no codec, profiler or simulator, so editing
+    one cannot invalidate its cached results."""
+    assert experiment_roots(get_experiment("perf.fig11")) == (
+        "repro.analysis.perf_study",
+    )
     closure = package_graph().closure(experiment_roots(get_experiment("um.fig12")))
     assert not [
         module
@@ -213,7 +207,7 @@ print(json.dumps(sorted(sys.modules)))
 _RUN = """
 import json, sys
 from dataclasses import replace
-from repro.engine.registry import experiment_names, get_experiment
+from repro.engine.registry import experiment_names, get_experiment, resolve
 
 name, scale = sys.argv[1], float(sys.argv[2])
 experiment_names()  # registers the built-in experiments
@@ -265,8 +259,8 @@ else:
             params[key] = replace(value, scale=scale)
     point = experiment.expand(params)[0]
     if experiment.plan_point is not None:
-        experiment.plan_point(point)
-    experiment.run_point(point)
+        resolve(experiment.plan_point)(point)
+    resolve(experiment.run_point)(**point)
 print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
@@ -291,7 +285,7 @@ def _builtin_names() -> list[str]:
     return [
         name
         for name in experiment_names()
-        if get_experiment(name).run_point.__module__ == "repro.engine.experiments"
+        if get_experiment(name).run_point.startswith("repro.")
     ]
 
 

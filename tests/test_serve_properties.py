@@ -110,7 +110,7 @@ def _service_answer(request: AdviceRequest) -> dict:
 
 def _direct_evaluations(request: AdviceRequest) -> list[dict]:
     """The same candidates, assembled straight from the core policies."""
-    tensor = request.histogram.tensor
+    tensor = request.histogram
     selections, labels = [], []
     per_alloc = None
     if set(request.designs) & {"per-allocation", "final"}:
