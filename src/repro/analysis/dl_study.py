@@ -77,35 +77,3 @@ def assemble_dl_study(
         batch: accuracy_curve(batch, epochs) for batch in batches
     }
     return DLStudyResult(footprints, speedups, case_study, accuracy)
-
-
-def format_dl_tables(result: DLStudyResult) -> str:
-    lines = ["Fig 13a - footprint (GB) vs mini-batch:"]
-    batches = sorted(next(iter(result.footprints.values())))
-    header = f"{'network':14s}" + "".join(f"{b:>9d}" for b in batches)
-    lines.append(header)
-    for name, row in result.footprints.items():
-        lines.append(
-            f"{name:14s}" + "".join(f"{row[b]:9.2f}" for b in batches)
-        )
-    lines.append("\nFig 13b - images/s speedup vs batch (relative to 16):")
-    lines.append(header)
-    for name, row in result.throughput_speedups.items():
-        lines.append(
-            f"{name:14s}" + "".join(f"{row[b]:9.2f}" for b in batches)
-        )
-    lines.append("\nFig 13c - Buddy-enabled batch speedups:")
-    for row in result.case_study:
-        lines.append(
-            f"{row.network:14s} ratio {row.compression_ratio:4.2f} "
-            f"batch {row.baseline_batch:4d} -> {row.buddy_batch:4d} "
-            f"speedup {row.speedup:5.2f}"
-        )
-    lines.append(f"mean speedup: {result.mean_case_speedup:.2f} (paper 1.14)")
-    lines.append("\nFig 13d - final validation accuracy by batch:")
-    for batch, curve in result.accuracy.items():
-        lines.append(
-            f"batch {batch:4d}: final {curve[-1]:.3f} "
-            f"(epoch-50 {curve[49]:.3f})"
-        )
-    return "\n".join(lines)

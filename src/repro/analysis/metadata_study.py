@@ -122,15 +122,3 @@ def fig5b_plan(point: dict) -> list:
         ),
         TraceSpec(point["benchmark"], trace_config),
     ]
-
-
-def format_metadata_table(rows: list[MetadataStudyRow]) -> str:
-    sizes = sorted(next(iter(rows)).hit_rates)
-    header = f"{'benchmark':14s} " + " ".join(
-        f"{size // KIB:>4d}K" for size in sizes
-    )
-    lines = [header]
-    for row in rows:
-        cells = " ".join(f"{row.hit_rates[s]:5.2f}" for s in sizes)
-        lines.append(f"{row.benchmark:14s} {cells}")
-    return "\n".join(lines)

@@ -74,6 +74,24 @@ class PerfStudyResult:
         return float(np.exp(np.mean(np.log(values))))
 
 
+def fig11_inputs(
+    benchmark: str, trace_config: TraceConfig, profile_config: SnapshotConfig
+) -> tuple:
+    """A Fig. 11 point's simulator inputs: ``(trace, layout, selection)``.
+
+    The stored trace, the per-entry state behind its layout and the
+    FINAL buddy selection over the profile: all artifacts served by
+    the process artifact store, so a warm design point generates no
+    snapshot and no trace at all.  :func:`perf_benchmark_row`
+    simulates on them and :func:`prepare_tape` records from them.
+    """
+    compressor = BuddyCompressor(profile_config)
+    trace = stored_trace(benchmark, trace_config)
+    layout = layout_state(benchmark, trace_config)
+    selection = compressor.select(compressor.profile(benchmark), FINAL)
+    return trace, layout, selection
+
+
 def perf_benchmark_row(
     benchmark: str,
     config: GPUConfig,
@@ -97,16 +115,9 @@ def perf_benchmark_row(
     vectorized engine (a breach raises ``RelaxedVerificationError``);
     it must stay 0.0 for ``"vectorized"``.
     """
-    compressor = BuddyCompressor(profile_config)
-
-    trace = stored_trace(benchmark, trace_config)
-    # The cached per-entry state behind the trace layout: the trace,
-    # the profile and both compression states are all artifacts served
-    # by the process artifact store, so a warm design point generates
-    # no snapshot and no trace at all.
-    layout = layout_state(benchmark, trace_config)
-    selection = compressor.select(compressor.profile(benchmark), FINAL)
-
+    trace, layout, selection = fig11_inputs(
+        benchmark, trace_config, profile_config
+    )
     ideal = DependencyDrivenSimulator(config, engine, verify).run(
         trace, CompressionState.ideal(trace.footprint_bytes)
     )
@@ -177,19 +188,20 @@ def prepare_tape(
     pair from the process artifact store under the key the point's
     :func:`~repro.gpusim.vector_sim.replay_links` call uses — a stored
     tape is loaded, never re-recorded.  Only a miss resolves the
-    inputs :func:`perf_benchmark_row` would (the stored trace, the same
-    buddy selection) and records.
+    point's inputs through :func:`fig11_inputs`, as
+    :func:`perf_benchmark_row` does, and records; the recording is
+    stored under ``sim.tape``, whose ``stores`` count is how the
+    planner tells a recording from a load.
     """
     from repro.engine.store import process_store
 
     def record():
-        compressor = BuddyCompressor(profile_config)
-        layout = layout_state(benchmark, trace_config)
-        selection = compressor.select(compressor.profile(benchmark), FINAL)
+        trace, layout, selection = fig11_inputs(
+            benchmark, trace_config, profile_config
+        )
         buddy_state = CompressionState.from_entry_state(
             layout, selection, CompressionMode.BUDDY
         )
-        trace = stored_trace(benchmark, trace_config)
         return record_tape(trace, buddy_state, config)
 
     key = tape_cache_key(benchmark, trace_config, profile_config, config)
@@ -236,26 +248,3 @@ def fig11_plan(point: dict) -> list:
             )
         )
     return specs
-
-
-def format_perf_table(result: PerfStudyResult, link_sweep=LINK_SWEEP) -> str:
-    """Render the Fig. 11 dataset as an ASCII table."""
-    header = (
-        f"{'benchmark':14s} {'bw-only':>8s} "
-        + " ".join(f"bud@{int(l):<3d}" for l in link_sweep)
-        + "  meta-hit"
-    )
-    lines = [header]
-    for row in result.per_benchmark:
-        buddies = " ".join(f"{row.buddy[l]:7.3f}" for l in link_sweep)
-        lines.append(
-            f"{row.benchmark:14s} {row.bandwidth_only:8.3f} {buddies}  {row.metadata_hit_rate:7.2f}"
-        )
-    for label, hpc in (("HPC", True), ("DL", False)):
-        buddies = " ".join(
-            f"{result.suite_gmean(hpc, 'buddy', l):7.3f}" for l in link_sweep
-        )
-        lines.append(
-            f"{'GMEAN ' + label:14s} {result.suite_gmean(hpc, 'bandwidth'):8.3f} {buddies}"
-        )
-    return "\n".join(lines)

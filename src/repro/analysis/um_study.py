@@ -21,13 +21,3 @@ def um_benchmark_curve(
     """One benchmark's oversubscription curve (the engine's point unit):
     one stack-distance pass prices every level."""
     return um_curve(benchmark, levels, config)
-
-
-def format_fig12_table(rows: list[UMResult]) -> str:
-    lines = [f"{'benchmark':12s} {'oversub':>8s} {'UM':>8s} {'pinned':>8s}"]
-    for row in rows:
-        lines.append(
-            f"{row.benchmark:12s} {row.oversubscription:8.0%} "
-            f"{row.um_slowdown:7.1f}x {row.pinned_slowdown:7.1f}x"
-        )
-    return "\n".join(lines)

@@ -241,10 +241,6 @@ _PROFILE_PASSES = 0
 #: equals its distinct (benchmark, config, algorithm) combinations.
 _BULK_COMPRESSION_CALLS = 0
 
-#: Per-entry state builds actually executed (store hits excluded).
-#: Each build generates exactly one snapshot.
-_ENTRY_STATE_BUILDS = 0
-
 
 def profile_pass_count() -> int:
     """Profiling passes (tensor builds) executed by this process."""
@@ -268,11 +264,6 @@ def record_bulk_compression_call() -> None:
     (benchmark, config, algorithm)"."""
     global _BULK_COMPRESSION_CALLS
     _BULK_COMPRESSION_CALLS += 1
-
-
-def entry_state_build_count() -> int:
-    """Entry-state reductions executed (not store hits)."""
-    return _ENTRY_STATE_BUILDS
 
 
 def set_tensor_cache(cache):
@@ -404,7 +395,6 @@ def profile_tensors_bulk(
     benchmarks,
     config: SnapshotConfig | None = None,
     algorithm: CompressionAlgorithm | None = None,
-    built: list | None = None,
 ) -> dict:
     """Profile several benchmarks through ONE bulk compression call.
 
@@ -421,10 +411,6 @@ def profile_tensors_bulk(
     built, and :func:`record_bulk_compression_call` once per stacked
     call.  A tensor hit reads nothing else: the free bytes are checked
     by their one reader, :func:`free_bytes`.
-
-    When ``built`` is a list, the names of the benchmarks whose
-    tensors were actually built (store hits excluded) are appended to
-    it — the planner's generation accounting.
     """
     from repro.engine.cache import CacheMiss
     from repro.engine.store import process_store
@@ -448,8 +434,6 @@ def profile_tensors_bulk(
             missing, config, algorithm, store, free=config.role != ROLE_PROFILE
         ).items():
             tensors[name] = tensor
-        if built is not None:
-            built.extend(missing)
     return {
         benchmark: tensors[get_benchmark(benchmark).name]
         for benchmark in benchmarks
@@ -525,12 +509,7 @@ def entry_state_tensor(
     config = config or SnapshotConfig()
     name = get_benchmark(benchmark).name
 
-    def build() -> EntryStateTensor:
-        global _ENTRY_STATE_BUILDS
-        state = generate_snapshot(name, index, config).entry_state()
-        _ENTRY_STATE_BUILDS += 1
-        return state
-
     return process_store().get_or_build(
-        entry_state_cache_key(name, config, index), build
+        entry_state_cache_key(name, config, index),
+        lambda: generate_snapshot(name, index, config).entry_state(),
     )

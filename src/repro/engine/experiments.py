@@ -271,9 +271,17 @@ def _fig5b_defaults() -> dict:
 
 
 def _fig5b_format(rows) -> str:
-    from repro.analysis.metadata_study import format_metadata_table
+    from repro.units import KIB
 
-    return format_metadata_table(rows)
+    sizes = sorted(next(iter(rows)).hit_rates)
+    header = f"{'benchmark':14s} " + " ".join(
+        f"{size // KIB:>4d}K" for size in sizes
+    )
+    lines = [header]
+    for row in rows:
+        cells = " ".join(f"{row.hit_rates[s]:5.2f}" for s in sizes)
+        lines.append(f"{row.benchmark:14s} {cells}")
+    return "\n".join(lines)
 
 
 register(
@@ -375,9 +383,28 @@ def _fig11_aggregate(results: list, params: dict):
 
 
 def _fig11_format(result) -> str:
-    from repro.analysis.perf_study import format_perf_table
-
-    return format_perf_table(result)
+    rows = result.per_benchmark
+    # The swept links in sweep order, as every row's series holds them.
+    link_sweep = list(rows[0].buddy) if rows else []
+    header = (
+        f"{'benchmark':14s} {'bw-only':>8s} "
+        + " ".join(f"bud@{int(l):<3d}" for l in link_sweep)
+        + "  meta-hit"
+    )
+    lines = [header]
+    for row in rows:
+        buddies = " ".join(f"{row.buddy[l]:7.3f}" for l in link_sweep)
+        lines.append(
+            f"{row.benchmark:14s} {row.bandwidth_only:8.3f} {buddies}  {row.metadata_hit_rate:7.2f}"
+        )
+    for label, hpc in (("HPC", True), ("DL", False)):
+        buddies = " ".join(
+            f"{result.suite_gmean(hpc, 'buddy', l):7.3f}" for l in link_sweep
+        )
+        lines.append(
+            f"{'GMEAN ' + label:14s} {result.suite_gmean(hpc, 'bandwidth'):8.3f} {buddies}"
+        )
+    return "\n".join(lines)
 
 
 register(
@@ -413,9 +440,13 @@ def _fig12_aggregate(results: list, params: dict) -> list:
 
 
 def _fig12_format(rows) -> str:
-    from repro.analysis.um_study import format_fig12_table
-
-    return format_fig12_table(rows)
+    lines = [f"{'benchmark':12s} {'oversub':>8s} {'UM':>8s} {'pinned':>8s}"]
+    for row in rows:
+        lines.append(
+            f"{row.benchmark:12s} {row.oversubscription:8.0%} "
+            f"{row.um_slowdown:7.1f}x {row.pinned_slowdown:7.1f}x"
+        )
+    return "\n".join(lines)
 
 
 register(
@@ -539,9 +570,35 @@ def _fig13_aggregate(results: list, params: dict):
 
 
 def _fig13_format(result) -> str:
-    from repro.analysis.dl_study import format_dl_tables
-
-    return format_dl_tables(result)
+    lines = ["Fig 13a - footprint (GB) vs mini-batch:"]
+    batches = sorted(next(iter(result.footprints.values())))
+    header = f"{'network':14s}" + "".join(f"{b:>9d}" for b in batches)
+    lines.append(header)
+    for name, row in result.footprints.items():
+        lines.append(
+            f"{name:14s}" + "".join(f"{row[b]:9.2f}" for b in batches)
+        )
+    lines.append("\nFig 13b - images/s speedup vs batch (relative to 16):")
+    lines.append(header)
+    for name, row in result.throughput_speedups.items():
+        lines.append(
+            f"{name:14s}" + "".join(f"{row[b]:9.2f}" for b in batches)
+        )
+    lines.append("\nFig 13c - Buddy-enabled batch speedups:")
+    for row in result.case_study:
+        lines.append(
+            f"{row.network:14s} ratio {row.compression_ratio:4.2f} "
+            f"batch {row.baseline_batch:4d} -> {row.buddy_batch:4d} "
+            f"speedup {row.speedup:5.2f}"
+        )
+    lines.append(f"mean speedup: {result.mean_case_speedup:.2f} (paper 1.14)")
+    lines.append("\nFig 13d - final validation accuracy by batch:")
+    for batch, curve in result.accuracy.items():
+        lines.append(
+            f"batch {batch:4d}: final {curve[-1]:.3f} "
+            f"(epoch-50 {curve[49]:.3f})"
+        )
+    return "\n".join(lines)
 
 
 register(

@@ -42,8 +42,10 @@ assembles the requests of a whole session into one DAG of typed
 Results are therefore **bit-identical** to running each design point
 alone with no stage 0 — the planner only changes *where* and *how
 often* shared work happens, which the returned
-:class:`ExecutionReport` counters pin (snapshot-run generations per
-benchmark, stage-0 bulk compression calls).
+:class:`ExecutionReport` counters pin (artifacts built and reused,
+snapshot-run generations, tape recordings, stage-0 bulk compression
+calls).  Every kind builds through the artifact store, so what stage 0
+built is read from the store's own per-namespace ``stores`` counts.
 """
 
 from __future__ import annotations
@@ -52,12 +54,13 @@ import shutil
 import tempfile
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any
 
 from repro import rng as rng_lib
 from repro.engine.cache import CacheKey, CacheMiss, ResultCache, param_digest
 from repro.engine.registry import Experiment, get_experiment, resolve
+from repro.engine.store import install, process_store
 
 _UNSET = object()
 
@@ -70,10 +73,12 @@ class ArtifactSpec:
 
     ``kind`` names the node kind and :meth:`cache_key` (store namespace
     plus content digest) its identity.  The classmethod ``build(specs)``
-    stores a tuple of same-kind specs' artifacts and says, per spec,
-    whether it was freshly built rather than a store hit; specs with
-    one non-``None`` :meth:`merge_key` share a call, and :meth:`deps`
-    (the specs a build consumes) orders the stage-0 waves.
+    resolves a tuple of same-kind specs' artifacts through the process
+    artifact store, building and storing only the ones it lacks, and
+    returns nothing: the planner reads how many it built from the
+    store's ``stores`` count for the kind's namespace.  Specs with one
+    non-``None`` :meth:`merge_key` share a call, and :meth:`deps` (the
+    specs a build consumes) orders the stage-0 waves.
     """
 
     kind = ""
@@ -89,17 +94,6 @@ class ArtifactSpec:
 
     def merge_key(self) -> str | None:
         return None
-
-
-def _build_each(specs, build_one, counter) -> tuple[bool, ...]:
-    """``build`` for a kind built one spec at a time: fresh when the
-    kind's process counter advanced across the spec's build."""
-    fresh = []
-    for spec in specs:
-        before = counter()
-        build_one(spec)
-        fresh.append(counter() > before)
-    return tuple(fresh)
 
 
 @dataclass(frozen=True)
@@ -141,17 +135,14 @@ class ProfileTensorSpec(ArtifactSpec):
         )
 
     @classmethod
-    def build(cls, specs) -> tuple[bool, ...]:
+    def build(cls, specs) -> None:
         from repro.core.profiler import profile_tensors_bulk
 
-        built: list[str] = []
         profile_tensors_bulk(
             [spec.benchmark for spec in specs],
             specs[0].config,
             specs[0]._algorithm(),
-            built=built,
         )
-        return tuple(spec.benchmark in built for spec in specs)
 
 
 @dataclass(frozen=True)
@@ -180,16 +171,11 @@ class EntryStateSpec(ArtifactSpec):
         )
 
     @classmethod
-    def build(cls, specs) -> tuple[bool, ...]:
-        from repro.core import profiler
+    def build(cls, specs) -> None:
+        from repro.core.profiler import entry_state_tensor
 
-        return _build_each(
-            specs,
-            lambda spec: profiler.entry_state_tensor(
-                spec.benchmark, spec.config, spec.index
-            ),
-            profiler.entry_state_build_count,
-        )
+        for spec in specs:
+            entry_state_tensor(spec.benchmark, spec.config, spec.index)
 
 
 @dataclass(frozen=True)
@@ -197,11 +183,10 @@ class TraceSpec(ArtifactSpec):
     """A benchmark's synthetic kernel trace (simulator input).
 
     Executable: built in the stage-0 wave after the entry state its
-    layout reads, and stored as a ``trace.columnar`` artifact under
-    :func:`~repro.workloads.traces.trace_cache_key` — the key every
-    consuming point reads it back by — so a sweep generates each
-    distinct trace once and a warm sweep generates none.  Traces live
-    in the store's disk tier only.
+    layout reads, by :func:`~repro.workloads.traces.stored_trace` —
+    the call every consuming point reads it back by — so a sweep
+    generates each distinct trace once and a warm sweep generates
+    none.  Traces live in the store's disk tier only.
     """
 
     benchmark: str
@@ -228,20 +213,11 @@ class TraceSpec(ArtifactSpec):
         )
 
     @classmethod
-    def build(cls, specs) -> tuple[bool, ...]:
-        from repro.engine.store import process_store
-        from repro.workloads.traces import generate_trace
+    def build(cls, specs) -> None:
+        from repro.workloads.traces import stored_trace
 
-        store = process_store()
-        fresh = []
         for spec in specs:
-            key = spec.cache_key()
-            missing = not store.backing.contains(key)
-            if missing:
-                trace = generate_trace(spec.benchmark, spec.trace_config)
-                store.put(key, trace)
-            fresh.append(missing)
-        return tuple(fresh)
+            stored_trace(spec.benchmark, spec.trace_config)
 
 
 @dataclass(frozen=True)
@@ -288,17 +264,13 @@ class TapeSpec(ArtifactSpec):
         )
 
     @classmethod
-    def build(cls, specs) -> tuple[bool, ...]:
+    def build(cls, specs) -> None:
         from repro.analysis.perf_study import prepare_tape
-        from repro.gpusim.vector_sim import tape_recording_count
 
-        return _build_each(
-            specs,
-            lambda spec: prepare_tape(
+        for spec in specs:
+            prepare_tape(
                 spec.benchmark, spec.config, spec.trace_config, spec.profile_config
-            ),
-            tape_recording_count,
-        )
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -574,31 +546,29 @@ def plan(requests, runner=None) -> Plan:
 class ExecutionReport:
     """What one :func:`execute_plan` call did (counter-pinned).
 
-    ``generation_tally`` maps ``(benchmark, config label, kind)`` to
-    the number of snapshot-run generations stage 0 performed for that
-    artifact — the planned-sweep guarantee is that every value is at
-    most 1 (each benchmark's snapshots are generated at most once).
-    ``bulk_compression_calls`` counts stage-0 stacked
+    Stage 0's counts come from the artifact store's own ``stores``
+    counts: ``shared_built`` is how many scheduled nodes' artifacts
+    were built and stored, ``shared_reused`` how many the store held
+    already (stored after planning, or resident in the process's
+    memory tier but not on disk).  Of the
+    built ones, ``snapshot_generations`` are the kinds with no
+    :meth:`~ArtifactSpec.deps`, each generated from snapshot runs —
+    so a cold serial plan generates each scheduled root exactly once
+    — and ``tape_recordings`` the exact-order relaxed tapes, one per
+    deduped ``(trace, state, geometry)`` tape node and none on warm
+    caches.  ``bulk_compression_calls`` counts stage-0 stacked
     ``compressed_sizes`` calls (serial plans: one per merge group).
-    ``tape_recordings`` counts exact-order relaxed-tape recordings
-    across stage 0 — the planned-sweep guarantee is one per deduped
-    ``(trace, state, geometry)`` tape node, and zero on warm caches.
     """
 
     seconds: float = 0.0
     shared_built: int = 0
     shared_reused: int = 0  # store hits among scheduled builds
     snapshot_generations: int = 0
-    generation_tally: dict = field(default_factory=dict)
     bulk_compression_calls: int = 0
     tape_recordings: int = 0
     points: int = 0
     point_cache_hits: int = 0
     points_executed: int = 0
-
-    @property
-    def max_generations_per_artifact(self) -> int:
-        return max(self.generation_tally.values(), default=0)
 
     def summary(self) -> str:
         return (
@@ -627,26 +597,30 @@ def _execute_shared_task(specs: tuple, cache_root, cache_max_bytes):
     the kind's ``build`` stores their artifacts in the process
     artifact store, whose disk tier is the result cache at
     ``cache_root`` for the task's duration — where stage-1 points, in
-    any worker, read them.  Returns ``(fresh, bulk_calls,
-    recordings)``: per spec, whether it was actually built (store hits
-    are not), and the bulk compression calls and exact-order tape
-    recordings this task performed.
+    any worker, read them.  Returns ``(built, bulk_calls)``: how many
+    of the specs' artifacts the task built — the rise of the store's
+    ``stores`` count in their namespace, so store hits are not counted
+    — and the bulk compression calls it issued.
     """
-    from repro.core import profiler
-    from repro.gpusim import vector_sim
+    from repro.core.profiler import bulk_compression_call_count
 
-    previous = profiler.set_tensor_cache(
-        ResultCache(cache_root, max_bytes=cache_max_bytes)
-    )
-    calls_before = profiler.bulk_compression_call_count()
-    recordings_before = vector_sim.tape_recording_count()
+    namespace = specs[0].cache_key().experiment
+    previous = install(ResultCache(cache_root, max_bytes=cache_max_bytes))
+    stores_before = _stores(namespace)
+    calls_before = bulk_compression_call_count()
     try:
-        fresh = specs[0].build(specs)
+        specs[0].build(specs)
     finally:
-        profiler.set_tensor_cache(previous)
-    calls = profiler.bulk_compression_call_count() - calls_before
-    recordings = vector_sim.tape_recording_count() - recordings_before
-    return fresh, calls, recordings
+        install(previous)
+    return (
+        _stores(namespace) - stores_before,
+        bulk_compression_call_count() - calls_before,
+    )
+
+
+def _stores(namespace: str) -> int:
+    """The process store's ``stores`` count in ``namespace``."""
+    return process_store().stats.per_namespace.get(namespace, (0, 0, 0))[2]
 
 
 def _chunk(sequence, parts: int) -> list[tuple]:
@@ -784,25 +758,16 @@ def execute_plan(sweep_plan: Plan, runner=None) -> SweepResult:
 
         # ---- Stage 0: shared artifacts -------------------------------
         def account(node_ids: tuple, outcome) -> None:
-            fresh, calls, recordings = outcome
+            built, calls = outcome
+            spec = sweep_plan.shared[node_ids[0]].spec
+            report.shared_built += built
+            report.shared_reused += len(node_ids) - built
             report.bulk_compression_calls += calls
-            report.tape_recordings += recordings
-            for node_id, built in zip(node_ids, fresh):
-                if not built:
-                    report.shared_reused += 1
-                    continue
-                report.shared_built += 1
-                spec = sweep_plan.shared[node_id].spec
-                if spec.deps():
-                    # Built from stored artifacts, not from snapshots.
-                    continue
-                report.snapshot_generations += 1
-                tally_key = (
-                    spec.benchmark, _config_label(spec.config), spec.kind
-                )
-                report.generation_tally[tally_key] = (
-                    report.generation_tally.get(tally_key, 0) + 1
-                )
+            if not spec.deps():
+                # Generated from snapshot runs, not from stored artifacts.
+                report.snapshot_generations += built
+            if isinstance(spec, TapeSpec):
+                report.tape_recordings += built
 
         if total_pending:
             for wave in waves:

@@ -38,7 +38,10 @@ Policy:
   resident however large);
 * **stats** — an engine :class:`~repro.engine.cache.CacheStats` of
   memory-tier hits/misses/stores with per-namespace rows
-  (``stats.per_namespace``), which the advisor service reports.
+  (``stats.per_namespace``), which the advisor service reports.  Every
+  :meth:`~ArtifactStore.put` stores a value just built, and a tier
+  promotion is no ``put``, so the planner reads a stage-0 task's
+  builds as the rise of ``stores`` in its namespace.
 
 Single-threaded by design (one store per process, the service calls
 its store from one event loop), so there is no locking.

@@ -16,12 +16,12 @@ import numpy as np
 from repro.core.profiler import (
     bulk_compression_call_count,
     clear_profile_cache,
-    entry_state_build_count,
     entry_state_tensor,
     profile_pass_count,
     set_tensor_cache,
 )
 from repro.engine.cache import ResultCache
+from repro.engine.store import process_store
 from repro.workloads.snapshots import (
     SnapshotConfig,
     generate_snapshot,
@@ -40,6 +40,12 @@ SMALL_TRACE = TraceConfig(
 
 def _reset():
     clear_profile_cache()
+
+
+def _entry_state_stores() -> int:
+    """Entry states built and stored (store hits are not stores)."""
+    stats = process_store().stats
+    return stats.per_namespace.get("profile.entries", (0, 0, 0))[2]
 
 
 class TestEntryStateTensor:
@@ -67,11 +73,11 @@ class TestEntryStateTensor:
     def test_memoised_per_process(self):
         _reset()
         entry_state_tensor("370.bt", SMALL, 5)
-        builds = entry_state_build_count()
+        builds = _entry_state_stores()
         generated = generation_count()
         again = entry_state_tensor("370.bt", SMALL, 5)
         assert again is entry_state_tensor("370.bt", SMALL, 5)
-        assert entry_state_build_count() == builds
+        assert _entry_state_stores() == builds
         assert generation_count() == generated
 
     def test_persists_in_result_cache(self, tmp_path):
@@ -83,10 +89,10 @@ class TestEntryStateTensor:
             first = entry_state_tensor("370.bt", SMALL, 5)
             _reset()  # simulate a new worker process
             generated = generation_count()
-            builds = entry_state_build_count()
+            builds = _entry_state_stores()
             second = entry_state_tensor("370.bt", SMALL, 5)
             assert generation_count() == generated
-            assert entry_state_build_count() == builds
+            assert _entry_state_stores() == builds
             assert (second.sectors == first.sectors).all()
             assert (second.zero_fit == first.zero_fit).all()
             assert second.names == first.names
@@ -99,11 +105,11 @@ class TestSimulatorsReuseEntryState:
         _reset()
         generate_trace("370.bt", SMALL_TRACE)
         generated = generation_count()
-        builds = entry_state_build_count()
+        builds = _entry_state_stores()
         trace = generate_trace("370.bt", SMALL_TRACE)
         layout = layout_state("370.bt", SMALL_TRACE)
         assert generation_count() == generated
-        assert entry_state_build_count() == builds
+        assert _entry_state_stores() == builds
         assert trace.footprint_bytes == layout.footprint_bytes
 
     def test_perf_row_warm_run_regenerates_nothing(self):
@@ -123,12 +129,12 @@ class TestSimulatorsReuseEntryState:
         cold = perf_benchmark_row("370.bt", **kwargs)
         generated = generation_count()
         passes = profile_pass_count()
-        builds = entry_state_build_count()
+        builds = _entry_state_stores()
         bulk = bulk_compression_call_count()
         warm = perf_benchmark_row("370.bt", **kwargs)
         assert generation_count() == generated
         assert profile_pass_count() == passes
-        assert entry_state_build_count() == builds
+        assert _entry_state_stores() == builds
         assert bulk_compression_call_count() == bulk
         assert warm.buddy == cold.buddy
         assert warm.bandwidth_only == cold.bandwidth_only
@@ -141,10 +147,10 @@ class TestSimulatorsReuseEntryState:
         _reset()
         correlation_point("370.bt", 6, sm_count=2, warps_per_sm=2)
         generated = generation_count()
-        builds = entry_state_build_count()
+        builds = _entry_state_stores()
         correlation_point("370.bt", 12, sm_count=2, warps_per_sm=2)
         assert generation_count() == generated
-        assert entry_state_build_count() == builds
+        assert _entry_state_stores() == builds
 
     def test_cold_perf_row_generates_each_dump_once(self):
         """Cold path sanity: one layout dump plus one profile-role run

@@ -32,6 +32,7 @@ from repro.compression.zeroblock import zero_mask
 from repro.core.entry import TargetRatio
 from repro.dlmodel.memory import TITAN_XP_BYTES, footprint_bytes, transition_batch
 from repro.engine import ExperimentRunner, get_experiment, param_digest
+from repro.engine.cache import result_digest
 from repro.gpusim.compression import CompressionMode, CompressionState
 from repro.gpusim.config import GPUConfig, scaled_config
 from repro.gpusim.simulator import DependencyDrivenSimulator
@@ -59,10 +60,34 @@ def fig11_params(engine):
     }
 
 
+#: ``result_digest`` of every value the ``study`` fixture computes,
+#: keyed like the fixture's memo, ``(name, param digest)``.  The
+#: fixture checks each value against its pin as it computes it, so a
+#: value that moves (or a new, unpinned one) fails on both event-core
+#: builds; the two ``perf.fig11`` rows are the vectorized engine (also
+#: Sec. 4.3's) and the ``slow`` relaxed one, the two ``um.fig12`` rows
+#: Fig. 12 and Sec. 4.3's 50 % level.
+DIGESTS = {
+    ("compression.fig3", "3daabb2b2d1d8ee7dd704da5331ae5c9"): "8ebd509bf179fbb5bdc4878a5c35067b",
+    ("metadata.fig5b", "cc0832b1a8f54843ffc8805c18f5f2ab"): "38c623d7df5a4c1b47268057240c5a31",
+    ("compression.fig6", "3b5fd0bcdb896c830121774ac52b5cf8"): "8d88e1524d19209d13438fcea669be7a",
+    ("compression.fig7", "b772d888cc807ec01212b24ee677edcd"): "c86493299200107c86389d651ee838e6",
+    ("compression.fig8", "33850869f322d23b54bd45721e781f3b"): "3d378bd20f9e909c2204de386b852366",
+    ("compression.fig9", "349ba6a266d8edaf0d5bad861c4fdfb9"): "4f67d070e9eab59339ab005be7b559a4",
+    ("correlation.fig10", "6c622a07a7006c5dff0596e7499aeed7"): "529c0bfe0ca5a8d985fdafe28d475e8a",
+    ("perf.fig11", "9c71ed67dc4a9a288494a6883603855b"): "aafcfeb0e812f7e17b059dc5498a10b1",
+    ("perf.fig11", "dfe9f93b9eddfa68a29b4378faf968ea"): "8c26ed894439740b3c19a60f353e135d",
+    ("um.fig12", "a0984716be8ed68a58ad02cf0bcb73ef"): "b81cf2044373bee106b5b96764a2032d",
+    ("um.fig12", "f6c84869cabd058ea1df60da8ab37714"): "bccf264c2644b8a6188aa41b16de359d",
+    ("dl.fig13", "b23e78ace5c75b75b588630d9378f755"): "1082cc139a8798d990e76f47ed580a26",
+}
+
+
 @pytest.fixture(scope="module")
 def study():
     """``study(name, params)``: a registered experiment's value,
-    memoised on ``(name, param digest)`` of the resolved parameters."""
+    memoised on ``(name, param digest)`` of the resolved parameters
+    and checked against its :data:`DIGESTS` pin."""
     runner = ExperimentRunner()
     values = {}
 
@@ -70,7 +95,10 @@ def study():
         resolved = get_experiment(name).resolve_params(params)
         key = (name, param_digest(name, resolved))
         if key not in values:
-            values[key] = runner.run(name, params)
+            value = runner.run(name, params)
+            digest = result_digest(value)
+            assert DIGESTS.get(key) == digest, f"{key}: digest {digest}"
+            values[key] = value
         return values[key]
 
     return run

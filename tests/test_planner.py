@@ -8,9 +8,10 @@ Pins the ISSUE's sweep-optimizer guarantees:
 * dedupe never merges nodes with different content digests, and every
   merge group's members share the exact (config, algorithm) merge key
   ``plan()`` computes;
-* a planned sweep — a single ``run()`` included — generates each
-  benchmark's snapshots at most once (``generation_tally``) and issues
-  strictly fewer bulk compression calls than the per-benchmark path;
+* a planned sweep — a single ``run()`` included — builds each
+  scheduled artifact exactly once when cold, counting what it finds
+  stored instead as reused, and issues strictly fewer bulk
+  compression calls than the per-benchmark path;
 * the bounded :class:`ResultCache` never performs more than one
   directory scan per evicting put (the ``scans`` counter regression);
 * the :mod:`repro.api` facade returns the typed results it documents.
@@ -219,8 +220,15 @@ class TestExecutionCounters:
         result = execute_plan(sweep_plan, runner)
         execution = result.execution
 
-        # Each shared artifact is generated at most once...
-        assert execution.max_generations_per_artifact <= 1
+        # Cold and serial, stage 0 builds every scheduled node exactly
+        # once, and generates snapshot runs only for the nodes that
+        # consume no other artifact...
+        scheduled = [n for n in sweep_plan.shared.values() if n.scheduled]
+        assert execution.shared_built == len(scheduled)
+        assert execution.shared_reused == 0
+        assert execution.snapshot_generations == sum(
+            not n.spec.deps() for n in scheduled
+        )
         # ... so snapshot runs are bounded by the distinct (benchmark,
         # config) pairs the plan declares (2 benchmarks x the pipeline's
         # profile + reference configs = 4 here), never once per point.
@@ -332,6 +340,7 @@ class TestTapePlanning:
     def test_cold_sweep_generates_each_distinct_trace_once(
         self, tmp_path, generations
     ):
+        _reset_memos()
         # metadata.fig5b and perf.fig11 share the same two traces;
         # correlation.fig10's trace geometry is its own.
         requests = [
@@ -351,8 +360,43 @@ class TestTapePlanning:
         assert {benchmark for benchmark, _ in generations} == {
             "354.cg", "AlexNet",
         }
-        # Trace builds consume stored entry states, not snapshot runs.
-        assert result.execution.max_generations_per_artifact <= 1
+        # Every scheduled node is built once; trace builds consume
+        # stored entry states, not snapshot runs.
+        scheduled = [n for n in sweep_plan.shared.values() if n.scheduled]
+        assert result.execution.shared_built == len(scheduled)
+        assert result.execution.snapshot_generations == sum(
+            not n.spec.deps() for n in scheduled
+        )
+
+    def test_artifacts_stored_after_planning_count_as_reused(self, tmp_path):
+        """Stage 0 reads what was stored between ``plan`` and
+        ``execute_plan`` instead of rebuilding it, and counts it."""
+        from repro.core.profiler import set_tensor_cache
+        from repro.workloads.traces import stored_trace
+
+        _reset_memos()
+        runner = ExperimentRunner(cache=ResultCache(tmp_path))
+        requests = self._requests()[:1]
+        sweep_plan = plan(requests, runner)
+        scheduled = [n for n in sweep_plan.shared.values() if n.scheduled]
+        assert len(scheduled) == 8  # 2 x (profile, layout, trace, tape)
+        # Storing one trace stores the entry state its layout reads.
+        previous = set_tensor_cache(runner.cache)
+        try:
+            stored_trace("354.cg", self.TRACE)
+        finally:
+            set_tensor_cache(previous)
+
+        result = execute_plan(sweep_plan, runner)
+        execution = result.execution
+        assert execution.shared_reused == 2
+        assert execution.shared_built == len(scheduled) - 2
+        assert execution.snapshot_generations == 3  # 2 profiles, 1 layout
+        assert execution.tape_recordings == 2
+        unplanned = [_run_unplanned(name, params) for name, params in requests]
+        assert [result_digest(v) for v in result.values] == [
+            result_digest(v) for v in unplanned
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,11 @@ concatenated copy) and the kernel's large-chunk temporaries on top.
 
 import tracemalloc
 
-from repro.core.profiler import clear_profile_cache, profile_tensors_bulk
+from repro.core.profiler import (
+    clear_profile_cache,
+    profile_pass_count,
+    profile_tensors_bulk,
+)
 from repro.units import MEMORY_ENTRY_BYTES
 from repro.workloads.snapshots import SnapshotConfig, dump_entries
 
@@ -26,13 +30,13 @@ def test_bulk_build_peaks_near_its_stacked_blocks():
     # a scale whose own allocations do not count.
     profile_tensors_bulk(BENCHMARKS, SnapshotConfig(scale=1.0 / 262144))
     clear_profile_cache()
-    built: list = []
+    passes = profile_pass_count()
     tracemalloc.start()
     try:
-        profile_tensors_bulk(BENCHMARKS, config, built=built)
+        profile_tensors_bulk(BENCHMARKS, config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
         clear_profile_cache()
-    assert built == list(BENCHMARKS)
+    assert profile_pass_count() - passes == len(BENCHMARKS)
     assert peak <= 1.5 * stacked, f"peak {peak / stacked:.2f}x the stacked blocks"

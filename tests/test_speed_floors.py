@@ -241,8 +241,11 @@ def _sweep_child(mode: str, workers: int) -> None:
     if mode == "planned":
         result = runner.run_sweep(requests)
         values = result.values
+        scheduled = [n for n in result.plan.shared.values() if n.scheduled]
+        record["scheduled"] = len(scheduled)
+        record["scheduled_roots"] = sum(not n.spec.deps() for n in scheduled)
+        record["shared_built"] = result.execution.shared_built
         record["snapshot_generations"] = result.execution.snapshot_generations
-        record["max_generations"] = result.execution.max_generations_per_artifact
     else:
         # The baseline: each request alone, as its own one-request
         # sweep, so nothing is shared across requests.
@@ -284,9 +287,11 @@ def test_combined_sweep_planned_speedup():
     unplanned = _spawn_sweep("unplanned")
     # bit-identical datasets, per request
     assert planned["digests"] == unplanned["digests"]
-    # each benchmark's snapshots generated at most once per config
-    # (fig7/9 profile + reference roles, fig11's trace config)
-    assert planned["max_generations"] <= 1
+    # every scheduled artifact built exactly once, and each
+    # benchmark's snapshots generated once per config (fig7/9 profile
+    # + reference roles, fig11's trace config)
+    assert planned["shared_built"] == planned["scheduled"]
+    assert planned["snapshot_generations"] == planned["scheduled_roots"]
     assert planned["snapshot_generations"] <= 3 * len(SWEEP_BENCHMARKS)
     assert unplanned["seconds"] / planned["seconds"] >= MIN_PLANNED_SPEEDUP
 
