@@ -58,11 +58,6 @@ def fig3_plan(point: dict) -> list:
     return [ProfileTensorSpec(point["benchmark"], point["config"], BPCCompressor())]
 
 
-def suite_gmean(rows: list[Fig3Row], hpc: bool) -> float:
-    values = [row.mean_ratio for row in rows if row.is_hpc == hpc]
-    return float(np.exp(np.mean(np.log(values)))) if values else 0.0
-
-
 # ---------------------------------------------------------------------------
 # Fig. 6 — spatial compressibility heatmap.
 # ---------------------------------------------------------------------------
@@ -75,16 +70,6 @@ def fig6_heatmap(
     sectors = sectors_for_sizes(sizes)
     pages = sectors.size // ENTRIES_PER_PAGE
     return sectors[: pages * ENTRIES_PER_PAGE].reshape(pages, ENTRIES_PER_PAGE)
-
-
-def render_heatmap(heatmap: np.ndarray, max_rows: int = 24) -> str:
-    """ASCII rendering of a Fig. 6 heatmap (rows of page compressibility)."""
-    glyphs = {1: ".", 2: "-", 3: "+", 4: "#"}
-    step = max(1, heatmap.shape[0] // max_rows)
-    lines = []
-    for row in heatmap[::step][:max_rows]:
-        lines.append("".join(glyphs[int(v)] for v in row))
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

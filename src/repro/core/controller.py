@@ -87,44 +87,59 @@ def record_evaluate_bulk_call() -> None:
     _EVALUATE_BULK_CALLS += 1
 
 
-def evaluate_selections_batch(groups) -> list[list[EvaluationResult]]:
-    """Evaluate many selection groups in ONE bulk call.
+@dataclass(frozen=True)
+class SelectionEvaluation:
+    """K selections of one reference tensor, evaluated as arrays.
 
-    ``groups`` is a sequence of ``(reference, benchmark, selections,
-    design_names)`` tuples, each pairing one reference
-    :class:`~repro.core.profile_tensor.ProfileTensor` with the
-    selections to measure against it.  Per group the result list is
-    element-wise identical to
-    :meth:`BuddyCompressor.evaluate_many` — the batch form exists so
-    concurrent callers (the advisor service's admission queue) can
-    coalesce their evaluations into a single counted call; the
-    counter-pinned tests assert N coalesced requests advance
-    :func:`evaluate_bulk_call_count` at most ``ceil(N / max_batch)``
-    times.
+    Row ``k`` is the outcome of index row ``k``: its compression ratio
+    and its buddy traffic at every reference snapshot.
+    """
+
+    ratios: np.ndarray  # (K,) capacity compression ratio per row
+    entry_fractions: np.ndarray  # (K, S) entries needing buddy access
+    sector_fractions: np.ndarray  # (K, S) overflow sectors per entry
+
+    def entry_means(self) -> np.ndarray:
+        """``(K,)`` mean buddy-entry fraction per row.
+
+        A mean along the contiguous last axis sums each row exactly as
+        ``np.mean`` sums that row alone, so a row's mean is
+        bit-identical to :attr:`EvaluationResult.buddy_access_fraction`.
+        """
+        return self.entry_fractions.mean(axis=-1)
+
+    def sector_means(self) -> np.ndarray:
+        """``(K,)`` mean overflow sectors per entry per row."""
+        return self.sector_fractions.mean(axis=-1)
+
+
+def evaluate_selections_batch(groups) -> list[SelectionEvaluation]:
+    """Evaluate many selection batches in ONE bulk call.
+
+    ``groups`` is a sequence of ``(reference, indices)`` pairs, each
+    pairing one reference
+    :class:`~repro.core.profile_tensor.ProfileTensor` with a ``(K, A)``
+    matrix of target-axis index rows to measure against it.  Each
+    group is one array pass over its K rows
+    (:meth:`~repro.core.profile_tensor.ProfileTensor.selection_ratio`
+    and :meth:`~repro.core.profile_tensor.ProfileTensor.traffic`).
+    The batch form exists so concurrent callers (the advisor service's
+    admission queue) can coalesce their evaluations into a single
+    counted call; the counter-pinned tests assert N coalesced requests
+    advance :func:`evaluate_bulk_call_count` at most
+    ``ceil(N / max_batch)`` times.
     """
     record_evaluate_bulk_call()
-    out: list[list[EvaluationResult]] = []
-    for reference, benchmark, selections, design_names in groups:
-        results = []
-        for selection, design_name in zip(selections, design_names):
-            indices = reference.selection_indices(selection)
-            entry_fractions, sector_fractions = reference.traffic(indices)
-            per_snapshot = [
-                SnapshotTraffic(index, float(entry), float(sectors))
-                for index, (entry, sectors) in enumerate(
-                    zip(entry_fractions, sector_fractions)
-                )
-            ]
-            results.append(
-                EvaluationResult(
-                    benchmark=benchmark,
-                    design=design_name,
-                    selection=selection,
-                    compression_ratio=reference.selection_ratio(indices),
-                    per_snapshot=per_snapshot,
-                )
+    out: list[SelectionEvaluation] = []
+    for reference, rows in groups:
+        entry_fractions, sector_fractions = reference.traffic(rows)
+        out.append(
+            SelectionEvaluation(
+                ratios=reference.selection_ratio(rows),
+                entry_fractions=entry_fractions,
+                sector_fractions=sector_fractions,
             )
-        out.append(results)
+        )
     return out
 
 
@@ -180,10 +195,11 @@ class BuddyCompressor:
     ) -> list[EvaluationResult]:
         """Measure many selections against one reference profiling pass.
 
-        The reference run is reduced to its profile tensor once; every
-        selection is then a pair of array reductions (capacity ratio
-        and per-snapshot traffic), so a sweep's cost is one profiling
-        pass plus O(selections) arithmetic on compact arrays.
+        The reference run is reduced to its profile tensor once; the
+        selections become one ``(K, A)`` index matrix evaluated in one
+        array pass (capacity ratio and per-snapshot traffic), so a
+        sweep's cost is one profiling pass plus arithmetic on compact
+        arrays.
         """
         if design_names is None:
             design_names = ["custom"] * len(selections)
@@ -193,9 +209,34 @@ class BuddyCompressor:
                 f"{len(selections)} selections"
             )
         reference = self.reference_tensor(benchmark)
-        return evaluate_selections_batch(
-            [(reference, benchmark, selections, design_names)]
-        )[0]
+        rows = np.array(
+            [reference.selection_indices(selection) for selection in selections],
+            dtype=np.intp,
+        ).reshape(len(selections), reference.allocation_count)
+        batch = evaluate_selections_batch([(reference, rows)])[0]
+        results = []
+        for row, (selection, design_name) in enumerate(
+            zip(selections, design_names)
+        ):
+            per_snapshot = [
+                SnapshotTraffic(index, entry, sectors)
+                for index, (entry, sectors) in enumerate(
+                    zip(
+                        batch.entry_fractions[row].tolist(),
+                        batch.sector_fractions[row].tolist(),
+                    )
+                )
+            ]
+            results.append(
+                EvaluationResult(
+                    benchmark=benchmark,
+                    design=design_name,
+                    selection=selection,
+                    compression_ratio=float(batch.ratios[row]),
+                    per_snapshot=per_snapshot,
+                )
+            )
+        return results
 
     def run(
         self, benchmark: str, design: DesignPoint = targets_mod.FINAL

@@ -46,6 +46,33 @@ TARGET_INDEX: dict[TargetRatio, int] = {
 #: Sector cost of each bucket (bucket b holds entries of b+1 sectors).
 _SECTOR_WEIGHTS = np.arange(1, SECTORS_PER_ENTRY + 1, dtype=np.int64)
 
+#: ``(4, T)``: 1 where a bucket's entries overflow a target (need more
+#: sectors than it keeps resident).  The 16x column is replaced by the
+#: zero-fit form in :attr:`ProfileTensor.overflow_fractions`.
+_OVERFLOWING = np.array(
+    [
+        [int(sectors > target.device_sectors) for target in TARGET_ORDER]
+        for sectors in _SECTOR_WEIGHTS
+    ],
+    dtype=np.int64,
+)
+
+#: ``(4, T)`` overflow sectors per entry of each bucket for each
+#: target; for 16x the whole entry, less its zero-page slot later.
+_OVERFLOW_SECTORS = np.maximum(
+    0,
+    _SECTOR_WEIGHTS[:, None]
+    - np.array([target.device_sectors for target in TARGET_ORDER]),
+)
+
+#: Position of the 16x zero-page class on the target axis.
+_X16 = TARGET_INDEX[TargetRatio.X16]
+
+#: Device-resident bytes per entry of each target, on the target axis.
+_DEVICE_BYTES = np.array(
+    [target.device_bytes for target in TARGET_ORDER], dtype=np.int64
+)
+
 
 @dataclass(eq=False)
 class ProfileTensor:
@@ -214,42 +241,28 @@ class ProfileTensor:
 
         Integer overflow count divided by the integer total, and the
         16x class computed as ``1.0 - zero_fit / total``; empty cells
-        report 0.0.
+        report 0.0.  The counts of every target come from one integer
+        product with the bucket masks, exact in any summation order.
         """
         totals = self.totals
         safe = np.maximum(totals, 1)
-        rows = []
-        for target in TARGET_ORDER:
-            if target is TargetRatio.X16:
-                row = 1.0 - self.zero_fit / safe
-            else:
-                overflowing = self.counts[:, :, target.device_sectors :].sum(
-                    axis=2
-                )
-                row = overflowing / safe
-            rows.append(np.where(totals > 0, row, 0.0))
-        return np.stack(rows)
+        fractions = np.moveaxis(self.counts @ _OVERFLOWING, -1, 0) / safe
+        fractions[_X16] = 1.0 - self.zero_fit / safe
+        return np.ascontiguousarray(np.where(totals > 0, fractions, 0.0))
 
     @cached_property
     def sector_fractions(self) -> np.ndarray:
         """``(T, A, S)`` overflow sectors per entry for each target.
 
-        The integer overflow-sector dot product divided by the total;
-        empty cells report 0.0.
+        The integer overflow-sector dot product divided by the total
+        (for 16x, the whole entry less its zero-page slot); empty cells
+        report 0.0.
         """
         totals = self.totals
         safe = np.maximum(totals, 1)
-        rows = []
-        for target in TARGET_ORDER:
-            if target is TargetRatio.X16:
-                remote = self.counts @ _SECTOR_WEIGHTS - self.zero_fit
-            else:
-                weights = np.maximum(
-                    0, _SECTOR_WEIGHTS - target.device_sectors
-                )
-                remote = self.counts @ weights
-            rows.append(np.where(totals > 0, remote / safe, 0.0))
-        return np.stack(rows)
+        remote = np.moveaxis(self.counts @ _OVERFLOW_SECTORS, -1, 0)
+        remote[_X16] -= self.zero_fit
+        return np.ascontiguousarray(np.where(totals > 0, remote / safe, 0.0))
 
     @cached_property
     def worst_overflow(self) -> np.ndarray:
@@ -281,44 +294,52 @@ class ProfileTensor:
             for name, index in zip(self.names, indices)
         }
 
-    def selection_ratio(self, indices: np.ndarray) -> float:
+    @cached_property
+    def _footprint(self) -> float:
+        """Footprint bytes per entry of the whole run, allocation order."""
+        return float(np.add.accumulate(self.fractions * MEMORY_ENTRY_BYTES)[-1])
+
+    def selection_ratio(self, indices: np.ndarray):
         """Overall compression ratio of a selection (capacity metric).
 
         Footprint divided by the device memory the annotated
-        allocations reserve, accumulated in allocation order with
-        scalar float arithmetic (the order cached digests pin).
+        allocations reserve.  ``indices`` is one ``(A,)`` selection
+        (a float comes back) or a ``(K, A)`` batch of them (a ``(K,)``
+        array).  Both sums run left to right in allocation order —
+        ``np.add.accumulate`` is sequential — so every row repeats the
+        scalar accumulation cached digests pin, bit for bit.
         """
-        footprint = 0.0
-        device = 0.0
-        for position in range(self.allocation_count):
-            fraction = float(self.fractions[position])
-            footprint += fraction * MEMORY_ENTRY_BYTES
-            device += fraction * TARGET_ORDER[int(indices[position])].device_bytes
-        if device == 0:
-            return 1.0
-        return footprint / device
+        rows = np.asarray(indices, dtype=np.intp)
+        device = np.add.accumulate(
+            self.fractions * _DEVICE_BYTES[rows], axis=-1
+        )[..., -1]
+        empty = device == 0
+        ratios = np.where(
+            empty, 1.0, self._footprint / np.where(empty, 1.0, device)
+        )
+        return float(ratios) if rows.ndim == 1 else ratios
 
     def traffic(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-snapshot buddy traffic of a selection.
+        """Per-snapshot buddy traffic of a selection or a batch of them.
 
         Returns ``(entry_fractions, sector_fractions)`` — each ``(S,)``
-        — reproducing the legacy evaluation loop bit for bit: per
+        for one ``(A,)`` selection, ``(K, S)`` for a ``(K, A)`` batch —
+        reproducing the legacy evaluation loop bit for bit: per
         allocation the integer-count fraction is scaled back by its
         total, accumulated over allocations in order, then normalised
         by the snapshot's entry count.
         """
-        arange = np.arange(self.allocation_count)
+        rows = np.asarray(indices, dtype=np.intp)
         totals = self.totals
-        weighted_entries = self.overflow_fractions[indices, arange, :] * totals
-        weighted_sectors = self.sector_fractions[indices, arange, :] * totals
-        overflowing = np.zeros(self.snapshot_count)
-        sectors = np.zeros(self.snapshot_count)
+        arange = np.arange(self.allocation_count)
+        weighted_entries = self.overflow_fractions[rows, arange, :] * totals
+        weighted_sectors = self.sector_fractions[rows, arange, :] * totals
         # Sequential accumulation over the allocation axis: float
         # addition is not associative and digests are pinned to the
-        # legacy left-to-right order.
-        for position in range(self.allocation_count):
-            overflowing = overflowing + weighted_entries[position]
-            sectors = sectors + weighted_sectors[position]
+        # legacy left-to-right order, which ``np.add.accumulate``
+        # keeps (``np.sum`` would sum pairwise).
+        overflowing = np.add.accumulate(weighted_entries, axis=-2)[..., -1, :]
+        sectors = np.add.accumulate(weighted_sectors, axis=-2)[..., -1, :]
         entries = np.maximum(totals.sum(axis=0), 1)
         return overflowing / entries, sectors / entries
 

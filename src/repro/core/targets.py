@@ -130,6 +130,9 @@ def apply_zero_page_indices(
 
     Promotion is greedy, largest allocation first, and stops when the
     overall target ratio would exceed the carve-out limit.
+    ``indices`` is one ``(A,)`` selection or a ``(K, A)`` batch; every
+    row is promoted on its own, with one ratio pass over the batch per
+    candidate allocation.
     """
     promoted = np.array(indices, dtype=np.intp)
     candidates = np.flatnonzero(
@@ -142,9 +145,9 @@ def apply_zero_page_indices(
     ]
     for position in order:
         trial = promoted.copy()
-        trial[position] = _X16_INDEX
-        if tensor.selection_ratio(trial) <= max_overall_ratio:
-            promoted = trial
+        trial[..., position] = _X16_INDEX
+        fits = np.asarray(tensor.selection_ratio(trial) <= max_overall_ratio)
+        promoted = np.where(fits[..., None], trial, promoted)
     return promoted
 
 

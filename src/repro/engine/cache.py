@@ -87,7 +87,7 @@ def canonical(value):
         blob = np.ascontiguousarray(value).tobytes()
         return (
             "ndarray",
-            str(value.dtype),
+            _dtype_name(value.dtype),
             value.shape,
             hashlib.sha256(blob).hexdigest(),
         )
@@ -100,6 +100,27 @@ def canonical(value):
     raise TypeError(
         f"cannot canonicalise {type(value).__qualname__} for cache keying"
     )
+
+
+def _dtype_name(dtype: np.dtype) -> str:
+    """``str(dtype)``, memoised per native builtin dtype.
+
+    ``str`` of a dtype costs microseconds, and a histogram request's
+    key canonicalises three arrays.  Only builtin dtypes are memoised:
+    a dtype equal to one of them prints the same, while two equal
+    structured dtypes may print differently (an aligned struct says
+    so), so those are printed every time.
+    """
+    name = _DTYPE_NAMES.get(dtype)
+    if name is None:
+        name = str(dtype)
+        if dtype.isbuiltin == 1:
+            _DTYPE_NAMES[dtype] = name
+    return name
+
+
+#: :func:`_dtype_name`'s memo.
+_DTYPE_NAMES: dict[np.dtype, str] = {}
 
 
 def _canonical_float(value):

@@ -70,9 +70,15 @@ def _fig3_defaults() -> dict:
     return {"benchmarks": _benchmark_names(), "config": SnapshotConfig()}
 
 
-def _fig3_format(rows) -> str:
-    from repro.analysis.compression_study import suite_gmean
+def suite_gmean(rows, hpc: bool) -> float:
+    """Geometric mean of the Fig. 3 rows' mean ratios over one suite."""
+    import numpy as np
 
+    values = [row.mean_ratio for row in rows if row.is_hpc == hpc]
+    return float(np.exp(np.mean(np.log(values)))) if values else 0.0
+
+
+def _fig3_format(rows) -> str:
     lines = [f"{row.benchmark:14s} {row.mean_ratio:5.2f}" for row in rows]
     # Subset runs may leave a suite empty; a fabricated 0.00 gmean
     # against the paper value would be misleading.
@@ -111,9 +117,17 @@ def _fig6_defaults() -> dict:
     }
 
 
-def _fig6_format(heatmaps) -> str:
-    from repro.analysis.compression_study import render_heatmap
+def render_heatmap(heatmap, max_rows: int = 24) -> str:
+    """ASCII rendering of a Fig. 6 heatmap (rows of page compressibility)."""
+    glyphs = {1: ".", 2: "-", 3: "+", 4: "#"}
+    step = max(1, heatmap.shape[0] // max_rows)
+    lines = []
+    for row in heatmap[::step][:max_rows]:
+        lines.append("".join(glyphs[int(v)] for v in row))
+    return "\n".join(lines)
 
+
+def _fig6_format(heatmaps) -> str:
     return "\n".join(
         f"== {name} (.:1 -:2 +:3 #:4 sectors) ==\n{render_heatmap(heatmap)}"
         for name, heatmap in heatmaps.items()

@@ -29,17 +29,22 @@ no evaluate and no digest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
+
+import numpy as np
 
 from repro.core import targets as targets_mod
 from repro.core.controller import evaluate_selections_batch
-from repro.core.profile_tensor import ProfileTensor
+from repro.core.profile_tensor import TARGET_ORDER, ProfileTensor
 from repro.core.profiler import profile_tensors_bulk
 from repro.serve.protocol import CODECS, Advice, AdviceRequest
 from repro.workloads.snapshots import SnapshotConfig
 
 #: The registered experiment this module is the run point of.
 ADVICE_EXPERIMENT = "serve.advice"
+
+#: Wire value of each target, on the target axis.
+_TARGET_VALUES = tuple(target.value for target in TARGET_ORDER)
 
 
 def advice_salt() -> str:
@@ -60,24 +65,18 @@ def request_cache_key(request: AdviceRequest):
     )
 
 
-@dataclass
-class _Candidate:
-    """One (design, threshold) evaluation slot of one request."""
-
-    design: str
-    threshold: float | None
-    group: int  # index into the evaluate_selections_batch groups
-    slot: int  # position within that group's selections
-
-
-def _candidate_selections(
+def _candidate_rows(
     tensor: ProfileTensor, request: AdviceRequest
-) -> list[tuple[str, float | None, dict]]:
-    """Every (design, threshold, selection) the request asks about.
+) -> tuple[list[tuple[str, float | None]], np.ndarray]:
+    """Every (design, threshold) the request asks about, with its row.
 
-    Selections come from the same :mod:`repro.core.targets` policies
-    the figure studies use; the per-allocation threshold sweep reduces
-    over one worst-overflow matrix exactly like Fig. 9's hot path.
+    Returns the candidates' labels and their ``(K, A)`` target-index
+    matrix: the naive row, the per-allocation rows and the final rows,
+    in request order.  Rows come from the same
+    :mod:`repro.core.targets` policies the figure studies use; the
+    per-allocation threshold sweep reduces over one worst-overflow
+    matrix exactly like Fig. 9's hot path, and the zero-page promotion
+    runs over all its threshold rows at once.
     """
     thresholds = tuple(float(t) for t in request.thresholds)
     per_alloc_rows = None
@@ -85,22 +84,19 @@ def _candidate_selections(
         per_alloc_rows = targets_mod.select_per_allocation_indices(
             tensor, thresholds
         )
-    out: list[tuple[str, float | None, dict]] = []
+    labels: list[tuple[str, float | None]] = []
+    blocks = []
     for design in request.designs:
         if design == "naive":
-            indices = targets_mod.select_naive_indices(tensor)
-            out.append(
-                (design, None, tensor.selection_from_indices(indices))
-            )
+            labels.append((design, None))
+            blocks.append(targets_mod.select_naive_indices(tensor)[None, :])
             continue
-        for row, threshold in enumerate(thresholds):
-            indices = per_alloc_rows[row]
-            if design == "final":
-                indices = targets_mod.apply_zero_page_indices(indices, tensor)
-            out.append(
-                (design, threshold, tensor.selection_from_indices(indices))
-            )
-    return out
+        rows = per_alloc_rows
+        if design == "final":
+            rows = targets_mod.apply_zero_page_indices(rows, tensor)
+        labels.extend((design, threshold) for threshold in thresholds)
+        blocks.append(rows)
+    return labels, np.concatenate(blocks)
 
 
 def _recommend(evaluations: list[dict], budget: float | None) -> dict:
@@ -196,51 +192,40 @@ def advise_batch(
             tensors[position] = built[requests[position].benchmark]
 
     # -- one bulk evaluation call for the whole batch ------------------
-    groups: list[tuple] = []
-    group_of: dict[int, int] = {}  # id(tensor) -> group index
-    candidates: dict[int, list[_Candidate]] = {}
-    for position in misses:
-        tensor = tensors[position]
-        for design, threshold, selection in _candidate_selections(
-            tensor, requests[position]
-        ):
-            index = group_of.get(id(tensor))
-            if index is None:
-                index = len(groups)
-                group_of[id(tensor)] = index
-                groups.append((tensor, tensor.benchmark, [], []))
-            _, _, selections, names = groups[index]
-            candidates.setdefault(position, []).append(
-                _Candidate(design, threshold, index, len(selections))
-            )
-            selections.append(selection)
-            names.append(design)
-    evaluated = evaluate_selections_batch(groups) if groups else []
+    candidates = [_candidate_rows(tensors[p], requests[p]) for p in misses]
+    evaluated = (
+        evaluate_selections_batch(
+            [(tensors[p], rows) for p, (_, rows) in zip(misses, candidates)]
+        )
+        if misses
+        else []
+    )
 
     # -- assemble payloads ---------------------------------------------
-    for position in misses:
+    for position, (labels, rows), batch in zip(
+        misses, candidates, evaluated
+    ):
         request = requests[position]
         tensor = tensors[position]
-        evaluations = []
-        for candidate in candidates[position]:
-            result = evaluated[candidate.group][candidate.slot]
-            evaluations.append(
-                {
-                    "design": candidate.design,
-                    "threshold": candidate.threshold,
-                    "compression_ratio": float(result.compression_ratio),
-                    "buddy_entry_fraction": float(
-                        result.buddy_access_fraction
-                    ),
-                    "buddy_sector_fraction": float(
-                        result.buddy_sector_fraction
-                    ),
-                    "selection": {
-                        name: ratio.value
-                        for name, ratio in result.selection.items()
-                    },
-                }
+        evaluations = [
+            {
+                "design": design,
+                "threshold": threshold,
+                "compression_ratio": ratio,
+                "buddy_entry_fraction": entry,
+                "buddy_sector_fraction": sectors,
+                "selection": dict(
+                    zip(tensor.names, [_TARGET_VALUES[i] for i in row])
+                ),
+            }
+            for (design, threshold), ratio, entry, sectors, row in zip(
+                labels,
+                batch.ratios.tolist(),
+                batch.entry_means().tolist(),
+                batch.sector_means().tolist(),
+                rows.tolist(),
             )
+        ]
         payload = {
             "benchmark": tensor.benchmark,
             "codec": request.codec,

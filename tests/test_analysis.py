@@ -5,15 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.compression_study import (
-    fig6_heatmap,
-    render_heatmap,
-    suite_gmean,
-)
+from repro.analysis.compression_study import fig6_heatmap
 from repro.analysis.metadata_study import two_way_hit_rates
 from repro.cli import main
 from repro.core.metadata_cache import MetadataCache
 from repro.engine.cache import result_digest
+from repro.engine.experiments import render_heatmap, suite_gmean
 from repro.engine.runner import ExperimentRunner
 from repro.units import ENTRIES_PER_PAGE, KIB
 from repro.workloads.snapshots import SnapshotConfig

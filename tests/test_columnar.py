@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.core.controller import BuddyCompressor
+from repro.core.controller import BuddyCompressor, evaluate_selections_batch
 from repro.core.entry import ALLOWED_TARGETS, TargetRatio
 from repro.core.profile_tensor import TARGET_INDEX, TARGET_ORDER, ProfileTensor
 from repro.core.profiler import (
@@ -276,6 +276,59 @@ class TestColumnarMatchesLegacy:
             )
             assert entry.tolist() == legacy_entry
             assert sector.tolist() == legacy_sector
+
+
+    def test_index_batch_matches_per_selection_oracle(self, seed):
+        """One array pass over a K-row index batch — with duplicate
+        rows and a snapshot holding no entries — is bit-identical,
+        row by row, to the per-selection oracle: ratio, per-snapshot
+        traffic, their means and the zero-page promotion."""
+        base = random_tensor(seed)
+        counts = base.counts.copy()
+        zero_fit = base.zero_fit.copy()
+        counts[:, -1, :] = 0
+        zero_fit[:, -1] = 0
+        tensor = ProfileTensor(
+            benchmark=base.benchmark,
+            names=base.names,
+            fractions=base.fractions,
+            counts=counts,
+            zero_fit=zero_fit,
+        )
+        views = histogram_views(tensor)
+        rng = np.random.default_rng(seed + 2000)
+        rows = rng.integers(
+            len(TARGET_ORDER), size=(int(rng.integers(2, 9)), len(tensor.names))
+        )
+        rows[-1] = rows[0]
+        batch = evaluate_selections_batch([(tensor, rows)])[0]
+        promoted = apply_zero_page_indices(rows, tensor, ZERO_PAGE_TOLERANCE)
+        entry_means = batch.entry_means()
+        sector_means = batch.sector_means()
+        for k, row in enumerate(rows):
+            selection = tensor.selection_from_indices(row)
+            legacy_entry, legacy_sector = legacy_evaluate_traffic(
+                views, selection, tensor.snapshot_count
+            )
+            assert batch.ratios[k] == legacy_selection_ratio(
+                selection, tensor.names, tensor.fractions
+            )
+            assert batch.entry_fractions[k].tolist() == legacy_entry
+            assert batch.sector_fractions[k].tolist() == legacy_sector
+            assert legacy_entry[-1] == legacy_sector[-1] == 0.0
+            assert entry_means[k] == float(np.mean(legacy_entry))
+            assert sector_means[k] == float(np.mean(legacy_sector))
+            assert tensor.selection_from_indices(
+                promoted[k]
+            ) == legacy_apply_zero_page(
+                selection,
+                views,
+                tensor.names,
+                tensor.fractions,
+                ZERO_PAGE_TOLERANCE,
+            )
+        assert batch.ratios[-1] == batch.ratios[0]
+        assert (promoted[-1] == promoted[0]).all()
 
 
 @pytest.mark.parametrize("seed", range(5))

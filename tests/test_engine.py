@@ -127,6 +127,52 @@ class TestCanonical:
         with pytest.raises(TypeError):
             canonical(object())
 
+
+class TestDtypeNames:
+    """``canonical`` memoises ``str(dtype)``; its output must stay the
+    printed form byte for byte, or every digest over an array moves."""
+
+    @pytest.mark.parametrize("code", sorted(set(np.typecodes["All"]) - {"O"}))
+    @pytest.mark.parametrize("order", ["=", ">", "<"])
+    def test_every_builtin_dtype_prints_as_str(self, code, order):
+        array = np.zeros(2, dtype=np.dtype(code).newbyteorder(order))
+        for _ in range(2):  # the first call fills the memo, the second reads it
+            assert canonical(array)[1] == str(array.dtype)
+
+    def test_equal_structs_that_print_differently_stay_apart(self):
+        aligned = np.dtype([("a", "<i4")], align=True)
+        packed = np.dtype([("a", "<i4")])
+        assert aligned == packed and str(aligned) != str(packed)
+        assert canonical(np.zeros(1, aligned))[1] == str(aligned)
+        assert canonical(np.zeros(1, packed))[1] == str(packed)
+
+    def test_pipeline_dtypes_print_as_str(self, monkeypatch):
+        """Every dtype the pipeline canonicalises — a client histogram's
+        request key, and the digests of a profile tensor, an entry
+        state and a Fig. 6 heatmap — gets its ``str``."""
+        from repro.analysis.compression_study import fig6_heatmap
+        from repro.core.profiler import entry_state_tensor, profile_tensor
+        from repro.engine import cache as cache_mod
+        from repro.serve.advisor import request_cache_key
+        from repro.serve.protocol import AdviceRequest
+
+        seen = []
+        dtype_name = cache_mod._dtype_name
+
+        def recording(dtype):
+            seen.append(dtype)
+            return dtype_name(dtype)
+
+        monkeypatch.setattr(cache_mod, "_dtype_name", recording)
+        tensor = profile_tensor("356.sp", TINY)
+        request_cache_key(AdviceRequest(histogram=tensor))
+        result_digest(tensor)
+        result_digest(entry_state_tensor("356.sp", TINY, 0))
+        result_digest(fig6_heatmap("356.sp", 5, TINY))
+        assert {str(dtype) for dtype in seen} >= {"int64", "float64", "int8", "bool"}
+        for dtype in seen:
+            assert dtype_name(dtype) == str(dtype)
+
     def test_param_digest_sensitivity(self):
         base = param_digest("e", {"x": 1}, "salt")
         assert base == param_digest("e", {"x": 1}, "salt")

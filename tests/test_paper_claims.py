@@ -20,7 +20,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.analysis.compression_study import suite_gmean
 from repro.analysis.paper_reference import CLAIMS
 from repro.analysis.um_study import BUDDY_VS_UM_LEVEL, FIG12_BENCHMARKS
 from repro.compression.bdi import BDICompressor
@@ -33,6 +32,7 @@ from repro.core.entry import TargetRatio
 from repro.dlmodel.memory import TITAN_XP_BYTES, footprint_bytes, transition_batch
 from repro.engine import ExperimentRunner, get_experiment, param_digest
 from repro.engine.cache import result_digest
+from repro.engine.experiments import suite_gmean
 from repro.gpusim.compression import CompressionMode, CompressionState
 from repro.gpusim.config import GPUConfig, scaled_config
 from repro.gpusim.simulator import DependencyDrivenSimulator
@@ -80,6 +80,8 @@ DIGESTS = {
     ("um.fig12", "a0984716be8ed68a58ad02cf0bcb73ef"): "b81cf2044373bee106b5b96764a2032d",
     ("um.fig12", "f6c84869cabd058ea1df60da8ab37714"): "bccf264c2644b8a6188aa41b16de359d",
     ("dl.fig13", "b23e78ace5c75b75b588630d9378f755"): "1082cc139a8798d990e76f47ed580a26",
+    ("dl.ratios", "947775d4971d71f6a0542deda9337658"): "9822d26f412ebbe7c85486453c204f1b",
+    ("serve.advice", "65de51833a9b4d08c7d958bdcdca322e"): "76d1e26dc8902f2553002c06d5a95983",
 }
 
 
@@ -388,6 +390,17 @@ def test_sec43_buddy_vs_um(study):
         buddy_slowdown = 1.0 / speedups[row.benchmark]
         assert buddy_slowdown < high("fig12.buddy_50pct")
         assert buddy_slowdown < row.um_slowdown
+
+
+def test_advisor_answers_and_dl_ratios(study):
+    """The two experiments no figure test reads, at their defaults:
+    pinned like the rest, every advisor answer recommends one of its
+    own evaluations, and every DL ratio lies within the 4x carve-out
+    cap."""
+    for payload in study("serve.advice").values():
+        assert payload["recommendation"] in payload["evaluations"]
+    ratios = study("dl.ratios")
+    assert all(1.0 <= ratio <= 4.0 for ratio in ratios.values())
 
 
 def test_fig13_dl_case_study(study):

@@ -32,6 +32,7 @@ from repro.core import controller as controller_mod
 from repro.core import profiler as profiler_mod
 from repro.core.profile_tensor import ProfileTensor
 from repro.engine import ExperimentRunner, result_digest
+from repro.engine import cache as cache_mod
 from repro.engine import store as store_mod
 from repro.engine.store import ArtifactStore, process_store
 from repro.serve.clock import ManualClock
@@ -449,7 +450,9 @@ class TestDigestParity:
 class TestWorkBudget:
     """The advisor's work per batch, pinned exactly: a cold batch makes
     one bulk profile call, one evaluate call and one digest per
-    distinct answer; the same batch again is store lookups only."""
+    distinct answer; the same batch again is store lookups only.
+    Both passes key every request, so each canonicalises the three
+    arrays of each of its three histogram requests."""
 
     def test_hot_batch_makes_no_digest_profile_or_evaluate(
         self, monkeypatch
@@ -469,6 +472,14 @@ class TestWorkBudget:
             return result_digest(value)
 
         monkeypatch.setattr(store_mod, "result_digest", counting)
+        arrays = []
+        dtype_name = cache_mod._dtype_name
+
+        def counting_arrays(dtype):
+            arrays.append(dtype)
+            return dtype_name(dtype)
+
+        monkeypatch.setattr(cache_mod, "_dtype_name", counting_arrays)
         hot = ArtifactStore()
         previous = profiler_mod.set_tensor_cache(hot)  # as the service does
         try:
@@ -477,6 +488,7 @@ class TestWorkBudget:
                 profiles = profiler_mod.bulk_compression_call_count()
                 evaluates = controller_mod.evaluate_bulk_call_count()
                 del digested[:]
+                del arrays[:]
                 advices = advise_batch(requests, cache=hot, config=TINY)
                 assert [a.digest for a in advices] == expected
                 work.append(
@@ -484,12 +496,14 @@ class TestWorkBudget:
                         len(digested),
                         profiler_mod.bulk_compression_call_count() - profiles,
                         controller_mod.evaluate_bulk_call_count() - evaluates,
+                        len(arrays),
                     )
                 )
         finally:
             profiler_mod.set_tensor_cache(previous)
-        # (digests, bulk profile calls, evaluate calls) per pass.
-        assert work == [(4, 1, 1), (0, 0, 0)]
+        # (digests, bulk profile calls, evaluate calls, ndarray
+        # canonicalisations) per pass.
+        assert work == [(4, 1, 1, 9), (0, 0, 0, 9)]
 
 
 # ---------------------------------------------------------------------------

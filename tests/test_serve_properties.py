@@ -3,11 +3,10 @@
 Two contracts, Hypothesis-driven:
 
 * **equivalence** — any valid client profile answered through the
-  batched service carries exactly the evaluations a hand-rolled pass
-  over :func:`repro.core.targets.select_per_allocation_indices` /
-  :func:`repro.core.controller.evaluate_selections_batch` produces
-  (same floats, same order), and the recommendation is the best ratio
-  of that set;
+  batched service carries exactly the evaluations the legacy
+  per-histogram algorithms of ``test_columnar.py`` produce (same
+  floats, same order), and the recommendation is the best ratio of
+  that set;
 * **robustness** — malformed requests (NaN histograms, negative
   counts, unknown codecs, arbitrary JSON junk) surface as
   :class:`repro.serve.protocol.InvalidRequest` with a stable code, never as a
@@ -22,8 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core import targets as targets_mod
-from repro.core.controller import evaluate_selections_batch
+from repro.core.targets import NAIVE_OVERFLOW_CAP, ZERO_PAGE_TOLERANCE
 from repro.serve.clock import ManualClock
 from repro.serve.protocol import (
     AdviceRequest,
@@ -32,6 +30,14 @@ from repro.serve.protocol import (
     DESIGNS,
 )
 from repro.serve.service import AdvisorService, ServiceConfig
+from test_columnar import (
+    histogram_views,
+    legacy_apply_zero_page,
+    legacy_evaluate_traffic,
+    legacy_select_naive,
+    legacy_select_per_allocation,
+    legacy_selection_ratio,
+)
 
 #: Sector buckets per entry (counts' last axis).
 BUCKETS = 4
@@ -109,42 +115,51 @@ def _service_answer(request: AdviceRequest) -> dict:
 
 
 def _direct_evaluations(request: AdviceRequest) -> list[dict]:
-    """The same candidates, assembled straight from the core policies."""
+    """The same candidates, assembled from the per-histogram oracle.
+
+    Selection, zero-page promotion, ratio and traffic all come from
+    the legacy per-allocation algorithms in ``test_columnar.py``, so
+    the served answer is checked against code it does not share.
+    """
     tensor = request.histogram
-    selections, labels = [], []
-    per_alloc = None
-    if set(request.designs) & {"per-allocation", "final"}:
-        per_alloc = targets_mod.select_per_allocation_indices(
-            tensor, request.thresholds
-        )
+    views = histogram_views(tensor)
+    candidates = []
     for design in request.designs:
         if design == "naive":
-            indices = targets_mod.select_naive_indices(tensor)
-            selections.append(tensor.selection_from_indices(indices))
-            labels.append((design, None))
+            selection = legacy_select_naive(views, NAIVE_OVERFLOW_CAP)
+            candidates.append((design, None, selection))
             continue
-        for row, threshold in enumerate(request.thresholds):
-            indices = per_alloc[row]
+        for threshold in request.thresholds:
+            selection = legacy_select_per_allocation(views, threshold)
             if design == "final":
-                indices = targets_mod.apply_zero_page_indices(indices, tensor)
-            selections.append(tensor.selection_from_indices(indices))
-            labels.append((design, threshold))
-    results = evaluate_selections_batch(
-        [(tensor, tensor.benchmark, selections, [d for d, _ in labels])]
-    )[0]
-    return [
-        {
-            "design": design,
-            "threshold": threshold,
-            "compression_ratio": float(result.compression_ratio),
-            "buddy_entry_fraction": float(result.buddy_access_fraction),
-            "buddy_sector_fraction": float(result.buddy_sector_fraction),
-            "selection": {
-                name: ratio.value for name, ratio in result.selection.items()
-            },
-        }
-        for (design, threshold), result in zip(labels, results)
-    ]
+                selection = legacy_apply_zero_page(
+                    selection,
+                    views,
+                    tensor.names,
+                    tensor.fractions,
+                    ZERO_PAGE_TOLERANCE,
+                )
+            candidates.append((design, threshold, selection))
+    evaluations = []
+    for design, threshold, selection in candidates:
+        entry, sectors = legacy_evaluate_traffic(
+            views, selection, tensor.snapshot_count
+        )
+        evaluations.append(
+            {
+                "design": design,
+                "threshold": threshold,
+                "compression_ratio": legacy_selection_ratio(
+                    selection, tensor.names, tensor.fractions
+                ),
+                "buddy_entry_fraction": float(np.mean(entry)),
+                "buddy_sector_fraction": float(np.mean(sectors)),
+                "selection": {
+                    name: ratio.value for name, ratio in selection.items()
+                },
+            }
+        )
+    return evaluations
 
 
 class TestServiceMatchesDirectMath:
